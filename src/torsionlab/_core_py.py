@@ -1,8 +1,11 @@
 """Pure-Python reference implementation of the hot kernels.
 
 Every function here has a compiled twin in ``_core`` (Cython).  The two
-implementations must stay observationally identical; ``kernels`` picks
-one at import time and the test suite cross-checks them.
+implementations must stay observationally identical: on the same inputs
+they return identical results and identical witnesses, while their
+algorithms may differ (the delta kernels here skip repeated u/z sums,
+the compiled ones do not).  ``kernels`` picks one at import time and the
+test suite cross-checks them.
 
 Conventions shared by both backends:
 
@@ -12,6 +15,8 @@ Conventions shared by both backends:
   (bit ``i`` set iff element ``i`` is a member),
 * witnesses are tuples of element indices, ``None`` means "no witness".
 """
+
+import itertools
 
 BACKEND_NAME = "pure-python"
 
@@ -170,45 +175,14 @@ def module_axiom_witness(n, m, radd, rmul, madd, act, one):
     return None
 
 
-def delta_cond1_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
-    """Exhaustive check that every difference row vanishes under x=y, u=v.
+def _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
+    """Yield ``(tup, base)`` for every (u, z) tuple in odometer order.
 
-    Quantifies over all (x, u-tuple, z-tuple); returns
-    ``(x, *u, *z, row)`` for the first nonzero evaluation.
+    ``base[j]`` is row j's u/z part, summed left to right from ``zero``:
+    the whole of row j's value except its x/y terms.
     """
-    uz = u_arity + z_arity
-    tup = [0] * uz
-    while True:
-        for x in range(m):
-            for j in range(rows):
-                val = madd[act[a[j] * m + x] * m + act[b[j] * m + x]]
-                for i in range(u_arity):
-                    u = tup[i]
-                    val = madd[val * m + act[c[j * u_arity + i] * m + u]]
-                    val = madd[val * m + act[d[j * u_arity + i] * m + u]]
-                for i in range(z_arity):
-                    val = madd[val * m + act[e[j * z_arity + i] * m + tup[u_arity + i]]]
-                if val != zero:
-                    return (x, *tup, j)
-        pos = uz - 1
-        while pos >= 0 and tup[pos] == m - 1:
-            tup[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return None
-        tup[pos] += 1
-
-
-def delta_cond2_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
-    """Exhaustive search for x != y where every row vanishes under u=v.
-
-    Quantifies over all (x, y, u-tuple, z-tuple); returns
-    ``(x, y, *u, *z)`` for the first counterexample tuple.
-    """
-    uz = u_arity + z_arity
-    tup = [0] * uz
-    base = [0] * rows
-    while True:
+    for tup in itertools.product(range(m), repeat=u_arity + z_arity):
+        base = []
         for j in range(rows):
             val = zero
             for i in range(u_arity):
@@ -217,23 +191,55 @@ def delta_cond2_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zer
                 val = madd[val * m + act[d[j * u_arity + i] * m + u]]
             for i in range(z_arity):
                 val = madd[val * m + act[e[j * z_arity + i] * m + tup[u_arity + i]]]
-            base[j] = val
+            base.append(val)
+        yield tup, tuple(base)
+
+
+def delta_cond1_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
+    """Exhaustive check that every difference row vanishes under x=y, u=v.
+
+    Quantifies over all (x, u-tuple, z-tuple); returns
+    ``(x, *u, *z, row)`` for the first nonzero evaluation.
+
+    ``madd`` must be associative with identity ``zero`` (a module's
+    validated addition): row j is evaluated as ``(a_j x + b_j x) +
+    base[j]``, and a tuple whose base was already cleared is skipped.
+    """
+    xterm = [[madd[act[a[j] * m + x] * m + act[b[j] * m + x]] for x in range(m)]
+             for j in range(rows)]
+    cleared = set()
+    for tup, base in _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
+        if base in cleared:
+            continue
+        for x in range(m):
+            for j in range(rows):
+                if madd[xterm[j][x] * m + base[j]] != zero:
+                    return (x, *tup, j)
+        cleared.add(base)
+    return None
+
+
+def delta_cond2_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
+    """Exhaustive search for x != y where every row vanishes under u=v.
+
+    Quantifies over all (x, y, u-tuple, z-tuple); returns
+    ``(x, y, *u, *z)`` for the first counterexample tuple.
+
+    ``madd`` must be associative with identity ``zero`` (a module's
+    validated addition): row j is evaluated as ``(a_j x + b_j y) +
+    base[j]``, and a tuple whose base was already cleared is skipped.
+    """
+    arows = [act[a[j] * m:(a[j] + 1) * m] for j in range(rows)]
+    brows = [act[b[j] * m:(b[j] + 1) * m] for j in range(rows)]
+    cleared = set()
+    for tup, base in _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
+        if base in cleared:
+            continue
         for x in range(m):
             for y in range(m):
-                if x == y:
-                    continue
-                ok = True
-                for j in range(rows):
-                    val = madd[madd[act[a[j] * m + x] * m + act[b[j] * m + y]] * m + base[j]]
-                    if val != zero:
-                        ok = False
-                        break
-                if ok:
+                if x != y and all(
+                        madd[madd[arows[j][x] * m + brows[j][y]] * m + base[j]] == zero
+                        for j in range(rows)):
                     return (x, y, *tup)
-        pos = uz - 1
-        while pos >= 0 and tup[pos] == m - 1:
-            tup[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return None
-        tup[pos] += 1
+        cleared.add(base)
+    return None

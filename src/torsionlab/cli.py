@@ -46,6 +46,18 @@ def main(argv=None):
         return 70
 
 
+def _positive_int(text):
+    """argparse type for ``--bound``: a corpus bound below 1 holds no
+    module, so every verdict over it would be vacuous."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="torsionlab",
@@ -82,7 +94,7 @@ def _build_parser():
 
     p = cmd("rcm", _cmd_rcm, "modularity + weak extension over the corpus")
     p.add_argument("--filter", required=True)
-    p.add_argument("--bound", type=int, default=2, help="corpus bound (default 2)")
+    p.add_argument("--bound", type=_positive_int, default=2, help="corpus bound (default 2)")
 
     p = sub.add_parser("delta-reduce", help="reduce a delta-axiom file")
     p.add_argument("path", help="JSON delta-axiom file")
@@ -94,12 +106,12 @@ def _build_parser():
                    help="generator list of one quasiidentity (repeatable)")
     p.add_argument("--ident", action="append", default=[],
                    help="coefficient list of one linear identity (repeatable)")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_positive_int, default=2)
 
     p = sub.add_parser("census", help="aggregate report over a ring corpus")
     p.add_argument("specs", nargs="*", help="ring specs; 'builtin' or empty = builtin corpus")
     p.add_argument("--max-order", type=int, default=16)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=None,
                    help="also run a seeded random delta-axiom sweep per ring")
     p.add_argument("--json", action="store_true")

@@ -2,8 +2,9 @@
 
 The compiled extension ``torsionlab._core`` is used when available;
 otherwise the pure-Python twin ``torsionlab._core_py`` takes over.  Set
-``TORSIONLAB_PURE=1`` to force the fallback (used by the benchmark and
-for debugging).
+``TORSIONLAB_PURE=1`` to force the fallback, e.g. for debugging or to
+time the pure kernels beside a built extension.  ``perfbench`` does not
+set it; it runs whichever backend the checkout provides.
 """
 
 import os

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import torsionlab as tl
 from torsionlab.cli import main
 
@@ -168,6 +170,18 @@ def test_rcm_with_larger_bound(capsys):
     assert code == 0
     assert doc["bound"] == 3
     assert doc["modules_checked"] > 9
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["rcm", "Z(4)", "--filter", "1"],
+                                  ["classify", "Z(4)", "--quasi", "2"],
+                                  ["census", "Z(4)"]])
+def test_bound_below_one_is_invalid_input(capsys, argv, bound):
+    code = main([*argv, "--bound", bound])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--bound: must be at least 1" in captured.err
 
 
 def test_census_small(capsys):

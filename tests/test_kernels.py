@@ -9,6 +9,7 @@ import pytest
 import torsionlab as tl
 from torsionlab import _core_py
 from torsionlab import kernels
+from torsionlab.delta import _coef_arrays
 
 try:
     from torsionlab import _core
@@ -192,6 +193,134 @@ def test_delta_kernels_match_naive_quantification(spec):
     assert tl.delta_satisfied(module, bad) == naive_delta_eval(module, bad)
 
 
+# The delta kernels as they were before their inner loops were memoized
+# on each tuple's u/z sum; kept as the reference for exact witnesses.
+def reference_delta_cond1_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
+    """Exhaustive check that every difference row vanishes under x=y, u=v.
+
+    Quantifies over all (x, u-tuple, z-tuple); returns
+    ``(x, *u, *z, row)`` for the first nonzero evaluation.
+    """
+    uz = u_arity + z_arity
+    tup = [0] * uz
+    while True:
+        for x in range(m):
+            for j in range(rows):
+                val = madd[act[a[j] * m + x] * m + act[b[j] * m + x]]
+                for i in range(u_arity):
+                    u = tup[i]
+                    val = madd[val * m + act[c[j * u_arity + i] * m + u]]
+                    val = madd[val * m + act[d[j * u_arity + i] * m + u]]
+                for i in range(z_arity):
+                    val = madd[val * m + act[e[j * z_arity + i] * m + tup[u_arity + i]]]
+                if val != zero:
+                    return (x, *tup, j)
+        pos = uz - 1
+        while pos >= 0 and tup[pos] == m - 1:
+            tup[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return None
+        tup[pos] += 1
+
+
+def reference_delta_cond2_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
+    """Exhaustive search for x != y where every row vanishes under u=v.
+
+    Quantifies over all (x, y, u-tuple, z-tuple); returns
+    ``(x, y, *u, *z)`` for the first counterexample tuple.
+    """
+    uz = u_arity + z_arity
+    tup = [0] * uz
+    base = [0] * rows
+    while True:
+        for j in range(rows):
+            val = zero
+            for i in range(u_arity):
+                u = tup[i]
+                val = madd[val * m + act[c[j * u_arity + i] * m + u]]
+                val = madd[val * m + act[d[j * u_arity + i] * m + u]]
+            for i in range(z_arity):
+                val = madd[val * m + act[e[j * z_arity + i] * m + tup[u_arity + i]]]
+            base[j] = val
+        for x in range(m):
+            for y in range(m):
+                if x == y:
+                    continue
+                ok = True
+                for j in range(rows):
+                    val = madd[madd[act[a[j] * m + x] * m + act[b[j] * m + y]] * m + base[j]]
+                    if val != zero:
+                        ok = False
+                        break
+                if ok:
+                    return (x, y, *tup)
+        pos = uz - 1
+        while pos >= 0 and tup[pos] == m - 1:
+            tup[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return None
+        tup[pos] += 1
+
+
+DELTA_RINGS = ["Z(4)", "Z(6)", "Z(8)", "UT2(2)", "prod(Z(2),Z(2))"]
+
+
+def random_delta(ring, rng):
+    """A random delta axiom (rows 1-3, u <= 2, z <= 1) whose coefficients
+    each keep the reducible value (b = -a, d = -c, e = 0) with
+    probability 1/2, so the u/z sums range from all zero to all random."""
+    n = ring.order
+    u_arity, z_arity = rng.randint(0, 2), rng.randint(0, 1)
+
+    def coef(reducible):
+        return reducible if rng.random() < 0.5 else rng.randrange(n)
+
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randrange(n)
+        c = [rng.randrange(n) for _ in range(u_arity)]
+        rows.append(tl.DeltaRow(a, coef(ring.neg[a]), c,
+                                [coef(ring.neg[x]) for x in c],
+                                [coef(ring.zero) for _ in range(z_arity)]))
+    return tl.DeltaAxiom(ring, rows, u_arity, z_arity)
+
+
+def delta_kernel_cases():
+    """Kernel arguments for reducible (as the census sweep draws them) and
+    random axioms over the bound-2 corpus modules of order <= 16, within
+    the sweep's budget of m**(2+u+z) <= 200000 evaluations."""
+    for spec in DELTA_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        corpus = [mod for mod in tl.module_corpus(ring, 2) if mod.order <= 16]
+        rng = random.Random(spec)
+        for k in range(20):
+            if k % 2:
+                axiom = random_delta(ring, rng)
+            else:
+                axiom = tl.random_reducible_delta(ring, rng)
+            rows, a, b, c, d, e = _coef_arrays(axiom)
+            for mod in corpus:
+                if mod.order ** (2 + axiom.u_arity + axiom.z_arity) > 200000:
+                    continue
+                yield (mod.order, rows, axiom.u_arity, axiom.z_arity,
+                       list(mod.add_flat), list(mod.act_flat), a, b, c, d, e, mod.zero)
+
+
+def test_delta_kernels_return_reference_witnesses():
+    calls = witnesses = order16 = 0
+    for args in delta_kernel_cases():
+        for new, ref in ((_core_py.delta_cond1_witness, reference_delta_cond1_witness),
+                         (_core_py.delta_cond2_witness, reference_delta_cond2_witness)):
+            got = new(*args)
+            assert got == ref(*args), args
+            calls += 1
+            witnesses += got is not None
+        order16 += args[0] == 16
+    assert witnesses and calls - witnesses and order16
+
+
 @pytest.mark.skipif(_core is None, reason="compiled backend not built")
 def test_backends_agree_on_submodule_enumeration():
     for spec in ["Z(8)", "UT2(2)", "prod(Z(2),Z(2))"]:
@@ -207,3 +336,10 @@ def test_backends_agree_on_submodule_enumeration():
 def test_selected_backend_is_exported():
     assert kernels.backend() in ("compiled", "pure-python")
     assert tl.backend() == kernels.backend()
+
+
+@pytest.mark.skipif(_core is None, reason="compiled backend not built")
+def test_backends_agree_on_delta_kernels():
+    for args in delta_kernel_cases():
+        assert _core.delta_cond1_witness(*args) == _core_py.delta_cond1_witness(*args)
+        assert _core.delta_cond2_witness(*args) == _core_py.delta_cond2_witness(*args)
