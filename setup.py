@@ -1,8 +1,11 @@
 """Build script: compiles the optional C extension for the hot kernels.
 
-The package works without the extension (a pure-Python implementation of
-the same kernels is selected at import time), so any failure here is
-downgraded to a warning and the build proceeds extension-free.
+With Cython installed the extension is built from ``_core.pyx``;
+without it, from the tracked ``_core.c`` that Cython generated from
+the same source.  The package works without the extension (a
+pure-Python implementation of the same kernels is selected at import
+time), so any failure here is downgraded to a warning and the build
+proceeds extension-free.
 """
 
 import sys
@@ -43,7 +46,6 @@ try:
         language_level=3,
     )
 except ImportError:
-    print("warning: Cython not available; skipping compiled kernels", file=sys.stderr)
-    ext_modules = []
+    ext_modules = [Extension("torsionlab._core", ["src/torsionlab/_core.c"])]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -47,8 +47,9 @@ def main(argv=None):
 
 
 def _positive_int(text):
-    """argparse type for ``--bound``: a corpus bound below 1 holds no
-    module, so every verdict over it would be vacuous."""
+    """argparse type for ``--bound`` and ``--max-order``: a corpus bound
+    below 1 holds no module and a maximum order below 1 no ring, so every
+    verdict over them would be vacuous."""
     try:
         value = int(text)
     except ValueError:
@@ -110,7 +111,7 @@ def _build_parser():
 
     p = sub.add_parser("census", help="aggregate report over a ring corpus")
     p.add_argument("specs", nargs="*", help="ring specs; 'builtin' or empty = builtin corpus")
-    p.add_argument("--max-order", type=int, default=16)
+    p.add_argument("--max-order", type=_positive_int, default=16)
     p.add_argument("--bound", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=None,
                    help="also run a seeded random delta-axiom sweep per ring")

@@ -77,33 +77,31 @@ class FiniteRing:
         self._names.setdefault("1", one)
         self._resolve = {v: k for k, v in self._names.items() if not k.isdigit()}
         self._cache = {}
-        self._validate()
-        self.neg = tuple(self.add[i].index(zero) for i in range(order))
         self.add_flat = tuple(v for row in self.add for v in row)
         self.mul_flat = tuple(v for row in self.mul for v in row)
+        self._validate()
+        self.neg = tuple(self.add[i].index(zero) for i in range(order))
 
     def _validate(self):
-        n, add, mul, zero, one = self.order, self.add, self.mul, self.zero, self.one
+        n, mul, zero, one = self.order, self.mul, self.zero, self.one
         if zero == one and n > 1:
             raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
-        check_abelian_group(n, add, zero)
-        flat = [v for row in mul for v in row]
-        w = kernels.assoc_witness(n, flat)
+        check_abelian_group(n, self.add, zero)
+        w = kernels.assoc_witness(n, self.mul_flat)
         if w is not None:
             raise TableError("mul-associative", w,
                              f"({w[0]}*{w[1]})*{w[2]} != {w[0]}*({w[1]}*{w[2]})")
         for i in range(n):
             if mul[one][i] != i or mul[i][one] != i:
                 raise TableError("one-identity", (i,), f"one is not an identity at {i}")
-        for r in range(n):
-            for x in range(n):
-                for y in range(n):
-                    if mul[r][add[x][y]] != add[mul[r][x]][mul[r][y]]:
-                        raise TableError("left-distributive", (r, x, y),
-                                         f"{r}*({x}+{y}) != {r}*{x} + {r}*{y}")
-                    if mul[add[x][y]][r] != add[mul[x][r]][mul[y][r]]:
-                        raise TableError("right-distributive", (x, y, r),
-                                         f"({x}+{y})*{r} != {x}*{r} + {y}*{r}")
+        w = kernels.distributive_witness(n, self.add_flat, self.mul_flat)
+        if w is not None:
+            kind, i, j, k = w
+            if kind == "left-distributive":
+                message = f"{i}*({j}+{k}) != {i}*{j} + {i}*{k}"
+            else:
+                message = f"({i}+{j})*{k} != {i}*{k} + {j}*{k}"
+            raise TableError(kind, (i, j, k), message)
 
     # -- element helpers -------------------------------------------------
 

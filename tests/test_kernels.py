@@ -10,6 +10,7 @@ import torsionlab as tl
 from torsionlab import _core_py
 from torsionlab import kernels
 from torsionlab.delta import _coef_arrays
+from torsionlab.errors import TableError
 
 try:
     from torsionlab import _core
@@ -144,6 +145,180 @@ def test_module_axiom_witness_detects_broken_action(impl, z4):
     act[1 * n + 2] = 1  # 1*2 = 1 breaks the unit axiom
     w = impl.module_axiom_witness(n, n, radd, rmul, radd, act, z4.one)
     assert w is not None
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
+def test_module_axiom_witness_checks_add_and_mul_act_at_each_x(impl, ut2):
+    # UT2(2) acting on GF(2)^2 with rows broken in both add_act and
+    # mul_act: mul_act at (1, 2, 1) comes before add_act at (1, 2, 2).
+    madd = [a ^ b for a in range(4) for b in range(4)]
+    act = [0, 0, 0, 0, 0, 3, 0, 3, 0, 1, 0, 1, 0, 2, 3, 1,
+           0, 0, 0, 0, 0, 1, 2, 3, 0, 2, 1, 3, 0, 0, 0, 0]
+    radd, rmul = list(ut2.add_flat), list(ut2.mul_flat)
+    assert impl.module_axiom_witness(8, 4, radd, rmul, madd, act, ut2.one) == \
+        ("mul_act", 1, 2, 1)
+    # on GF(2), both axioms first fail at (1, 6, 1): add_act is reported
+    act = [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1]
+    assert impl.module_axiom_witness(8, 2, radd, rmul, [0, 1, 1, 0], act, ut2.one) == \
+        ("add_act", 1, 6, 1)
+
+
+def planted(table, size, rng, faults):
+    """A copy of the flat ``table`` with ``faults`` entries changed (none
+    when ``size`` is 1: there is no other value)."""
+    out = list(table)
+    for _ in range(faults if size > 1 else 0):
+        p = rng.randrange(len(out))
+        out[p] = (out[p] + rng.randrange(1, size)) % size
+    return out
+
+
+def transported(ring, rng):
+    """``ring``'s multiplication moved along a random permutation p of its
+    elements, x*'y = p^-1(p(x) * p(y)): associative with identity
+    p^-1(one), and distributive over the unchanged addition only when p
+    is additive."""
+    n = ring.order
+    p = list(range(n))
+    rng.shuffle(p)
+    inv = [0] * n
+    for i, v in enumerate(p):
+        inv[v] = i
+    mul = [inv[ring.mul_flat[p[x] * n + p[y]]] for x in range(n) for y in range(n)]
+    return mul, inv[ring.one]
+
+
+TABLE_RINGS = [spec for spec, _ in tl.builtin_rings(16)] + ["UT2(3)"]
+MODULE_RINGS = ["Z(4)", "Z(6)", "Z(8)", "UT2(2)", "prod(Z(2),Z(2))", "M2(2)"]
+
+
+def module_actions(ring, module, rng):
+    """The valid action of ``ring`` on ``module``, planted faults in it and
+    in the addition, and random endomorphism actions: each scalar r acts
+    as some scalar sigma(r) did, so every row stays additive while the
+    ring axioms break from the first r with sigma(r) != r on."""
+    n, m = ring.order, module.order
+    act, madd = list(module.act_flat), list(module.add_flat)
+    yield madd, act
+    for k in range(8):
+        yield madd, planted(act, m, rng, 1 + k % 3)
+        yield planted(madd, m, rng, 1 + k % 2), act
+        first = rng.randrange(n)
+        sigma = list(range(first)) + [rng.randrange(n) for _ in range(first, n)]
+        yield madd, [act[sigma[r] * m + x] for r in range(n) for x in range(m)]
+
+
+def table_check_cases():
+    """(kernel name, args) for the table checks: tables of builtin rings
+    and module actions, valid and with planted faults, plus n = 1 module
+    calls and Z(m) tables at m = 256 and 257, one on each side of the
+    byte route's order limit."""
+    for spec in TABLE_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        n, add, mul = ring.order, list(ring.add_flat), list(ring.mul_flat)
+        rng = random.Random(spec)
+        yield "assoc_witness", (n, add)
+        yield "assoc_witness", (n, mul)
+        yield "distributive_witness", (n, add, mul)
+        for k in range(12):
+            yield "assoc_witness", (n, planted(add, n, rng, 1 + k % 3))
+            yield "assoc_witness", (n, planted(mul, n, rng, 1 + k % 3))
+            yield "distributive_witness", (n, add, planted(mul, n, rng, 1 + k % 3))
+            yield "distributive_witness", (n, planted(add, n, rng, 1), mul)
+            yield "distributive_witness", (n, add, transported(ring, rng)[0])
+    modules = [(tl.parse_ring_spec("UT2(3)"), tl.regular_module(tl.parse_ring_spec("UT2(3)")))]
+    for spec in MODULE_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        modules += [(ring, mod) for mod in tl.module_corpus(ring, 2) if mod.order <= 16]
+    for ring, module in modules:
+        rng = random.Random(f"{ring.name}/{module.name}/{module.order}")
+        for madd, act in module_actions(ring, module, rng):
+            yield "module_axiom_witness", (ring.order, module.order, list(ring.add_flat),
+                                           list(ring.mul_flat), madd, act, ring.one)
+    for m in (256, 257):
+        rng = random.Random(m)
+        add = [(x + y) % m for x in range(m) for y in range(m)]
+        mul = [x * y % m for x in range(m) for y in range(m)]
+        if m == 256:
+            yield "assoc_witness", (m, add)  # no witness: a full scan on each route
+        for k in range(4):
+            yield "assoc_witness", (m, planted(add, m, rng, 1 + k))
+            early = list(mul)  # a fault in row or column < 3 keeps the reference loops short
+            early[rng.randrange(3) * m + rng.randrange(m)] = rng.randrange(m)
+            early[rng.randrange(m) * m + rng.randrange(3)] = rng.randrange(m)
+            yield "distributive_witness", (m, add, early)
+        for unit in (1, 3, m - 1):
+            row = [unit * x % m for x in range(m)]
+            yield "module_axiom_witness", (1, m, [0], [0], add, row, 0)
+            for k in range(3):
+                yield "module_axiom_witness", (1, m, [0], [0], add, planted(row, m, rng, 1 + k), 0)
+                yield "module_axiom_witness", (1, m, [0], [0], planted(add, m, rng, 1 + k), row, 0)
+        yield "module_axiom_witness", (1, m, [0], [0], add, [0] * m, 0)
+
+
+REFERENCE_TABLE_CHECKS = {
+    "assoc_witness": _core_py._assoc_witness_loops,
+    "distributive_witness": _core_py._distributive_witness_loops,
+    "module_axiom_witness": _core_py._module_axiom_witness_loops,
+}
+
+
+def test_table_checks_return_reference_witnesses():
+    outcomes = {name: set() for name in REFERENCE_TABLE_CHECKS}
+    for name, args in table_check_cases():
+        got = getattr(_core_py, name)(*args)
+        assert got == REFERENCE_TABLE_CHECKS[name](*args), (name, args)
+        outcomes[name].add(got if got is None or name == "assoc_witness" else got[0])
+    assert None in outcomes["assoc_witness"] and len(outcomes["assoc_witness"]) > 1
+    assert outcomes["distributive_witness"] == {None, "left-distributive", "right-distributive"}
+    assert outcomes["module_axiom_witness"] == {None, "act_add", "add_act", "mul_act", "one_act"}
+
+
+def reference_ring_error(n, add, mul, zero, one):
+    """(axiom, witness, message) of the TableError that ``FiniteRing``
+    raised for a valid addition ``add`` and a multiplication ``mul`` (row
+    tuples) when its distributivity check was a triple loop."""
+    if zero == one and n > 1:
+        return ("zero-one", (zero,), "zero equals one in a ring of order > 1")
+    w = _core_py._assoc_witness_loops(n, [v for row in mul for v in row])
+    if w is not None:
+        return ("mul-associative", w, f"({w[0]}*{w[1]})*{w[2]} != {w[0]}*({w[1]}*{w[2]})")
+    for i in range(n):
+        if mul[one][i] != i or mul[i][one] != i:
+            return ("one-identity", (i,), f"one is not an identity at {i}")
+    for r in range(n):
+        for x in range(n):
+            for y in range(n):
+                if mul[r][add[x][y]] != add[mul[r][x]][mul[r][y]]:
+                    return ("left-distributive", (r, x, y),
+                            f"{r}*({x}+{y}) != {r}*{x} + {r}*{y}")
+                if mul[add[x][y]][r] != add[mul[x][r]][mul[y][r]]:
+                    return ("right-distributive", (x, y, r),
+                            f"({x}+{y})*{r} != {x}*{r} + {y}*{r}")
+    return None
+
+
+def test_ring_table_errors_match_reference():
+    axioms = set()
+    for spec in TABLE_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        n = ring.order
+        rng = random.Random(spec)
+        for k in range(16):
+            if k % 2:
+                mul, one = transported(ring, rng)
+            else:
+                mul, one = planted(ring.mul_flat, n, rng, 1 + k % 3), ring.one
+            rows = [tuple(mul[i * n:(i + 1) * n]) for i in range(n)]
+            expected = reference_ring_error(n, ring.add, rows, ring.zero, one)
+            if expected is None:
+                tl.FiniteRing(n, ring.add, rows, ring.zero, one)
+                continue
+            with pytest.raises(TableError) as err:
+                tl.FiniteRing(n, ring.add, rows, ring.zero, one)
+            assert (err.value.axiom, err.value.witness, str(err.value)) == expected
+            axioms.add(expected[0])
+    assert {"mul-associative", "left-distributive", "right-distributive"} <= axioms
 
 
 def naive_delta_eval(module, axiom):
@@ -343,3 +518,10 @@ def test_backends_agree_on_delta_kernels():
     for args in delta_kernel_cases():
         assert _core.delta_cond1_witness(*args) == _core_py.delta_cond1_witness(*args)
         assert _core.delta_cond2_witness(*args) == _core_py.delta_cond2_witness(*args)
+
+
+@pytest.mark.skipif(_core is None, reason="compiled backend not built")
+def test_backends_agree_on_table_checks():
+    for name, args in table_check_cases():
+        if hasattr(_core, name):
+            assert getattr(_core, name)(*args) == getattr(_core_py, name)(*args), (name, args)
