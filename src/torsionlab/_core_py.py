@@ -1,8 +1,9 @@
 """Pure-Python reference implementation of the hot kernels.
 
-Every kernel here except ``bits_of``, ``sum_with_orbit`` and
+Every kernel here except ``bits_of``, ``greedy_generators`` and
 ``distributive_witness`` (which ``kernels`` always takes from this
-module) has a compiled twin in ``_core`` (Cython).  The two
+module) has a compiled twin in ``_core`` (Cython); ``sum_with_orbit`` is
+a helper of the kernels here and is not exported.  The two
 implementations must stay observationally identical: on the same inputs
 they return identical results and identical witnesses, while their
 algorithms may differ (the delta kernels here skip repeated u/z sums,
@@ -58,6 +59,22 @@ def sum_with_orbit(sub, x, m, n, add, act):
         for s in elems:
             out |= 1 << add[s * m + t]
     return out
+
+
+def greedy_generators(m, n, add, act, zero, bits):
+    """Canonical generators of the closed subset ``bits``: repeatedly
+    adjoin the least missing element."""
+    zero_bits = 1 << zero
+    if bits == zero_bits:
+        return (zero,)
+    gens = []
+    cur = zero_bits
+    while cur != bits:
+        missing = bits & ~cur
+        x = (missing & -missing).bit_length() - 1
+        gens.append(x)
+        cur = sum_with_orbit(cur, x, m, n, add, act)
+    return tuple(gens)
 
 
 def span_closure(m, n, add, act, zero, gens):

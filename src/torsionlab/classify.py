@@ -12,12 +12,11 @@ from .errors import InvariantError
 from .modules import (Submodule, annihilator, module_corpus,
                       module_over_quotient, quotient_module, regular_module,
                       satisfies_quasiidentity)
-from .rings import (TwoSidedIdeal, all_left_ideals, as_two_sided,
+from .rings import (all_left_ideals, as_two_sided,
                     format_quasiidentity, greedy_generators,
                     left_ideal_closure, product_ideal, quotient_ring,
-                    idempotent_generator)
-from .torsion import (TorsionNotion, _family_torsion_free,
-                      _require_validated, check_torsion_axioms,
+                    idempotent_generator, two_sided_closure)
+from .torsion import (TorsionNotion, _require_validated, check_torsion_axioms,
                       principal_generator)
 
 
@@ -71,13 +70,7 @@ def identities_to_ideal(ring, identities):
     for c in coeffs:
         if not 0 <= c < ring.order:
             raise ValueError(f"identity coefficient {c} out of range")
-    bits = _two_sided_bits(ring, coeffs)
-    return TwoSidedIdeal(ring, greedy_generators(ring, bits), bits)
-
-
-def _two_sided_bits(ring, gens):
-    from .rings import two_sided_closure
-    return two_sided_closure(ring, gens).bits
+    return two_sided_closure(ring, coeffs)
 
 
 def annihilator_of_quasivariety(ring, quasis, sigma=None):
@@ -165,10 +158,8 @@ class QuasivarietyDescriptor:
                         f"{ring.element_name(r)} lies in I")
 
     def to_json(self):
-        def ideal_doc(ideal):
-            return {"generators": list(ideal.generators), "elements": ideal.elements()}
-        return {"I": ideal_doc(self.annihilator),
-                "filter": [ideal_doc(a) for a in self.members]}
+        return {"I": self.annihilator.to_json(),
+                "filter": [a.to_json() for a in self.members]}
 
 
 class ClassificationVerdict:
@@ -188,16 +179,13 @@ class ClassificationVerdict:
         return self.outcome == "rcm"
 
     def to_json(self):
-        def ideal_doc(ideal):
-            return {"generators": list(ideal.generators), "elements": ideal.elements()}
-
         doc = {
             "ring": self.ring.name,
             "quasiidentities": [q.to_json() for q in self.quasis],
             "identities": [list(ident) for ident in self.identities],
-            "I": ideal_doc(self.annihilator_ideal),
+            "I": self.annihilator_ideal.to_json(),
             "quotient_order": self.quotient.order,
-            "filter": [ideal_doc(a) for a in self.filter_preimages],
+            "filter": [a.to_json() for a in self.filter_preimages],
             "rcm": self.rcm,
             "is_variety": self.is_variety,
             "is_trivial": self.is_trivial,
@@ -252,13 +240,12 @@ def classify(ring, quasis, identities=(), bound=2):
     preimages = tuple(_preimage_ideal(ring, projection, abar) for abar in filter_quot)
 
     corpus_modules = 0
-    fam = list(filter_quot)
     for mod in module_corpus(ring, bound):
         in_class = (_annihilates(sigma, mod)
                     and all(q.satisfied_by(mod) for q in quasis))
         if _annihilates(ideal_i, mod):
             push = _pushforward(mod, quot_ring, projection)
-            torsion_free = _family_torsion_free(fam, push)
+            torsion_free = all(satisfies_quasiidentity(push, a) for a in filter_quot)
         else:
             torsion_free = False
         if in_class != torsion_free:

@@ -123,10 +123,6 @@ def _build_parser():
 
 # -- shared helpers -------------------------------------------------------
 
-def _ideal_doc(ideal):
-    return {"generators": list(ideal.generators), "elements": ideal.elements()}
-
-
 def _ideal_str(ideal):
     ring = ideal.ring
     gens = ",".join(ring.element_name(g) for g in ideal.generators)
@@ -209,7 +205,7 @@ def _cmd_ideals(args):
     ring = parse_ring_spec(args.ring)
     ideals = all_left_ideals(ring)
     doc = {"ring": ring.name,
-           "ideals": [dict(_ideal_doc(a), two_sided=is_two_sided(a)) for a in ideals]}
+           "ideals": [dict(a.to_json(), two_sided=is_two_sided(a)) for a in ideals]}
     lines = [f"ring {ring.name}: {len(ideals)} left ideals"]
     for a in ideals:
         tag = " (two-sided)" if is_two_sided(a) else ""
@@ -224,7 +220,7 @@ def _cmd_torsion_check(args):
     result = check_torsion_axioms(ring, family)
     if isinstance(result, TorsionNotion):
         doc = {"ring": ring.name, "valid": True,
-               "ideals": [_ideal_doc(a) for a in result.ideals]}
+               "ideals": [a.to_json() for a in result.ideals]}
         _emit(doc, args, [f"VALID torsion notion with {len(result)} ideals",
                           *(f"  {_ideal_str(a)}" for a in result.ideals)])
         return 0
@@ -237,7 +233,7 @@ def _cmd_torsion_enum(args):
     ring = parse_ring_spec(args.ring)
     notions = enumerate_torsion_notions(ring)
     doc = {"ring": ring.name, "count": len(notions),
-           "notions": [[_ideal_doc(a) for a in f.ideals] for f in notions]}
+           "notions": [[a.to_json() for a in f.ideals] for f in notions]}
     lines = [f"ring {ring.name}: {len(notions)} torsion notions"]
     for f in notions:
         lines.append("  {" + "; ".join(_ideal_str(a) for a in f.ideals) + "}")
@@ -325,7 +321,7 @@ def _cmd_delta_reduce(args):
         return 1
     rows_doc = [{"a": a, "c": list(c)} for a, c in red.rows]
     out = {"ring": ring.name, "reduced": True, "rows": rows_doc,
-           "ideal": _ideal_doc(red.ideal),
+           "ideal": red.ideal.to_json(),
            "quasiidentity": format_quasiidentity(red.ideal)}
     lines = [f"ring {ring.name}: reduced {len(red.rows)} rows"]
     for a, c in red.rows:

@@ -22,7 +22,7 @@ else:
 BACKEND = _impl.BACKEND_NAME
 
 bits_of = _core_py.bits_of
-sum_with_orbit = _core_py.sum_with_orbit  # only used on ring-sized inputs
+greedy_generators = _core_py.greedy_generators  # no compiled twin
 distributive_witness = _core_py.distributive_witness  # no compiled twin
 span_closure = _impl.span_closure
 enumerate_submodules = _impl.enumerate_submodules

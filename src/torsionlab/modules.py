@@ -75,7 +75,10 @@ class Submodule:
     @property
     def generators(self):
         if self._generators is None:
-            self._generators = _greedy_module_generators(self.module, self.bits)
+            module = self.module
+            self._generators = kernels.greedy_generators(
+                module.order, module.ring.order, module.add_flat, module.act_flat,
+                module.zero, self.bits)
         return self._generators
 
     def elements(self):
@@ -125,21 +128,6 @@ def _closure_witness(module, bits):
             if not bits >> row[x] & 1:
                 return ("act", r, x)
     return None
-
-
-def _greedy_module_generators(module, bits):
-    zero_bits = 1 << module.zero
-    if bits == zero_bits:
-        return (module.zero,)
-    gens = []
-    cur = zero_bits
-    while cur != bits:
-        missing = bits & ~cur
-        x = (missing & -missing).bit_length() - 1
-        gens.append(x)
-        cur = kernels.sum_with_orbit(cur, x, module.order, module.ring.order,
-                                     module.add_flat, module.act_flat)
-    return tuple(gens)
 
 
 def submodule_closure(module, gens):

@@ -162,6 +162,9 @@ class LeftIdeal:
     def elements(self):
         return list(kernels.bits_of(self.bits))
 
+    def to_json(self):
+        return {"generators": list(self.generators), "elements": self.elements()}
+
     def __contains__(self, idx):
         return bool(self.bits >> idx & 1)
 
@@ -258,18 +261,8 @@ def two_sided_closure(ring, generators):
 
 def greedy_generators(ring, bits):
     """Canonical generator list: repeatedly adjoin the least missing element."""
-    zero_bits = 1 << ring.zero
-    if bits == zero_bits:
-        return (ring.zero,)
-    gens = []
-    cur = zero_bits
-    while cur != bits:
-        missing = bits & ~cur
-        x = (missing & -missing).bit_length() - 1
-        gens.append(x)
-        cur = kernels.sum_with_orbit(cur, x, ring.order, ring.order,
-                                     ring.add_flat, ring.mul_flat)
-    return tuple(gens)
+    return kernels.greedy_generators(ring.order, ring.order, ring.add_flat,
+                                     ring.mul_flat, ring.zero, bits)
 
 
 def all_left_ideals(ring):

@@ -13,15 +13,22 @@ axioms, checked here by bounded-exhaustive search:
 A validated notion induces a torsion radical on every finite module,
 which in turn yields relative closures, the lattice of relative
 submodules, and the weak extension principle checks.
-"""
 
-import itertools
+A finite filter (1) that is downward directed (2) has a least member A
+and is the set of left ideals containing A, so everything below reads A
+alone: some member B has B*x inside a submodule S exactly when A*x is,
+the closure of S is {x : A*x in S}, and torsion-free means satisfying
+A's quasiidentity.  A has the least bitset, so it is ``ideals[0]``; the
+checker confirms that it lies below every member.
+"""
 
 from . import kernels
 from .errors import InvariantError
 from .modules import (Submodule, all_submodules, lattice_from_family,
-                      module_corpus, modularity_witness)
-from .rings import _product_bits, all_left_ideals, format_quasiidentity
+                      module_corpus, modularity_witness,
+                      satisfies_quasiidentity)
+from .rings import (LeftIdeal, _product_bits, all_left_ideals,
+                    format_quasiidentity)
 
 
 class TorsionNotion:
@@ -36,6 +43,11 @@ class TorsionNotion:
 
     def key(self):
         return tuple(a.bits for a in self.ideals)
+
+    @property
+    def least(self):
+        """The least member A; the notion is every left ideal containing A."""
+        return self.ideals[0]
 
     def __contains__(self, ideal):
         return any(a.bits == ideal.bits for a in self.ideals)
@@ -102,13 +114,10 @@ class AxiomViolation:
         return False
 
     def to_json(self):
-        def ideal_doc(ideal):
-            return {"generators": list(ideal.generators), "elements": ideal.elements()}
-
         doc = {"axiom": self.axiom, "message": self.message, "witness": {}}
         for k, v in self.witness.items():
-            if hasattr(v, "generators"):
-                doc["witness"][k] = ideal_doc(v)
+            if isinstance(v, LeftIdeal):
+                doc["witness"][k] = v.to_json()
             else:
                 doc["witness"][k] = v
         return doc
@@ -190,6 +199,9 @@ def check_torsion_axioms(ring, family):
                 f"{a.describe()} * {ring.element_name(r)} = 0 "
                 f"but {ring.element_name(r)} != 0")
 
+    if any(fam[0].bits & ~b.bits for b in fam):
+        raise InvariantError(f"a family over {ring.name} passed the axioms "
+                             f"without a least member")
     return TorsionNotion(ring, fam, validated=True)
 
 
@@ -200,35 +212,19 @@ def _require_validated(notion, module=None):
         raise ValueError("module ring does not match the torsion notion")
 
 
-def _carried_into(gen_rows, x, target_bits):
-    return all(target_bits >> row[x] & 1 for row in gen_rows)
-
-
-def _family_gen_rows(ideals, module):
-    return [[module.act[g] for g in a.generators] for a in ideals]
-
-
-def _family_torsion_free(ideals, module):
-    """Torsion-freeness for a raw ideal family (no validation required)."""
-    zero_bit = 1 << module.zero
-    rows = _family_gen_rows(ideals, module)
+def _closure_bits(notion, module, sub_bits):
+    rows = [module.act[g] for g in notion.least.generators]
+    bits = 0
     for x in range(module.order):
-        if x == module.zero:
-            continue
-        if any(_carried_into(rws, x, zero_bit) for rws in rows):
-            return False
-    return True
+        if all(sub_bits >> row[x] & 1 for row in rows):
+            bits |= 1 << x
+    return bits
 
 
 def torsion_elements(notion, module):
-    """The set of elements annihilated by some member ideal (a submodule)."""
+    """The set of elements annihilated by the least member (a submodule)."""
     _require_validated(notion, module)
-    zero_bit = 1 << module.zero
-    rows = _family_gen_rows(notion.ideals, module)
-    bits = 0
-    for x in range(module.order):
-        if any(_carried_into(rws, x, zero_bit) for rws in rows):
-            bits |= 1 << x
+    bits = _closure_bits(notion, module, 1 << module.zero)
     try:
         return Submodule(module, bits)
     except ValueError as exc:
@@ -238,28 +234,25 @@ def torsion_elements(notion, module):
 def is_torsion_free(notion, module):
     """No nonzero torsion element; the ambient hypothesis for closures."""
     _require_validated(notion, module)
-    key = ("tf", notion.key())
+    return satisfies_quasiidentity(module, notion.least)
+
+
+def _submodule_closures(notion, module, subs):
+    """Closure bits of ``subs``, the module's ``all_submodules``; computed
+    once per notion and shared by the relative lattice and the WEP check."""
+    key = ("closures", notion.key())
     got = module._cache.get(key)
     if got is None:
-        got = _family_torsion_free(notion.ideals, module)
+        got = tuple(_closure_bits(notion, module, s.bits) for s in subs)
         module._cache[key] = got
     return got
-
-
-def _closure_bits(notion, module, sub_bits):
-    rows = _family_gen_rows(notion.ideals, module)
-    bits = 0
-    for x in range(module.order):
-        if any(_carried_into(rws, x, sub_bits) for rws in rows):
-            bits |= 1 << x
-    return bits
 
 
 def relative_closure(notion, module, sub):
     """Least relative submodule containing ``sub``.
 
-    Computed as the set of elements carried into ``sub`` by some member
-    ideal.  Only defined on torsion-free modules.
+    Computed as the set of elements that the least member carries into
+    ``sub``.  Only defined on torsion-free modules.
     """
     _require_validated(notion, module)
     if sub.module is not module:
@@ -274,11 +267,11 @@ def relative_closure(notion, module, sub):
 
 
 def closure_witness(notion, module, sub, x):
-    """First member ideal carrying ``x`` into ``sub``, or None."""
+    """First member ideal carrying ``x`` into ``sub`` (the least, if any), or None."""
     _require_validated(notion, module)
-    for a in notion.ideals:
-        if all(sub.bits >> module.act[g][x] & 1 for g in a.generators):
-            return a
+    a = notion.least
+    if all(sub.bits >> module.act[g][x] & 1 for g in a.generators):
+        return a
     return None
 
 
@@ -295,8 +288,9 @@ def relative_lattice(notion, module):
     key = ("rlat", notion.key())
     got = module._cache.get(key)
     if got is None:
-        fixed = [s.bits for s in all_submodules(module)
-                 if _closure_bits(notion, module, s.bits) == s.bits]
+        subs = all_submodules(module)
+        fixed = [s.bits for s, closed in zip(subs, _submodule_closures(notion, module, subs))
+                 if closed == s.bits]
         got = lattice_from_family(fixed)
         module._cache[key] = got
     return got
@@ -309,7 +303,7 @@ def weak_extension_witness(notion, module):
         raise ValueError(f"{module.name} is not torsion-free for {notion.describe()}")
     subs = all_submodules(module)
     zero_bit = 1 << module.zero
-    closures = [_closure_bits(notion, module, s.bits) for s in subs]
+    closures = _submodule_closures(notion, module, subs)
     for i, s in enumerate(subs):
         for j in range(i, len(subs)):
             t = subs[j]
@@ -396,21 +390,20 @@ def rcm_verify(notion, bound=2):
 def enumerate_torsion_notions(ring):
     """All torsion notions of the ring, canonically sorted.
 
-    Candidate members are pre-filtered by per-ideal regularity (axiom 5
-    is per-member, so this pruning is sound), and subsets are explored
-    by increasing cardinality.  The full ideal is in every notion.
+    Every notion is the set of left ideals containing its least member A
+    (see the module docstring), and A is regular by axiom (5).  So the
+    search checks the family above each regular ideal A, the full ideal
+    included: k + 1 checks for k regular proper ideals, where a search
+    over all families of candidates would make 2**k.
     """
     got = ring._cache.get("notions")
     if got is not None:
         return got
     ideals = all_left_ideals(ring)
-    full = ideals[-1]
-    candidates = [a for a in ideals
-                  if a.bits != full.bits and regularity_witness(a) is None]
     out = []
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            res = check_torsion_axioms(ring, combo + (full,))
+    for a in ideals:
+        if regularity_witness(a) is None:
+            res = check_torsion_axioms(ring, [b for b in ideals if a.bits & ~b.bits == 0])
             if isinstance(res, TorsionNotion):
                 out.append(res)
     out.sort(key=lambda f: (len(f), f.key()))
@@ -431,10 +424,10 @@ def principal_generator(notion):
 
 
 def right_translation_witness(notion, ideal, r):
-    """First member B with B*r inside the given ideal, or None."""
+    """First member B with B*r inside the given ideal (the least, if any), or None."""
     _require_validated(notion)
     ring = notion.ring
-    for b in notion.ideals:
-        if all(ring.mul[g][r] in ideal for g in b.generators):
-            return b
+    b = notion.least
+    if all(ring.mul[g][r] in ideal for g in b.generators):
+        return b
     return None

@@ -2,7 +2,9 @@
 plus cross-checks between the compiled and pure backends."""
 
 import itertools
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -58,6 +60,34 @@ def test_span_closure_matches_naive_fixpoint(impl, spec):
         gens = [rng.randrange(m) for _ in range(rng.randint(0, 3))]
         assert impl.span_closure(m, n, add, act, zero, gens) == \
             naive_closure(m, n, add, act, zero, gens)
+
+
+@pytest.mark.parametrize("spec", ["Z(6)", "UT2(2)", "prod(Z(2),Z(2))"])
+def test_greedy_generators_adjoin_the_least_missing_element(spec):
+    # one kernel serves ring ideals and submodules: each generator is the
+    # least element outside the span of the ones before it
+    ring = tl.parse_ring_spec(spec)
+    square = tl.power_module(ring, 2)
+    for tables, subsets in [
+            (ring_tables(spec), [a.bits for a in tl.all_left_ideals(ring)]),
+            ((square.order, ring.order, list(square.add_flat), list(square.act_flat),
+              square.zero), [s.bits for s in tl.all_submodules(square)])]:
+        for bits in subsets:
+            gens = kernels.greedy_generators(*tables, bits)
+            if bits == 1 << tables[4]:
+                assert gens == (tables[4],)  # the zero subset lists zero
+                continue
+            for i, g in enumerate(gens):
+                span = naive_closure(*tables, gens[:i])
+                missing = bits & ~span
+                assert g == (missing & -missing).bit_length() - 1
+            assert naive_closure(*tables, gens) == bits
+    for a in tl.all_left_ideals(ring):
+        assert tl.greedy_generators(ring, a.bits) == a.generators
+    for s in tl.all_submodules(square):
+        assert tl.Submodule(square, s.bits).generators == \
+            kernels.greedy_generators(square.order, ring.order, square.add_flat,
+                                      square.act_flat, square.zero, s.bits)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
@@ -525,3 +555,34 @@ def test_backends_agree_on_table_checks():
     for name, args in table_check_cases():
         if hasattr(_core, name):
             assert getattr(_core, name)(*args) == getattr(_core_py, name)(*args), (name, args)
+
+
+def test_tracked_c_source_embeds_the_current_pyx():
+    # Cython quotes the .pyx line behind each generated block in a comment:
+    #   /* "torsionlab/_core.pyx":N
+    #    * <context lines>
+    #    * <line N>             # <<<<<<<<<<<<<<
+    # An edit to _core.pyx that is not regenerated into the tracked _core.c
+    # (Cython is not always at hand) makes a quoted line differ from the .pyx.
+    pkg = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab"
+    c_lines = (pkg / "_core.c").read_text().split("\n")
+    pyx_lines = (pkg / "_core.pyx").read_text().split("\n")
+    marker = re.compile(r'\s*/\* "torsionlab/_core\.pyx":(\d+)$')
+    tag = "             # <<<<<<<<<<<<<<"
+    checked = 0
+    for i, line in enumerate(c_lines):
+        m = marker.match(line)
+        if m is None:
+            continue
+        j = i + 1
+        while not c_lines[j].endswith(tag):
+            assert c_lines[j].strip() != "*/", f"_core.c:{i + 1}: no tagged line"
+            j += 1
+        quoted = c_lines[j].lstrip(" ")
+        assert quoted.startswith("* "), f"_core.c:{j + 1}"
+        number = int(m.group(1))
+        assert quoted[2:-len(tag)] == pyx_lines[number - 1], \
+            f"_core.c:{j + 1} quotes _core.pyx:{number} as it no longer reads"
+        checked += 1
+    assert checked > 0
+    assert checked == sum('"torsionlab/_core.pyx":' in line for line in c_lines)

@@ -314,6 +314,154 @@ def test_closure_additivity_replays_the_directedness_argument(builtin8):
                         assert all(module.act[g][xy] in sub for g in c.generators)
 
 
+# -- least-member routes against the family-scanning references ----------------
+#
+# The references below search every family of candidate ideals and scan
+# every member ideal; the routes that read the least member alone must
+# match them exactly.
+
+LARGER_SPECS = ["UT2(3)", "prod(UT2(2),Z(3))", "prod(UT2(2),UT2(2))", "M2(3)", "UT2(5)"]
+
+
+def reference_enumerate_torsion_notions(ring):
+    ideals = tl.all_left_ideals(ring)
+    full = ideals[-1]
+    candidates = [a for a in ideals
+                  if a.bits != full.bits and tl.regularity_witness(a) is None]
+    out = []
+    for size in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            res = tl.check_torsion_axioms(ring, combo + (full,))
+            if isinstance(res, tl.TorsionNotion):
+                out.append(res)
+    out.sort(key=lambda f: (len(f), f.key()))
+    return tuple(out)
+
+
+def _carried_into(gen_rows, x, target_bits):
+    return all(target_bits >> row[x] & 1 for row in gen_rows)
+
+
+def _family_gen_rows(ideals, module):
+    return [[module.act[g] for g in a.generators] for a in ideals]
+
+
+def reference_family_torsion_free(ideals, module):
+    zero_bit = 1 << module.zero
+    rows = _family_gen_rows(ideals, module)
+    for x in range(module.order):
+        if x == module.zero:
+            continue
+        if any(_carried_into(rws, x, zero_bit) for rws in rows):
+            return False
+    return True
+
+
+def reference_torsion_bits(notion, module):
+    zero_bit = 1 << module.zero
+    rows = _family_gen_rows(notion.ideals, module)
+    bits = 0
+    for x in range(module.order):
+        if any(_carried_into(rws, x, zero_bit) for rws in rows):
+            bits |= 1 << x
+    return bits
+
+
+def reference_closure_bits(notion, module, sub_bits):
+    rows = _family_gen_rows(notion.ideals, module)
+    bits = 0
+    for x in range(module.order):
+        if any(_carried_into(rws, x, sub_bits) for rws in rows):
+            bits |= 1 << x
+    return bits
+
+
+def reference_closure_witness(notion, module, sub, x):
+    for a in notion.ideals:
+        if all(sub.bits >> module.act[g][x] & 1 for g in a.generators):
+            return a
+    return None
+
+
+def reference_right_translation_witness(notion, ideal, r):
+    ring = notion.ring
+    for b in notion.ideals:
+        if all(ring.mul[g][r] in ideal for g in b.generators):
+            return b
+    return None
+
+
+def reference_weak_extension_bits(subs, closures, zero_bit):
+    for i, s in enumerate(subs):
+        for j in range(i, len(subs)):
+            t = subs[j]
+            if s.bits & t.bits == zero_bit and closures[i] & closures[j] != zero_bit:
+                return (s.bits, t.bits)
+    return None
+
+
+def test_enumeration_matches_subset_search():
+    specs = [spec for spec, _ in tl.builtin_rings(16)] + LARGER_SPECS
+    notions = 0
+    for spec in specs:
+        ring = tl.parse_ring_spec(spec)
+        keys = [f.key() for f in tl.enumerate_torsion_notions(ring)]
+        assert keys == [f.key() for f in reference_enumerate_torsion_notions(ring)], spec
+        notions += len(keys)
+    assert len(specs) == 28 and notions == 36
+
+
+def test_enumeration_checks_one_family_per_regular_ideal(monkeypatch):
+    ring = tl.parse_ring_spec("prod(UT2(2),UT2(2))")
+    regular = [a for a in tl.all_left_ideals(ring) if tl.regularity_witness(a) is None]
+    checked = []
+    check = tl.torsion.check_torsion_axioms
+
+    def counting(ring, family):
+        checked.append(family)
+        return check(ring, family)
+
+    monkeypatch.setattr(tl.torsion, "check_torsion_axioms", counting)
+    tl.enumerate_torsion_notions(ring)
+    assert [min(f, key=lambda a: a.bits) for f in checked] == regular
+    assert len(regular) == 4  # AxA, AxR, RxA and R: 4 checks where subsets take 2**3
+
+
+def test_least_member_routes_match_family_scans(builtin8):
+    compared = nontrivial = 0
+    for _, ring in builtin8:
+        for notion in tl.enumerate_torsion_notions(ring):
+            assert notion.least.bits == min(a.bits for a in notion.ideals)
+            for a in tl.all_left_ideals(ring):
+                for r in range(ring.order):
+                    assert tl.right_translation_witness(notion, a, r) is \
+                        reference_right_translation_witness(notion, a, r)
+            for module in tl.module_corpus(ring, 2):
+                free = tl.is_torsion_free(notion, module)
+                assert free == reference_family_torsion_free(notion.ideals, module)
+                assert tl.torsion_elements(notion, module).bits == \
+                    reference_torsion_bits(notion, module)
+                subs = tl.all_submodules(module)
+                for sub in subs:
+                    for x in range(module.order):
+                        assert tl.closure_witness(notion, module, sub, x) is \
+                            reference_closure_witness(notion, module, sub, x)
+                if not free:
+                    continue
+                closures = [reference_closure_bits(notion, module, s.bits) for s in subs]
+                for sub, closed in zip(subs, closures):
+                    assert tl.relative_closure(notion, module, sub).bits == closed
+                fixed = [s.bits for s, c in zip(subs, closures) if c == s.bits]
+                assert tl.relative_lattice(notion, module).members == \
+                    tl.lattice_from_family(fixed).members
+                wep = tl.weak_extension_witness(notion, module)
+                assert (None if wep is None else (wep[0].bits, wep[1].bits)) == \
+                    reference_weak_extension_bits(subs, closures, 1 << module.zero)
+                compared += 1
+                nontrivial += len(notion) > 1
+    assert compared > 0 and nontrivial > 0
+
+
 def test_relative_lattice_of_zero_module(ut2, ut2_nontrivial):
     reg = tl.regular_module(ut2)
     zero_mod = tl.quotient_module(reg, tl.Submodule(reg, 255))
