@@ -1,8 +1,7 @@
 """Build script: compiles the optional C extension for the hot kernels.
 
-With Cython installed the extension is built from ``_core.pyx``;
-without it, from the tracked ``_core.c`` that Cython generated from
-the same source.  The package works without the extension (a
+The extension ``torsionlab._core`` is built from the hand-written
+``src/torsionlab/_core.c``.  The package works without it (a
 pure-Python implementation of the same kernels is selected at import
 time), so any failure here is downgraded to a warning and the build
 proceeds extension-free.
@@ -38,14 +37,7 @@ class optional_build_ext(build_ext):
         )
 
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("torsionlab._core", ["src/torsionlab/_core.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = [Extension("torsionlab._core", ["src/torsionlab/_core.c"])]
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("torsionlab._core", ["src/torsionlab/_core.c"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

@@ -2,13 +2,14 @@
 
 Every kernel here except ``bits_of``, ``greedy_generators`` and
 ``distributive_witness`` (which ``kernels`` always takes from this
-module) has a compiled twin in ``_core`` (Cython); ``sum_with_orbit`` is
-a helper of the kernels here and is not exported.  The two
-implementations must stay observationally identical: on the same inputs
-they return identical results and identical witnesses, while their
-algorithms may differ (the delta kernels here skip repeated u/z sums,
-the compiled ones do not).  ``kernels`` picks one at import time and the
-test suite cross-checks them.
+module) has a compiled twin in ``_core``, built from the hand-written C
+source ``_core.c``; ``orbit`` and ``sum_with_orbit`` are helpers of the
+kernels here and are not exported.  The two implementations must stay
+observationally identical: on the same inputs they return identical
+results and identical witnesses, while their algorithms may differ (the
+delta kernels here skip repeated u/z sums, the compiled ones do not).
+``kernels`` picks one at import time and the test suite cross-checks
+them.
 
 The table checks (``assoc_witness``, ``distributive_witness``,
 ``module_axiom_witness``) take a byte route when every order is at most
@@ -44,18 +45,20 @@ def bits_of(mask):
         mask ^= low
 
 
-def sum_with_orbit(sub, x, m, n, add, act):
-    """Closure of ``sub + Rx`` for a closed ``sub`` and one new generator.
+def orbit(x, m, n, act):
+    """The set {r.x : r in R} of one element x."""
+    return {act[r * m + x] for r in range(n)}
 
-    ``{r.x : r in R}`` is itself closed under addition and scalars, so the
+
+def sum_with_orbit(sub, elems, orb, m, add):
+    """Closure of ``sub + Rx`` for a closed ``sub``, given its members
+    ``elems`` and the orbit ``orb`` of the new generator x.
+
+    The orbit is itself closed under addition and scalars, so the
     elementwise sum of the two sets is already the generated submodule.
     """
-    orbit = set()
-    for r in range(n):
-        orbit.add(act[r * m + x])
-    elems = list(bits_of(sub))
     out = sub
-    for t in orbit:
+    for t in orb:
         for s in elems:
             out |= 1 << add[s * m + t]
     return out
@@ -73,7 +76,7 @@ def greedy_generators(m, n, add, act, zero, bits):
         missing = bits & ~cur
         x = (missing & -missing).bit_length() - 1
         gens.append(x)
-        cur = sum_with_orbit(cur, x, m, n, add, act)
+        cur = sum_with_orbit(cur, list(bits_of(cur)), orbit(x, m, n, act), m, add)
     return tuple(gens)
 
 
@@ -82,21 +85,23 @@ def span_closure(m, n, add, act, zero, gens):
     out = 1 << zero
     for g in gens:
         if not out >> g & 1:
-            out = sum_with_orbit(out, g, m, n, add, act)
+            out = sum_with_orbit(out, list(bits_of(out)), orbit(g, m, n, act), m, add)
     return out
 
 
 def enumerate_submodules(m, n, add, act, zero):
     """All closed subsets, as a sorted list of bitsets."""
+    orbits = [orbit(x, m, n, act) for x in range(m)]
     start = 1 << zero
     found = {start}
     queue = [start]
     while queue:
         sub = queue.pop()
+        elems = list(bits_of(sub))
         for x in range(m):
             if sub >> x & 1:
                 continue
-            bigger = sum_with_orbit(sub, x, m, n, add, act)
+            bigger = sum_with_orbit(sub, elems, orbits[x], m, add)
             if bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)

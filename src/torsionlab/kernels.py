@@ -1,23 +1,16 @@
 """Kernel backend selection.
 
-The compiled extension ``torsionlab._core`` is used when available;
-otherwise the pure-Python twin ``torsionlab._core_py`` takes over.  Set
-``TORSIONLAB_PURE=1`` to force the fallback, e.g. for debugging or to
-time the pure kernels beside a built extension.  ``perfbench`` does not
-set it; it runs whichever backend the checkout provides.
+The compiled extension ``torsionlab._core`` (built from ``_core.c``) is
+used when it is importable; otherwise the pure-Python twin
+``torsionlab._core_py`` takes over.
 """
-
-import os
 
 from . import _core_py
 
-if os.environ.get("TORSIONLAB_PURE"):
+try:
+    from . import _core as _impl  # type: ignore[attr-defined]
+except ImportError:
     _impl = _core_py
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _core_py
 
 BACKEND = _impl.BACKEND_NAME
 

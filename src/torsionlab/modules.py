@@ -8,7 +8,7 @@ Submodules are bitsets over the module's index space.
 
 from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
-from .rings import TwoSidedIdeal, check_abelian_group, greedy_generators
+from .rings import TwoSidedIdeal, check_abelian_group, coset_representatives, greedy_generators
 
 
 class FiniteModule:
@@ -209,18 +209,12 @@ def quotient_module(module, sub, name=None):
     cached = module._cache.get(("quot", sub.bits))
     if cached is not None:
         return cached
-    members = sub.elements()
-    rep = [min(module.add[x][s] for s in members) for x in range(module.order)]
-    reps = sorted(set(rep))
-    new_index = {r: k for k, r in enumerate(reps)}
-    m = len(reps)
-    add = [[new_index[rep[module.add[reps[i]][reps[j]]]] for j in range(m)]
-           for i in range(m)]
-    act = [[new_index[rep[module.act[r][reps[i]]]] for i in range(m)]
-           for r in range(module.ring.order)]
-    out = FiniteModule(module.ring, m, add, act, new_index[rep[module.zero]],
+    reps, proj = coset_representatives(module.order, module.add, sub.elements())
+    add = [[proj[module.add[a][b]] for b in reps] for a in reps]
+    act = [[proj[row[a]] for a in reps] for row in module.act]
+    out = FiniteModule(module.ring, len(reps), add, act, proj[module.zero],
                        name=name or f"{module.name}/sub")
-    out._cache["projection"] = tuple(new_index[rep[x]] for x in range(module.order))
+    out._cache["projection"] = proj
     module._cache[("quot", sub.bits)] = out
     return out
 

@@ -307,6 +307,16 @@ def _product_bits(ring, xs, ys):
                                 ring.mul_flat, ring.zero, prods)
 
 
+def coset_representatives(order, add, members):
+    """Cosets of the subgroup ``members`` of the additive table ``add``, each
+    represented by its least element: ``(reps, proj)``, the representatives
+    in increasing order and the index ``proj[x]`` in ``reps`` of x's coset."""
+    rep = [min(add[x][i] for i in members) for x in range(order)]
+    reps = sorted(set(rep))
+    new_index = {r: k for k, r in enumerate(reps)}
+    return reps, tuple(new_index[r] for r in rep)
+
+
 def quotient_ring(ring, ideal):
     """Quotient by a two-sided ideal.
 
@@ -327,18 +337,13 @@ def quotient_ring(ring, ideal):
         return cached
 
     n = ring.order
-    members = ideal.elements()
-    rep = [min(ring.add[x][i] for i in members) for x in range(n)]
-    reps = sorted(set(rep))
-    new_index = {r: k for k, r in enumerate(reps)}
-    proj = tuple(new_index[rep[x]] for x in range(n))
-    m = len(reps)
-    add = [[new_index[rep[ring.add[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
-    mul = [[new_index[rep[ring.mul[reps[i]][reps[j]]]] for j in range(m)] for i in range(m)]
+    reps, proj = coset_representatives(n, ring.add, ideal.elements())
+    add = [[proj[ring.add[a][b]] for b in reps] for a in reps]
+    mul = [[proj[ring.mul[a][b]] for b in reps] for a in reps]
     names = {}
     for k, r in enumerate(reps):
         names.setdefault(f"[{ring.element_name(r)}]", k)
-    quot = FiniteRing(m, add, mul, proj[ring.zero], proj[ring.one],
+    quot = FiniteRing(len(reps), add, mul, proj[ring.zero], proj[ring.one],
                       name=f"{ring.name}/{ideal.describe()}", element_names=names)
 
     for x in range(n):

@@ -1,10 +1,21 @@
 """Kernel unit tests: each kernel against a naive independent oracle,
-plus cross-checks between the compiled and pure backends."""
+plus cross-checks between the compiled and pure backends.
 
+When ``torsionlab._core`` is not installed, the compiled backend is built
+here from ``src/torsionlab/_core.c`` into a temporary directory and
+loaded without registering it as ``torsionlab._core``, so the rest of the
+suite keeps the backend ``torsionlab.kernels`` selected."""
+
+import importlib.util
 import itertools
+import os
 import pathlib
 import random
-import re
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
 
 import pytest
 
@@ -14,12 +25,53 @@ from torsionlab import kernels
 from torsionlab.delta import _coef_arrays
 from torsionlab.errors import TableError
 
-try:
-    from torsionlab import _core
-except ImportError:
-    _core = None
+C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
+
+def toolchain():
+    """The C compiler command and Python's include directory, or None."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(cc[0]) is None or not os.path.exists(os.path.join(include, "Python.h")):
+        return None
+    return cc, include
+
+
+def compiled_backend(tools):
+    """``(module, None)`` for the compiled backend, else ``(None, why)``;
+    ``tools`` is what ``toolchain()`` returned."""
+    try:
+        from torsionlab import _core
+        return _core, None
+    except ImportError:
+        pass
+    if tools is None:
+        return None, "no C compiler or no Python.h"
+    cc, include = tools
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+        build = subprocess.run([*cc, "-shared", "-fPIC", "-O2", "-Wall", f"-I{include}",
+                                str(C_SOURCE), "-o", target], capture_output=True, text=True)
+        if build.returncode != 0:
+            return None, f"building {C_SOURCE.name} failed:\n{build.stderr}"
+        spec = importlib.util.spec_from_file_location("torsionlab._core", target)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module, None
+
+
+TOOLCHAIN = toolchain()
+_core, NO_CORE = compiled_backend(TOOLCHAIN)
 BACKENDS = [_core_py] if _core is None else [_core_py, _core]
+needs_core = pytest.mark.skipif(_core is None, reason=NO_CORE or "")
+
+
+@pytest.mark.skipif(TOOLCHAIN is None, reason="no C compiler or no Python.h")
+def test_compiled_backend_builds_and_stays_unregistered():
+    assert _core is not None, NO_CORE
+    assert _core.BACKEND_NAME == "compiled"
+    if kernels.backend() == "pure-python":
+        assert "torsionlab._core" not in sys.modules
 
 
 def naive_closure(m, n, add, act, zero, gens):
@@ -526,7 +578,7 @@ def test_delta_kernels_return_reference_witnesses():
     assert witnesses and calls - witnesses and order16
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
+@needs_core
 def test_backends_agree_on_submodule_enumeration():
     for spec in ["Z(8)", "UT2(2)", "prod(Z(2),Z(2))"]:
         ring = tl.parse_ring_spec(spec)
@@ -536,6 +588,24 @@ def test_backends_agree_on_submodule_enumeration():
         members = _core.enumerate_submodules(*args)
         assert members == _core_py.enumerate_submodules(*args)
         assert _core.closure_tables(members) == _core_py.closure_tables(members)
+    assert _core.closure_tables([]) == _core_py.closure_tables([]) == ([], [])
+
+
+@needs_core
+def test_compiled_kernels_reject_entries_outside_their_tables():
+    # the C kernels index raw arrays: a bad index must raise, not read out of bounds
+    add = [0, 1, 1, 0]
+    for call in (lambda: _core.span_closure(2, 1, add, [0, 2], 0, [1]),
+                 lambda: _core.span_closure(2, 1, add, [0, 1], 0, [2]),
+                 lambda: _core.enumerate_submodules(2, 1, add, [0, 1], 2),
+                 lambda: _core.assoc_witness(2, [0, 1, 1, -1]),
+                 lambda: _core.assoc_witness(2, [0, 1, 1]),
+                 lambda: _core.modularity_witness(2, [0, 0, 0, 1], [0, 1, 1, 2]),
+                 lambda: _core.module_axiom_witness(1, 2, [0], [0], add, [0, 1], 1),
+                 lambda: _core.delta_cond1_witness(2, 1, 0, 0, add, [0, 1], [1], [0], [], [],
+                                                   [], 0)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_selected_backend_is_exported():
@@ -543,46 +613,15 @@ def test_selected_backend_is_exported():
     assert tl.backend() == kernels.backend()
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
+@needs_core
 def test_backends_agree_on_delta_kernels():
     for args in delta_kernel_cases():
         assert _core.delta_cond1_witness(*args) == _core_py.delta_cond1_witness(*args)
         assert _core.delta_cond2_witness(*args) == _core_py.delta_cond2_witness(*args)
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
+@needs_core
 def test_backends_agree_on_table_checks():
     for name, args in table_check_cases():
         if hasattr(_core, name):
             assert getattr(_core, name)(*args) == getattr(_core_py, name)(*args), (name, args)
-
-
-def test_tracked_c_source_embeds_the_current_pyx():
-    # Cython quotes the .pyx line behind each generated block in a comment:
-    #   /* "torsionlab/_core.pyx":N
-    #    * <context lines>
-    #    * <line N>             # <<<<<<<<<<<<<<
-    # An edit to _core.pyx that is not regenerated into the tracked _core.c
-    # (Cython is not always at hand) makes a quoted line differ from the .pyx.
-    pkg = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab"
-    c_lines = (pkg / "_core.c").read_text().split("\n")
-    pyx_lines = (pkg / "_core.pyx").read_text().split("\n")
-    marker = re.compile(r'\s*/\* "torsionlab/_core\.pyx":(\d+)$')
-    tag = "             # <<<<<<<<<<<<<<"
-    checked = 0
-    for i, line in enumerate(c_lines):
-        m = marker.match(line)
-        if m is None:
-            continue
-        j = i + 1
-        while not c_lines[j].endswith(tag):
-            assert c_lines[j].strip() != "*/", f"_core.c:{i + 1}: no tagged line"
-            j += 1
-        quoted = c_lines[j].lstrip(" ")
-        assert quoted.startswith("* "), f"_core.c:{j + 1}"
-        number = int(m.group(1))
-        assert quoted[2:-len(tag)] == pyx_lines[number - 1], \
-            f"_core.c:{j + 1} quotes _core.pyx:{number} as it no longer reads"
-        checked += 1
-    assert checked > 0
-    assert checked == sum('"torsionlab/_core.pyx":' in line for line in c_lines)
