@@ -1,27 +1,28 @@
 """Pure-Python reference implementation of the hot kernels.
 
-Every kernel here except ``bits_of``, ``greedy_generators`` and
-``distributive_witness`` (which ``kernels`` always takes from this
-module) has a compiled twin in ``_core``, built from the hand-written C
-source ``_core.c``; ``orbit`` and ``sum_with_orbit`` are helpers of the
-kernels here and are not exported.  The two implementations must stay
-observationally identical: on the same inputs they return identical
-results and identical witnesses, while their algorithms may differ (the
-delta kernels here skip repeated u/z sums, the compiled ones do not).
+Every kernel here except ``bits_of`` and ``greedy_generators`` (which
+``kernels`` always takes from this module) has a compiled twin in
+``_core``, built from the hand-written C source ``_core.c``; ``orbit``
+and ``sum_with_orbit`` are helpers of the kernels here and are not
+exported.  The two implementations must stay observationally
+identical: on the same inputs they return identical results and
+identical witnesses, while their algorithms may differ (the delta
+kernels here skip repeated u/z sums, the compiled ones do not).
 ``kernels`` picks one at import time and the test suite cross-checks
 them.
 
-The table checks (``assoc_witness``, ``distributive_witness``,
-``module_axiom_witness``) take a byte route when every order is at most
-256: rows become ``bytes``, and each axiom is compared for one fixed
-element at a time with C-level ``bytes.translate`` and ``join`` calls
-over whole rows.  They still evaluate every triple, and the first
-differing byte gives the first witness of the order the loops scan in:
-(i, j, k) for associativity; (r, x, y) for distributivity, left before
-right at the same triple; and for modules every ``act_add`` (r, x, y),
-then (r, s, x) with ``add_act`` before ``mul_act`` at the same x, then
-``one_act``.  Above 256 the same order is scanned by the ``*_loops``
-functions, which the tests keep as the reference for the byte route.
+The table checks (``assoc_witness``, ``module_axiom_witness``) take a
+byte route when every order is at most 256: rows become ``bytes``, and
+each axiom is compared for one fixed element at a time with C-level
+``bytes.translate`` and ``join`` calls over whole rows.  They still
+evaluate every triple, and the first differing byte gives the first
+witness of the order the loops scan in: (i, j, k) for associativity,
+and for modules every ``act_add`` (r, x, y), then (r, s, x) with
+``add_act`` before ``mul_act`` at the same x, then ``one_act``.  Above
+256 the same order is scanned by the ``*_loops`` functions, which the
+tests keep as the reference for the byte route.  A ring's tables are
+checked by ``module_axiom_witness`` on R acting on itself, so its
+distributivity, associativity and 1*x = x are found in this same order.
 
 Conventions shared by both backends:
 
@@ -133,8 +134,10 @@ def closure_tables(members):
             for w in members:
                 if w & union == union:
                     acc &= w
+            # acc stays -1, which is no member, when nothing contains the
+            # union, and otherwise contains the union
             hi = index.get(acc)
-            if hi is None or acc & union != union:
+            if hi is None:
                 raise ValueError(f"family has no least upper bound for members {i} and {j}")
             join[i * k + j] = join[j * k + i] = hi
     return meet, join
@@ -218,41 +221,6 @@ def _assoc_witness_loops(m, table):
                 for k in range(m):
                     if row_ij[k] != probe[k]:
                         return (i, j, k)
-    return None
-
-
-def distributive_witness(n, add, mul):
-    """First failure of two-sided distributivity, else None.
-
-    Scans (r, x, y) in order and tests r*(x+y) = r*x + r*y before
-    (x+y)*r = x*r + y*r at each; returns ``("left-distributive", r, x,
-    y)`` or ``("right-distributive", x, y, r)``.
-    """
-    if n > BYTE_ORDER_LIMIT:
-        return _distributive_witness_loops(n, add, mul)
-    add_b, add_rows = _byte_rows(add, n, n)
-    add_tr = [_translator(row) for row in add_rows]
-    mul_b = bytes(mul)
-    for r in range(n):
-        left = _additive_witness(mul_b[r * n:(r + 1) * n], n, add_b, add_tr)
-        right = _additive_witness(mul_b[r::n], n, add_b, add_tr)
-        if left is not None and (right is None or left <= right):
-            return ("left-distributive", r, *left)
-        if right is not None:
-            return ("right-distributive", *right, r)
-    return None
-
-
-def _distributive_witness_loops(n, add, mul):
-    """``distributive_witness`` for any order, one step per triple."""
-    for r in range(n):
-        for x in range(n):
-            for y in range(n):
-                s = add[x * n + y]
-                if mul[r * n + s] != add[mul[r * n + x] * n + mul[r * n + y]]:
-                    return ("left-distributive", r, x, y)
-                if mul[s * n + r] != add[mul[x * n + r] * n + mul[y * n + r]]:
-                    return ("right-distributive", x, y, r)
     return None
 
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 = computation completed with positive verdicts, 1 =
 computation completed with a negative verdict (violation or witness
-emitted), 2 = invalid input.  Output is deterministic: identical argv
-produces identical bytes.
+emitted), 2 = invalid input, 70 = internal fault.  Output is
+deterministic: identical argv produces identical bytes.
 """
 
 import argparse
@@ -43,6 +43,9 @@ def main(argv=None):
         # a falsified internal consequence: neither a negative verdict nor
         # bad input, so it gets its own exit code
         print(f"internal hard fault: {exc}", file=sys.stderr)
+        return 70
+    except Exception as exc:  # any other escape is a bug: neither a verdict nor bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
 
 
@@ -308,7 +311,7 @@ def _cmd_rcm(args):
 def _cmd_delta_reduce(args):
     with open(args.path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "ring" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("ring"), str):
         raise RingSpecError("delta axiom file must carry a 'ring' spec", "$.ring")
     ring = parse_ring_spec(doc["ring"])
     axiom = delta_from_doc(doc, ring)

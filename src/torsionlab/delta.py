@@ -15,7 +15,7 @@ sum_i c_ij U_i are then encoded by the left ideal generated by the a_j.
 from . import kernels
 from .errors import InvariantError, ReductionError, RingSpecError
 from .modules import satisfies_quasiidentity
-from .rings import left_ideal_closure
+from .rings import is_json_int, left_ideal_closure
 from .torsion import _require_validated, is_torsion_free, relative_closure
 
 
@@ -201,9 +201,12 @@ def delta_from_doc(doc, ring):
     for key in ("u_arity", "z_arity", "rows"):
         if key not in doc:
             raise RingSpecError(f"missing key {key!r}", "$")
+    for key in ("u_arity", "z_arity"):
+        if not is_json_int(doc[key]) or doc[key] < 0:
+            raise RingSpecError(f"{key} must be a nonnegative integer", f"$.{key}")
 
     def coef(v, where):
-        if isinstance(v, int):
+        if is_json_int(v):
             if not 0 <= v < ring.order:
                 raise RingSpecError("coefficient out of range", where)
             return v
@@ -220,6 +223,9 @@ def delta_from_doc(doc, ring):
         for key in ("a", "b"):
             if key not in row:
                 raise RingSpecError(f"missing coefficient {key!r}", f"$.rows[{j}]")
+        for key in ("c", "d", "e"):
+            if not isinstance(row.get(key, []), list):
+                raise RingSpecError(f"{key} must be an array", f"$.rows[{j}].{key}")
         rows.append(DeltaRow(
             coef(row["a"], f"$.rows[{j}].a"),
             coef(row["b"], f"$.rows[{j}].b"),

@@ -16,7 +16,6 @@ BACKEND = _impl.BACKEND_NAME
 
 bits_of = _core_py.bits_of
 greedy_generators = _core_py.greedy_generators  # no compiled twin
-distributive_witness = _core_py.distributive_witness  # no compiled twin
 span_closure = _impl.span_closure
 enumerate_submodules = _impl.enumerate_submodules
 closure_tables = _impl.closure_tables

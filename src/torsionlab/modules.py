@@ -8,7 +8,8 @@ Submodules are bitsets over the module's index space.
 
 from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
-from .rings import TwoSidedIdeal, check_abelian_group, coset_representatives, greedy_generators
+from .rings import (TwoSidedIdeal, check_abelian_group, coset_representatives,
+                    greedy_generators, is_json_int)
 
 
 class FiniteModule:
@@ -227,7 +228,7 @@ def module_from_table(doc, ring, name="table"):
         if key not in doc:
             raise RingSpecError(f"missing key {key!r}", "$")
     order = doc["order"]
-    if not isinstance(order, int) or order < 1:
+    if not is_json_int(order) or order < 1:
         raise RingSpecError("order must be a positive integer", "$.order")
     add, act = doc["add"], doc["act"]
     if not isinstance(add, list) or len(add) != order:
@@ -239,10 +240,10 @@ def module_from_table(doc, ring, name="table"):
             if not isinstance(row, list) or len(row) != order:
                 raise RingSpecError(f"row must have {order} entries", f"$.{key}[{i}]")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < order:
+                if not is_json_int(v) or not 0 <= v < order:
                     raise RingSpecError("entry must be an element index",
                                         f"$.{key}[{i}][{j}]")
-    if not isinstance(doc["zero"], int) or not 0 <= doc["zero"] < order:
+    if not is_json_int(doc["zero"]) or not 0 <= doc["zero"] < order:
         raise RingSpecError("zero must be an element index", "$.zero")
     return FiniteModule(ring, order, add, act, doc["zero"], name=name)
 
@@ -339,7 +340,9 @@ class FiniteLattice:
     """A lattice presented as a family of bitsets plus meet/join tables.
 
     Meets are intersections and joins are least members above the union;
-    the lattice axioms are validated exhaustively.
+    the lattice axioms are validated exhaustively.  The tables come from
+    ``kernels.closure_tables``, never from input, so a failed axiom is an
+    internal fault and raises ``InvariantError``.
     """
 
     __slots__ = ("members", "size", "meet", "join")
@@ -353,23 +356,26 @@ class FiniteLattice:
 
     def _validate(self):
         k = self.size
+
+        def fail(axiom, witness, message):
+            raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
+
         for name, table in (("meet", self.meet), ("join", self.join)):
             for i in range(k):
                 if table[i * k + i] != i:
-                    raise TableError(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
+                    fail(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
                 for j in range(k):
                     if table[i * k + j] != table[j * k + i]:
-                        raise TableError(f"{name}-commutative", (i, j),
-                                         f"{name} not commutative at ({i},{j})")
+                        fail(f"{name}-commutative", (i, j), f"{name} not commutative")
             w = kernels.assoc_witness(k, list(table))
             if w is not None:
-                raise TableError(f"{name}-associative", w, f"{name} not associative at {w}")
+                fail(f"{name}-associative", w, f"{name} not associative")
         for i in range(k):
             for j in range(k):
                 if self.meet[i * k + self.join[i * k + j]] != i:
-                    raise TableError("absorption", (i, j), f"x ^ (x v y) != x at ({i},{j})")
+                    fail("absorption", (i, j), "x ^ (x v y) != x")
                 if self.join[i * k + self.meet[i * k + j]] != i:
-                    raise TableError("absorption", (i, j), f"x v (x ^ y) != x at ({i},{j})")
+                    fail("absorption", (i, j), "x v (x ^ y) != x")
 
     def leq(self, i, j):
         return self.meet[i * self.size + j] == i

@@ -12,6 +12,12 @@ from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
 
 
+def is_json_int(v):
+    """Whether a parsed JSON value is an integer; ``bool`` is an ``int``
+    subclass in Python, but ``true`` is no order or element index."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _as_table(raw, size, what):
     """Normalize a square table to a tuple of tuples, checking shape/range."""
     if len(raw) != size:
@@ -45,6 +51,15 @@ def check_abelian_group(order, add, zero, what="add"):
         raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
 
 
+# the ring axiom each module-axiom witness of R acting on itself names,
+# with its message over the witness (i, j, k)
+_REGULAR_ACTION_AXIOMS = {
+    "act_add": ("left-distributive", "{0}*({1}+{2}) != {0}*{1} + {0}*{2}"),
+    "add_act": ("right-distributive", "({0}+{1})*{2} != {0}*{2} + {1}*{2}"),
+    "mul_act": ("mul-associative", "({0}*{1})*{2} != {0}*({1}*{2})"),
+}
+
+
 class FiniteRing:
     """A finite unital ring presented by operation tables.
 
@@ -52,6 +67,14 @@ class FiniteRing:
     two-sided distributivity, identity element) are checked exhaustively
     in the constructor.  Instances are immutable; internal caches only
     memoize derived data.
+
+    Apart from x*1 = x, the ring axioms are the module axioms of R acting
+    on itself, so the tables are checked in this order: zero != one,
+    the abelian group, then ``kernels.module_axiom_witness`` on the
+    regular action (every left-distributive (r, x, y); then, over
+    (r, s, x), right-distributive (r+s)*x before mul-associative (r*s)*x
+    at the same triple; then 1*x = x), and last x*1 = x.  The first
+    failure raises ``TableError``.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "name", "neg",
@@ -83,25 +106,21 @@ class FiniteRing:
         self.neg = tuple(self.add[i].index(zero) for i in range(order))
 
     def _validate(self):
-        n, mul, zero, one = self.order, self.mul, self.zero, self.one
+        n, zero, one = self.order, self.zero, self.one
         if zero == one and n > 1:
             raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
         check_abelian_group(n, self.add, zero)
-        w = kernels.assoc_witness(n, self.mul_flat)
-        if w is not None:
-            raise TableError("mul-associative", w,
-                             f"({w[0]}*{w[1]})*{w[2]} != {w[0]}*({w[1]}*{w[2]})")
-        for i in range(n):
-            if mul[one][i] != i or mul[i][one] != i:
-                raise TableError("one-identity", (i,), f"one is not an identity at {i}")
-        w = kernels.distributive_witness(n, self.add_flat, self.mul_flat)
+        w = kernels.module_axiom_witness(n, n, self.add_flat, self.mul_flat,
+                                         self.add_flat, self.mul_flat, one)
         if w is not None:
             kind, i, j, k = w
-            if kind == "left-distributive":
-                message = f"{i}*({j}+{k}) != {i}*{j} + {i}*{k}"
-            else:
-                message = f"({i}+{j})*{k} != {i}*{k} + {j}*{k}"
-            raise TableError(kind, (i, j, k), message)
+            if kind == "one_act":
+                raise TableError("one-identity", (i,), f"one is not an identity at {i}")
+            axiom, message = _REGULAR_ACTION_AXIOMS[kind]
+            raise TableError(axiom, (i, j, k), message.format(i, j, k))
+        for i, row in enumerate(self.mul):
+            if row[one] != i:
+                raise TableError("one-identity", (i,), f"one is not an identity at {i}")
 
     # -- element helpers -------------------------------------------------
 
@@ -517,7 +536,7 @@ def ring_from_table(doc, name="table"):
         if key not in doc:
             raise RingSpecError(f"missing key {key!r}", "$")
     order = doc["order"]
-    if not isinstance(order, int) or order < 1:
+    if not is_json_int(order) or order < 1:
         raise RingSpecError("order must be a positive integer", "$.order")
     for key in ("add", "mul"):
         table = doc[key]
@@ -527,11 +546,11 @@ def ring_from_table(doc, name="table"):
             if not isinstance(row, list) or len(row) != order:
                 raise RingSpecError(f"row must have {order} entries", f"$.{key}[{i}]")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < order:
+                if not is_json_int(v) or not 0 <= v < order:
                     raise RingSpecError("entry must be an element index",
                                         f"$.{key}[{i}][{j}]")
     for key in ("zero", "one"):
         v = doc[key]
-        if not isinstance(v, int) or not 0 <= v < order:
+        if not is_json_int(v) or not 0 <= v < order:
             raise RingSpecError("must be an element index", f"$.{key}")
     return FiniteRing(order, doc["add"], doc["mul"], doc["zero"], doc["one"], name=name)

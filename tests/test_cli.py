@@ -157,6 +157,71 @@ def test_internal_fault_exits_70(capsys, monkeypatch):
     assert main(["torsion-enum", "Z(4)"]) == 70
 
 
+def test_uncaught_exception_exits_70(capsys, monkeypatch):
+    import torsionlab.cli as cli_mod
+
+    def boom(ring):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(cli_mod, "enumerate_torsion_notions", boom)
+    assert main(["torsion-enum", "Z(4)"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: TypeError: synthetic bug\n"
+
+
+def test_corrupted_lattice_is_an_internal_fault(capsys, monkeypatch):
+    from torsionlab import kernels
+    from torsionlab.errors import InvariantError
+
+    closure_tables = kernels.closure_tables
+
+    def corrupted(members):
+        meet, join = closure_tables(members)
+        join = list(join)
+        if len(members) > 1:
+            join[1] = (join[1] + 1) % len(members)  # join(0, 1) moves
+        return meet, join
+
+    monkeypatch.setattr(kernels, "closure_tables", corrupted)
+    with pytest.raises(InvariantError, match="lattice axiom"):
+        tl.lattice_from_family([0b1, 0b11, 0b111])
+    assert main(["rcm", "Z(4)", "--filter", "1"]) == 70
+    assert capsys.readouterr().err.startswith("internal hard fault: lattice axiom")
+
+
+DELTA = {"ring": "Z(4)", "u_arity": 0, "z_arity": 0, "rows": [{"a": 0, "b": 0}]}
+RING = {"order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
+MODULE = {"order": 2, "add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 1], [0, 0], [0, 1]],
+          "zero": 0}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["delta-reduce", "PATH"], dict(DELTA, ring=5)),
+    (["delta-reduce", "PATH"], dict(DELTA, rows=[{"a": 0, "b": 0, "c": 5}])),
+    (["delta-reduce", "PATH"], dict(DELTA, rows=[{"a": True, "b": 0}])),
+    (["delta-reduce", "PATH"],
+     dict(DELTA, u_arity=True, rows=[{"a": 0, "b": 0, "c": [0], "d": [0]}])),
+    (["delta-reduce", "PATH"], dict(DELTA, z_arity="0")),
+    (["ring-info", "table:PATH"],
+     {"order": True, "add": [[0]], "mul": [[0]], "zero": 0, "one": 0}),
+    (["ring-info", "table:PATH"], dict(RING, mul=[[0, 0], [0, True]])),
+    (["ring-info", "table:PATH"], dict(RING, one=True)),
+    (["wep", "Z(4)", "--filter", "1", "--module", "file:PATH"], dict(MODULE, zero=False)),
+    (["wep", "Z(4)", "--filter", "1", "--module", "file:PATH"],
+     dict(MODULE, act=[[0, 0], [0, True], [0, 0], [0, 1]])),
+])
+def test_mistyped_documents_are_invalid_input(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([arg.replace("PATH", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "(at $" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_closure_outside_domain_is_invalid_input(capsys):
     # R/A is all torsion for the nontrivial filter, so the closure is
     # undefined there

@@ -301,13 +301,17 @@ def table_check_cases():
         rng = random.Random(spec)
         yield "assoc_witness", (n, add)
         yield "assoc_witness", (n, mul)
-        yield "distributive_witness", (n, add, mul)
+        yield "module_axiom_witness", (n, n, add, mul, add, mul, ring.one)
         for k in range(12):
             yield "assoc_witness", (n, planted(add, n, rng, 1 + k % 3))
             yield "assoc_witness", (n, planted(mul, n, rng, 1 + k % 3))
-            yield "distributive_witness", (n, add, planted(mul, n, rng, 1 + k % 3))
-            yield "distributive_witness", (n, planted(add, n, rng, 1), mul)
-            yield "distributive_witness", (n, add, transported(ring, rng)[0])
+            # R acting on itself, as FiniteRing checks its tables
+            bad = planted(mul, n, rng, 1 + k % 3)
+            yield "module_axiom_witness", (n, n, add, bad, add, bad, ring.one)
+            bad = planted(add, n, rng, 1)
+            yield "module_axiom_witness", (n, n, bad, mul, bad, mul, ring.one)
+            bad, one = transported(ring, rng)
+            yield "module_axiom_witness", (n, n, add, bad, add, bad, one)
     modules = [(tl.parse_ring_spec("UT2(3)"), tl.regular_module(tl.parse_ring_spec("UT2(3)")))]
     for spec in MODULE_RINGS:
         ring = tl.parse_ring_spec(spec)
@@ -328,7 +332,7 @@ def table_check_cases():
             early = list(mul)  # a fault in row or column < 3 keeps the reference loops short
             early[rng.randrange(3) * m + rng.randrange(m)] = rng.randrange(m)
             early[rng.randrange(m) * m + rng.randrange(3)] = rng.randrange(m)
-            yield "distributive_witness", (m, add, early)
+            yield "module_axiom_witness", (m, m, add, early, add, early, 1)
         for unit in (1, 3, m - 1):
             row = [unit * x % m for x in range(m)]
             yield "module_axiom_witness", (1, m, [0], [0], add, row, 0)
@@ -340,7 +344,6 @@ def table_check_cases():
 
 REFERENCE_TABLE_CHECKS = {
     "assoc_witness": _core_py._assoc_witness_loops,
-    "distributive_witness": _core_py._distributive_witness_loops,
     "module_axiom_witness": _core_py._module_axiom_witness_loops,
 }
 
@@ -352,55 +355,98 @@ def test_table_checks_return_reference_witnesses():
         assert got == REFERENCE_TABLE_CHECKS[name](*args), (name, args)
         outcomes[name].add(got if got is None or name == "assoc_witness" else got[0])
     assert None in outcomes["assoc_witness"] and len(outcomes["assoc_witness"]) > 1
-    assert outcomes["distributive_witness"] == {None, "left-distributive", "right-distributive"}
     assert outcomes["module_axiom_witness"] == {None, "act_add", "add_act", "mul_act", "one_act"}
+
+
+def rescaled(ring, rng):
+    """``ring``'s multiplication with a random a put in front, r*'x =
+    (a*r)*x: distributive on both sides over the unchanged addition, and
+    associative with 1*'x = x only when a = 1."""
+    n, mul = ring.order, ring.mul
+    a = rng.randrange(n)
+    return [mul[mul[a][r]][x] for r in range(n) for x in range(n)]
+
+
+def left_unital():
+    """prod(Z(2),Z(2)) with x*'y = f(x)*y for the idempotent ring
+    endomorphism f(x1, x2) = (x1, x1): every ring axiom holds except
+    x*'1 = x, which fails at x = (0, 1), index 1."""
+    ring = tl.parse_ring_spec("prod(Z(2),Z(2))")
+    mul = [ring.mul[(x // 2) * 3][y] for x in range(4) for y in range(4)]
+    return ring, mul, ring.one
 
 
 def reference_ring_error(n, add, mul, zero, one):
     """(axiom, witness, message) of the TableError that ``FiniteRing``
-    raised for a valid addition ``add`` and a multiplication ``mul`` (row
-    tuples) when its distributivity check was a triple loop."""
+    raises for a valid addition ``add`` and a multiplication ``mul`` (row
+    tuples): zero = one, then the reference loops of the module axioms of
+    R acting on itself with each kind named as the ring axiom it is, then
+    x*1 = x."""
     if zero == one and n > 1:
         return ("zero-one", (zero,), "zero equals one in a ring of order > 1")
-    w = _core_py._assoc_witness_loops(n, [v for row in mul for v in row])
+    add_flat = [v for row in add for v in row]
+    mul_flat = [v for row in mul for v in row]
+    w = _core_py._module_axiom_witness_loops(n, n, add_flat, mul_flat, add_flat, mul_flat, one)
     if w is not None:
-        return ("mul-associative", w, f"({w[0]}*{w[1]})*{w[2]} != {w[0]}*({w[1]}*{w[2]})")
+        kind, i, j, k = w
+        if kind == "act_add":
+            return ("left-distributive", (i, j, k), f"{i}*({j}+{k}) != {i}*{j} + {i}*{k}")
+        if kind == "add_act":
+            return ("right-distributive", (i, j, k), f"({i}+{j})*{k} != {i}*{k} + {j}*{k}")
+        if kind == "mul_act":
+            return ("mul-associative", (i, j, k), f"({i}*{j})*{k} != {i}*({j}*{k})")
+        return ("one-identity", (i,), f"one is not an identity at {i}")
     for i in range(n):
-        if mul[one][i] != i or mul[i][one] != i:
+        if mul[i][one] != i:
             return ("one-identity", (i,), f"one is not an identity at {i}")
-    for r in range(n):
-        for x in range(n):
-            for y in range(n):
-                if mul[r][add[x][y]] != add[mul[r][x]][mul[r][y]]:
-                    return ("left-distributive", (r, x, y),
-                            f"{r}*({x}+{y}) != {r}*{x} + {r}*{y}")
-                if mul[add[x][y]][r] != add[mul[x][r]][mul[y][r]]:
-                    return ("right-distributive", (x, y, r),
-                            f"({x}+{y})*{r} != {x}*{r} + {y}*{r}")
     return None
+
+
+def fails_ring_axiom(add, mul, zero, one, axiom, witness):
+    """Whether the tables (row tuples) really break ``axiom`` at ``witness``."""
+    if axiom == "zero-one":
+        return zero == one and len(add) > 1
+    if axiom == "one-identity":
+        (x,) = witness
+        return mul[one][x] != x or mul[x][one] != x
+    r, s, x = witness
+    if axiom == "left-distributive":
+        return mul[r][add[s][x]] != add[mul[r][s]][mul[r][x]]
+    if axiom == "right-distributive":
+        return mul[add[r][s]][x] != add[mul[r][x]][mul[s][x]]
+    assert axiom == "mul-associative", axiom
+    return mul[mul[r][s]][x] != mul[r][mul[s][x]]
+
+
+def bad_ring_tables():
+    """(ring, flat multiplication, one): planted faults, transported and
+    rescaled multiplications of the ``TABLE_RINGS``, and ``left_unital``."""
+    for spec in TABLE_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        rng = random.Random(spec)
+        for k in range(8):
+            yield (ring, planted(ring.mul_flat, ring.order, rng, 1 + k % 3), ring.one)
+            yield (ring, *transported(ring, rng))
+            yield ring, rescaled(ring, rng), ring.one
+    yield left_unital()
 
 
 def test_ring_table_errors_match_reference():
     axioms = set()
-    for spec in TABLE_RINGS:
-        ring = tl.parse_ring_spec(spec)
+    for ring, mul, one in bad_ring_tables():
         n = ring.order
-        rng = random.Random(spec)
-        for k in range(16):
-            if k % 2:
-                mul, one = transported(ring, rng)
-            else:
-                mul, one = planted(ring.mul_flat, n, rng, 1 + k % 3), ring.one
-            rows = [tuple(mul[i * n:(i + 1) * n]) for i in range(n)]
-            expected = reference_ring_error(n, ring.add, rows, ring.zero, one)
-            if expected is None:
-                tl.FiniteRing(n, ring.add, rows, ring.zero, one)
-                continue
-            with pytest.raises(TableError) as err:
-                tl.FiniteRing(n, ring.add, rows, ring.zero, one)
-            assert (err.value.axiom, err.value.witness, str(err.value)) == expected
-            axioms.add(expected[0])
-    assert {"mul-associative", "left-distributive", "right-distributive"} <= axioms
+        rows = [tuple(mul[i * n:(i + 1) * n]) for i in range(n)]
+        expected = reference_ring_error(n, ring.add, rows, ring.zero, one)
+        if expected is None:
+            tl.FiniteRing(n, ring.add, rows, ring.zero, one)
+            continue
+        with pytest.raises(TableError) as err:
+            tl.FiniteRing(n, ring.add, rows, ring.zero, one)
+        assert (err.value.axiom, err.value.witness, str(err.value)) == expected
+        assert fails_ring_axiom(ring.add, rows, ring.zero, one, *expected[:2]), expected
+        axioms.add(expected[0])
+    assert axioms == {"zero-one", "one-identity", "mul-associative",
+                      "left-distributive", "right-distributive"}
 
 
 def naive_delta_eval(module, axiom):
