@@ -23,9 +23,9 @@ from .kernels import backend
 from .modules import (FiniteLattice, FiniteModule, Submodule, all_submodules,
                       annihilator, direct_sum, is_modular, lattice_from_family,
                       modularity_witness, module_corpus, module_from_table,
-                      module_over_quotient, power_module, quotient_module,
-                      regular_module, satisfies_quasiidentity,
-                      submodule_closure, submodule_sum)
+                      power_module, quotient_module, regular_module,
+                      satisfies_quasiidentity, submodule_closure,
+                      submodule_sum)
 from .rings import (FiniteRing, LeftIdeal, TwoSidedIdeal, all_left_ideals,
                     as_two_sided, cyclic_ring, format_quasiidentity,
                     full_matrix_ring, greedy_generators, ideal_intersect,

@@ -9,9 +9,8 @@ yields the (I, G) descriptor with G the preimages of the members.
 """
 
 from .errors import InvariantError
-from .modules import (Submodule, annihilator, module_corpus,
-                      module_over_quotient, quotient_module, regular_module,
-                      satisfies_quasiidentity)
+from .modules import (Submodule, annihilator, module_corpus, quasi_closure,
+                      quotient_module, regular_module, satisfies_quasiidentity)
 from .rings import (all_left_ideals, as_two_sided,
                     format_quasiidentity, greedy_generators,
                     left_ideal_closure, product_ideal, quotient_ring,
@@ -77,7 +76,9 @@ def annihilator_of_quasivariety(ring, quasis, sigma=None):
     """Least submodule I of the regular module, containing the identity
     ideal, whose quotient satisfies every quasiidentity.
 
-    The passing submodules are closed under intersection (the class is
+    R/L satisfies q_A exactly when L is closed, cl_A(L) = L, so the
+    passing left ideals are read off the regular module without building
+    their quotients.  They are closed under intersection (the class is
     closed under subdirect products), so the least one is their common
     intersection; it is re-checked to be two-sided and to equal the
     annihilator of the quotient it defines.
@@ -85,13 +86,10 @@ def annihilator_of_quasivariety(ring, quasis, sigma=None):
     if sigma is None:
         sigma = identities_to_ideal(ring, ())
     reg = regular_module(ring)
-    passing = []
-    for ideal in all_left_ideals(ring):
-        if sigma.bits & ~ideal.bits:
-            continue
-        quot = quotient_module(reg, Submodule(reg, ideal.bits, _trusted=True))
-        if all(satisfies_quasiidentity(quot, q.ideal) for q in quasis):
-            passing.append(ideal)
+    passing = [ideal for ideal in all_left_ideals(ring)
+               if not sigma.bits & ~ideal.bits
+               and all(quasi_closure(reg, q.ideal, ideal.bits) == ideal.bits
+                       for q in quasis)]
     acc = -1
     for ideal in passing:
         acc &= ideal.bits
@@ -202,9 +200,13 @@ def classify(ring, quasis, identities=(), bound=2):
     Pipeline: (i) the annihilator I of the class, (ii) the quotient ring,
     (iii) the family of quotient ideals whose quasiidentity holds in the
     class (decided on cyclic members, which is sound for one-variable
-    quasiidentities), (iv) the torsion-axiom check.  The resulting class
-    equality "members = torsion-free modules" is asserted over the
-    bounded corpus in both directions.
+    quasiidentities), (iv) the torsion-axiom check.  A cyclic module
+    R/L satisfies q_A exactly when cl_A(L) = L, so steps (i) and (iii)
+    read closures of left ideals and build no quotient modules.  The
+    resulting class equality "members = torsion-free modules" is
+    asserted over the bounded corpus in both directions; a module killed
+    by I is torsion-free when it satisfies every preimage quasiidentity,
+    since A x = 0 and (A/I) x = 0 say the same for A containing I.
     """
     quasis = tuple(q if isinstance(q, Quasiidentity) else Quasiidentity.from_gens(ring, q)
                    for q in quasis)
@@ -219,20 +221,19 @@ def classify(ring, quasis, identities=(), bound=2):
     transported = [left_ideal_closure(quot_ring, [projection[g] for g in q.ideal.generators])
                    for q in quasis]
     reg = regular_module(quot_ring)
-    cyclic_members = []
-    for sub_ideal in all_left_ideals(quot_ring):
-        quot_mod = quotient_module(reg, Submodule(reg, sub_ideal.bits, _trusted=True))
-        if all(satisfies_quasiidentity(quot_mod, t) for t in transported):
-            cyclic_members.append(quot_mod)
+    quot_ideals = all_left_ideals(quot_ring)
+    cyclic_members = [lbar.bits for lbar in quot_ideals
+                      if all(quasi_closure(reg, t, lbar.bits) == lbar.bits
+                             for t in transported)]
     filter_quot = tuple(
-        abar for abar in all_left_ideals(quot_ring)
-        if all(satisfies_quasiidentity(m, abar) for m in cyclic_members))
+        abar for abar in quot_ideals
+        if all(quasi_closure(reg, abar, lbits) == lbits for lbits in cyclic_members))
     for t in transported:
         if not any(t.bits == a.bits for a in filter_quot):
             raise InvariantError("an input quasiidentity escaped the induced family")
     fq_bits = {a.bits for a in filter_quot}
     for a in filter_quot:
-        for b in all_left_ideals(quot_ring):
+        for b in quot_ideals:
             if a.bits & ~b.bits == 0 and b.bits not in fq_bits:
                 raise InvariantError("induced family is not upward closed")
 
@@ -243,11 +244,8 @@ def classify(ring, quasis, identities=(), bound=2):
     for mod in module_corpus(ring, bound):
         in_class = (_annihilates(sigma, mod)
                     and all(q.satisfied_by(mod) for q in quasis))
-        if _annihilates(ideal_i, mod):
-            push = _pushforward(mod, quot_ring, projection)
-            torsion_free = all(satisfies_quasiidentity(push, a) for a in filter_quot)
-        else:
-            torsion_free = False
+        torsion_free = (_annihilates(ideal_i, mod)
+                        and all(satisfies_quasiidentity(mod, a) for a in preimages))
         if in_class != torsion_free:
             raise InvariantError(
                 f"corpus module {mod.name}: class membership ({in_class}) disagrees "
@@ -284,14 +282,6 @@ def _preimage_ideal(ring, projection, quot_ideal):
 def _annihilates(ideal, module):
     zero = module.zero
     return all(v == zero for g in ideal.generators for v in module.act[g])
-
-
-def _pushforward(module, quot_ring, projection):
-    got = module._cache.get(("push", id(quot_ring)))
-    if got is None:
-        got = module_over_quotient(module, quot_ring, projection)
-        module._cache[("push", id(quot_ring))] = got
-    return got
 
 
 def membership(module, verdict):

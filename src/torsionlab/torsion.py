@@ -25,7 +25,7 @@ checker confirms that it lies below every member.
 from . import kernels
 from .errors import InvariantError
 from .modules import (Submodule, all_submodules, lattice_from_family,
-                      module_corpus, modularity_witness,
+                      module_corpus, modularity_witness, quasi_closure,
                       satisfies_quasiidentity)
 from .rings import (LeftIdeal, _product_bits, all_left_ideals,
                     format_quasiidentity)
@@ -212,19 +212,10 @@ def _require_validated(notion, module=None):
         raise ValueError("module ring does not match the torsion notion")
 
 
-def _closure_bits(notion, module, sub_bits):
-    rows = [module.act[g] for g in notion.least.generators]
-    bits = 0
-    for x in range(module.order):
-        if all(sub_bits >> row[x] & 1 for row in rows):
-            bits |= 1 << x
-    return bits
-
-
 def torsion_elements(notion, module):
     """The set of elements annihilated by the least member (a submodule)."""
     _require_validated(notion, module)
-    bits = _closure_bits(notion, module, 1 << module.zero)
+    bits = quasi_closure(module, notion.least, 1 << module.zero)
     try:
         return Submodule(module, bits)
     except ValueError as exc:
@@ -243,7 +234,7 @@ def _submodule_closures(notion, module, subs):
     key = ("closures", notion.key())
     got = module._cache.get(key)
     if got is None:
-        got = tuple(_closure_bits(notion, module, s.bits) for s in subs)
+        got = tuple(quasi_closure(module, notion.least, s.bits) for s in subs)
         module._cache[key] = got
     return got
 
@@ -259,7 +250,7 @@ def relative_closure(notion, module, sub):
         raise ValueError("submodule of a different module")
     if not is_torsion_free(notion, module):
         raise ValueError(f"{module.name} is not torsion-free for {notion.describe()}")
-    bits = _closure_bits(notion, module, sub.bits)
+    bits = quasi_closure(module, notion.least, sub.bits)
     try:
         return Submodule(module, bits)
     except ValueError as exc:

@@ -171,6 +171,104 @@ def test_classification_sweep_over_all_builtins(builtin16):
             assert verdict.rcm, (spec, [a.bits for a in system])
 
 
+# -- the route classify replaced: it built a module for every quotient it
+# asked about.  Kept verbatim as the reference for the closure route.
+
+def reference_module_over_quotient(module, quot_ring, projection):
+    """Reinterpret a module killed by ker(projection) as a quotient-ring module."""
+    ring = module.ring
+    section = {}
+    for r in range(ring.order):
+        section.setdefault(projection[r], r)
+    for r in range(ring.order):
+        if module.act[r] != module.act[section[projection[r]]]:
+            raise ValueError("module is not annihilated by the projection kernel")
+    act = [module.act[section[j]] for j in range(quot_ring.order)]
+    return tl.FiniteModule(quot_ring, module.order, module.add, act, module.zero,
+                           name=module.name)
+
+
+def reference_filter_quot(quasis, quot_ring, projection):
+    """The quotient ideals satisfied by every cyclic member, each cyclic
+    module of R/I built as a quotient module."""
+    transported = [tl.left_ideal_closure(quot_ring, [projection[g] for g in q.ideal.generators])
+                   for q in quasis]
+    reg = tl.regular_module(quot_ring)
+    cyclic_members = []
+    for sub_ideal in tl.all_left_ideals(quot_ring):
+        quot_mod = tl.quotient_module(reg, tl.Submodule(reg, sub_ideal.bits, _trusted=True))
+        if all(tl.satisfies_quasiidentity(quot_mod, t) for t in transported):
+            cyclic_members.append(quot_mod)
+    return tuple(
+        abar for abar in tl.all_left_ideals(quot_ring)
+        if all(tl.satisfies_quasiidentity(m, abar) for m in cyclic_members))
+
+
+def kills(ideal, module):
+    return all(v == module.zero for g in ideal.generators for v in module.act[g])
+
+
+def assert_matches_module_route(verdict):
+    """I, the induced family and every corpus module's torsion-freeness
+    agree with the module-building route; returns the number of corpus
+    modules compared."""
+    ring, quasis, ideal_i = verdict.ring, verdict.quasis, verdict.annihilator_ideal
+    assert ideal_i.bits == brute_force_least_passing(
+        ring, [q.ideal.generators for q in quasis], verdict.sigma.generators)
+    quot_ring, projection = tl.quotient_ring(ring, ideal_i)
+    assert quot_ring is verdict.quotient
+    filter_quot = reference_filter_quot(quasis, quot_ring, projection)
+    assert [a.bits for a in verdict.filter_quot] == [a.bits for a in filter_quot]
+    corpus = tl.module_corpus(ring, verdict.bound)
+    for mod in corpus:
+        if kills(ideal_i, mod):
+            push = reference_module_over_quotient(mod, quot_ring, projection)
+            expected = all(tl.satisfies_quasiidentity(push, a) for a in filter_quot)
+        else:
+            expected = False
+        got = kills(ideal_i, mod) and all(tl.satisfies_quasiidentity(mod, a)
+                                          for a in verdict.filter_preimages)
+        in_class = kills(verdict.sigma, mod) and all(q.satisfied_by(mod) for q in quasis)
+        assert got == expected == in_class, mod.name
+    return len(corpus)
+
+
+def test_closure_route_matches_module_route_over_the_sweep():
+    from test_acceptance import classification_sweep
+    checked = 0
+    for spec, ring, system, verdict in classification_sweep():
+        checked += assert_matches_module_route(verdict)
+    assert checked > 1000
+
+
+def test_closure_route_matches_module_route_with_identities(builtin8):
+    systems = 0
+    for spec, ring in builtin8:
+        ideals = tl.all_left_ideals(ring)
+        sigmas = [a for a in ideals if tl.as_two_sided(a) is not None
+                  and not a.is_zero()]
+        for sigma in sigmas:
+            identities = [[g] for g in sigma.generators]
+            for a in ideals:
+                verdict = tl.classify(ring, [list(a.generators)], identities)
+                assert verdict.sigma.bits == sigma.bits
+                assert_matches_module_route(verdict)
+                systems += 1
+    assert systems >= 100
+
+
+def test_closure_route_matches_module_route_over_ut2_3():
+    ring = tl.parse_ring_spec("UT2(3)")
+    ideals = tl.all_left_ideals(ring)
+    systems = [(a,) for a in ideals] + list(itertools.combinations(ideals, 2))
+    e12 = ring.resolve("e12")
+    for system in systems:
+        for identities in ((), [[e12]]):
+            verdict = tl.classify(ring, [list(a.generators) for a in system],
+                                  identities, bound=1)
+            assert_matches_module_route(verdict)
+
+
 def test_collapse_traces(z4, z6):
     for ring in (z4, z6):
         for notion in tl.enumerate_torsion_notions(ring):

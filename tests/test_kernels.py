@@ -50,8 +50,9 @@ def compiled_backend(tools):
     cc, include = tools
     with tempfile.TemporaryDirectory() as tmp:
         target = os.path.join(tmp, "_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-        build = subprocess.run([*cc, "-shared", "-fPIC", "-O2", "-Wall", f"-I{include}",
-                                str(C_SOURCE), "-o", target], capture_output=True, text=True)
+        build = subprocess.run([*cc, "-shared", "-fPIC", "-O2", "-Wall", "-Werror",
+                                f"-I{include}", str(C_SOURCE), "-o", target],
+                               capture_output=True, text=True)
         if build.returncode != 0:
             return None, f"building {C_SOURCE.name} failed:\n{build.stderr}"
         spec = importlib.util.spec_from_file_location("torsionlab._core", target)

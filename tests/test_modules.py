@@ -199,5 +199,15 @@ def test_module_corpus_contains_regular_and_square(z6):
     orders = sorted(m.order for m in corpus)
     assert orders[-1] == 36  # R^2 itself (quotient by the zero submodule)
     assert any(m.order == 6 for m in corpus)
-    sums = tl.module_corpus(z6, 2, sums=True)
-    assert len(sums) >= len(corpus)
+
+
+def test_corpus_names_do_not_depend_on_earlier_quotients():
+    # a fresh ring, so no corpus or quotient is cached on it yet
+    ring = tl.upper_triangular_ring(2)
+    reg = tl.regular_module(ring)
+    zero = tl.Submodule(reg, 1 << reg.zero)
+    assert tl.quotient_module(reg, zero).name == "R/sub"
+    corpus = tl.module_corpus(ring, 1)
+    # R/s4 has the same tables as R/s3, so deduplication drops it
+    assert [m.name for m in corpus] == ["R/s0", "R/s1", "R/s2", "R/s3", "R/s5", "R/s6"]
+    assert tl.quotient_module(reg, zero).name == "R/sub"
