@@ -236,19 +236,27 @@ members_of(Span *s, const word *sub)
     return cnt;
 }
 
+/* Set in ``out`` the coset s + t over the nelems members s in s->elems. */
+static void
+mark_coset(const Span *s, int nelems, int t, word *out)
+{
+    const int *col = s->add + t;
+    for (int j = 0; j < nelems; j++)
+        setbit(out, col[s->elems[j] * s->m]);
+}
+
 /* s->out = sub + Rx for a closed ``sub`` whose nelems members are listed
  * in s->elems, given the orbit Rx.  The orbit is itself closed under
  * addition and scalars, so the elementwise sum is already the generated
- * submodule. */
+ * submodule.  An orbit element already in the sum is s + t0 for an
+ * earlier t0 and adds nothing, so each coset is added once. */
 static void
 sum_with_orbit(Span *s, const word *sub, int nelems, const int *orbit, int norbit)
 {
     memcpy(s->out, sub, s->nwords * sizeof(word));
-    for (int i = 0; i < norbit; i++) {
-        const int *col = s->add + orbit[i];
-        for (int j = 0; j < nelems; j++)
-            setbit(s->out, col[s->elems[j] * s->m]);
-    }
+    for (int i = 0; i < norbit; i++)
+        if (!getbit(s->out, orbit[i]))
+            mark_coset(s, nelems, orbit[i], s->out);
 }
 
 PyDoc_STRVAR(span_closure_doc,
@@ -320,7 +328,7 @@ enumerate_submodules(PyObject *self, PyObject *args, PyObject *kw)
     PyObject *add, *act, *found = NULL, *key, *iter = NULL, *result = NULL;
     Span s;
     int *orbits = NULL, *norbit = NULL;
-    word *queue = NULL, *cur = NULL;
+    word *queue = NULL, *cur = NULL, *seen = NULL;
     Py_ssize_t qlen = 0, qcap = 16;
     if (!PyArg_ParseTupleAndKeywords(args, kw, "iiOOi:enumerate_submodules", kwlist,
                                      &m, &n, &add, &act, &zero))
@@ -329,6 +337,7 @@ enumerate_submodules(PyObject *self, PyObject *args, PyObject *kw)
         || (orbits = alloc((Py_ssize_t)m * n, sizeof(int))) == NULL
         || (norbit = alloc(m, sizeof(int))) == NULL
         || (cur = alloc(s.nwords, sizeof(word))) == NULL
+        || (seen = alloc(s.nwords, sizeof(word))) == NULL
         || (queue = alloc(qcap * s.nwords, sizeof(word))) == NULL
         || (found = PySet_New(NULL)) == NULL)
         goto done;
@@ -343,9 +352,12 @@ enumerate_submodules(PyObject *self, PyObject *args, PyObject *kw)
         qlen--;
         memcpy(cur, queue + qlen * s.nwords, s.nwords * sizeof(word));
         int nelems = members_of(&s, cur);
+        /* S + Rx depends only on the coset x + S: one x, the least, per coset */
+        memcpy(seen, cur, s.nwords * sizeof(word));
         for (int x = 0; x < m; x++) {
-            if (getbit(cur, x))
+            if (getbit(seen, x))
                 continue;
+            mark_coset(&s, nelems, x, seen);
             sum_with_orbit(&s, cur, nelems, orbits + (Py_ssize_t)x * n, norbit[x]);
             int fresh = add_new(found, s.out, s.nwords);
             if (fresh < 0)
@@ -386,6 +398,7 @@ done:
     Py_XDECREF(found);
     PyMem_Free(queue);
     PyMem_Free(cur);
+    PyMem_Free(seen);
     PyMem_Free(norbit);
     PyMem_Free(orbits);
     span_free(&s);
@@ -413,14 +426,18 @@ PyDoc_STRVAR(closure_tables_doc,
 "closure_tables(members)\n"
 "Meet/join index tables for a family of bitsets ordered by inclusion.");
 
+/* Joins by up-sets: up[i] is the set of indices of the members containing
+ * member i.  For U = up[i] & up[j], every h in U has up[h] inside U, and
+ * the join is the h with up[h] = U, that is with as many bits as U; the
+ * last such h, as the index dict keeps the last of equal members. */
 static PyObject *
 closure_tables(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"members", NULL};
     PyObject *members, *fast, *index = NULL, *meet_list = NULL, *join_list = NULL;
     PyObject *result = NULL;
-    word *mats = NULL, *acc = NULL, *uni = NULL;
-    int *meet = NULL, *join = NULL;
+    word *mats = NULL, *acc = NULL, *ups = NULL, *both = NULL;
+    int *meet = NULL, *join = NULL, *upcount = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kw, "O:closure_tables", kwlist, &members))
         return NULL;
     if ((fast = PySequence_Fast(members, "members must be a sequence")) == NULL)
@@ -436,10 +453,12 @@ closure_tables(PyObject *self, PyObject *args, PyObject *kw)
             goto done;
         nbits = bl > nbits ? bl : nbits;
     }
-    Py_ssize_t nwords = NWORDS(nbits);
+    Py_ssize_t nwords = NWORDS(nbits), kwords = NWORDS(k);
     if ((mats = alloc(k * nwords, sizeof(word))) == NULL
         || (acc = alloc(nwords, sizeof(word))) == NULL
-        || (uni = alloc(nwords, sizeof(word))) == NULL
+        || (ups = alloc(k * kwords, sizeof(word))) == NULL
+        || (both = alloc(kwords, sizeof(word))) == NULL
+        || (upcount = alloc(k, sizeof(int))) == NULL
         || (meet = alloc(k * k, sizeof(int))) == NULL
         || (join = alloc(k * k, sizeof(int))) == NULL
         || (index = PyDict_New()) == NULL)
@@ -457,6 +476,20 @@ closure_tables(PyObject *self, PyObject *args, PyObject *kw)
     }
     for (Py_ssize_t i = 0; i < k; i++) {
         const word *a = mats + i * nwords;
+        word *up = ups + i * kwords;
+        for (Py_ssize_t t = 0; t < k; t++) {
+            const word *c = mats + t * nwords;
+            Py_ssize_t w = 0;
+            while (w < nwords && (c[w] & a[w]) == a[w])
+                w++;
+            if (w == nwords) {
+                setbit(up, (int)t);
+                upcount[i]++;
+            }
+        }
+    }
+    for (Py_ssize_t i = 0; i < k; i++) {
+        const word *a = mats + i * nwords;
         for (Py_ssize_t j = i; j < k; j++) {
             const word *b = mats + j * nwords;
             for (Py_ssize_t w = 0; w < nwords; w++)
@@ -470,24 +503,20 @@ closure_tables(PyObject *self, PyObject *args, PyObject *kw)
                 goto done;
             }
             meet[i * k + j] = meet[j * k + i] = (int)lo;
-            for (Py_ssize_t w = 0; w < nwords; w++) {
-                uni[w] = a[w] | b[w];
-                acc[w] = ~(word)0;
+            int count = 0;
+            for (Py_ssize_t w = 0; w < kwords; w++) {
+                both[w] = ups[i * kwords + w] & ups[j * kwords + w];
+                count += __builtin_popcountll(both[w]);
             }
-            for (Py_ssize_t t = 0; t < k; t++) {
-                const word *c = mats + t * nwords;
-                Py_ssize_t w = 0;
-                while (w < nwords && (c[w] & uni[w]) == uni[w])
-                    w++;
-                if (w == nwords)
-                    for (w = 0; w < nwords; w++)
-                        acc[w] &= c[w];
-            }
-            /* acc contains the union (all ones when nothing does) */
-            Py_ssize_t hi = member_index(index, acc, nwords);
-            if (hi == -2)
-                goto done;
-            if (hi == -1) {
+            Py_ssize_t hi = -1;
+            for (Py_ssize_t w = kwords - 1; hi < 0 && w >= 0; w--)
+                for (word bits = both[w]; hi < 0 && bits; ) {
+                    int top = 63 - __builtin_clzll(bits);
+                    bits &= ~((word)1 << top);
+                    if (upcount[w * 64 + top] == count)
+                        hi = w * 64 + top;
+                }
+            if (hi < 0) {
                 PyErr_Format(PyExc_ValueError,
                              "family has no least upper bound for members %zd and %zd", i, j);
                 goto done;
@@ -505,7 +534,9 @@ done:
     Py_DECREF(fast);
     PyMem_Free(mats);
     PyMem_Free(acc);
-    PyMem_Free(uni);
+    PyMem_Free(ups);
+    PyMem_Free(both);
+    PyMem_Free(upcount);
     PyMem_Free(meet);
     PyMem_Free(join);
     return result;

@@ -2,14 +2,29 @@
 
 Every kernel here except ``bits_of`` and ``greedy_generators`` (which
 ``kernels`` always takes from this module) has a compiled twin in
-``_core``, built from the hand-written C source ``_core.c``; ``orbit``
-and ``sum_with_orbit`` are helpers of the kernels here and are not
-exported.  The two implementations must stay observationally
+``_core``, built from the hand-written C source ``_core.c``; ``orbit``,
+``_coset`` and ``sum_with_orbit`` are helpers of the kernels here and
+are not exported.  The two implementations must stay observationally
 identical: on the same inputs they return identical results and
 identical witnesses, while their algorithms may differ (the delta
 kernels here skip repeated u/z sums, the compiled ones do not).
 ``kernels`` picks one at import time and the test suite cross-checks
 them.
+
+The lattice kernels do less work than their definitions suggest, with
+the same results, errors and witnesses (both backends, except that the
+compiled modularity search keeps its plain loops):
+
+* ``enumerate_submodules`` extends each submodule S once per coset: S +
+  Rx depends only on x + S, so only the least x of each coset is tried.
+  ``sum_with_orbit`` adds S + t only for orbit elements t not yet in the
+  sum, so S + Rx costs |S + Rx| lookups, not |S| * |Rx|.
+* ``closure_tables`` reads joins off up-sets: with ``up[i]`` the indices
+  of the members containing member i, the join of i and j is the member
+  h with ``up[h] == up[i] & up[j]``, one lookup per pair.
+* ``modularity_witness`` compares, for each x <= z, every y at once with
+  two ``bytes.translate`` calls, up to 256 members; above that it scans
+  the triples one at a time.
 
 The table checks (``assoc_witness``, ``module_axiom_witness``) take a
 byte route when every order is at most 256: rows become ``bytes``, and
@@ -51,17 +66,28 @@ def orbit(x, m, n, act):
     return {act[r * m + x] for r in range(n)}
 
 
+def _coset(elems, t, m, add):
+    """The bitset of s + t over the members s listed in ``elems``."""
+    out = 0
+    for s in elems:
+        out |= 1 << add[s * m + t]
+    return out
+
+
 def sum_with_orbit(sub, elems, orb, m, add):
     """Closure of ``sub + Rx`` for a closed ``sub``, given its members
     ``elems`` and the orbit ``orb`` of the new generator x.
 
     The orbit is itself closed under addition and scalars, so the
-    elementwise sum of the two sets is already the generated submodule.
+    elementwise sum of the two sets is already the generated submodule:
+    the union of the cosets S + t over t in the orbit.  An orbit element
+    t already in the sum so far is s + t0 for an earlier t0, and
+    S + t = S + t0 adds nothing, so each coset is added once.
     """
     out = sub
     for t in orb:
-        for s in elems:
-            out |= 1 << add[s * m + t]
+        if not out >> t & 1:
+            out |= _coset(elems, t, m, add)
     return out
 
 
@@ -91,7 +117,12 @@ def span_closure(m, n, add, act, zero, gens):
 
 
 def enumerate_submodules(m, n, add, act, zero):
-    """All closed subsets, as a sorted list of bitsets."""
+    """All closed subsets, as a sorted list of bitsets.
+
+    S + Rx depends only on the coset x + S: R(x + s) lies in Rx + S and
+    Rx in R(x + s) + S.  So each popped S is extended once per coset, by
+    its least element, which also keeps the order of the pushes.
+    """
     orbits = [orbit(x, m, n, act) for x in range(m)]
     start = 1 << zero
     found = {start}
@@ -99,9 +130,11 @@ def enumerate_submodules(m, n, add, act, zero):
     while queue:
         sub = queue.pop()
         elems = list(bits_of(sub))
+        seen = sub
         for x in range(m):
-            if sub >> x & 1:
+            if seen >> x & 1:
                 continue
+            seen |= _coset(elems, x, m, add)
             bigger = sum_with_orbit(sub, elems, orbits[x], m, add)
             if bigger not in found:
                 found.add(bigger)
@@ -115,52 +148,44 @@ def closure_tables(members):
     Meet is set intersection (the family must be closed under it) and the
     join of two members is the intersection of all members containing
     their union.  Raises ``ValueError`` if either operation leaves the
-    family.
+    family, checking meet before join at each pair (i, j), i <= j.
+
+    ``up[i]`` is the bitset of the indices of the members containing
+    member i.  The members containing both a and b are ``up[i] & up[j]``,
+    and their intersection is a member h exactly when ``up[h]`` equals
+    that set (equal up-sets mean equal members), so each join is one
+    dict lookup.  No h has an empty up-set, so a pair that no member
+    contains has no join either.
     """
     k = len(members)
     index = {bits: i for i, bits in enumerate(members)}
+    up = []
+    for a in members:
+        u = 0
+        for h, w in enumerate(members):
+            if w & a == a:
+                u |= 1 << h
+        up.append(u)
+    # duplicates share their up-set; the last one wins, as in ``index``
+    index_up = {u: h for h, u in enumerate(up)}
     meet = [0] * (k * k)
     join = [0] * (k * k)
     for i in range(k):
         a = members[i]
+        up_a = up[i]
         for j in range(i, k):
-            b = members[j]
-            lo = index.get(a & b)
+            lo = index.get(a & members[j])
             if lo is None:
                 raise ValueError(f"family not closed under intersection: members {i} and {j}")
             meet[i * k + j] = meet[j * k + i] = lo
-            union = a | b
-            acc = -1
-            for w in members:
-                if w & union == union:
-                    acc &= w
-            # acc stays -1, which is no member, when nothing contains the
-            # union, and otherwise contains the union
-            hi = index.get(acc)
+            hi = index_up.get(up_a & up[j])
             if hi is None:
                 raise ValueError(f"family has no least upper bound for members {i} and {j}")
             join[i * k + j] = join[j * k + i] = hi
     return meet, join
 
 
-def modularity_witness(k, meet, join):
-    """First triple (x, y, z) with x <= z violating the modular law."""
-    for x in range(k):
-        mrow_x = x * k
-        jrow_x = x * k
-        for y in range(k):
-            m_y = y * k
-            j_xy = join[jrow_x + y]
-            jy = j_xy * k
-            for z in range(k):
-                if meet[mrow_x + z] != x:
-                    continue  # need x <= z
-                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
-                    return (x, y, z)
-    return None
-
-
-# the byte route of the table checks needs every element index in a byte
+# the byte routes need every element index in a byte
 BYTE_ORDER_LIMIT = 256
 
 
@@ -178,6 +203,56 @@ def _byte_rows(table, m, k):
     """``table`` (k rows of m entries) as bytes, and its rows."""
     flat = bytes(table)
     return flat, [flat[i * m:(i + 1) * m] for i in range(k)]
+
+
+def modularity_witness(k, meet, join):
+    """First triple (x, y, z) with x <= z violating the modular law,
+    scanned in (x, y, z) order.
+
+    Up to ``BYTE_ORDER_LIMIT`` members, each (x, z) with x <= z is
+    checked for every y at once: with M_z column z of meet and J_x row x
+    of join as bytes, M_z translated by J_x is x v (y ^ z) and J_x
+    translated by M_z is (x v y) ^ z.  For each x the least mismatching
+    y wins, over all z, and the least z among ties.
+    """
+    if k > BYTE_ORDER_LIMIT:
+        return _modularity_witness_loops(k, meet, join)
+    meet_b, join_b = bytes(meet), bytes(join)
+    cols = [meet_b[z::k] for z in range(k)]
+    cols_tr = [_translator(col) for col in cols]
+    for x in range(k):
+        row = join_b[x * k:(x + 1) * k]
+        row_tr = _translator(row)
+        best = None
+        for z in range(k):
+            if meet_b[x * k + z] != x:
+                continue  # need x <= z
+            lhs = cols[z].translate(row_tr)
+            rhs = row.translate(cols_tr[z])
+            if lhs != rhs:
+                y = _first_diff(lhs, rhs)
+                if best is None or y < best[0]:
+                    best = (y, z)
+        if best is not None:
+            return (x, *best)
+    return None
+
+
+def _modularity_witness_loops(k, meet, join):
+    """``modularity_witness`` for any size, one triple at a time."""
+    for x in range(k):
+        mrow_x = x * k
+        jrow_x = x * k
+        for y in range(k):
+            m_y = y * k
+            j_xy = join[jrow_x + y]
+            jy = j_xy * k
+            for z in range(k):
+                if meet[mrow_x + z] != x:
+                    continue  # need x <= z
+                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
+                    return (x, y, z)
+    return None
 
 
 def _additive_witness(f, m, add, add_tr):

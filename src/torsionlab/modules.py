@@ -7,18 +7,23 @@ Submodules are bitsets over the module's index space.
 """
 
 from . import kernels
+from ._core_py import BYTE_ORDER_LIMIT, _translator
 from .errors import InvariantError, RingSpecError, TableError
 from .rings import (TwoSidedIdeal, check_abelian_group, coset_representatives,
                     greedy_generators, is_json_int)
 
 
 class FiniteModule:
-    """A finite left module with explicit tables, validated on creation."""
+    """A finite left module with explicit tables, validated on creation.
+
+    ``_trusted`` skips the group and module axiom checks; only
+    ``regular_module`` sets it, for the tables the ring has checked.
+    """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "name", "neg",
                  "add_flat", "act_flat", "_cache")
 
-    def __init__(self, ring, order, add, act, zero, name="M"):
+    def __init__(self, ring, order, add, act, zero, name="M", _trusted=False):
         if order < 1:
             raise TableError("order", (order,), "module order must be positive")
         self.ring = ring
@@ -43,12 +48,13 @@ class FiniteModule:
         self.zero = zero
         self.add_flat = tuple(v for row in self.add for v in row)
         self.act_flat = tuple(v for row in self.act for v in row)
-        check_abelian_group(order, self.add, zero, what="module-add")
-        w = kernels.module_axiom_witness(ring.order, order, ring.add_flat,
-                                         ring.mul_flat, self.add_flat,
-                                         self.act_flat, ring.one)
-        if w is not None:
-            raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
+        if not _trusted:
+            check_abelian_group(order, self.add, zero, what="module-add")
+            w = kernels.module_axiom_witness(ring.order, order, ring.add_flat,
+                                             ring.mul_flat, self.add_flat,
+                                             self.act_flat, ring.one)
+            if w is not None:
+                raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
         self.neg = tuple(self.add[i].index(zero) for i in range(order))
         self._cache = {}
 
@@ -165,10 +171,15 @@ def all_submodules(module):
 # -- constructions -------------------------------------------------------
 
 def regular_module(ring):
-    """The ring acting on itself by left multiplication."""
+    """The ring acting on itself by left multiplication.
+
+    Its tables are the ring's, which ``FiniteRing`` checked as the module
+    axioms of R acting on itself, so they are not checked again.
+    """
     got = ring._cache.get("regular")
     if got is None:
-        got = FiniteModule(ring, ring.order, ring.add, ring.mul, ring.zero, name="R")
+        got = FiniteModule(ring, ring.order, ring.add, ring.mul, ring.zero, name="R",
+                           _trusted=True)
         ring._cache["regular"] = got
     return got
 
@@ -345,27 +356,64 @@ class FiniteLattice:
         self._validate()
 
     def _validate(self):
+        """Raise ``InvariantError`` at the first failed axiom, in the scan
+        order of ``_validate_loops``.
+
+        Up to ``BYTE_ORDER_LIMIT`` members, idempotence, commutativity
+        and absorption are compared over whole rows as bytes first; the
+        loops run only when one of them fails, to find its witness.
+        """
+        if self.size <= BYTE_ORDER_LIMIT and self._pointwise_axioms_hold():
+            for name, table in (("meet", self.meet), ("join", self.join)):
+                self._check_associative(name, table)
+        else:
+            self._validate_loops()
+
+    def _pointwise_axioms_hold(self):
+        """Whether every entry is an index 0..k-1 and idempotence,
+        commutativity and absorption hold."""
         k = self.size
+        if k == 0:
+            return True
+        identity = bytes(range(k))
+        rows = []
+        for table in (self.meet, self.join):
+            if not 0 <= min(table) <= max(table) < k:
+                return False
+            flat = bytes(table)
+            if flat[::k + 1] != identity or flat != b"".join([flat[j::k] for j in range(k)]):
+                return False
+            rows.append([flat[i * k:(i + 1) * k] for i in range(k)])
+        for i, (mrow, jrow) in enumerate(zip(*rows)):
+            # position j: meet(i, join(i, j)) and join(i, meet(i, j))
+            same = bytes((i,)) * k
+            if (jrow.translate(_translator(mrow)) != same
+                    or mrow.translate(_translator(jrow)) != same):
+                return False
+        return True
 
-        def fail(axiom, witness, message):
-            raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
+    def _check_associative(self, name, table):
+        w = kernels.assoc_witness(self.size, list(table))
+        if w is not None:
+            _lattice_fault(f"{name}-associative", w, f"{name} not associative")
 
+    def _validate_loops(self):
+        """Every axiom, one entry at a time, in scan order."""
+        k = self.size
         for name, table in (("meet", self.meet), ("join", self.join)):
             for i in range(k):
                 if table[i * k + i] != i:
-                    fail(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
+                    _lattice_fault(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
                 for j in range(k):
                     if table[i * k + j] != table[j * k + i]:
-                        fail(f"{name}-commutative", (i, j), f"{name} not commutative")
-            w = kernels.assoc_witness(k, list(table))
-            if w is not None:
-                fail(f"{name}-associative", w, f"{name} not associative")
+                        _lattice_fault(f"{name}-commutative", (i, j), f"{name} not commutative")
+            self._check_associative(name, table)
         for i in range(k):
             for j in range(k):
                 if self.meet[i * k + self.join[i * k + j]] != i:
-                    fail("absorption", (i, j), "x ^ (x v y) != x")
+                    _lattice_fault("absorption", (i, j), "x ^ (x v y) != x")
                 if self.join[i * k + self.meet[i * k + j]] != i:
-                    fail("absorption", (i, j), "x v (x ^ y) != x")
+                    _lattice_fault("absorption", (i, j), "x v (x ^ y) != x")
 
     def leq(self, i, j):
         return self.meet[i * self.size + j] == i
@@ -378,6 +426,10 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"FiniteLattice({self.size} members)"
+
+
+def _lattice_fault(axiom, witness, message):
+    raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
 
 
 def lattice_from_family(members):

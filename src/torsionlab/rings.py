@@ -329,11 +329,21 @@ def _product_bits(ring, xs, ys):
 def coset_representatives(order, add, members):
     """Cosets of the subgroup ``members`` of the additive table ``add``, each
     represented by its least element: ``(reps, proj)``, the representatives
-    in increasing order and the index ``proj[x]`` in ``reps`` of x's coset."""
-    rep = [min(add[x][i] for i in members) for x in range(order)]
-    reps = sorted(set(rep))
-    new_index = {r: k for k, r in enumerate(reps)}
-    return reps, tuple(new_index[r] for r in rep)
+    in increasing order and the index ``proj[x]`` in ``reps`` of x's coset.
+
+    Walking x upward, an x not yet labelled is the least element of its
+    coset x + S, which is labelled whole, so each element is labelled
+    once."""
+    proj = [None] * order
+    reps = []
+    for x in range(order):
+        if proj[x] is None:
+            label = len(reps)
+            reps.append(x)
+            row = add[x]
+            for i in members:
+                proj[row[i]] = label
+    return reps, tuple(proj)
 
 
 def quotient_ring(ring, ideal):

@@ -18,6 +18,8 @@ import sysconfig
 import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab import _core_py
@@ -623,6 +625,181 @@ def test_delta_kernels_return_reference_witnesses():
             witnesses += got is not None
         order16 += args[0] == 16
     assert witnesses and calls - witnesses and order16
+
+
+# The lattice kernels as they were before enumeration took one generator
+# per coset, joins were read off up-sets and modularity compared whole
+# rows; kept verbatim as the reference (the modularity loops stay in
+# ``_core_py`` as ``_modularity_witness_loops``, the route above 256).
+def reference_sum_with_orbit(sub, elems, orb, m, add):
+    """Closure of ``sub + Rx`` for a closed ``sub``, given its members
+    ``elems`` and the orbit ``orb`` of the new generator x.
+
+    The orbit is itself closed under addition and scalars, so the
+    elementwise sum of the two sets is already the generated submodule.
+    """
+    out = sub
+    for t in orb:
+        for s in elems:
+            out |= 1 << add[s * m + t]
+    return out
+
+
+def reference_enumerate_submodules(m, n, add, act, zero):
+    """All closed subsets, as a sorted list of bitsets."""
+    orbits = [_core_py.orbit(x, m, n, act) for x in range(m)]
+    start = 1 << zero
+    found = {start}
+    queue = [start]
+    while queue:
+        sub = queue.pop()
+        elems = list(_core_py.bits_of(sub))
+        for x in range(m):
+            if sub >> x & 1:
+                continue
+            bigger = reference_sum_with_orbit(sub, elems, orbits[x], m, add)
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    return sorted(found)
+
+
+def reference_closure_tables(members):
+    """Meet/join index tables for a family of bitsets ordered by inclusion.
+
+    Meet is set intersection (the family must be closed under it) and the
+    join of two members is the intersection of all members containing
+    their union.  Raises ``ValueError`` if either operation leaves the
+    family.
+    """
+    k = len(members)
+    index = {bits: i for i, bits in enumerate(members)}
+    meet = [0] * (k * k)
+    join = [0] * (k * k)
+    for i in range(k):
+        a = members[i]
+        for j in range(i, k):
+            b = members[j]
+            lo = index.get(a & b)
+            if lo is None:
+                raise ValueError(f"family not closed under intersection: members {i} and {j}")
+            meet[i * k + j] = meet[j * k + i] = lo
+            union = a | b
+            acc = -1
+            for w in members:
+                if w & union == union:
+                    acc &= w
+            # acc stays -1, which is no member, when nothing contains the
+            # union, and otherwise contains the union
+            hi = index.get(acc)
+            if hi is None:
+                raise ValueError(f"family has no least upper bound for members {i} and {j}")
+            join[i * k + j] = join[j * k + i] = hi
+    return meet, join
+
+
+def outcome(closure_tables, members):
+    """The tables, or the message of the ``ValueError`` raised."""
+    try:
+        return closure_tables(members)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def bitset_families(draw):
+    """Families of subsets of at most 8 points, in any order: raw lists
+    (which may repeat a member, miss an intersection or lack a join),
+    lists closed under intersection, and closure systems (closed under
+    intersection, with the full set)."""
+    top = (1 << draw(st.integers(1, 8))) - 1
+    family = draw(st.lists(st.integers(0, top), min_size=draw(st.integers(0, 4)), max_size=8))
+    kind = draw(st.sampled_from(["raw", "meet-closed", "closure system"]))
+    if kind != "raw":
+        closed = set(family) | ({top} if kind == "closure system" else set())
+        grown = True
+        while grown:
+            new = {a & b for a in closed for b in closed} - closed
+            closed |= new
+            grown = bool(new)
+        family = draw(st.permutations(sorted(closed)))
+    return family
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(bitset_families())
+def test_lattice_kernels_match_reference_on_generated_families(family):
+    expected = outcome(reference_closure_tables, family)
+    for impl in BACKENDS:
+        assert outcome(impl.closure_tables, family) == expected
+    if isinstance(expected, str):
+        return
+    k = len(family)
+    witness = _core_py._modularity_witness_loops(k, *expected)
+    for impl in BACKENDS:
+        assert impl.modularity_witness(k, *expected) == witness
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, k - 1), min_size=k * k, max_size=k * k),
+    st.lists(st.integers(0, k - 1), min_size=k * k, max_size=k * k))))
+def test_modularity_witness_matches_loops_on_any_tables(case):
+    # arbitrary tables, so meet is seldom symmetric: reading a row of
+    # meet where the law needs a column changes the witness
+    witness = _core_py._modularity_witness_loops(*case)
+    for impl in BACKENDS:
+        assert impl.modularity_witness(*case) == witness
+
+
+def pentagon_under_chain(k):
+    """N5 at indices 0..4 with a chain of k - 5 members above its top; the
+    first modularity witness is (1, 3, 2)."""
+    chain = [0b11110 | ((1 << t) - 1) << 5 for t in range(1, k - 4)]
+    return N5_FAMILY + chain
+
+
+@pytest.mark.parametrize("k", [256, 257, 300])
+def test_modularity_witness_on_each_side_of_the_byte_limit(k):
+    members = pentagon_under_chain(k)
+    meet, join = _core_py.closure_tables(members)
+    assert len(members) == k
+    assert _core_py.modularity_witness(k, meet, join) == (1, 3, 2)
+    if k == 256:
+        assert _core_py._modularity_witness_loops(k, meet, join) == (1, 3, 2)
+    if _core is not None:
+        assert _core.closure_tables(members) == (meet, join)
+        assert _core.modularity_witness(k, meet, join) == (1, 3, 2)
+
+
+def submodule_cases():
+    """Module tables (m, n, add, act, zero): the bound-2 corpus modules of
+    order <= 16 over ``MODULE_RINGS``, and R^2 for three rings."""
+    for spec in MODULE_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        for mod in tl.module_corpus(ring, 2):
+            if mod.order <= 16:
+                yield (mod.order, ring.order, list(mod.add_flat), list(mod.act_flat), mod.zero)
+    for spec in ["UT2(2)", "Z(8)", "prod(Z(2),Z(2))"]:
+        ring = tl.parse_ring_spec(spec)
+        square = tl.power_module(ring, 2)
+        yield (square.order, ring.order, list(square.add_flat), list(square.act_flat),
+               square.zero)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
+def test_submodule_lattices_match_reference(impl):
+    for args in submodule_cases():
+        members = reference_enumerate_submodules(*args)
+        assert impl.enumerate_submodules(*args) == members, args
+        meet, join = reference_closure_tables(members)
+        assert impl.closure_tables(members) == (meet, join)
+        assert impl.modularity_witness(len(members), meet, join) == \
+            _core_py._modularity_witness_loops(len(members), meet, join)
+        m, n, add, act, zero = args
+        for g in range(m):
+            assert impl.span_closure(m, n, add, act, zero, [g]) == \
+                reference_sum_with_orbit(1 << zero, [zero], _core_py.orbit(g, m, n, act), m, add)
 
 
 @needs_core

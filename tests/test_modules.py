@@ -1,11 +1,15 @@
 """Modules, submodule lattices, quasiidentity semantics, modularity."""
 
 import itertools
+import random
+import re
 
 import pytest
 
 import torsionlab as tl
-from torsionlab.errors import TableError
+from torsionlab import kernels
+from torsionlab.errors import InvariantError, TableError
+from torsionlab.rings import coset_representatives
 
 from conftest import A_BITS, E11, E12, UT2_IDEAL_BITS
 
@@ -47,6 +51,46 @@ def test_quotient_module_canonical_reps(z8):
     assert quot.order == 4
     # least representatives are 0..3, addition is mod 4
     assert quot.add[3][3] == 2
+
+
+def reference_coset_representatives(order, add, members):
+    """``coset_representatives`` as the least element of each x + S,
+    taken separately for every x."""
+    rep = [min(add[x][i] for i in members) for x in range(order)]
+    reps = sorted(set(rep))
+    new_index = {r: k for k, r in enumerate(reps)}
+    return reps, tuple(new_index[r] for r in rep)
+
+
+def test_coset_representatives_match_min_formula(builtin8):
+    quotients = 0
+    for _, ring in builtin8:
+        for k in (1, 2):
+            parent = tl.power_module(ring, k)
+            for sub in tl.all_submodules(parent):
+                args = (parent.order, parent.add, sub.elements())
+                assert coset_representatives(*args) == reference_coset_representatives(*args)
+                quotients += 1
+    assert quotients > 500
+
+
+def test_regular_module_checks_the_ring_tables_once(monkeypatch):
+    calls = []
+    check = kernels.module_axiom_witness
+
+    def counted(*args):
+        calls.append(args[:2])
+        return check(*args)
+
+    monkeypatch.setattr(kernels, "module_axiom_witness", counted)
+    ring = tl.upper_triangular_ring(2)  # a fresh ring: no regular module cached
+    assert calls == [(8, 8)]
+    assert tl.regular_module(ring).act == ring.mul
+    assert calls == [(8, 8)]
+    # the same tables given as a module are checked, as is every other construction
+    tl.FiniteModule(ring, ring.order, ring.add, ring.mul, ring.zero)
+    tl.power_module(ring, 2)
+    assert calls == [(8, 8), (8, 8), (8, 64)]
 
 
 def test_module_validation_rejects_broken_action(z4):
@@ -171,6 +215,85 @@ def test_submodule_lattices_are_modular(builtin8):
         for module in tl.module_corpus(ring, 2):
             lat = tl.lattice_from_family([s.bits for s in tl.all_submodules(module)])
             assert tl.is_modular(lat)
+
+
+def reference_lattice_error(k, meet, join):
+    """The message of the ``InvariantError`` that lattice validation
+    raised when it ran one entry at a time (its loops, verbatim), or None."""
+    def fail(axiom, witness, message):
+        raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
+
+    try:
+        for name, table in (("meet", meet), ("join", join)):
+            for i in range(k):
+                if table[i * k + i] != i:
+                    fail(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
+                for j in range(k):
+                    if table[i * k + j] != table[j * k + i]:
+                        fail(f"{name}-commutative", (i, j), f"{name} not commutative")
+            w = kernels.assoc_witness(k, list(table))
+            if w is not None:
+                fail(f"{name}-associative", w, f"{name} not associative")
+        for i in range(k):
+            for j in range(k):
+                if meet[i * k + join[i * k + j]] != i:
+                    fail("absorption", (i, j), "x ^ (x v y) != x")
+                if join[i * k + meet[i * k + j]] != i:
+                    fail("absorption", (i, j), "x v (x ^ y) != x")
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+def corrupted_lattices():
+    """(members, meet, join) with one entry of one table changed: on the
+    diagonal, off it, or at (i, j) and (j, i) alike, so that each axiom
+    is reached; and a 257-member chain, past the byte route, with a
+    broken diagonal."""
+    rng = random.Random(7)
+    ut2 = tl.parse_ring_spec("UT2(2)")
+    families = [[s.bits for s in tl.all_submodules(tl.power_module(ut2, 2))],
+                [0b00000, 0b00010, 0b00110, 0b11000, 0b11110],
+                [0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111]]
+    for members in families:
+        members = sorted(members)
+        k = len(members)
+        meet, join = kernels.closure_tables(members)
+        yield members, meet, join
+        for _ in range(60):
+            tables = [list(meet), list(join)]
+            table = tables[rng.randrange(2)]
+            i, j = rng.randrange(k), rng.randrange(k)
+            value = (table[i * k + j] + rng.randrange(1, k)) % k
+            table[i * k + j] = value
+            if rng.random() < 0.7:
+                table[j * k + i] = value
+            yield members, *tables
+    chain = [(1 << t) - 1 for t in range(1, 258)]
+    meet, join = kernels.closure_tables(chain)
+    join = list(join)
+    join[3 * 257 + 3] = 4
+    yield chain, meet, join
+
+
+def test_lattice_validation_reports_the_reference_witness():
+    axioms = set()
+    for members, meet, join in corrupted_lattices():
+        expected = reference_lattice_error(len(members), meet, join)
+        if expected is None:
+            tl.FiniteLattice(members, meet, join)
+            continue
+        with pytest.raises(InvariantError) as err:
+            tl.FiniteLattice(members, meet, join)
+        assert str(err.value) == expected
+        axioms.add(re.fullmatch(r"lattice axiom '(.+)' fails at .+: (.+)", expected).groups())
+    assert axioms == {("meet-idempotent", "meet(x,x) != x"),
+                      ("join-idempotent", "join(x,x) != x"),
+                      ("meet-commutative", "meet not commutative"),
+                      ("join-commutative", "join not commutative"),
+                      ("meet-associative", "meet not associative"),
+                      ("join-associative", "join not associative"),
+                      ("absorption", "x ^ (x v y) != x"), ("absorption", "x v (x ^ y) != x")}
 
 
 def test_submodule_family_closed_under_sum_and_intersection(ut2):
