@@ -6,10 +6,9 @@ Every kernel here except ``bits_of`` and ``greedy_generators`` (which
 ``_coset`` and ``sum_with_orbit`` are helpers of the kernels here and
 are not exported.  The two implementations must stay observationally
 identical: on the same inputs they return identical results and
-identical witnesses, while their algorithms may differ (the delta
-kernels here skip repeated u/z sums, the compiled ones do not).
-``kernels`` picks one at import time and the test suite cross-checks
-them.
+identical witnesses, while their algorithms may differ (see the delta
+kernels below).  ``kernels`` picks one at import time and the test suite
+cross-checks them.
 
 The lattice kernels do less work than their definitions suggest, with
 the same results, errors and witnesses (both backends, except that the
@@ -39,6 +38,16 @@ tests keep as the reference for the byte route.  A ring's tables are
 checked by ``module_axiom_witness`` on R acting on itself, so its
 distributivity, associativity and 1*x = x are found in this same order.
 
+The delta kernels (``delta_cond1_witness``, ``delta_cond2_witness``)
+split each row's value into its x/y terms and its u/z part, the base.
+``_delta_bases`` finds the distinct bases variable by variable, by
+prefix sums, each with the first (u, z) tuple in odometer order that
+reaches it; a reducible axiom (d = -c, e = 0) has one base, all zero,
+however many tuples there are.  Each base is then tested for every x
+(cond1) or every (x, y) (cond2) at once, as bytes, up to 256 elements;
+above that the ``*_loops`` functions test it one element at a time.
+The compiled twins still walk every (u, z) tuple with plain loops.
+
 Conventions shared by both backends:
 
 * operation tables are flat row-major sequences of element indices
@@ -47,8 +56,6 @@ Conventions shared by both backends:
   (bit ``i`` set iff element ``i`` is a member),
 * witnesses are tuples of element indices, ``None`` means "no witness".
 """
-
-import itertools
 
 BACKEND_NAME = "pure-python"
 
@@ -384,23 +391,57 @@ def _module_axiom_witness_loops(n, m, radd, rmul, madd, act, one):
 
 
 def _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
-    """Yield ``(tup, base)`` for every (u, z) tuple in odometer order.
+    """Each distinct u/z base, mapped to the first (u, z) tuple in
+    odometer order that reaches it, as a dict in the order of those
+    tuples.
 
-    ``base[j]`` is row j's u/z part, summed left to right from ``zero``:
-    the whole of row j's value except its x/y terms.
+    ``base[j]`` is row j's u/z part summed from ``zero``: the whole of
+    row j's value except its x/y terms.  The bases are built one
+    variable at a time.  The partial sums after v variables are kept
+    with their odometer-first prefix, and only those prefixes are
+    extended by t = 0..m-1: a prefix p reaches the same partial sum as
+    the kept prefix q <= p, so p + (t,) reaches what q + (t,) does, and
+    q + (t,) comes first.  Walking the kept prefixes in insertion order
+    therefore meets every sum first at its odometer-first tuple.  The
+    cost is the sum over v of |B_v| * m * rows, with B_v the partial
+    sums after v variables, instead of m**(u+z) tuples.
+
+    ``madd`` must be associative: u_i adds c_ij u_i + d_ij u_i as one
+    step.
     """
-    for tup in itertools.product(range(m), repeat=u_arity + z_arity):
-        base = []
-        for j in range(rows):
-            val = zero
-            for i in range(u_arity):
-                u = tup[i]
-                val = madd[val * m + act[c[j * u_arity + i] * m + u]]
-                val = madd[val * m + act[d[j * u_arity + i] * m + u]]
-            for i in range(z_arity):
-                val = madd[val * m + act[e[j * z_arity + i] * m + tup[u_arity + i]]]
-            base.append(val)
-        yield tup, tuple(base)
+    if not rows:  # zip() over no rows below would yield no sums at all
+        return {(): (0,) * (u_arity + z_arity)}
+    # steps[v][j][t]: what variable v = t adds to row j
+    steps = []
+    for i in range(u_arity):
+        steps.append([[madd[act[cj * m + t] * m + act[dj * m + t]] for t in range(m)]
+                      for cj, dj in zip(c[i::u_arity], d[i::u_arity])])
+    for i in range(z_arity):
+        steps.append([act[ej * m:(ej + 1) * m] for ej in e[i::z_arity]])
+    bases = {(zero,) * rows: ()}
+    for step in steps:
+        grown = {}
+        for base, tup in bases.items():
+            sums = zip(*[map(madd[w * m:(w + 1) * m].__getitem__, add)
+                         for w, add in zip(base, step)])
+            for t, new in enumerate(sums):
+                if new not in grown:
+                    grown[new] = (*tup, t)
+        bases = grown
+    return bases
+
+
+def _vanish_tables(m, madd, zero):
+    """``table(w)``: the translate table sending t to 1 if t + w is
+    ``zero`` and to 0 otherwise, built once per w."""
+    tables = {}
+
+    def table(w):
+        got = tables.get(w)
+        if got is None:
+            got = tables[w] = _translator(bytes([madd[t * m + w] == zero for t in range(m)]))
+        return got
+    return table
 
 
 def delta_cond1_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
@@ -411,19 +452,37 @@ def delta_cond1_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zer
 
     ``madd`` must be associative with identity ``zero`` (a module's
     validated addition): row j is evaluated as ``(a_j x + b_j x) +
-    base[j]``, and a tuple whose base was already cleared is skipped.
+    base[j]``, once for each distinct base (see ``_delta_bases``).  Up
+    to ``BYTE_ORDER_LIMIT`` the row values a_j x + b_j x for every x are
+    bytes, translated through "t + base[j] is zero" for each base: the
+    first 0 byte of row j is its least failing x, and the least x over
+    the rows wins, the least j among ties.
     """
+    bases = _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
     xterm = [[madd[act[a[j] * m + x] * m + act[b[j] * m + x]] for x in range(m)]
              for j in range(rows)]
-    cleared = set()
-    for tup, base in _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
-        if base in cleared:
-            continue
+    if m > BYTE_ORDER_LIMIT:
+        return _delta_cond1_witness_loops(m, madd, xterm, zero, bases)
+    xrows = [bytes(row) for row in xterm]
+    vanish = _vanish_tables(m, madd, zero)
+    for base, tup in bases.items():
+        fails = [(x, j) for j, x in enumerate(
+                     row.translate(vanish(w)).find(0) for row, w in zip(xrows, base))
+                 if x >= 0]
+        if fails:
+            x, j = min(fails)
+            return (x, *tup, j)
+    return None
+
+
+def _delta_cond1_witness_loops(m, madd, xterm, zero, bases):
+    """``delta_cond1_witness`` for any order, one (x, j) at a time over
+    the distinct ``bases``; ``xterm[j][x]`` is a_j x + b_j x."""
+    for base, tup in bases.items():
         for x in range(m):
-            for j in range(rows):
+            for j in range(len(xterm)):
                 if madd[xterm[j][x] * m + base[j]] != zero:
                     return (x, *tup, j)
-        cleared.add(base)
     return None
 
 
@@ -435,19 +494,46 @@ def delta_cond2_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zer
 
     ``madd`` must be associative with identity ``zero`` (a module's
     validated addition): row j is evaluated as ``(a_j x + b_j y) +
-    base[j]``, and a tuple whose base was already cleared is skipped.
+    base[j]``, once for each distinct base (see ``_delta_bases``).  Up
+    to ``BYTE_ORDER_LIMIT`` the row values a_j x + b_j y for every
+    (x, y) are m*m bytes in row-major order.  For each base they are
+    translated through "t + base[j] is zero" and read as ints; the AND
+    over the rows, off the diagonal, has its lowest set byte at the
+    least counterexample (x, y).
     """
+    bases = _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
     arows = [act[a[j] * m:(a[j] + 1) * m] for j in range(rows)]
     brows = [act[b[j] * m:(b[j] + 1) * m] for j in range(rows)]
-    cleared = set()
-    for tup, base in _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
-        if base in cleared:
-            continue
+    if m > BYTE_ORDER_LIMIT:
+        return _delta_cond2_witness_loops(m, madd, arows, brows, zero, bases)
+    madd_b = bytes(madd)
+    pair_rows = []
+    for arow, brow in zip(map(bytes, arows), map(bytes, brows)):
+        # position x*m + y: row a_j x of madd at b_j y
+        pair_rows.append(b"".join([brow.translate(_translator(madd_b[v * m:(v + 1) * m]))
+                                   for v in arow]))
+    off_diagonal = int.from_bytes(((b"\0" + b"\1" * m) * m)[:m * m], "little")
+    vanish = _vanish_tables(m, madd, zero)
+    for base, tup in bases.items():
+        hit = off_diagonal
+        for row, w in zip(pair_rows, base):
+            hit &= int.from_bytes(row.translate(vanish(w)), "little")
+            if not hit:
+                break
+        if hit:
+            return (*divmod(((hit & -hit).bit_length() - 1) >> 3, m), *tup)
+    return None
+
+
+def _delta_cond2_witness_loops(m, madd, arows, brows, zero, bases):
+    """``delta_cond2_witness`` for any order, one (x, y) at a time over
+    the distinct ``bases``; ``arows[j]``/``brows[j]`` are the rows of
+    ``act`` for a_j and b_j."""
+    for base, tup in bases.items():
         for x in range(m):
             for y in range(m):
                 if x != y and all(
                         madd[madd[arows[j][x] * m + brows[j][y]] * m + base[j]] == zero
-                        for j in range(rows)):
+                        for j in range(len(arows))):
                     return (x, y, *tup)
-        cleared.add(base)
     return None

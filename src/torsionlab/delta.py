@@ -124,7 +124,7 @@ def delta_condition_witnesses(module, axiom):
         raise ValueError("delta axiom over a different ring")
     rows, a, b, c, d, e = _coef_arrays(axiom)
     args = (module.order, rows, axiom.u_arity, axiom.z_arity,
-            list(module.add_flat), list(module.act_flat), a, b, c, d, e, module.zero)
+            module.add_flat, module.act_flat, a, b, c, d, e, module.zero)
     w1 = kernels.delta_cond1_witness(*args)
     w2 = kernels.delta_cond2_witness(*args)
     return w1, w2
@@ -223,9 +223,13 @@ def delta_from_doc(doc, ring):
         for key in ("a", "b"):
             if key not in row:
                 raise RingSpecError(f"missing coefficient {key!r}", f"$.rows[{j}]")
-        for key in ("c", "d", "e"):
-            if not isinstance(row.get(key, []), list):
+        for key, arity in (("c", "u_arity"), ("d", "u_arity"), ("e", "z_arity")):
+            vals = row.get(key, [])
+            if not isinstance(vals, list):
                 raise RingSpecError(f"{key} must be an array", f"$.rows[{j}].{key}")
+            if len(vals) != doc[arity]:
+                raise RingSpecError(f"{key} has {len(vals)} entries but {arity} is {doc[arity]}",
+                                    f"$.rows[{j}].{key}")
         rows.append(DeltaRow(
             coef(row["a"], f"$.rows[{j}].a"),
             coef(row["b"], f"$.rows[{j}].b"),

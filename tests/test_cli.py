@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schemas, determinism, witness replay."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -222,6 +223,24 @@ def test_mistyped_documents_are_invalid_input(tmp_path, capsys, argv, doc):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("row, where", [
+    ({"a": 0, "b": 0, "c": [0, 0], "d": [0]}, "$.rows[1].c"),
+    ({"a": 0, "b": 0, "c": [0], "d": []}, "$.rows[1].d"),
+    ({"a": 0, "b": 0, "c": [0], "d": [0], "e": [0, 0]}, "$.rows[1].e"),
+    ({"a": 0, "b": 0}, "$.rows[1].c"),
+])
+def test_delta_row_arity_mismatch_is_positioned(tmp_path, capsys, row, where):
+    path = tmp_path / "axiom.json"
+    path.write_text(json.dumps({
+        "ring": "Z(4)", "u_arity": 1, "z_arity": 1,
+        "rows": [{"a": 1, "b": 3, "c": [1], "d": [3], "e": [0]}, row]}))
+    code = main(["delta-reduce", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"(at {where})" in captured.err
+
+
 def test_closure_outside_domain_is_invalid_input(capsys):
     # R/A is all torsion for the nontrivial filter, so the closure is
     # undefined there
@@ -283,6 +302,15 @@ def test_census_matches_golden_file(capsys):
                         "--seed", "11", "--json")
     assert code == 0
     assert out == golden.read_text()
+
+
+def test_census_delta_sweep_matches_pinned_digest(capsys):
+    # stdout of the seeded sweep over the builtin rings of order <= 8,
+    # as pinned for the census-delta workload in perfbench/workloads.json
+    code, out = run_cli(capsys, "census", "--max-order", "8", "--seed", "1", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "16bdf1198b8c77a3bac8bbed7d51acff66ac645ba4a7466c2163311b051fec51"
 
 
 def test_output_is_deterministic(capsys):

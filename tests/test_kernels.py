@@ -6,6 +6,7 @@ here from ``src/torsionlab/_core.c`` into a temporary directory and
 loaded without registering it as ``torsionlab._core``, so the rest of the
 suite keeps the backend ``torsionlab.kernels`` selected."""
 
+import functools
 import importlib.util
 import itertools
 import os
@@ -625,6 +626,109 @@ def test_delta_kernels_return_reference_witnesses():
             witnesses += got is not None
         order16 += args[0] == 16
     assert witnesses and calls - witnesses and order16
+
+
+# Rings whose bound-2 corpus modules of order <= 36 feed the generated
+# delta cases, and a module of order 289 (Z(17)^2) for the loop route
+# above ``BYTE_ORDER_LIMIT``.
+GENERATED_DELTA_RINGS = ["Z(6)", "UT2(2)", "prod(Z(2),Z(2))", "prod(Z(2),Z(3))",
+                         "quot(UT2(2),e12)", "quot(Z(8),4)"]
+BEYOND_BYTES = "Z(17)^2"
+
+
+@functools.lru_cache(maxsize=None)
+def delta_case_modules(spec):
+    """The ring of ``spec`` and the modules a generated case draws from."""
+    if spec == BEYOND_BYTES:
+        ring = tl.parse_ring_spec("Z(17)")
+        return ring, (tl.power_module(ring, 2),)
+    ring = tl.parse_ring_spec(spec)
+    return ring, tuple(mod for mod in tl.module_corpus(ring, 2) if mod.order <= 36)
+
+
+@st.composite
+def delta_cases(draw):
+    """Kernel arguments for a reducible or arbitrary axiom with 1-3 rows,
+    u <= 2 and z <= 1, within the sweep's budget m**(2+u+z) <= 200000."""
+    ring, modules = delta_case_modules(draw(st.sampled_from(
+        [*GENERATED_DELTA_RINGS, BEYOND_BYTES])))
+    mod = draw(st.sampled_from(modules))
+    m = mod.order
+    room = next(k for k in (3, 2, 1, 0) if m ** (2 + k) <= 200000)
+    u_arity = draw(st.integers(0, min(2, room)))
+    z_arity = draw(st.integers(0, min(1, room - u_arity)))
+    rows = draw(st.integers(1, 3))
+    reducible = draw(st.booleans())
+    scalar = st.integers(0, ring.order - 1)
+
+    def near(value):
+        """The reducible value, or for an arbitrary axiom maybe another."""
+        return value if reducible else draw(st.one_of(st.just(value), scalar))
+
+    a = [draw(scalar) for _ in range(rows)]
+    c = [draw(scalar) for _ in range(rows * u_arity)]
+    b = [near(ring.neg[x]) for x in a]
+    d = [near(ring.neg[x]) for x in c]
+    e = [near(ring.zero) for _ in range(rows * z_arity)]
+    return (m, rows, u_arity, z_arity, mod.add_flat, mod.act_flat, a, b, c, d, e, mod.zero)
+
+
+def brute_delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
+    """Each distinct u/z base with its first tuple, walking every (u, z)
+    tuple in ``itertools.product`` order and summing left to right."""
+    first = {}
+    for tup in itertools.product(range(m), repeat=u_arity + z_arity):
+        base = []
+        for j in range(rows):
+            val = zero
+            for i in range(u_arity):
+                val = madd[val * m + act[c[j * u_arity + i] * m + tup[i]]]
+                val = madd[val * m + act[d[j * u_arity + i] * m + tup[i]]]
+            for i in range(z_arity):
+                val = madd[val * m + act[e[j * z_arity + i] * m + tup[u_arity + i]]]
+            base.append(val)
+        first.setdefault(tuple(base), tup)
+    return list(first.items())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(delta_cases())
+def test_delta_bases_match_brute_force(args):
+    m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero = args
+    bases = _core_py._delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
+    assert list(bases.items()) == brute_delta_bases(m, rows, u_arity, z_arity, madd, act,
+                                                    c, d, e, zero)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(delta_cases())
+def test_delta_kernels_match_reference_on_generated_cases(args):
+    m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero = args
+    bases = _core_py._delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
+    xterm = [[madd[act[a[j] * m + x] * m + act[b[j] * m + x]] for x in range(m)]
+             for j in range(rows)]
+    arows = [act[a[j] * m:(a[j] + 1) * m] for j in range(rows)]
+    brows = [act[b[j] * m:(b[j] + 1) * m] for j in range(rows)]
+    # the loop routes run on every case, not only above the byte limit
+    for name, reference, loops in (
+            ("delta_cond1_witness", reference_delta_cond1_witness,
+             lambda: _core_py._delta_cond1_witness_loops(m, madd, xterm, zero, bases)),
+            ("delta_cond2_witness", reference_delta_cond2_witness,
+             lambda: _core_py._delta_cond2_witness_loops(m, madd, arows, brows, zero, bases))):
+        expected = reference(*args)
+        for impl in BACKENDS:
+            assert getattr(impl, name)(*args) == expected, (impl.BACKEND_NAME, name)
+        assert loops() == expected, name
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
+@pytest.mark.parametrize("u_arity, z_arity", [(0, 0), (2, 1)])
+def test_delta_kernels_without_rows(impl, u_arity, z_arity):
+    # no row constrains anything: cond1 holds and the first x != y fails cond2
+    args = (2, 0, u_arity, z_arity, (0, 1, 1, 0), (0, 0, 0, 1), [], [], [], [], [], 0)
+    assert impl.delta_cond1_witness(*args) is reference_delta_cond1_witness(*args) is None
+    assert impl.delta_cond2_witness(*args) == reference_delta_cond2_witness(*args) == \
+        (0, 1, *[0] * (u_arity + z_arity))
 
 
 # The lattice kernels as they were before enumeration took one generator
