@@ -390,6 +390,11 @@ def _module_axiom_witness_loops(n, m, radd, rmul, madd, act, one):
     return None
 
 
+# the key and result of the last ``_delta_bases`` call: both delta
+# kernels run on the same arguments, one after the other
+_last_bases = (None, None)
+
+
 def _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
     """Each distinct u/z base, mapped to the first (u, z) tuple in
     odometer order that reaches it, as a dict in the order of those
@@ -408,9 +413,21 @@ def _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
 
     ``madd`` must be associative: u_i adds c_ij u_i + d_ij u_i as one
     step.
+
+    The last call's result is returned again for equal arguments, so the
+    two kernels share one build.  The arguments are compared by value, as
+    tuples, so the kept result is the one a new build would give, whoever
+    calls; a tuple argument is kept as it is, so the same table object
+    compares at once.
     """
+    global _last_bases
     if not rows:  # zip() over no rows below would yield no sums at all
         return {(): (0,) * (u_arity + z_arity)}
+    key = (m, rows, u_arity, z_arity, tuple(madd), tuple(act), tuple(c), tuple(d),
+           tuple(e), zero)
+    last_key, last = _last_bases
+    if last_key == key:
+        return last
     # steps[v][j][t]: what variable v = t adds to row j
     steps = []
     for i in range(u_arity):
@@ -428,6 +445,7 @@ def _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
                 if new not in grown:
                     grown[new] = (*tup, t)
         bases = grown
+    _last_bases = (key, bases)
     return bases
 
 

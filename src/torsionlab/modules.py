@@ -6,18 +6,26 @@ n x m scalar-action table, both validated exhaustively at construction.
 Submodules are bitsets over the module's index space.
 """
 
+from itertools import chain
+
 from . import kernels
 from ._core_py import BYTE_ORDER_LIMIT, _translator
 from .errors import InvariantError, RingSpecError, TableError
-from .rings import (TwoSidedIdeal, check_abelian_group, coset_representatives,
-                    greedy_generators, is_json_int)
+from .rings import (TwoSidedIdeal, check_abelian_group, check_map, coset_representatives,
+                    greedy_generators, is_json_int, product_maps, rows_of)
 
 
 class FiniteModule:
     """A finite left module with explicit tables, validated on creation.
 
-    ``_trusted`` skips the group and module axiom checks; only
-    ``regular_module`` sets it, for the tables the ring has checked.
+    ``_trusted`` skips every table check.  Only three constructors pass
+    it: ``regular_module``, for the tables ``FiniteRing`` checked as R
+    acting on itself, and ``quotient_module`` and ``direct_sum``, for
+    tables that ``rings.check_map`` has proved valid through the maps
+    that define them.  The module axioms are identities, so they hold in
+    every homomorphic image of a module and, coordinate by coordinate,
+    in every direct sum.  Tables from input (``file:``) are always
+    checked.
     """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "name", "neg",
@@ -29,12 +37,35 @@ class FiniteModule:
         self.ring = ring
         self.order = order
         self.name = name
-        if len(add) != order or any(len(row) != order for row in add):
-            raise TableError("module-add-shape", (order,), "add table must be m x m")
-        if len(act) != ring.order or any(len(row) != order for row in act):
-            raise TableError("act-shape", (ring.order, order), "act table must be n x m")
-        self.add = tuple(tuple(row) for row in add)
-        self.act = tuple(tuple(row) for row in act)
+        if not _trusted:
+            if len(add) != order or any(len(row) != order for row in add):
+                raise TableError("module-add-shape", (order,), "add table must be m x m")
+            if len(act) != ring.order or any(len(row) != order for row in act):
+                raise TableError("act-shape", (ring.order, order), "act table must be n x m")
+        self.add = tuple(map(tuple, add))
+        self.act = tuple(map(tuple, act))
+        self.add_flat = tuple(chain.from_iterable(self.add))
+        self.act_flat = tuple(chain.from_iterable(self.act))
+        if not _trusted:
+            if not (0 <= min(self.add_flat) and max(self.add_flat) < order
+                    and 0 <= min(self.act_flat) and max(self.act_flat) < order):
+                self._range_witness()
+            if not 0 <= zero < order:
+                raise TableError("module-zero-range", (zero,), "zero index out of range")
+            check_abelian_group(order, self.add, zero, what="module-add")
+            w = kernels.module_axiom_witness(ring.order, order, ring.add_flat,
+                                             ring.mul_flat, self.add_flat,
+                                             self.act_flat, ring.one)
+            if w is not None:
+                raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
+        self.zero = zero
+        self.neg = tuple(self.add[i].index(zero) for i in range(order))
+        self._cache = {}
+
+    def _range_witness(self):
+        """Raise ``TableError`` at the first entry out of range, add
+        before act, in row-major order."""
+        order = self.order
         for i, row in enumerate(self.add):
             for j, v in enumerate(row):
                 if not 0 <= v < order:
@@ -43,20 +74,6 @@ class FiniteModule:
             for x, v in enumerate(row):
                 if not 0 <= v < order:
                     raise TableError("act-range", (r, x), f"act[{r}][{x}] out of range")
-        if not 0 <= zero < order:
-            raise TableError("module-zero-range", (zero,), "zero index out of range")
-        self.zero = zero
-        self.add_flat = tuple(v for row in self.add for v in row)
-        self.act_flat = tuple(v for row in self.act for v in row)
-        if not _trusted:
-            check_abelian_group(order, self.add, zero, what="module-add")
-            w = kernels.module_axiom_witness(ring.order, order, ring.add_flat,
-                                             ring.mul_flat, self.add_flat,
-                                             self.act_flat, ring.one)
-            if w is not None:
-                raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
-        self.neg = tuple(self.add[i].index(zero) for i in range(order))
-        self._cache = {}
 
     def elements(self):
         return range(self.order)
@@ -185,17 +202,28 @@ def regular_module(ring):
 
 
 def direct_sum(m1, m2):
-    """Componentwise direct sum; index = i1 * |M2| + i2."""
+    """Componentwise direct sum; index = i1 * |M2| + i2.
+
+    Both coordinate maps are checked to preserve +, the action and zero,
+    which proves the sum's tables valid (see ``rings.check_map``).
+    """
     if m1.ring is not m2.ring:
         raise ValueError("direct_sum: modules over different rings")
     n2 = m2.order
     order = m1.order * n2
-    add = [[m1.add[i // n2][j // n2] * n2 + m2.add[i % n2][j % n2]
-            for j in range(order)] for i in range(order)]
-    act = [[m1.act[r][i // n2] * n2 + m2.act[r][i % n2]
-            for i in range(order)] for r in range(m1.ring.order)]
-    return FiniteModule(m1.ring, order, add, act, m1.zero * n2 + m2.zero,
-                        name=f"dsum({m1.name},{m2.name})")
+    add = [m1.add[i // n2][j // n2] * n2 + m2.add[i % n2][j % n2]
+           for i in range(order) for j in range(order)]
+    act = [m1.act[r][i // n2] * n2 + m2.act[r][i % n2]
+           for r in range(m1.ring.order) for i in range(order)]
+    zero = m1.zero * n2 + m2.zero
+    name = f"dsum({m1.name},{m2.name})"
+    scalars = range(m1.ring.order)
+    for p, factor in zip(product_maps(m1.order, n2), (m1, m2)):
+        check_map(f"direct sum {name}", p, factor.order,
+                  [("+", p, add, factor.add_flat), ("action", scalars, act, factor.act_flat)],
+                  [("zero", zero, factor.zero)])
+    return FiniteModule(m1.ring, order, rows_of(add, order), rows_of(act, order), zero,
+                        name=name, _trusted=True)
 
 
 def power_module(ring, k):
@@ -215,7 +243,12 @@ def power_module(ring, k):
 
 
 def quotient_module(module, sub, name=None):
-    """Quotient by a submodule; cosets keep their least element index."""
+    """Quotient by a submodule; cosets keep their least element index.
+
+    The projection is checked to be onto, with kernel ``sub``, and to
+    preserve +, the action and zero, which proves the quotient's tables
+    valid (see ``rings.check_map``).
+    """
     if sub.module is not module:
         raise ValueError("quotient_module: submodule of a different module")
     key = ("quot", sub.bits, name)
@@ -223,10 +256,17 @@ def quotient_module(module, sub, name=None):
     if cached is not None:
         return cached
     reps, proj = coset_representatives(module.order, module.add, sub.elements())
-    add = [[proj[module.add[a][b]] for b in reps] for a in reps]
-    act = [[proj[row[a]] for a in reps] for row in module.act]
-    out = FiniteModule(module.ring, len(reps), add, act, proj[module.zero],
-                       name=name or f"{module.name}/sub")
+    m = len(reps)
+    add = [proj[module.add[a][b]] for a in reps for b in reps]
+    act = [proj[row[a]] for row in module.act for a in reps]
+    zero = proj[module.zero]
+    out_name = name or f"{module.name}/sub"
+    check_map(f"quotient module {out_name}", proj, m,
+              [("+", proj, module.add_flat, add),
+               ("action", range(module.ring.order), module.act_flat, act)],
+              [("zero", module.zero, zero)], kernel=(module.zero, sub.bits))
+    out = FiniteModule(module.ring, m, rows_of(add, m), rows_of(act, m), zero,
+                       name=out_name, _trusted=True)
     out._cache["projection"] = proj
     module._cache[key] = out
     return out

@@ -8,7 +8,10 @@ index space, ordered as little-endian integers (bit ``i`` = element
 emits.
 """
 
+from itertools import chain
+
 from . import kernels
+from ._core_py import BYTE_ORDER_LIMIT, _first_diff, _translator
 from .errors import InvariantError, RingSpecError, TableError
 
 
@@ -75,21 +78,33 @@ class FiniteRing:
     (r, s, x), right-distributive (r+s)*x before mul-associative (r*s)*x
     at the same triple; then 1*x = x), and last x*1 = x.  The first
     failure raises ``TableError``.
+
+    ``_trusted`` skips every table check.  Only ``quotient_ring`` and
+    ``product_ring`` pass it, for tables that ``check_map`` has proved
+    valid through the maps that define them: the ring axioms are
+    identities, so they hold in every homomorphic image of a ring and,
+    coordinate by coordinate, in every product of rings.  Tables from
+    input (``table:``) and the builtin formula rings are always checked.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "name", "neg",
                  "add_flat", "mul_flat", "_names", "_resolve", "_cache")
 
-    def __init__(self, order, add, mul, zero, one, name="R", element_names=None):
+    def __init__(self, order, add, mul, zero, one, name="R", element_names=None,
+                 _trusted=False):
         if order < 1:
             raise TableError("order", (order,), "ring order must be positive")
         self.order = order
-        self.add = _as_table(add, order, "add")
-        self.mul = _as_table(mul, order, "mul")
-        if not 0 <= zero < order:
-            raise TableError("zero-range", (zero,), "zero index out of range")
-        if not 0 <= one < order:
-            raise TableError("one-range", (one,), "one index out of range")
+        if _trusted:
+            self.add = tuple(map(tuple, add))
+            self.mul = tuple(map(tuple, mul))
+        else:
+            self.add = _as_table(add, order, "add")
+            self.mul = _as_table(mul, order, "mul")
+            if not 0 <= zero < order:
+                raise TableError("zero-range", (zero,), "zero index out of range")
+            if not 0 <= one < order:
+                raise TableError("one-range", (one,), "one index out of range")
         self.zero = zero
         self.one = one
         self.name = name
@@ -100,9 +115,10 @@ class FiniteRing:
         self._names.setdefault("1", one)
         self._resolve = {v: k for k, v in self._names.items() if not k.isdigit()}
         self._cache = {}
-        self.add_flat = tuple(v for row in self.add for v in row)
-        self.mul_flat = tuple(v for row in self.mul for v in row)
-        self._validate()
+        self.add_flat = tuple(chain.from_iterable(self.add))
+        self.mul_flat = tuple(chain.from_iterable(self.mul))
+        if not _trusted:
+            self._validate()
         self.neg = tuple(self.add[i].index(zero) for i in range(order))
 
     def _validate(self):
@@ -346,13 +362,129 @@ def coset_representatives(order, add, members):
     return reps, tuple(proj)
 
 
+def rows_of(flat, m):
+    """A flat table as a list of its rows of m entries."""
+    return [flat[i:i + m] for i in range(0, len(flat), m)]
+
+
+def check_map(what, f, m, operations, constants=(), kernel=None):
+    """Raise ``InvariantError`` unless ``f`` maps onto 0..m-1 and
+    preserves every operation and constant listed; ``what`` names the
+    construction in the message.
+
+    This proves a structure built from checked ones valid without its
+    axiom validators: the ring and module axioms are identities (an
+    inverse of x is read off as f of an inverse), so they hold in the
+    image of a map that is onto and preserves the operations and
+    constants, and in a product whose coordinate maps do so and pair the
+    elements one to one.
+
+    ``f`` lists the images of the M source elements.  An operation
+    ``(name, g, src, dst)`` has a flat source table ``src`` of
+    ``len(g)`` rows of M entries and a flat target table ``dst`` with
+    rows of m entries; f preserves it when f(src[i][x]) = dst[g[i]][f(x)]
+    for all i and x.  ``g`` is f itself for a binary operation and
+    ``range(n)`` for the action of a ring of order n.  A constant
+    ``(name, a, b)`` asks that f(a) = b.  ``kernel``, a pair ``(a, bits)``,
+    asks that the elements f sends to f(a) be exactly the bitset bits.
+    A table entry that is no element index also fails the check.
+    """
+    if set(f) != set(range(m)):
+        _map_fault(what, "the map is not onto")
+    for name, a, b in constants:
+        if f[a] != b:
+            _map_fault(what, f"{name} is not preserved")
+    if kernel is not None:
+        a, bits = kernel
+        image = f[a]
+        if sum(1 << x for x, v in enumerate(f) if v == image) != bits:
+            _map_fault(what, "the kernel differs from the submodule or ideal")
+    for name, g, src, dst in operations:
+        w = _operation_witness(f, m, g, src, dst)
+        if w == "range":
+            _map_fault(what, f"a {name} table has the wrong size or an entry out of range")
+        if w is not None:
+            _map_fault(what, f"{name} is not preserved at {w}")
+
+
+def _map_fault(what, message):
+    raise InvariantError(f"{what}: {message}")
+
+
+def _operation_witness(f, m, g, src, dst):
+    """First (i, x) in row-major order with f(src[i][x]) != dst[g[i]][f(x)],
+    ``"range"`` when a table has the wrong size or an entry that is no
+    element index, or None; ``f`` must map onto 0..m-1.
+
+    Up to ``BYTE_ORDER_LIMIT`` elements on either side the tables are
+    bytes: ``src`` translated through f gives every left side at once,
+    and the right sides for each i are f translated through row g[i] of
+    ``dst``, made once per row, so the work is O(len(g) + rows of dst)
+    Python steps.
+    """
+    k, n_src = len(g), len(f)
+    if len(src) != k * n_src or len(dst) != (max(g) + 1) * m:
+        return "range"
+    if max(n_src, m) > BYTE_ORDER_LIMIT:
+        if not (_all_indices(src, n_src) and _all_indices(dst, m)):
+            return "range"
+        for i, gi in enumerate(g):
+            row = dst[gi * m:(gi + 1) * m]
+            base = i * n_src
+            for x in range(n_src):
+                if f[src[base + x]] != row[f[x]]:
+                    return (i, x)
+        return None
+    src_b, dst_b = _index_bytes(src, n_src), _index_bytes(dst, m)
+    if src_b is None or dst_b is None:
+        return "range"
+    f_b = bytes(f)
+    # rights[h]: dst[h][f(x)] over all x
+    rights = [f_b.translate(_translator(dst_b[i:i + m])) for i in range(0, len(dst_b), m)]
+    lhs = src_b.translate(_translator(f_b))
+    rhs = b"".join([rights[gi] for gi in g])
+    if lhs == rhs:
+        return None
+    return divmod(_first_diff(lhs, rhs), n_src)
+
+
+_ALL_BYTES = bytes(range(256))
+
+
+def _index_bytes(table, order):
+    """``table`` as bytes when every entry is an index 0..order-1 and
+    order <= 256, else None."""
+    try:
+        flat = bytes(table)
+    except (TypeError, ValueError):
+        return None
+    return None if flat.translate(None, _ALL_BYTES[:order]) else flat
+
+
+def _all_indices(table, order):
+    """Whether every entry of the nonempty ``table`` is an index 0..order-1."""
+    try:
+        return 0 <= min(table) and max(table) < order
+    except TypeError:
+        return False
+
+
+def product_maps(n1, n2):
+    """The coordinate maps i -> i // n2 and i -> i % n2 of a product of
+    structures of orders n1 and n2, indexed i = i1 * n2 + i2; together
+    they pair 0..n1*n2-1 one to one with the pairs (i1, i2)."""
+    n = n1 * n2
+    return [i // n2 for i in range(n)], [i % n2 for i in range(n)]
+
+
 def quotient_ring(ring, ideal):
     """Quotient by a two-sided ideal.
 
     Returns ``(quotient, projection)`` where ``projection[x]`` is the
     index of the coset of ``x``.  Cosets are represented by their least
-    element index.  The projection is re-verified to be a surjective
-    ring homomorphism with the given kernel.
+    element index.  The projection is checked to be a surjective ring
+    homomorphism with the given kernel, which proves the quotient's
+    tables valid (see ``check_map``).
     """
     if not isinstance(ideal, TwoSidedIdeal):
         promoted = as_two_sided(ideal) if isinstance(ideal, LeftIdeal) else None
@@ -365,31 +497,21 @@ def quotient_ring(ring, ideal):
     if cached is not None:
         return cached
 
-    n = ring.order
-    reps, proj = coset_representatives(n, ring.add, ideal.elements())
-    add = [[proj[ring.add[a][b]] for b in reps] for a in reps]
-    mul = [[proj[ring.mul[a][b]] for b in reps] for a in reps]
+    reps, proj = coset_representatives(ring.order, ring.add, ideal.elements())
+    m = len(reps)
+    add = [proj[ring.add[a][b]] for a in reps for b in reps]
+    mul = [proj[ring.mul[a][b]] for a in reps for b in reps]
+    name = f"{ring.name}/{ideal.describe()}"
+    zero, one = proj[ring.zero], proj[ring.one]
+    check_map(f"quotient ring {name}", proj, m,
+              [("+", proj, ring.add_flat, add), ("*", proj, ring.mul_flat, mul)],
+              [("zero", ring.zero, zero), ("one", ring.one, one)],
+              kernel=(ring.zero, ideal.bits))
     names = {}
     for k, r in enumerate(reps):
         names.setdefault(f"[{ring.element_name(r)}]", k)
-    quot = FiniteRing(len(reps), add, mul, proj[ring.zero], proj[ring.one],
-                      name=f"{ring.name}/{ideal.describe()}", element_names=names)
-
-    for x in range(n):
-        for y in range(n):
-            if proj[ring.add[x][y]] != quot.add[proj[x]][proj[y]]:
-                raise InvariantError(f"projection not additive at ({x},{y})")
-            if proj[ring.mul[x][y]] != quot.mul[proj[x]][proj[y]]:
-                raise InvariantError(f"projection not multiplicative at ({x},{y})")
-    if proj[ring.one] != quot.one:
-        raise InvariantError("projection does not send one to one")
-    kernel_bits = 0
-    for x in range(n):
-        if proj[x] == quot.zero:
-            kernel_bits |= 1 << x
-    if kernel_bits != ideal.bits:
-        raise InvariantError("projection kernel differs from the ideal")
-
+    quot = FiniteRing(m, rows_of(add, m), rows_of(mul, m), zero, one, name=name,
+                      element_names=names, _trusted=True)
     ring._cache[("quot", ideal.bits)] = (quot, proj)
     return quot, proj
 
@@ -519,15 +641,25 @@ def _matrix_name(coeffs, units):
 
 
 def product_ring(r1, r2):
-    """Componentwise product; index = i1 * |R2| + i2."""
+    """Componentwise product; index = i1 * |R2| + i2.
+
+    Both coordinate maps are checked to preserve +, *, zero and one,
+    which proves the product's tables valid (see ``check_map``).
+    """
     n1, n2 = r1.order, r2.order
     n = n1 * n2
-    add = [[(r1.add[i // n2][j // n2]) * n2 + r2.add[i % n2][j % n2]
-            for j in range(n)] for i in range(n)]
-    mul = [[(r1.mul[i // n2][j // n2]) * n2 + r2.mul[i % n2][j % n2]
-            for j in range(n)] for i in range(n)]
-    ring = FiniteRing(n, add, mul, r1.zero * n2 + r2.zero, r1.one * n2 + r2.one,
-                      name=f"prod({r1.name},{r2.name})")
+    add = [(r1.add[i // n2][j // n2]) * n2 + r2.add[i % n2][j % n2]
+           for i in range(n) for j in range(n)]
+    mul = [(r1.mul[i // n2][j // n2]) * n2 + r2.mul[i % n2][j % n2]
+           for i in range(n) for j in range(n)]
+    zero, one = r1.zero * n2 + r2.zero, r1.one * n2 + r2.one
+    name = f"prod({r1.name},{r2.name})"
+    for p, factor in zip(product_maps(n1, n2), (r1, r2)):
+        check_map(f"product ring {name}", p, factor.order,
+                  [("+", p, add, factor.add_flat), ("*", p, mul, factor.mul_flat)],
+                  [("zero", zero, factor.zero), ("one", one, factor.one)])
+    ring = FiniteRing(n, rows_of(add, n), rows_of(mul, n), zero, one, name=name,
+                      _trusted=True)
     ring._resolve = {i: f"({r1.element_name(i // n2)},{r2.element_name(i % n2)})"
                      for i in range(n)}
     return ring

@@ -313,6 +313,43 @@ def test_census_delta_sweep_matches_pinned_digest(capsys):
         "16bdf1198b8c77a3bac8bbed7d51acff66ac645ba4a7466c2163311b051fec51"
 
 
+# the three classify-wide commands of perfbench/workloads.json, with the
+# stdout sha256 pinned there
+CLASSIFY_WIDE = [
+    (("classify", "UT2(5)", "--quasi", "e11", "--bound", "1", "--json"),
+     "b5c36c815b3c07e1ff9e6980dfc3ac4bcc9abbc85a5ff09e44fc1106c23c1313"),
+    (("classify", "prod(UT2(2),UT2(2))", "--quasi", "1", "--bound", "1", "--json"),
+     "0f612c66fe43a917794ac70fe8560caaf8c52ee63bbb64b1a2bee483395b41a1"),
+    (("census", "M2(3)", "UT2(3)", "prod(UT2(2),UT2(2))", "--bound", "1", "--json"),
+     "dce398d962ce451b53c0be19bb084bef109fd8a0e7eb7e45db7bfcc1786e80b8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CLASSIFY_WIDE)
+def test_classify_wide_matches_pinned_digest(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_corrupted_quotient_projection_exits_70(capsys, monkeypatch):
+    import torsionlab.modules as modules_mod
+
+    coset_representatives = modules_mod.coset_representatives
+
+    def corrupted(order, add, members):
+        reps, proj = coset_representatives(order, add, members)
+        proj = list(proj)
+        proj[-1] = (proj[-1] + 1) % len(reps)
+        return reps, tuple(proj)
+
+    monkeypatch.setattr(modules_mod, "coset_representatives", corrupted)
+    assert main(["closure", "Z(4)", "--filter", "1", "--module", "quot:2"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal hard fault: quotient module R/(2)")
+
+
 def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "census", "Z(6)", "UT2(2)", "--seed", "3", "--json")
     _, second = run_cli(capsys, "census", "Z(6)", "UT2(2)", "--seed", "3", "--json")

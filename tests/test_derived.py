@@ -1,0 +1,362 @@
+"""Derived structures: quotients, direct sums and product rings are
+proved valid by checking the maps that define them (``rings.check_map``).
+
+The full table validators these constructions ran before are kept here
+verbatim as the reference: every generated derived structure must pass
+them too.  A corrupted derived entry, or a quotient by a subset that is
+no submodule, must be an internal fault (``InvariantError``, exit 70),
+never a table error (exit 2).
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import torsionlab as tl
+from torsionlab import kernels, modules, rings
+from torsionlab._core_py import BYTE_ORDER_LIMIT
+from torsionlab.errors import InvariantError, TableError
+
+from conftest import A_BITS, E12
+
+BUILTIN8 = [spec for spec, _ in tl.builtin_rings(8)]
+
+
+# -- the reference validators ------------------------------------------------
+
+def reference_check_abelian_group(order, add, zero, what="add"):
+    """Bounded-exhaustive abelian-group check; raises TableError on failure."""
+    for i in range(order):
+        if add[zero][i] != i:
+            raise TableError(f"{what}-identity", (i,), f"zero + {i} != {i}")
+    for i in range(order):
+        row = add[i]
+        for j in range(i + 1, order):
+            if row[j] != add[j][i]:
+                raise TableError(f"{what}-commutative", (i, j), f"{i} + {j} != {j} + {i}")
+        if zero not in row:
+            raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
+    flat = [v for row in add for v in row]
+    w = kernels.assoc_witness(order, flat)
+    if w is not None:
+        raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
+
+
+def reference_module_checks(ring, order, add, act, zero):
+    """Every table check ``FiniteModule`` made on all its tables."""
+    if order < 1:
+        raise TableError("order", (order,), "module order must be positive")
+    if len(add) != order or any(len(row) != order for row in add):
+        raise TableError("module-add-shape", (order,), "add table must be m x m")
+    if len(act) != ring.order or any(len(row) != order for row in act):
+        raise TableError("act-shape", (ring.order, order), "act table must be n x m")
+    add = tuple(tuple(row) for row in add)
+    act = tuple(tuple(row) for row in act)
+    for i, row in enumerate(add):
+        for j, v in enumerate(row):
+            if not 0 <= v < order:
+                raise TableError("module-add-range", (i, j), f"add[{i}][{j}] out of range")
+    for r, row in enumerate(act):
+        for x, v in enumerate(row):
+            if not 0 <= v < order:
+                raise TableError("act-range", (r, x), f"act[{r}][{x}] out of range")
+    if not 0 <= zero < order:
+        raise TableError("module-zero-range", (zero,), "zero index out of range")
+    add_flat = tuple(v for row in add for v in row)
+    act_flat = tuple(v for row in act for v in row)
+    reference_check_abelian_group(order, add, zero, what="module-add")
+    w = kernels.module_axiom_witness(ring.order, order, ring.add_flat,
+                                     ring.mul_flat, add_flat,
+                                     act_flat, ring.one)
+    if w is not None:
+        raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
+
+
+def reference_as_table(raw, size, what):
+    """Normalize a square table to a tuple of tuples, checking shape/range."""
+    if len(raw) != size:
+        raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {size} rows")
+    rows = []
+    for i, row in enumerate(raw):
+        if len(row) != size:
+            raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {size} entries")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < size:
+                raise TableError(f"{what}-range", (i, j), f"{what}[{i}][{j}] = {v!r} out of range")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+REFERENCE_REGULAR_ACTION_AXIOMS = {
+    "act_add": ("left-distributive", "{0}*({1}+{2}) != {0}*{1} + {0}*{2}"),
+    "add_act": ("right-distributive", "({0}+{1})*{2} != {0}*{2} + {1}*{2}"),
+    "mul_act": ("mul-associative", "({0}*{1})*{2} != {0}*({1}*{2})"),
+}
+
+
+def reference_ring_checks(order, add, mul, zero, one):
+    """Every table check ``FiniteRing`` made on all its tables."""
+    if order < 1:
+        raise TableError("order", (order,), "ring order must be positive")
+    add = reference_as_table(add, order, "add")
+    mul = reference_as_table(mul, order, "mul")
+    if not 0 <= zero < order:
+        raise TableError("zero-range", (zero,), "zero index out of range")
+    if not 0 <= one < order:
+        raise TableError("one-range", (one,), "one index out of range")
+    add_flat = tuple(v for row in add for v in row)
+    mul_flat = tuple(v for row in mul for v in row)
+    n = order
+    if zero == one and n > 1:
+        raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
+    reference_check_abelian_group(n, add, zero)
+    w = kernels.module_axiom_witness(n, n, add_flat, mul_flat,
+                                     add_flat, mul_flat, one)
+    if w is not None:
+        kind, i, j, k = w
+        if kind == "one_act":
+            raise TableError("one-identity", (i,), f"one is not an identity at {i}")
+        axiom, message = REFERENCE_REGULAR_ACTION_AXIOMS[kind]
+        raise TableError(axiom, (i, j, k), message.format(i, j, k))
+    for i, row in enumerate(mul):
+        if row[one] != i:
+            raise TableError("one-identity", (i,), f"one is not an identity at {i}")
+
+
+def reference_validate_module(module):
+    reference_module_checks(module.ring, module.order, module.add, module.act, module.zero)
+
+
+def reference_validate_ring(ring):
+    reference_ring_checks(ring.order, ring.add, ring.mul, ring.zero, ring.one)
+
+
+# -- generated derived structures ----------------------------------------
+# Each example parses its rings afresh, so no construction is served from
+# a cache and every one runs its map check.
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(BUILTIN8), st.sampled_from([1, 2]), st.data())
+def test_quotient_modules_pass_the_reference_validators(spec, k, data):
+    ring = tl.parse_ring_spec(spec)
+    parent = tl.power_module(ring, k)
+    reference_validate_module(parent)
+    sub = data.draw(st.sampled_from(tl.all_submodules(parent)))
+    quot = tl.quotient_module(parent, sub)
+    reference_validate_module(quot)
+    assert quot.order * len(sub) == parent.order
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(BUILTIN8), st.data())
+def test_direct_sums_pass_the_reference_validators(spec, data):
+    ring = tl.parse_ring_spec(spec)
+    corpus = tl.module_corpus(ring, 2)
+    m1 = data.draw(st.sampled_from(corpus))
+    m2 = data.draw(st.sampled_from([m for m in corpus if m1.order * m.order <= 128]))
+    total = tl.direct_sum(m1, m2)
+    reference_validate_module(total)
+    assert total.order == m1.order * m2.order
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(BUILTIN8), st.sampled_from(BUILTIN8))
+def test_product_rings_pass_the_reference_validators(left, right):
+    ring = tl.product_ring(tl.parse_ring_spec(left), tl.parse_ring_spec(right))
+    reference_validate_ring(ring)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(BUILTIN8 + ["M2(2)", "prod(UT2(2),Z(2))"]), st.data())
+def test_quotient_rings_pass_the_reference_validators(spec, data):
+    ring = tl.parse_ring_spec(spec)
+    ideals = [ideal for ideal in map(tl.as_two_sided, tl.all_left_ideals(ring))
+              if ideal is not None]
+    ideal = data.draw(st.sampled_from(ideals))
+    quot, proj = tl.quotient_ring(ring, ideal)
+    reference_validate_ring(quot)
+    assert {x for x in range(ring.order) if proj[x] == quot.zero} == set(ideal)
+
+
+def test_quotients_of_z17_squared_take_the_loop_route():
+    ring = tl.parse_ring_spec("Z(17)")
+    square = tl.power_module(ring, 2)  # a direct sum of order 289
+    assert square.order > BYTE_ORDER_LIMIT
+    subs = tl.all_submodules(square)
+    assert len(subs) == 20  # zero, the 18 lines, the whole
+    for sub in subs:
+        quot = tl.quotient_module(square, sub)
+        if quot.order == square.order:
+            assert (quot.add, quot.act) == (square.add, square.act)
+        else:
+            reference_validate_module(quot)
+    reference_validate_module(square)
+
+
+# -- faults in derived tables --------------------------------------------
+
+def derived_construction(kind):
+    """``(owner, build)``: the module whose ``check_map`` the construction
+    calls, and a function that runs the construction on fresh inputs."""
+    if kind == "quotient_module":
+        reg = tl.regular_module(tl.parse_ring_spec("UT2(2)"))
+        return modules, lambda: tl.quotient_module(reg, tl.Submodule(reg, A_BITS))
+    if kind == "quotient_module_289":
+        square = tl.power_module(tl.parse_ring_spec("Z(17)"), 2)
+        return modules, lambda: tl.quotient_module(square, tl.all_submodules(square)[0])
+    if kind == "direct_sum":
+        reg = tl.regular_module(tl.parse_ring_spec("Z(4)"))
+        return modules, lambda: tl.direct_sum(reg, reg)
+    if kind == "direct_sum_289":
+        reg = tl.regular_module(tl.parse_ring_spec("Z(17)"))
+        return modules, lambda: tl.direct_sum(reg, reg)
+    if kind == "quotient_ring":
+        ring = tl.parse_ring_spec("UT2(2)")
+        return rings, lambda: tl.quotient_ring(ring, tl.two_sided_closure(ring, [E12]))
+    assert kind == "product_ring"
+    left, right = tl.parse_ring_spec("Z(2)"), tl.parse_ring_spec("Z(3)")
+    return rings, lambda: tl.product_ring(left, right)
+
+
+CORRUPTIONS = {
+    "another index": lambda v, size: (v + 1) % size,
+    "negative": lambda v, size: -1,
+    "too large": lambda v, size: size,
+    "beyond a byte": lambda v, size: 300,
+}
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("op", [0, 1])
+@pytest.mark.parametrize("kind", ["quotient_module", "quotient_module_289", "direct_sum",
+                                  "direct_sum_289", "quotient_ring", "product_ring"])
+def test_corrupted_derived_entry_is_an_internal_fault(monkeypatch, kind, op, how):
+    owner, build = derived_construction(kind)
+    check_map = rings.check_map
+    corrupted = []
+
+    def corrupting(what, f, m, operations, *args, **kwargs):
+        if not corrupted:
+            # the derived table is the one built as a list: the target of
+            # a quotient's projection, the source of a product's maps
+            _, _, src, dst = operations[op]
+            table, size = (dst, m) if isinstance(dst, list) else (src, len(f))
+            pos = len(table) // 2
+            table[pos] = CORRUPTIONS[how](table[pos], size)
+            corrupted.append(pos)
+        return check_map(what, f, m, operations, *args, **kwargs)
+
+    monkeypatch.setattr(owner, "check_map", corrupting)
+    with pytest.raises(InvariantError):
+        build()
+    assert corrupted
+
+
+PRODUCTS = {"direct_sum": 4, "direct_sum_289": 17, "product_ring": 3}  # order of the second factor
+
+
+@pytest.mark.parametrize("coordinate", [0, 1])
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+def test_a_product_entry_wrong_in_one_coordinate_is_an_internal_fault(
+        monkeypatch, kind, coordinate):
+    owner, build = derived_construction(kind)
+    n2 = PRODUCTS[kind]
+    check_map = rings.check_map
+    corrupted = []
+
+    def corrupting(what, f, m, operations, *args, **kwargs):
+        if not corrupted:
+            table = operations[0][2]
+            pos = len(table) // 2
+            i1, i2 = divmod(table[pos], n2)
+            if coordinate == 0:
+                i1 = (i1 + 1) % (len(f) // n2)
+            else:
+                i2 = (i2 + 1) % n2
+            table[pos] = i1 * n2 + i2
+            corrupted.append(pos)
+        return check_map(what, f, m, operations, *args, **kwargs)
+
+    monkeypatch.setattr(owner, "check_map", corrupting)
+    with pytest.raises(InvariantError, match=r"\+ is not preserved"):
+        build()
+
+
+def test_check_map_rejects_each_failed_condition():
+    z4, z2 = tl.parse_ring_spec("Z(4)"), tl.parse_ring_spec("Z(2)")
+    f = [0, 1, 0, 1]
+    ops = [("+", f, z4.add_flat, z2.add_flat), ("*", f, z4.mul_flat, z2.mul_flat)]
+    rings.check_map("Z(4) -> Z(2)", f, 2, ops, [("zero", 0, 0), ("one", 1, 1)],
+                    kernel=(0, 0b0101))
+    failing = [
+        ((f, 2, ops, [("one", 1, 0)]), "one is not preserved"),
+        ((f, 2, ops, (), (0, 0b0001)), "kernel differs"),
+        (([0, 0, 0, 0], 2, ops), "not onto"),
+        (([0, 1, 0, 2], 2, ops), "not onto"),
+        ((f, 2, [("+", f, z4.add_flat, (0, 1, 1, 1))]), r"\+ is not preserved at \(1, 1\)"),
+        ((f, 2, [("+", f, z4.add_flat[:-1], z2.add_flat)]), "wrong size"),
+        ((f, 2, [("+", f, z4.add_flat, z2.add_flat[:-1])]), "wrong size"),
+    ]
+    for args, message in failing:
+        with pytest.raises(InvariantError, match=message):
+            rings.check_map("Z(4) -> Z(2)", *args)
+
+
+@pytest.mark.parametrize("reps, proj, sub_bits, message", [
+    ([0, 1], (0, 1, 0, 1), 0b0001, "kernel differs"),   # the projection of another submodule
+    ([0, 1, 3], (0, 1, 0, 1), 0b0101, "not onto"),       # a representative of no coset
+])
+def test_a_wrong_projection_is_an_internal_fault(monkeypatch, reps, proj, sub_bits, message):
+    reg = tl.regular_module(tl.parse_ring_spec("Z(4)"))
+    monkeypatch.setattr(modules, "coset_representatives", lambda *args: (reps, proj))
+    with pytest.raises(InvariantError, match=message):
+        tl.quotient_module(reg, tl.Submodule(reg, sub_bits))
+
+
+@pytest.mark.parametrize("spec, bits", [
+    ("Z(4)", 0b0011),     # {0, 1}: not closed under +
+    ("Z(4)", 0b0010),     # {1}: no zero
+    ("UT2(2)", 0b0011),   # {0, e22}: a subgroup, not closed under the action
+])
+def test_quotient_by_a_non_submodule_is_an_internal_fault(spec, bits):
+    reg = tl.regular_module(tl.parse_ring_spec(spec))
+    with pytest.raises(InvariantError, match="quotient module"):
+        tl.quotient_module(reg, tl.Submodule(reg, bits, _trusted=True))
+
+
+def test_derived_tables_run_no_axiom_validator(monkeypatch):
+    calls = []
+    check = kernels.module_axiom_witness
+
+    def counted(*args):
+        calls.append(args[:2])
+        return check(*args)
+
+    monkeypatch.setattr(kernels, "module_axiom_witness", counted)
+    ring = tl.parse_ring_spec("prod(UT2(2),Z(2))")  # both factors are checked
+    assert calls == [(8, 8), (2, 2)]
+    tl.module_corpus(ring, 2)
+    tl.quotient_ring(ring, tl.two_sided_closure(ring, [ring.one]))
+    assert calls == [(8, 8), (2, 2)]
+
+
+# -- range checks on whole tables ------------------------------------------
+
+@pytest.mark.parametrize("bad", [
+    {("add", 1, 2): -1},
+    {("add", 3, 0): 4},
+    {("act", 2, 1): -5},
+    {("act", 0, 3): 4},
+    {("add", 3, 3): 9, ("act", 0, 0): -1},   # add is scanned first
+    {("act", 1, 3): 7, ("act", 3, 1): -2},   # then row-major order
+])
+def test_range_check_reports_the_loop_witness(z4, bad):
+    tables = {"add": [list(row) for row in z4.add], "act": [list(row) for row in z4.mul]}
+    for (name, i, j), v in bad.items():
+        tables[name][i][j] = v
+    with pytest.raises(TableError) as got:
+        tl.FiniteModule(z4, 4, tables["add"], tables["act"], 0)
+    with pytest.raises(TableError) as want:
+        reference_module_checks(z4, 4, tables["add"], tables["act"], 0)
+    assert (got.value.axiom, got.value.witness, str(got.value)) == \
+        (want.value.axiom, want.value.witness, str(want.value))

@@ -700,6 +700,48 @@ def test_delta_bases_match_brute_force(args):
                                                     c, d, e, zero)
 
 
+def test_delta_bases_are_built_once_per_instance(monkeypatch):
+    ring, (reg, *_) = delta_case_modules("Z(6)")
+    axiom = tl.DeltaAxiom(ring, [tl.DeltaRow(1, 2, (3,), (4,), (5,)),
+                                 tl.DeltaRow(2, 5, (1,), (5,), (0,))], 1, 1)
+    rows, a, b, c, d, e = _coef_arrays(axiom)
+    args = (reg.order, rows, 1, 1, reg.add_flat, reg.act_flat, a, b, c, d, e, reg.zero)
+    builds = []
+    delta_bases = _core_py._delta_bases
+
+    def spy(*bases_args):
+        before = _core_py._last_bases
+        got = delta_bases(*bases_args)
+        builds.append(_core_py._last_bases is not before)
+        return got
+
+    monkeypatch.setattr(_core_py, "_last_bases", (None, None))
+    monkeypatch.setattr(_core_py, "_delta_bases", spy)
+    w1 = _core_py.delta_cond1_witness(*args)
+    w2 = _core_py.delta_cond2_witness(*args)
+    assert builds == [True, False]
+    assert (w1, w2) == (reference_delta_cond1_witness(*args), reference_delta_cond2_witness(*args))
+
+
+def test_delta_bases_memo_compares_argument_values():
+    ring, (reg, *_) = delta_case_modules("Z(6)")
+    m, madd, act = reg.order, reg.add_flat, reg.act_flat
+    c, d, e = [1, 2], [5, 4], [0, 3]
+
+    def fresh():
+        return brute_delta_bases(m, 2, 1, 1, madd, act, c, d, e, reg.zero)
+
+    first = _core_py._delta_bases(m, 2, 1, 1, madd, act, c, d, e, reg.zero)
+    assert list(first.items()) == fresh()
+    # equal values in new objects: the kept result
+    assert _core_py._delta_bases(m, 2, 1, 1, list(madd), list(act), list(c), list(d),
+                                 list(e), reg.zero) is first
+    # the same list objects, changed in place: a new build
+    e[0] = 1
+    got = _core_py._delta_bases(m, 2, 1, 1, madd, act, c, d, e, reg.zero)
+    assert list(got.items()) == fresh() != list(first.items())
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(delta_cases())
 def test_delta_kernels_match_reference_on_generated_cases(args):
