@@ -6,10 +6,9 @@ n x m scalar-action table, both validated exhaustively at construction.
 Submodules are bitsets over the module's index space.
 """
 
-from itertools import chain
+from itertools import chain, compress
 
 from . import kernels
-from ._core_py import BYTE_ORDER_LIMIT, _translator
 from .errors import InvariantError, RingSpecError, TableError
 from .rings import (TwoSidedIdeal, check_abelian_group, check_map, coset_representatives,
                     greedy_generators, is_json_int, product_maps, rows_of)
@@ -378,12 +377,17 @@ def annihilator(module):
 # -- lattices -------------------------------------------------------------
 
 class FiniteLattice:
-    """A lattice presented as a family of bitsets plus meet/join tables.
+    """A family of bitsets closed under intersection, with a top, and its
+    meet and join tables.
 
-    Meets are intersections and joins are least members above the union;
-    the lattice axioms are validated exhaustively.  The tables come from
-    ``kernels.closure_tables``, never from input, so a failed axiom is an
-    internal fault and raises ``InvariantError``.
+    The tables come from ``kernels.closure_tables``, never from input,
+    and are checked against the family: the members are distinct,
+    ``meet[i][j]`` is the member ``members[i] & members[j]``, and
+    ``up[join[i][j]] == up[i] & up[j]``, with ``up[i]`` the members
+    containing member i.  So each meet is the greatest member below both
+    arguments and each join h the least above both (h is in ``up[h]``),
+    which makes the lattice axioms hold.  A failure is an internal fault
+    and raises ``InvariantError``.
     """
 
     __slots__ = ("members", "size", "meet", "join")
@@ -396,46 +400,37 @@ class FiniteLattice:
         self._validate()
 
     def _validate(self):
-        """Raise ``InvariantError`` at the first failed axiom, in the scan
-        order of ``_validate_loops``.
-
-        Up to ``BYTE_ORDER_LIMIT`` members, idempotence, commutativity
-        and absorption are compared over whole rows as bytes first; the
-        loops run only when one of them fails, to find its witness.
-        """
-        if self.size <= BYTE_ORDER_LIMIT and self._pointwise_axioms_hold():
-            for name, table in (("meet", self.meet), ("join", self.join)):
-                self._check_associative(name, table)
-        else:
-            self._validate_loops()
-
-    def _pointwise_axioms_hold(self):
-        """Whether every entry is an index 0..k-1 and idempotence,
-        commutativity and absorption hold."""
+        """Compare each row of both tables whole with the family's.  On a
+        mismatch ``_validate_loops`` reports the first failed axiom; if
+        none fails, the tables are another lattice's."""
         k = self.size
-        if k == 0:
-            return True
-        identity = bytes(range(k))
-        rows = []
-        for table in (self.meet, self.join):
-            if not 0 <= min(table) <= max(table) < k:
-                return False
-            flat = bytes(table)
-            if flat[::k + 1] != identity or flat != b"".join([flat[j::k] for j in range(k)]):
-                return False
-            rows.append([flat[i * k:(i + 1) * k] for i in range(k)])
-        for i, (mrow, jrow) in enumerate(zip(*rows)):
-            # position j: meet(i, join(i, j)) and join(i, meet(i, j))
-            same = bytes((i,)) * k
-            if (jrow.translate(_translator(mrow)) != same
-                    or mrow.translate(_translator(jrow)) != same):
-                return False
-        return True
+        if len(set(self.members)) < k or len(self.meet) != k * k or len(self.join) != k * k:
+            raise InvariantError(f"lattice members repeat or its tables are not {k} x {k}")
+        for name, i, row, want in self._rows():
+            if row != want:
+                self._validate_loops()
+                j = next(j for j in range(k) if row[j] != want[j])
+                raise InvariantError(f"lattice tables do not fit the family: {name}({i}, {j}) "
+                                     f"is {row[j]}, the family's {want[j]}")
 
-    def _check_associative(self, name, table):
-        w = kernels.assoc_witness(self.size, list(table))
-        if w is not None:
-            _lattice_fault(f"{name}-associative", w, f"{name} not associative")
+    def _rows(self):
+        """(name, i, row i, the family's row i) for each row of the meet
+        table, then of the join table.  Left of the diagonal the family's
+        row is the column, which earlier rows have checked."""
+        members, k = self.members, self.size
+        index = {a: i for i, a in enumerate(members)}
+        ones = [1 << h for h in range(k)]
+        up = []  # up[i]: the members containing member i, as a bitset of indices
+        # lists, not tuples: tuples grown from map() raise peak RSS
+        for i, a in enumerate(members):
+            row = list(self.meet[i * k:(i + 1) * k])
+            yield ("meet", i, row,
+                   [*self.meet[i:i * k:k], *map(index.get, map(a.__and__, members[i:]))])
+            up.append(sum(compress(ones, map(i.__eq__, row))))
+        index_up = {u: h for h, u in enumerate(up)}
+        for i, u in enumerate(up):
+            yield ("join", i, list(self.join[i * k:(i + 1) * k]),
+                   [*self.join[i:i * k:k], *map(index_up.get, map(u.__and__, up[i:]))])
 
     def _validate_loops(self):
         """Every axiom, one entry at a time, in scan order."""
@@ -447,7 +442,9 @@ class FiniteLattice:
                 for j in range(k):
                     if table[i * k + j] != table[j * k + i]:
                         _lattice_fault(f"{name}-commutative", (i, j), f"{name} not commutative")
-            self._check_associative(name, table)
+            w = kernels.assoc_witness(k, list(table))
+            if w is not None:
+                _lattice_fault(f"{name}-associative", w, f"{name} not associative")
         for i in range(k):
             for j in range(k):
                 if self.meet[i * k + self.join[i * k + j]] != i:

@@ -566,8 +566,9 @@ def _require_prime(p, what):
 def prime_field(p):
     """The field with p elements (p prime)."""
     _require_prime(p, "GF(p)")
-    ring = cyclic_ring(p)
-    return FiniteRing(p, ring.add, ring.mul, 0, 1, name=f"GF({p})")
+    ring = cyclic_ring(p)  # its tables, checked once
+    ring.name = f"GF({p})"
+    return ring
 
 
 def upper_triangular_ring(p):

@@ -313,6 +313,16 @@ def test_census_delta_sweep_matches_pinned_digest(capsys):
         "16bdf1198b8c77a3bac8bbed7d51acff66ac645ba4a7466c2163311b051fec51"
 
 
+def test_census_rcm_matches_pinned_digest(capsys):
+    # stdout of the census of the builtin rings of order <= 12 at bound 2,
+    # which builds the most lattices, as pinned for the census-rcm
+    # workload in perfbench/workloads.json
+    code, out = run_cli(capsys, "census", "--max-order", "12", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0324cfec4c79ef252bb4a059834d1911dd9cdf08567c99cfaf16743bb1930bd4"
+
+
 # the three classify-wide commands of perfbench/workloads.json, with the
 # stdout sha256 pinned there
 CLASSIFY_WIDE = [

@@ -249,8 +249,7 @@ def reference_lattice_error(k, meet, join):
 def corrupted_lattices():
     """(members, meet, join) with one entry of one table changed: on the
     diagonal, off it, or at (i, j) and (j, i) alike, so that each axiom
-    is reached; and a 257-member chain, past the byte route, with a
-    broken diagonal."""
+    is reached; and a 257-member chain with a broken diagonal."""
     rng = random.Random(7)
     ut2 = tl.parse_ring_spec("UT2(2)")
     families = [[s.bits for s in tl.all_submodules(tl.power_module(ut2, 2))],
@@ -295,6 +294,48 @@ def test_lattice_validation_reports_the_reference_witness():
                       ("meet-associative", "meet not associative"),
                       ("join-associative", "join not associative"),
                       ("absorption", "x ^ (x v y) != x"), ("absorption", "x v (x ^ y) != x")}
+
+
+def count_assoc_witness_calls(monkeypatch):
+    calls = []
+    check = kernels.assoc_witness
+
+    def counted(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(kernels, "assoc_witness", counted)
+    return calls
+
+
+def test_valid_lattices_run_no_associativity_check(monkeypatch, ut2):
+    square = tl.power_module(ut2, 2)
+    subs = [s.bits for s in tl.all_submodules(square)]
+    chain = [(1 << t) - 1 for t in range(1, 301)]
+    calls = count_assoc_witness_calls(monkeypatch)
+    assert len(tl.lattice_from_family(subs)) == len(subs)
+    assert len(tl.lattice_from_family(chain)) == 300
+    assert calls == []
+
+
+def test_tables_of_another_lattice_are_an_internal_fault(monkeypatch):
+    # the chain 0 < 2 < 1 satisfies every lattice axiom, but the members
+    # 0b1 < 0b11 < 0b111 are ordered 0 < 1 < 2
+    rank = [0, 2, 1]
+    meet = [min(i, j, key=rank.__getitem__) for i in range(3) for j in range(3)]
+    join = [max(i, j, key=rank.__getitem__) for i in range(3) for j in range(3)]
+    assert reference_lattice_error(3, meet, join) is None
+    calls = count_assoc_witness_calls(monkeypatch)
+    with pytest.raises(InvariantError, match=r"meet\(1, 2\) is 2, the family's 1"):
+        tl.FiniteLattice([0b1, 0b11, 0b111], meet, join)
+    assert calls == [3, 3]  # the axioms were checked before the family was blamed
+
+
+def test_repeated_members_are_an_internal_fault():
+    # the rows of the family [0b1, 0b1] if each member were looked up
+    # by its last index: only the check for repeats rejects them
+    with pytest.raises(InvariantError, match="members repeat"):
+        tl.FiniteLattice([0b1, 0b1], [1, 1, 1, 1], [0, 0, 0, 1])
 
 
 def test_submodule_family_closed_under_sum_and_intersection(ut2):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
+from torsionlab import kernels
 from torsionlab.errors import RingSpecError, TableError
 
 from conftest import A_BITS, E11, E12, E22, ONE, RE22_BITS, UT2_IDEAL_BITS
@@ -65,6 +66,22 @@ def test_gf_requires_prime():
         tl.parse_ring_spec("GF(4)")
     with pytest.raises(RingSpecError):
         tl.parse_ring_spec("UT2(6)")
+
+
+def test_prime_field_checks_its_tables_once(monkeypatch):
+    calls = []
+    check = kernels.module_axiom_witness
+
+    def counted(*args):
+        calls.append(args[:2])
+        return check(*args)
+
+    monkeypatch.setattr(kernels, "module_axiom_witness", counted)
+    field = tl.prime_field(7)
+    assert calls == [(7, 7)]
+    assert field.name == "GF(7)"
+    z7 = tl.cyclic_ring(7)
+    assert (field.add, field.mul, field.zero, field.one) == (z7.add, z7.mul, z7.zero, z7.one)
 
 
 def test_one_element_ring():
