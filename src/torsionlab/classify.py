@@ -13,7 +13,7 @@ from .modules import (Submodule, annihilator, module_corpus, quasi_closure,
                       quotient_module, regular_module, satisfies_quasiidentity)
 from .rings import (all_left_ideals, as_two_sided,
                     format_quasiidentity, greedy_generators,
-                    left_ideal_closure, product_ideal, quotient_ring,
+                    left_ideal_closure, preimage, product_ideal, quotient_ring,
                     idempotent_generator, two_sided_closure)
 from .torsion import (TorsionNotion, _require_validated, check_torsion_axioms,
                       principal_generator)
@@ -272,16 +272,12 @@ def classify(ring, quasis, identities=(), bound=2):
 
 
 def _preimage_ideal(ring, projection, quot_ideal):
-    bits = 0
-    for x in range(ring.order):
-        if quot_ideal.bits >> projection[x] & 1:
-            bits |= 1 << x
+    bits = preimage(projection, quot_ideal.bits, quot_ideal.ring.order)
     return left_ideal_closure(ring, greedy_generators(ring, bits))
 
 
 def _annihilates(ideal, module):
-    zero = module.zero
-    return all(v == zero for g in ideal.generators for v in module.act[g])
+    return quasi_closure(module, ideal, 1 << module.zero) == (1 << module.order) - 1
 
 
 def membership(module, verdict):

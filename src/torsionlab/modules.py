@@ -11,7 +11,7 @@ from itertools import chain, compress
 from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
 from .rings import (TwoSidedIdeal, check_abelian_group, check_map, coset_representatives,
-                    greedy_generators, is_json_int, product_maps, rows_of)
+                    greedy_generators, is_json_int, preimage, product_maps, rows_of)
 
 
 class FiniteModule:
@@ -325,38 +325,28 @@ def module_corpus(ring, bound=2):
 def satisfies_quasiidentity(module, ideal):
     """Whether "ideal * x = 0 implies x = 0" holds in the module.
 
-    That is, cl_A(0) = 0 for ``quasi_closure`` with A the ideal, decided
-    here with an early exit.  Testing the generators suffices: the
-    annihilator of any x is closed under addition and left
-    multiplication, so it contains the ideal as soon as it contains the
-    generators.
+    That is, cl_A(0) = 0 for ``quasi_closure`` with A the ideal.
     """
     if ideal.ring is not module.ring:
         raise ValueError("quasiidentity over a different ring")
-    zero = module.zero
-    rows = [module.act[g] for g in ideal.generators]
-    for x in range(module.order):
-        if x == zero:
-            continue
-        if all(row[x] == zero for row in rows):
-            return False
-    return True
+    zero_bit = 1 << module.zero
+    return quasi_closure(module, ideal, zero_bit) == zero_bit
 
 
 def quasi_closure(module, ideal, sub_bits):
     """cl_A(S) = {x : A x inside S} for a left ideal A and a submodule S,
-    both S and the result as bitsets.
+    both S and the result as bitsets: the intersection of the preimages
+    of S under the actions of A's generators.
 
     Testing the generators of A suffices: {r : r x in S} is a left
     ideal, so it contains A as soon as it contains the generators.
     S lies inside cl_A(S), and M/S satisfies "A x = 0 implies x = 0"
     exactly when cl_A(S) = S.
     """
-    rows = [module.act[g] for g in ideal.generators]
-    bits = 0
-    for x in range(module.order):
-        if all(sub_bits >> row[x] & 1 for row in rows):
-            bits |= 1 << x
+    order = module.order
+    bits = (1 << order) - 1  # an ideal may have no generators
+    for g in ideal.generators:
+        bits &= preimage(module.act[g], sub_bits, order)
     return bits
 
 

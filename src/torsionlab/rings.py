@@ -248,13 +248,21 @@ class TwoSidedIdeal(LeftIdeal):
                 f"not right-closed: {ring.element_name(a)} * {ring.element_name(r)} escapes")
 
 
+def preimage(row, bits, order):
+    """The bitset of the positions x with ``row[x]`` in ``bits``, a subset
+    of 0..order-1: membership is read through a "0"/"1" string, at C
+    level and at every order."""
+    member = format(bits, f"0{order}b")[::-1]
+    return int("".join(map(member.__getitem__, row))[::-1], 2)
+
+
 def _right_closure_witness(ideal):
     ring = ideal.ring
+    full = (1 << ring.order) - 1
     for a in ideal:
-        row = ring.mul[a]
-        for r in range(ring.order):
-            if not ideal.bits >> row[r] & 1:
-                return (a, r)
+        missing = full & ~preimage(ring.mul[a], ideal.bits, ring.order)
+        if missing:
+            return (a, next(kernels.bits_of(missing)))
     return None
 
 

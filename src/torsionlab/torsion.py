@@ -26,7 +26,7 @@ from . import kernels
 from .errors import InvariantError
 from .modules import (Submodule, all_submodules, lattice_from_family,
                       module_corpus, modularity_witness, quasi_closure,
-                      satisfies_quasiidentity)
+                      regular_module, satisfies_quasiidentity)
 from .rings import (LeftIdeal, _product_bits, all_left_ideals,
                     format_quasiidentity)
 
@@ -127,14 +127,11 @@ class AxiomViolation:
 
 
 def regularity_witness(ideal):
-    """First nonzero r with ideal * r = 0, or None if the ideal is regular."""
+    """First nonzero r with ideal * r = 0, or None if the ideal is regular:
+    the least nonzero element of cl_A(0) in R acting on itself."""
     ring = ideal.ring
-    for r in range(ring.order):
-        if r == ring.zero:
-            continue
-        if all(ring.mul[g][r] == ring.zero for g in ideal.generators):
-            return r
-    return None
+    bits = quasi_closure(regular_module(ring), ideal, 1 << ring.zero) & ~(1 << ring.zero)
+    return next(kernels.bits_of(bits), None)
 
 
 def check_torsion_axioms(ring, family):
@@ -184,12 +181,18 @@ def check_torsion_axioms(ring, family):
                     f"product of {a.describe()} and {b.describe()} generates an ideal "
                     f"outside the family (reading: {reading})")
 
+    reg = regular_module(ring)
+    full = (1 << ring.order) - 1
     for a in fam:
-        for r in range(ring.order):
-            if not any(all(ring.mul[g][r] in a for g in b.generators) for b in fam):
-                return AxiomViolation(
-                    4, ring, fam, {"member": a, "scalar": r},
-                    f"no member B with B*{ring.element_name(r)} inside {a.describe()}")
+        covered = 0  # the scalars r with B*r inside a for some member B
+        for b in fam:
+            covered |= quasi_closure(reg, b, a.bits)
+        missing = full & ~covered
+        if missing:
+            r = next(kernels.bits_of(missing))
+            return AxiomViolation(
+                4, ring, fam, {"member": a, "scalar": r},
+                f"no member B with B*{ring.element_name(r)} inside {a.describe()}")
 
     for a in fam:
         r = regularity_witness(a)

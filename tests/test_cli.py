@@ -342,6 +342,29 @@ def test_classify_wide_matches_pinned_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# commands whose output the bitset preimages decide directly: the
+# two-sided flags of the ideals, axioms (4) and (5) of every candidate
+# family, and a filter whose ideal has no generators (--filter ","),
+# whose closure must start from the full set
+PREIMAGE_DECIDED = [
+    (("ideals", "UT2(3)", "--json"),
+     "ad82ba287339ff763467e862deb2f619796c9ddade5a946b69177381a7fffa8b"),
+    (("torsion-enum", "M2(2)", "--json"),
+     "e245ccbe8dc1a29e39070fccf337a93fe5c545c58c2e26fa1e8a98ff3b1847a5"),
+    (("torsion-check", "Z(1)", "--filter", ",", "--json"),
+     "5535d136e2d976b834ec53cfc2797d83f3f5792c1a81a611079b10e355fb9363"),
+    (("rcm", "Z(1)", "--filter", ",", "--bound", "2", "--json"),
+     "65f1c71002a158ad05411eb8665f046d1d5af4061fd380a1a4cefca1fe41e7de"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PREIMAGE_DECIDED)
+def test_preimage_decided_output_matches_pinned_digest(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_corrupted_quotient_projection_exits_70(capsys, monkeypatch):
     import torsionlab.modules as modules_mod
 
