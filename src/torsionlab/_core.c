@@ -1,13 +1,13 @@
 /*
- * Compiled twin of ``_core_py``: the same eight kernels with the same
+ * Compiled twin of ``_core_py``: the same seven kernels with the same
  * signatures, results and witnesses, written against the CPython C API.
  * See ``_core_py`` for what each kernel computes.
  *
  * Flat tables arrive as Python sequences and are copied into int arrays;
  * every entry is checked to be an index into the table it points at, so
  * a malformed table raises ValueError instead of reading out of bounds.
- * Bitsets cross the boundary as Python ints, through int.to_bytes and
- * int.from_bytes (little-endian), and are unpacked into uint64 words.
+ * Bitsets are built in uint64 words and returned as Python ints, through
+ * int.from_bytes (little-endian).
  *
  * Build next to the sources with ``python3 setup.py build_ext --inplace``.
  */
@@ -104,42 +104,7 @@ int_tuple(const int *v, int k)
     return out;
 }
 
-/* A list of Python ints from ``v[0..k-1]``. */
-static PyObject *
-int_list(const int *v, Py_ssize_t k)
-{
-    PyObject *out = PyList_New(k);
-    for (Py_ssize_t i = 0; out != NULL && i < k; i++) {
-        PyObject *item = PyLong_FromLong(v[i]);
-        if (item == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, item);
-    }
-    return out;
-}
-
 /* -- bitsets ------------------------------------------------------------- */
-
-/* Unpack the nonnegative int ``bits`` into ``nwords`` words, least
- * significant first. */
-static int
-int_to_words(PyObject *bits, word *words, Py_ssize_t nwords)
-{
-    if (!PyLong_Check(bits)) {
-        PyErr_SetString(PyExc_TypeError, "a bitset must be an int");
-        return -1;
-    }
-    PyObject *raw = PyObject_CallMethod(bits, "to_bytes", "ns", nwords * 8, "little");
-    if (raw == NULL)
-        return -1;
-    const unsigned char *p = (const unsigned char *)PyBytes_AS_STRING(raw);
-    memset(words, 0, nwords * sizeof(word));
-    for (Py_ssize_t i = 0; i < nwords * 8; i++)
-        words[i >> 3] |= (word)p[i] << (8 * (i & 7));
-    Py_DECREF(raw);
-    return 0;
-}
 
 /* The words as little-endian bytes: the bitset's set and dict key. */
 static PyObject *
@@ -406,141 +371,6 @@ done:
 }
 
 /* -- lattices ------------------------------------------------------------ */
-
-/* Index of the member of ``index`` (bytes key -> int) equal to ``words``;
- * -1 if there is none, -2 on error. */
-static Py_ssize_t
-member_index(PyObject *index, const word *words, Py_ssize_t nwords)
-{
-    PyObject *key = words_key(words, nwords);
-    if (key == NULL)
-        return -2;
-    PyObject *hit = PyDict_GetItemWithError(index, key);
-    Py_DECREF(key);
-    if (hit == NULL)
-        return PyErr_Occurred() ? -2 : -1;
-    return PyLong_AsSsize_t(hit);
-}
-
-PyDoc_STRVAR(closure_tables_doc,
-"closure_tables(members)\n"
-"Meet/join index tables for a family of bitsets ordered by inclusion.");
-
-/* Joins by up-sets: up[i] is the set of indices of the members containing
- * member i.  For U = up[i] & up[j], every h in U has up[h] inside U, and
- * the join is the h with up[h] = U, that is with as many bits as U; the
- * last such h, as the index dict keeps the last of equal members. */
-static PyObject *
-closure_tables(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *kwlist[] = {"members", NULL};
-    PyObject *members, *fast, *index = NULL, *meet_list = NULL, *join_list = NULL;
-    PyObject *result = NULL;
-    word *mats = NULL, *acc = NULL, *ups = NULL, *both = NULL;
-    int *meet = NULL, *join = NULL, *upcount = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "O:closure_tables", kwlist, &members))
-        return NULL;
-    if ((fast = PySequence_Fast(members, "members must be a sequence")) == NULL)
-        return NULL;
-    Py_ssize_t k = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    Py_ssize_t nbits = 1;
-    for (Py_ssize_t i = 0; i < k; i++) {
-        PyObject *len = PyObject_CallMethod(items[i], "bit_length", NULL);
-        Py_ssize_t bl = len == NULL ? -1 : PyLong_AsSsize_t(len);
-        Py_XDECREF(len);
-        if (bl == -1 && PyErr_Occurred())
-            goto done;
-        nbits = bl > nbits ? bl : nbits;
-    }
-    Py_ssize_t nwords = NWORDS(nbits), kwords = NWORDS(k);
-    if ((mats = alloc(k * nwords, sizeof(word))) == NULL
-        || (acc = alloc(nwords, sizeof(word))) == NULL
-        || (ups = alloc(k * kwords, sizeof(word))) == NULL
-        || (both = alloc(kwords, sizeof(word))) == NULL
-        || (upcount = alloc(k, sizeof(int))) == NULL
-        || (meet = alloc(k * k, sizeof(int))) == NULL
-        || (join = alloc(k * k, sizeof(int))) == NULL
-        || (index = PyDict_New()) == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < k; i++) {
-        if (int_to_words(items[i], mats + i * nwords, nwords) < 0)
-            goto done;
-        PyObject *key = words_key(mats + i * nwords, nwords);
-        PyObject *pos = PyLong_FromSsize_t(i);
-        int err = key == NULL || pos == NULL || PyDict_SetItem(index, key, pos) < 0;
-        Py_XDECREF(key);
-        Py_XDECREF(pos);
-        if (err)
-            goto done;
-    }
-    for (Py_ssize_t i = 0; i < k; i++) {
-        const word *a = mats + i * nwords;
-        word *up = ups + i * kwords;
-        for (Py_ssize_t t = 0; t < k; t++) {
-            const word *c = mats + t * nwords;
-            Py_ssize_t w = 0;
-            while (w < nwords && (c[w] & a[w]) == a[w])
-                w++;
-            if (w == nwords) {
-                setbit(up, (int)t);
-                upcount[i]++;
-            }
-        }
-    }
-    for (Py_ssize_t i = 0; i < k; i++) {
-        const word *a = mats + i * nwords;
-        for (Py_ssize_t j = i; j < k; j++) {
-            const word *b = mats + j * nwords;
-            for (Py_ssize_t w = 0; w < nwords; w++)
-                acc[w] = a[w] & b[w];
-            Py_ssize_t lo = member_index(index, acc, nwords);
-            if (lo == -2)
-                goto done;
-            if (lo == -1) {
-                PyErr_Format(PyExc_ValueError,
-                             "family not closed under intersection: members %zd and %zd", i, j);
-                goto done;
-            }
-            meet[i * k + j] = meet[j * k + i] = (int)lo;
-            int count = 0;
-            for (Py_ssize_t w = 0; w < kwords; w++) {
-                both[w] = ups[i * kwords + w] & ups[j * kwords + w];
-                count += __builtin_popcountll(both[w]);
-            }
-            Py_ssize_t hi = -1;
-            for (Py_ssize_t w = kwords - 1; hi < 0 && w >= 0; w--)
-                for (word bits = both[w]; hi < 0 && bits; ) {
-                    int top = 63 - __builtin_clzll(bits);
-                    bits &= ~((word)1 << top);
-                    if (upcount[w * 64 + top] == count)
-                        hi = w * 64 + top;
-                }
-            if (hi < 0) {
-                PyErr_Format(PyExc_ValueError,
-                             "family has no least upper bound for members %zd and %zd", i, j);
-                goto done;
-            }
-            join[i * k + j] = join[j * k + i] = (int)hi;
-        }
-    }
-    if ((meet_list = int_list(meet, k * k)) != NULL
-        && (join_list = int_list(join, k * k)) != NULL)
-        result = PyTuple_Pack(2, meet_list, join_list);
-done:
-    Py_XDECREF(meet_list);
-    Py_XDECREF(join_list);
-    Py_XDECREF(index);
-    Py_DECREF(fast);
-    PyMem_Free(mats);
-    PyMem_Free(acc);
-    PyMem_Free(ups);
-    PyMem_Free(both);
-    PyMem_Free(upcount);
-    PyMem_Free(meet);
-    PyMem_Free(join);
-    return result;
-}
 
 PyDoc_STRVAR(modularity_witness_doc,
 "modularity_witness(k, meet, join)\n"
@@ -831,7 +661,6 @@ done:
 static PyMethodDef core_methods[] = {
     KERNEL(span_closure),
     KERNEL(enumerate_submodules),
-    KERNEL(closure_tables),
     KERNEL(modularity_witness),
     KERNEL(assoc_witness),
     KERNEL(module_axiom_witness),

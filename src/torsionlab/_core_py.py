@@ -18,9 +18,6 @@ compiled modularity search keeps its plain loops):
   Rx depends only on x + S, so only the least x of each coset is tried.
   ``sum_with_orbit`` adds S + t only for orbit elements t not yet in the
   sum, so S + Rx costs |S + Rx| lookups, not |S| * |Rx|.
-* ``closure_tables`` reads joins off up-sets: with ``up[i]`` the indices
-  of the members containing member i, the join of i and j is the member
-  h with ``up[h] == up[i] & up[j]``, one lookup per pair.
 * ``modularity_witness`` compares, for each x <= z, every y at once with
   two ``bytes.translate`` calls, up to 256 members; above that it scans
   the triples one at a time.
@@ -147,49 +144,6 @@ def enumerate_submodules(m, n, add, act, zero):
                 found.add(bigger)
                 queue.append(bigger)
     return sorted(found)
-
-
-def closure_tables(members):
-    """Meet/join index tables for a family of bitsets ordered by inclusion.
-
-    Meet is set intersection (the family must be closed under it) and the
-    join of two members is the intersection of all members containing
-    their union.  Raises ``ValueError`` if either operation leaves the
-    family, checking meet before join at each pair (i, j), i <= j.
-
-    ``up[i]`` is the bitset of the indices of the members containing
-    member i.  The members containing both a and b are ``up[i] & up[j]``,
-    and their intersection is a member h exactly when ``up[h]`` equals
-    that set (equal up-sets mean equal members), so each join is one
-    dict lookup.  No h has an empty up-set, so a pair that no member
-    contains has no join either.
-    """
-    k = len(members)
-    index = {bits: i for i, bits in enumerate(members)}
-    up = []
-    for a in members:
-        u = 0
-        for h, w in enumerate(members):
-            if w & a == a:
-                u |= 1 << h
-        up.append(u)
-    # duplicates share their up-set; the last one wins, as in ``index``
-    index_up = {u: h for h, u in enumerate(up)}
-    meet = [0] * (k * k)
-    join = [0] * (k * k)
-    for i in range(k):
-        a = members[i]
-        up_a = up[i]
-        for j in range(i, k):
-            lo = index.get(a & members[j])
-            if lo is None:
-                raise ValueError(f"family not closed under intersection: members {i} and {j}")
-            meet[i * k + j] = meet[j * k + i] = lo
-            hi = index_up.get(up_a & up[j])
-            if hi is None:
-                raise ValueError(f"family has no least upper bound for members {i} and {j}")
-            join[i * k + j] = join[j * k + i] = hi
-    return meet, join
 
 
 # the byte routes need every element index in a byte

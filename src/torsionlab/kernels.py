@@ -18,7 +18,6 @@ bits_of = _core_py.bits_of
 greedy_generators = _core_py.greedy_generators  # no compiled twin
 span_closure = _impl.span_closure
 enumerate_submodules = _impl.enumerate_submodules
-closure_tables = _impl.closure_tables
 modularity_witness = _impl.modularity_witness
 assoc_witness = _impl.assoc_witness
 module_axiom_witness = _impl.module_axiom_witness

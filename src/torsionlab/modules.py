@@ -368,85 +368,37 @@ def annihilator(module):
 
 class FiniteLattice:
     """A family of bitsets closed under intersection, with a top, and its
-    meet and join tables.
+    meet and join tables, built from the family row by row.
 
-    The tables come from ``kernels.closure_tables``, never from input,
-    and are checked against the family: the members are distinct,
-    ``meet[i][j]`` is the member ``members[i] & members[j]``, and
-    ``up[join[i][j]] == up[i] & up[j]``, with ``up[i]`` the members
-    containing member i.  So each meet is the greatest member below both
-    arguments and each join h the least above both (h is in ``up[h]``),
-    which makes the lattice axioms hold.  A failure is an internal fault
-    and raises ``InvariantError``.
+    The members are distinct, ``meet[i][j]`` is the member ``members[i]
+    & members[j]``, and ``up[join[i][j]] == up[i] & up[j]``, with
+    ``up[i]`` the members containing member i.  So each meet is the
+    greatest member below both arguments and each join h the least above
+    both (h is in ``up[h]``), which makes the lattice axioms hold.  A
+    family that repeats a member, misses an intersection or lacks a join
+    is an internal fault and raises ``InvariantError``.
     """
 
     __slots__ = ("members", "size", "meet", "join")
 
-    def __init__(self, members, meet, join):
-        self.members = tuple(members)
-        self.size = len(self.members)
+    def __init__(self, members):
+        members = self.members = tuple(members)
+        k = self.size = len(members)
+        index = {a: i for i, a in enumerate(members)}
+        if len(index) < k:
+            raise InvariantError("lattice members repeat")
+        meet = _pairwise_table(members, index, "family not closed under intersection:")
+        ones = [1 << h for h in range(k)]
+        # up[i]: the members containing member i, as a bitset of indices;
+        # none is empty, so a pair that no member contains has no join
+        up = [sum(compress(ones, map(i.__eq__, meet[i * k:(i + 1) * k]))) for i in range(k)]
+        join = _pairwise_table(up, {u: h for h, u in enumerate(up)},
+                               "family has no least upper bound for")
         self.meet = tuple(meet)
         self.join = tuple(join)
-        self._validate()
-
-    def _validate(self):
-        """Compare each row of both tables whole with the family's.  On a
-        mismatch ``_validate_loops`` reports the first failed axiom; if
-        none fails, the tables are another lattice's."""
-        k = self.size
-        if len(set(self.members)) < k or len(self.meet) != k * k or len(self.join) != k * k:
-            raise InvariantError(f"lattice members repeat or its tables are not {k} x {k}")
-        for name, i, row, want in self._rows():
-            if row != want:
-                self._validate_loops()
-                j = next(j for j in range(k) if row[j] != want[j])
-                raise InvariantError(f"lattice tables do not fit the family: {name}({i}, {j}) "
-                                     f"is {row[j]}, the family's {want[j]}")
-
-    def _rows(self):
-        """(name, i, row i, the family's row i) for each row of the meet
-        table, then of the join table.  Left of the diagonal the family's
-        row is the column, which earlier rows have checked."""
-        members, k = self.members, self.size
-        index = {a: i for i, a in enumerate(members)}
-        ones = [1 << h for h in range(k)]
-        up = []  # up[i]: the members containing member i, as a bitset of indices
-        # lists, not tuples: tuples grown from map() raise peak RSS
-        for i, a in enumerate(members):
-            row = list(self.meet[i * k:(i + 1) * k])
-            yield ("meet", i, row,
-                   [*self.meet[i:i * k:k], *map(index.get, map(a.__and__, members[i:]))])
-            up.append(sum(compress(ones, map(i.__eq__, row))))
-        index_up = {u: h for h, u in enumerate(up)}
-        for i, u in enumerate(up):
-            yield ("join", i, list(self.join[i * k:(i + 1) * k]),
-                   [*self.join[i:i * k:k], *map(index_up.get, map(u.__and__, up[i:]))])
-
-    def _validate_loops(self):
-        """Every axiom, one entry at a time, in scan order."""
-        k = self.size
-        for name, table in (("meet", self.meet), ("join", self.join)):
-            for i in range(k):
-                if table[i * k + i] != i:
-                    _lattice_fault(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
-                for j in range(k):
-                    if table[i * k + j] != table[j * k + i]:
-                        _lattice_fault(f"{name}-commutative", (i, j), f"{name} not commutative")
-            w = kernels.assoc_witness(k, list(table))
-            if w is not None:
-                _lattice_fault(f"{name}-associative", w, f"{name} not associative")
-        for i in range(k):
-            for j in range(k):
-                if self.meet[i * k + self.join[i * k + j]] != i:
-                    _lattice_fault("absorption", (i, j), "x ^ (x v y) != x")
-                if self.join[i * k + self.meet[i * k + j]] != i:
-                    _lattice_fault("absorption", (i, j), "x v (x ^ y) != x")
 
     def leq(self, i, j):
         return self.meet[i * self.size + j] == i
-
-    def index_of(self, bits):
-        return self.members.index(bits)
 
     def __len__(self):
         return self.size
@@ -455,24 +407,31 @@ class FiniteLattice:
         return f"FiniteLattice({self.size} members)"
 
 
-def _lattice_fault(axiom, witness, message):
-    raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
+def _pairwise_table(keys, index, fault):
+    """The flat table of ``index[keys[i] & keys[j]]``, built row by row
+    from a symmetric operation: left of the diagonal each row is the
+    column of the rows above.  A pair with no entry raises
+    ``InvariantError`` naming ``fault`` and the first such pair."""
+    k = len(keys)
+    table = []  # a list: tuples grown from map() raise peak RSS
+    for i, a in enumerate(keys):
+        try:
+            table += [*table[i::k], *map(index.__getitem__, map(a.__and__, keys[i:]))]
+        except KeyError:
+            j = next(j for j in range(i, k) if a & keys[j] not in index)
+            raise InvariantError(f"family is not a closure system: {fault} members {i} "
+                                 f"and {j}") from None
+    return table
 
 
 def lattice_from_family(members):
     """Build the lattice of an intersection-closed family of bitsets."""
-    members = sorted(members)
-    try:
-        meet, join = kernels.closure_tables(members)
-    except ValueError as exc:
-        raise InvariantError(f"family is not a closure system: {exc}") from exc
-    return FiniteLattice(members, meet, join)
+    return FiniteLattice(sorted(members))
 
 
 def modularity_witness(lattice):
     """First (x, y, z) with x <= z and x v (y ^ z) != (x v y) ^ z, or None."""
-    return kernels.modularity_witness(lattice.size, list(lattice.meet),
-                                      list(lattice.join))
+    return kernels.modularity_witness(lattice.size, lattice.meet, lattice.join)
 
 
 def is_modular(lattice):

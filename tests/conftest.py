@@ -1,6 +1,8 @@
 import pytest
 
 import torsionlab as tl
+from torsionlab import kernels
+from torsionlab.errors import InvariantError
 
 # UT2(2) element indices under the canonical encoding 4a + 2b + c.
 E11, E12, E22 = 4, 2, 1
@@ -61,3 +63,30 @@ def trivial_notion(ring):
     notion = tl.check_torsion_axioms(ring, [tl.left_ideal_closure(ring, [ring.one])])
     assert isinstance(notion, tl.TorsionNotion)
     return notion
+
+
+def reference_lattice_axioms(lattice):
+    """Every lattice axiom, one entry at a time, in scan order: the loops
+    that once reported the witness of a faulty table, kept as the
+    reference for the tables ``FiniteLattice`` builds."""
+    k = lattice.size
+    for name, table in (("meet", lattice.meet), ("join", lattice.join)):
+        for i in range(k):
+            if table[i * k + i] != i:
+                _lattice_fault(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
+            for j in range(k):
+                if table[i * k + j] != table[j * k + i]:
+                    _lattice_fault(f"{name}-commutative", (i, j), f"{name} not commutative")
+        w = kernels.assoc_witness(k, list(table))
+        if w is not None:
+            _lattice_fault(f"{name}-associative", w, f"{name} not associative")
+    for i in range(k):
+        for j in range(k):
+            if lattice.meet[i * k + lattice.join[i * k + j]] != i:
+                _lattice_fault("absorption", (i, j), "x ^ (x v y) != x")
+            if lattice.join[i * k + lattice.meet[i * k + j]] != i:
+                _lattice_fault("absorption", (i, j), "x v (x ^ y) != x")
+
+
+def _lattice_fault(axiom, witness, message):
+    raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")

@@ -171,26 +171,6 @@ def test_uncaught_exception_exits_70(capsys, monkeypatch):
     assert captured.err == "internal error: TypeError: synthetic bug\n"
 
 
-def test_corrupted_lattice_is_an_internal_fault(capsys, monkeypatch):
-    from torsionlab import kernels
-    from torsionlab.errors import InvariantError
-
-    closure_tables = kernels.closure_tables
-
-    def corrupted(members):
-        meet, join = closure_tables(members)
-        join = list(join)
-        if len(members) > 1:
-            join[1] = (join[1] + 1) % len(members)  # join(0, 1) moves
-        return meet, join
-
-    monkeypatch.setattr(kernels, "closure_tables", corrupted)
-    with pytest.raises(InvariantError, match="lattice axiom"):
-        tl.lattice_from_family([0b1, 0b11, 0b111])
-    assert main(["rcm", "Z(4)", "--filter", "1"]) == 70
-    assert capsys.readouterr().err.startswith("internal hard fault: lattice axiom")
-
-
 DELTA = {"ring": "Z(4)", "u_arity": 0, "z_arity": 0, "rows": [{"a": 0, "b": 0}]}
 RING = {"order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
 MODULE = {"order": 2, "add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 1], [0, 0], [0, 1]],
@@ -321,6 +301,19 @@ def test_census_rcm_matches_pinned_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "0324cfec4c79ef252bb4a059834d1911dd9cdf08567c99cfaf16743bb1930bd4"
+
+
+def test_rcm_lattice_sizes_match_pinned_digest(capsys):
+    # stdout prints the relative lattice of each of 18 corpus modules,
+    # with sizes 1, 2, 5, 16 and 67
+    code, out = run_cli(capsys, "rcm", "UT2(2)", "--filter", "e11,e12;1", "--bound", "2",
+                        "--json")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 18
+    assert {e["lattice_size"] for e in entries} == {1, 2, 5, 16, 67}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1e981e7ecd49d33f45330ff98aed966aff145672b344f7058cfb84afc16df333"
 
 
 # the three classify-wide commands of perfbench/workloads.json, with the

@@ -28,6 +28,8 @@ from torsionlab import kernels
 from torsionlab.delta import _coef_arrays
 from torsionlab.errors import InvariantError, TableError
 
+from conftest import reference_lattice_axioms
+
 C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
 
@@ -162,35 +164,14 @@ def test_enumerate_submodules_matches_subset_scan(impl, spec):
     assert got == sorted(expected)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
-def test_closure_tables_match_naive_meet_join(impl, ut2):
-    members = [a.bits for a in tl.all_left_ideals(ut2)]
-    meet, join = impl.closure_tables(members)
-    k = len(members)
-    for i, j in itertools.product(range(k), repeat=2):
-        assert members[meet[i * k + j]] == members[i] & members[j]
-        union = members[i] | members[j]
-        sups = [w for w in members if w & union == union]
-        acc = sups[0]
-        for w in sups[1:]:
-            acc &= w
-        assert members[join[i * k + j]] == acc
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
-def test_closure_tables_reject_non_closed_family(impl):
-    # {1}, {2} as one-element sets: intersection is empty, not a member
-    with pytest.raises(ValueError):
-        impl.closure_tables([0b0010, 0b0100, 0b0110])
-
-
 # N5: the five-set family 0 < {1} < {1,2} and {3,4}, realized as bitsets.
 N5_FAMILY = [0b00000, 0b00010, 0b00110, 0b11000, 0b11110]
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
 def test_modularity_pentagon_has_witness(impl):
-    meet, join = impl.closure_tables(N5_FAMILY)
+    lat = tl.lattice_from_family(N5_FAMILY)
+    meet, join = lat.meet, lat.join
     w = impl.modularity_witness(5, meet, join)
     assert w is not None
     x, y, z = w
@@ -201,13 +182,11 @@ def test_modularity_pentagon_has_witness(impl):
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
 def test_modularity_chain_and_diamond_pass(impl):
-    chain = [0b0001, 0b0011, 0b0111, 0b1111]
-    meet, join = impl.closure_tables(chain)
-    assert impl.modularity_witness(4, meet, join) is None
+    chain = tl.lattice_from_family([0b0001, 0b0011, 0b0111, 0b1111])
+    assert impl.modularity_witness(4, chain.meet, chain.join) is None
     # M3: three atoms meeting pairwise in the bottom, joining to the top
-    diamond = [0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111]
-    meet, join = impl.closure_tables(diamond)
-    assert impl.modularity_witness(5, meet, join) is None
+    diamond = tl.lattice_from_family([0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111])
+    assert impl.modularity_witness(5, diamond.meet, diamond.join) is None
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
@@ -777,6 +756,8 @@ def test_delta_kernels_without_rows(impl, u_arity, z_arity):
 # per coset, joins were read off up-sets and modularity compared whole
 # rows; kept verbatim as the reference (the modularity loops stay in
 # ``_core_py`` as ``_modularity_witness_loops``, the route above 256).
+# ``reference_closure_tables`` is now the reference for the tables
+# ``FiniteLattice`` builds.
 def reference_sum_with_orbit(sub, elems, orb, m, add):
     """Closure of ``sub + Rx`` for a closed ``sub``, given its members
     ``elems`` and the orbit ``orb`` of the new generator x.
@@ -844,14 +825,6 @@ def reference_closure_tables(members):
     return meet, join
 
 
-def outcome(closure_tables, members):
-    """The tables, or the message of the ``ValueError`` raised."""
-    try:
-        return closure_tables(members)
-    except ValueError as exc:
-        return str(exc)
-
-
 @st.composite
 def bitset_families(draw):
     """Families of subsets of at most 8 points, in any order: raw lists
@@ -875,24 +848,21 @@ def bitset_families(draw):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(bitset_families())
 def test_lattice_kernels_match_reference_on_generated_families(family):
-    expected = outcome(reference_closure_tables, family)
-    for impl in BACKENDS:
-        got = outcome(impl.closure_tables, family)
-        assert got == expected
-        if isinstance(got, str):
-            continue
-        # tables a kernel returns pass lattice validation, unless members repeat
-        if len(set(family)) == len(family):
-            tl.FiniteLattice(family, *got)
-        else:
-            with pytest.raises(InvariantError):
-                tl.FiniteLattice(family, *got)
-    if isinstance(expected, str):
+    try:
+        expected = reference_closure_tables(sorted(family))
+    except ValueError:
+        expected = None
+    if expected is None or len(set(family)) < len(family):
+        with pytest.raises(InvariantError):
+            tl.lattice_from_family(family)
         return
-    k = len(family)
+    lat = tl.lattice_from_family(family)
+    assert (list(lat.meet), list(lat.join)) == expected
+    reference_lattice_axioms(lat)
+    k = lat.size
     witness = _core_py._modularity_witness_loops(k, *expected)
     for impl in BACKENDS:
-        assert impl.modularity_witness(k, *expected) == witness
+        assert impl.modularity_witness(k, lat.meet, lat.join) == witness
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -916,14 +886,13 @@ def pentagon_under_chain(k):
 
 @pytest.mark.parametrize("k", [256, 257, 300])
 def test_modularity_witness_on_each_side_of_the_byte_limit(k):
-    members = pentagon_under_chain(k)
-    meet, join = _core_py.closure_tables(members)
-    assert len(members) == k
+    lat = tl.lattice_from_family(pentagon_under_chain(k))
+    meet, join = lat.meet, lat.join
+    assert lat.size == k
     assert _core_py.modularity_witness(k, meet, join) == (1, 3, 2)
     if k == 256:
         assert _core_py._modularity_witness_loops(k, meet, join) == (1, 3, 2)
     if _core is not None:
-        assert _core.closure_tables(members) == (meet, join)
         assert _core.modularity_witness(k, meet, join) == (1, 3, 2)
 
 
@@ -948,8 +917,9 @@ def test_submodule_lattices_match_reference(impl):
         members = reference_enumerate_submodules(*args)
         assert impl.enumerate_submodules(*args) == members, args
         meet, join = reference_closure_tables(members)
-        assert impl.closure_tables(members) == (meet, join)
-        assert impl.modularity_witness(len(members), meet, join) == \
+        lat = tl.lattice_from_family(members)
+        assert (list(lat.meet), list(lat.join)) == (meet, join)
+        assert impl.modularity_witness(len(members), lat.meet, lat.join) == \
             _core_py._modularity_witness_loops(len(members), meet, join)
         m, n, add, act, zero = args
         for g in range(m):
@@ -966,8 +936,13 @@ def test_backends_agree_on_submodule_enumeration():
                 list(square.act_flat), square.zero)
         members = _core.enumerate_submodules(*args)
         assert members == _core_py.enumerate_submodules(*args)
-        assert _core.closure_tables(members) == _core_py.closure_tables(members)
-    assert _core.closure_tables([]) == _core_py.closure_tables([]) == ([], [])
+        lat = tl.lattice_from_family(members)
+        assert _core.modularity_witness(lat.size, lat.meet, lat.join) == \
+            _core_py.modularity_witness(lat.size, lat.meet, lat.join)
+    empty = tl.lattice_from_family([])
+    assert (empty.meet, empty.join) == ((), ())
+    assert _core.modularity_witness(0, empty.meet, empty.join) is \
+        _core_py.modularity_witness(0, empty.meet, empty.join) is None
 
 
 @needs_core

@@ -1,8 +1,6 @@
 """Modules, submodule lattices, quasiidentity semantics, modularity."""
 
 import itertools
-import random
-import re
 
 import pytest
 
@@ -11,7 +9,7 @@ from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 from torsionlab.rings import coset_representatives
 
-from conftest import A_BITS, E11, E12, UT2_IDEAL_BITS
+from conftest import A_BITS, E11, E12, UT2_IDEAL_BITS, reference_lattice_axioms
 
 
 def test_regular_module_action_is_multiplication(z4):
@@ -218,82 +216,59 @@ def test_submodule_lattices_are_modular(builtin8):
             assert tl.is_modular(lat)
 
 
-def reference_lattice_error(k, meet, join):
-    """The message of the ``InvariantError`` that lattice validation
-    raised when it ran one entry at a time (its loops, verbatim), or None."""
-    def fail(axiom, witness, message):
-        raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
-
-    try:
-        for name, table in (("meet", meet), ("join", join)):
-            for i in range(k):
-                if table[i * k + i] != i:
-                    fail(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
-                for j in range(k):
-                    if table[i * k + j] != table[j * k + i]:
-                        fail(f"{name}-commutative", (i, j), f"{name} not commutative")
-            w = kernels.assoc_witness(k, list(table))
-            if w is not None:
-                fail(f"{name}-associative", w, f"{name} not associative")
-        for i in range(k):
-            for j in range(k):
-                if meet[i * k + join[i * k + j]] != i:
-                    fail("absorption", (i, j), "x ^ (x v y) != x")
-                if join[i * k + meet[i * k + j]] != i:
-                    fail("absorption", (i, j), "x v (x ^ y) != x")
-    except InvariantError as exc:
-        return str(exc)
-    return None
+def test_lattice_tables_match_naive_meet_join(ut2):
+    members = [a.bits for a in tl.all_left_ideals(ut2)]
+    lat = tl.lattice_from_family(members)
+    assert lat.members == tuple(sorted(members))
+    members = lat.members
+    k = len(members)
+    for i, j in itertools.product(range(k), repeat=2):
+        assert members[lat.meet[i * k + j]] == members[i] & members[j]
+        union = members[i] | members[j]
+        sups = [w for w in members if w & union == union]
+        acc = sups[0]
+        for w in sups[1:]:
+            acc &= w
+        assert members[lat.join[i * k + j]] == acc
 
 
-def corrupted_lattices():
-    """(members, meet, join) with one entry of one table changed: on the
-    diagonal, off it, or at (i, j) and (j, i) alike, so that each axiom
-    is reached; and a 257-member chain with a broken diagonal."""
-    rng = random.Random(7)
-    ut2 = tl.parse_ring_spec("UT2(2)")
+def test_lattice_rejects_non_closed_family():
+    # {1}, {2} as one-element sets: intersection is empty, not a member
+    with pytest.raises(InvariantError, match="family is not a closure system: family not "
+                                             "closed under intersection: members 0 and 1"):
+        tl.lattice_from_family([0b0010, 0b0100, 0b0110])
+    # {1} and {2} meet in the empty set, but no member contains both
+    with pytest.raises(InvariantError, match="family is not a closure system: family has no "
+                                             "least upper bound for members 1 and 2"):
+        tl.lattice_from_family([0b0000, 0b0010, 0b0100])
+
+
+def test_lattices_satisfy_the_reference_axioms(builtin8):
+    for _, ring in builtin8:
+        for module in tl.module_corpus(ring, 2):
+            reference_lattice_axioms(
+                tl.lattice_from_family([s.bits for s in tl.all_submodules(module)]))
+    assert len(tl.lattice_from_family([])) == 0
+    reference_lattice_axioms(tl.lattice_from_family([]))
+    chain = tl.lattice_from_family([(1 << t) - 1 for t in range(1, 301)])
+    assert len(chain) == 300  # above the 256 of the byte routes
+    reference_lattice_axioms(chain)
+
+
+def test_lattice_construction_calls_no_kernel(monkeypatch, ut2):
     families = [[s.bits for s in tl.all_submodules(tl.power_module(ut2, 2))],
-                [0b00000, 0b00010, 0b00110, 0b11000, 0b11110],
-                [0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111]]
-    for members in families:
-        members = sorted(members)
-        k = len(members)
-        meet, join = kernels.closure_tables(members)
-        yield members, meet, join
-        for _ in range(60):
-            tables = [list(meet), list(join)]
-            table = tables[rng.randrange(2)]
-            i, j = rng.randrange(k), rng.randrange(k)
-            value = (table[i * k + j] + rng.randrange(1, k)) % k
-            table[i * k + j] = value
-            if rng.random() < 0.7:
-                table[j * k + i] = value
-            yield members, *tables
-    chain = [(1 << t) - 1 for t in range(1, 258)]
-    meet, join = kernels.closure_tables(chain)
-    join = list(join)
-    join[3 * 257 + 3] = 4
-    yield chain, meet, join
+                [(1 << t) - 1 for t in range(1, 301)], []]
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was called")
 
-def test_lattice_validation_reports_the_reference_witness():
-    axioms = set()
-    for members, meet, join in corrupted_lattices():
-        expected = reference_lattice_error(len(members), meet, join)
-        if expected is None:
-            tl.FiniteLattice(members, meet, join)
-            continue
-        with pytest.raises(InvariantError) as err:
-            tl.FiniteLattice(members, meet, join)
-        assert str(err.value) == expected
-        axioms.add(re.fullmatch(r"lattice axiom '(.+)' fails at .+: (.+)", expected).groups())
-    assert axioms == {("meet-idempotent", "meet(x,x) != x"),
-                      ("join-idempotent", "join(x,x) != x"),
-                      ("meet-commutative", "meet not commutative"),
-                      ("join-commutative", "join not commutative"),
-                      ("meet-associative", "meet not associative"),
-                      ("join-associative", "join not associative"),
-                      ("absorption", "x ^ (x v y) != x"), ("absorption", "x v (x ^ y) != x")}
+    for name, value in list(vars(kernels).items()):
+        if callable(value) and not name.startswith("_") and name != "bits_of":
+            monkeypatch.setattr(kernels, name, refuse)
+    for family in families:
+        assert len(tl.lattice_from_family(family)) == len(family)
+    with pytest.raises(InvariantError):
+        tl.lattice_from_family([0b0010, 0b0100, 0b0110])
 
 
 def count_assoc_witness_calls(monkeypatch):
@@ -318,24 +293,9 @@ def test_valid_lattices_run_no_associativity_check(monkeypatch, ut2):
     assert calls == []
 
 
-def test_tables_of_another_lattice_are_an_internal_fault(monkeypatch):
-    # the chain 0 < 2 < 1 satisfies every lattice axiom, but the members
-    # 0b1 < 0b11 < 0b111 are ordered 0 < 1 < 2
-    rank = [0, 2, 1]
-    meet = [min(i, j, key=rank.__getitem__) for i in range(3) for j in range(3)]
-    join = [max(i, j, key=rank.__getitem__) for i in range(3) for j in range(3)]
-    assert reference_lattice_error(3, meet, join) is None
-    calls = count_assoc_witness_calls(monkeypatch)
-    with pytest.raises(InvariantError, match=r"meet\(1, 2\) is 2, the family's 1"):
-        tl.FiniteLattice([0b1, 0b11, 0b111], meet, join)
-    assert calls == [3, 3]  # the axioms were checked before the family was blamed
-
-
 def test_repeated_members_are_an_internal_fault():
-    # the rows of the family [0b1, 0b1] if each member were looked up
-    # by its last index: only the check for repeats rejects them
-    with pytest.raises(InvariantError, match="members repeat"):
-        tl.FiniteLattice([0b1, 0b1], [1, 1, 1, 1], [0, 0, 0, 1])
+    with pytest.raises(InvariantError, match="lattice members repeat"):
+        tl.FiniteLattice([0b1, 0b1])
 
 
 def test_submodule_family_closed_under_sum_and_intersection(ut2):
