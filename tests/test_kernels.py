@@ -164,6 +164,53 @@ def test_enumerate_submodules_matches_subset_scan(impl, spec):
     assert got == sorted(expected)
 
 
+def left_ideal_family(impl, ring):
+    """The left ideals of ``ring`` as bitsets, enumerated by ``impl`` as
+    the submodules of the regular module."""
+    reg = tl.regular_module(ring)
+    return impl.enumerate_submodules(reg.order, ring.order, list(reg.add_flat),
+                                     list(reg.act_flat), reg.zero)
+
+
+# The closure tables are built by ``FiniteLattice`` from the family that
+# each backend enumerates.
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
+def test_closure_tables_match_naive_meet_join(impl, ut2):
+    members = left_ideal_family(impl, ut2)
+    assert members == sorted(a.bits for a in tl.all_left_ideals(ut2))
+    lat = tl.lattice_from_family(members)
+    assert lat.members == tuple(members)
+    k = len(members)
+    for i, j in itertools.product(range(k), repeat=2):
+        assert members[lat.meet[i * k + j]] == members[i] & members[j]
+        union = members[i] | members[j]
+        sups = [w for w in members if w & union == union]
+        acc = sups[0]
+        for w in sups[1:]:
+            acc &= w
+        assert members[lat.join[i * k + j]] == acc
+    assert impl.modularity_witness(k, lat.meet, lat.join) is None
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
+def test_closure_tables_reject_non_closed_family(impl, ut2):
+    # {1}, {2} as one-element sets: intersection is empty, not a member
+    with pytest.raises(InvariantError, match="family is not a closure system: family not "
+                                             "closed under intersection: members 0 and 1"):
+        tl.lattice_from_family([0b0010, 0b0100, 0b0110])
+    # {1} and {2} meet in the empty set, but no member contains both
+    with pytest.raises(InvariantError, match="family is not a closure system: family has no "
+                                             "least upper bound for members 1 and 2"):
+        tl.lattice_from_family([0b0000, 0b0010, 0b0100])
+    # the left ideals without the zero ideal, where two atoms meet, or
+    # without the whole ring, above two coatoms
+    members = left_ideal_family(impl, ut2)
+    with pytest.raises(InvariantError, match="not closed under intersection"):
+        tl.lattice_from_family(members[1:])
+    with pytest.raises(InvariantError, match="no least upper bound"):
+        tl.lattice_from_family(members[:-1])
+
+
 # N5: the five-set family 0 < {1} < {1,2} and {3,4}, realized as bitsets.
 N5_FAMILY = [0b00000, 0b00010, 0b00110, 0b11000, 0b11110]
 

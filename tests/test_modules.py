@@ -216,33 +216,6 @@ def test_submodule_lattices_are_modular(builtin8):
             assert tl.is_modular(lat)
 
 
-def test_lattice_tables_match_naive_meet_join(ut2):
-    members = [a.bits for a in tl.all_left_ideals(ut2)]
-    lat = tl.lattice_from_family(members)
-    assert lat.members == tuple(sorted(members))
-    members = lat.members
-    k = len(members)
-    for i, j in itertools.product(range(k), repeat=2):
-        assert members[lat.meet[i * k + j]] == members[i] & members[j]
-        union = members[i] | members[j]
-        sups = [w for w in members if w & union == union]
-        acc = sups[0]
-        for w in sups[1:]:
-            acc &= w
-        assert members[lat.join[i * k + j]] == acc
-
-
-def test_lattice_rejects_non_closed_family():
-    # {1}, {2} as one-element sets: intersection is empty, not a member
-    with pytest.raises(InvariantError, match="family is not a closure system: family not "
-                                             "closed under intersection: members 0 and 1"):
-        tl.lattice_from_family([0b0010, 0b0100, 0b0110])
-    # {1} and {2} meet in the empty set, but no member contains both
-    with pytest.raises(InvariantError, match="family is not a closure system: family has no "
-                                             "least upper bound for members 1 and 2"):
-        tl.lattice_from_family([0b0000, 0b0010, 0b0100])
-
-
 def test_lattices_satisfy_the_reference_axioms(builtin8):
     for _, ring in builtin8:
         for module in tl.module_corpus(ring, 2):
