@@ -1,7 +1,10 @@
 /*
- * Compiled twin of ``_core_py``: the same seven kernels with the same
- * signatures, results and witnesses, written against the CPython C API.
- * See ``_core_py`` for what each kernel computes.
+ * Compiled twins of three ``_core_py`` kernels, enumerate_submodules,
+ * modularity_witness and module_axiom_witness, with the same signatures,
+ * results and witnesses, written against the CPython C API.  These are
+ * the kernels that measure faster in C; ``kernels`` takes every other
+ * kernel from ``_core_py`` on both backends.  See ``_core_py`` for what
+ * each kernel computes.
  *
  * Flat tables arrive as Python sequences and are copied into int arrays;
  * every entry is checked to be an index into the table it points at, so
@@ -89,21 +92,6 @@ done:
     return arr;
 }
 
-/* A tuple of Python ints from ``v[0..k-1]``. */
-static PyObject *
-int_tuple(const int *v, int k)
-{
-    PyObject *out = PyTuple_New(k);
-    for (int i = 0; out != NULL && i < k; i++) {
-        PyObject *item = PyLong_FromLong(v[i]);
-        if (item == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, i, item);
-    }
-    return out;
-}
-
 /* -- bitsets ------------------------------------------------------------- */
 
 /* The words as little-endian bytes: the bitset's set and dict key. */
@@ -125,18 +113,7 @@ key_to_int(PyObject *key)
     return PyObject_CallMethod((PyObject *)&PyLong_Type, "from_bytes", "Os", key, "little");
 }
 
-static PyObject *
-words_to_int(const word *words, Py_ssize_t nwords)
-{
-    PyObject *key = words_key(words, nwords);
-    if (key == NULL)
-        return NULL;
-    PyObject *out = key_to_int(key);
-    Py_DECREF(key);
-    return out;
-}
-
-/* -- submodule closure and enumeration ----------------------------------- */
+/* -- submodule enumeration ----------------------------------------------- */
 
 /* A module's tables and the scratch space of the orbit-sum step. */
 typedef struct {
@@ -222,49 +199,6 @@ sum_with_orbit(Span *s, const word *sub, int nelems, const int *orbit, int norbi
     for (int i = 0; i < norbit; i++)
         if (!getbit(s->out, orbit[i]))
             mark_coset(s, nelems, orbit[i], s->out);
-}
-
-PyDoc_STRVAR(span_closure_doc,
-"span_closure(m, n, add, act, zero, gens)\n"
-"Least subset containing gens closed under add and scalar action.");
-
-static PyObject *
-span_closure(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *kwlist[] = {"m", "n", "add", "act", "zero", "gens", NULL};
-    int m, n, zero;
-    PyObject *add, *act, *gens, *iter = NULL, *item, *result = NULL;
-    Span s;
-    word *sub = NULL;
-    int *orbit = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iiOOiO:span_closure", kwlist,
-                                     &m, &n, &add, &act, &zero, &gens))
-        return NULL;
-    if (span_load(&s, m, n, add, act, zero) < 0
-        || (sub = alloc(s.nwords, sizeof(word))) == NULL
-        || (orbit = alloc(n, sizeof(int))) == NULL
-        || (iter = PyObject_GetIter(gens)) == NULL)
-        goto done;
-    setbit(sub, zero);
-    while ((item = PyIter_Next(iter)) != NULL) {
-        long g = PyLong_AsLong(item);
-        Py_DECREF(item);
-        if ((g == -1 && PyErr_Occurred()) || check_index(g, m, "generator") < 0)
-            goto done;
-        if (!getbit(sub, (int)g)) {
-            int norbit = orbit_of(&s, (int)g, orbit);
-            sum_with_orbit(&s, sub, members_of(&s, sub), orbit, norbit);
-            memcpy(sub, s.out, s.nwords * sizeof(word));
-        }
-    }
-    if (!PyErr_Occurred())
-        result = words_to_int(sub, s.nwords);
-done:
-    Py_XDECREF(iter);
-    PyMem_Free(orbit);
-    PyMem_Free(sub);
-    span_free(&s);
-    return result;
 }
 
 /* Add the bitset ``words`` to the set ``found``: 1 if it is new there,
@@ -408,34 +342,6 @@ done:
 
 /* -- table axioms -------------------------------------------------------- */
 
-PyDoc_STRVAR(assoc_witness_doc,
-"assoc_witness(m, table)\n"
-"First (i, j, k) with (i*j)*k != i*(j*k), else None.");
-
-static PyObject *
-assoc_witness(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *kwlist[] = {"m", "table", NULL};
-    int m;
-    PyObject *seq, *result = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iO:assoc_witness", kwlist, &m, &seq))
-        return NULL;
-    int *t = to_ints(seq, (Py_ssize_t)m * m, m, "table");
-    if (t == NULL)
-        return NULL;
-    for (int i = 0; i < m; i++)
-        for (int j = 0; j < m; j++)
-            for (int k = 0; k < m; k++)
-                if (t[t[i * m + j] * m + k] != t[i * m + t[j * m + k]]) {
-                    result = Py_BuildValue("(iii)", i, j, k);
-                    goto done;
-                }
-    result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(t);
-    return result;
-}
-
 PyDoc_STRVAR(module_axiom_witness_doc,
 "module_axiom_witness(n, m, radd, rmul, madd, act, one)\n"
 "Check the four scalar-action axioms; witness = (code, i, j, k).");
@@ -491,181 +397,15 @@ done:
     return result;
 }
 
-/* -- delta axioms -------------------------------------------------------- */
-
-/* The arguments of both delta kernels; ``tup`` is the current (u, z)
- * tuple and ``wit`` room for a witness. */
-typedef struct {
-    int m, rows, u, z, zero;
-    int *madd, *act, *a, *b, *c, *d, *e, *tup, *wit;
-} Delta;
-
-static void
-delta_free(Delta *dt)
-{
-    PyMem_Free(dt->madd);
-    PyMem_Free(dt->act);
-    PyMem_Free(dt->a);
-    PyMem_Free(dt->b);
-    PyMem_Free(dt->c);
-    PyMem_Free(dt->d);
-    PyMem_Free(dt->e);
-    PyMem_Free(dt->tup);
-    PyMem_Free(dt->wit);
-}
-
-static int
-delta_load(Delta *dt, PyObject *args, PyObject *kw, const char *format)
-{
-    static char *kwlist[] = {"m", "rows", "u_arity", "z_arity", "madd", "act",
-                             "a", "b", "c", "d", "e", "zero", NULL};
-    PyObject *madd, *act, *a, *b, *c, *d, *e;
-    memset(dt, 0, sizeof(*dt));
-    if (!PyArg_ParseTupleAndKeywords(args, kw, format, kwlist, &dt->m, &dt->rows, &dt->u,
-                                     &dt->z, &madd, &act, &a, &b, &c, &d, &e, &dt->zero))
-        return -1;
-    int m = dt->m, rows = dt->rows;
-    if (rows < 0 || dt->u < 0 || dt->z < 0) {
-        PyErr_SetString(PyExc_ValueError, "rows and arities must be nonnegative");
-        return -1;
-    }
-    Py_ssize_t nact = PyObject_Length(act);
-    if (nact < 0 || check_index(dt->zero, m, "zero") < 0)
-        return -1;
-    if (nact % m) {
-        PyErr_Format(PyExc_ValueError, "act has length %zd, not a multiple of %d", nact, m);
-        return -1;
-    }
-    long scalars = (long)(nact / m);
-    if ((dt->madd = to_ints(madd, (Py_ssize_t)m * m, m, "madd")) == NULL
-        || (dt->act = to_ints(act, nact, m, "act")) == NULL
-        || (dt->a = to_ints(a, rows, scalars, "a")) == NULL
-        || (dt->b = to_ints(b, rows, scalars, "b")) == NULL
-        || (dt->c = to_ints(c, (Py_ssize_t)rows * dt->u, scalars, "c")) == NULL
-        || (dt->d = to_ints(d, (Py_ssize_t)rows * dt->u, scalars, "d")) == NULL
-        || (dt->e = to_ints(e, (Py_ssize_t)rows * dt->z, scalars, "e")) == NULL
-        || (dt->tup = alloc(dt->u + dt->z, sizeof(int))) == NULL
-        || (dt->wit = alloc(dt->u + dt->z + 2, sizeof(int))) == NULL)
-        return -1;
-    return 0;
-}
-
-/* Row j's u/z part added to ``val``, left to right. */
-static inline int
-delta_tail(const Delta *dt, int j, int val)
-{
-    int m = dt->m, u = dt->u, z = dt->z;
-    for (int i = 0; i < u; i++) {
-        int t = dt->tup[i];
-        val = dt->madd[val * m + dt->act[dt->c[j * u + i] * m + t]];
-        val = dt->madd[val * m + dt->act[dt->d[j * u + i] * m + t]];
-    }
-    for (int i = 0; i < z; i++)
-        val = dt->madd[val * m + dt->act[dt->e[j * z + i] * m + dt->tup[u + i]]];
-    return val;
-}
-
-/* Advance the (u, z) tuple in odometer order; 0 once every tuple is done. */
-static int
-next_tuple(Delta *dt)
-{
-    int pos = dt->u + dt->z - 1;
-    while (pos >= 0 && dt->tup[pos] == dt->m - 1)
-        dt->tup[pos--] = 0;
-    if (pos < 0)
-        return 0;
-    dt->tup[pos]++;
-    return 1;
-}
-
-PyDoc_STRVAR(delta_cond1_witness_doc,
-"delta_cond1_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero)\n"
-"Exhaustive check that every difference row vanishes under x=y, u=v;\n"
-"returns (x, *u, *z, row) for the first nonzero evaluation.");
-
-static PyObject *
-delta_cond1_witness(PyObject *self, PyObject *args, PyObject *kw)
-{
-    Delta dt;
-    PyObject *result = NULL;
-    if (delta_load(&dt, args, kw, "iiiiOOOOOOOi:delta_cond1_witness") < 0)
-        goto done;
-    int m = dt.m, uz = dt.u + dt.z;
-    do {
-        for (int x = 0; x < m; x++)
-            for (int j = 0; j < dt.rows; j++) {
-                int val = dt.madd[dt.act[dt.a[j] * m + x] * m + dt.act[dt.b[j] * m + x]];
-                if (delta_tail(&dt, j, val) != dt.zero) {
-                    dt.wit[0] = x;
-                    memcpy(dt.wit + 1, dt.tup, uz * sizeof(int));
-                    dt.wit[uz + 1] = j;
-                    result = int_tuple(dt.wit, uz + 2);
-                    goto done;
-                }
-            }
-    } while (next_tuple(&dt));
-    result = Py_NewRef(Py_None);
-done:
-    delta_free(&dt);
-    return result;
-}
-
-PyDoc_STRVAR(delta_cond2_witness_doc,
-"delta_cond2_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero)\n"
-"Exhaustive search for x != y where every row vanishes under u=v;\n"
-"returns (x, y, *u, *z) for the first counterexample tuple.");
-
-static PyObject *
-delta_cond2_witness(PyObject *self, PyObject *args, PyObject *kw)
-{
-    Delta dt;
-    PyObject *result = NULL;
-    int *base = NULL;
-    if (delta_load(&dt, args, kw, "iiiiOOOOOOOi:delta_cond2_witness") < 0
-        || (base = alloc(dt.rows, sizeof(int))) == NULL)
-        goto done;
-    int m = dt.m, uz = dt.u + dt.z;
-    do {
-        for (int j = 0; j < dt.rows; j++)
-            base[j] = delta_tail(&dt, j, dt.zero);
-        for (int x = 0; x < m; x++)
-            for (int y = 0; y < m; y++) {
-                if (x == y)
-                    continue;
-                int j = 0;
-                while (j < dt.rows
-                       && dt.madd[dt.madd[dt.act[dt.a[j] * m + x] * m
-                                          + dt.act[dt.b[j] * m + y]] * m + base[j]] == dt.zero)
-                    j++;
-                if (j == dt.rows) {
-                    dt.wit[0] = x;
-                    dt.wit[1] = y;
-                    memcpy(dt.wit + 2, dt.tup, uz * sizeof(int));
-                    result = int_tuple(dt.wit, uz + 2);
-                    goto done;
-                }
-            }
-    } while (next_tuple(&dt));
-    result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(base);
-    delta_free(&dt);
-    return result;
-}
-
 /* -- module -------------------------------------------------------------- */
 
 #define KERNEL(name) \
     {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, name##_doc}
 
 static PyMethodDef core_methods[] = {
-    KERNEL(span_closure),
     KERNEL(enumerate_submodules),
     KERNEL(modularity_witness),
-    KERNEL(assoc_witness),
     KERNEL(module_axiom_witness),
-    KERNEL(delta_cond1_witness),
-    KERNEL(delta_cond2_witness),
     {NULL, NULL, 0, NULL},
 };
 
@@ -683,7 +423,7 @@ static PyModuleDef_Slot core_slots[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     "torsionlab._core",
-    "Compiled twin of ``_core_py``; see that module for the contracts.",
+    "Compiled twins of three ``_core_py`` kernels; see that module for the contracts.",
     0,
     core_methods,
     core_slots,

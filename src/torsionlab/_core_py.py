@@ -1,14 +1,14 @@
-"""Pure-Python reference implementation of the hot kernels.
+"""Pure-Python implementation of the hot kernels.
 
-Every kernel here except ``bits_of`` and ``greedy_generators`` (which
-``kernels`` always takes from this module) has a compiled twin in
-``_core``, built from the hand-written C source ``_core.c``; ``orbit``,
-``_coset`` and ``sum_with_orbit`` are helpers of the kernels here and
-are not exported.  The two implementations must stay observationally
-identical: on the same inputs they return identical results and
-identical witnesses, while their algorithms may differ (see the delta
-kernels below).  ``kernels`` picks one at import time and the test suite
-cross-checks them.
+Three kernels here, ``enumerate_submodules``, ``modularity_witness`` and
+``module_axiom_witness``, have a compiled twin in ``_core``, built from
+the hand-written C source ``_core.c``; ``kernels`` picks one of each pair
+at import time, and takes every other kernel from this module on both
+backends.  ``orbit``, ``_coset`` and ``sum_with_orbit`` are helpers of
+the kernels here and are not exported.  A kernel and its twin must stay
+observationally identical: on the same inputs they return identical
+results and identical witnesses, while their algorithms may differ.  The
+test suite cross-checks them.
 
 The lattice kernels do less work than their definitions suggest, with
 the same results, errors and witnesses (both backends, except that the
@@ -43,7 +43,6 @@ reaches it; a reducible axiom (d = -c, e = 0) has one base, all zero,
 however many tuples there are.  Each base is then tested for every x
 (cond1) or every (x, y) (cond2) at once, as bytes, up to 256 elements;
 above that the ``*_loops`` functions test it one element at a time.
-The compiled twins still walk every (u, z) tuple with plain loops.
 
 Conventions shared by both backends:
 

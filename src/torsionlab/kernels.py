@@ -1,8 +1,11 @@
 """Kernel backend selection.
 
-The compiled extension ``torsionlab._core`` (built from ``_core.c``) is
-used when it is importable; otherwise the pure-Python twin
-``torsionlab._core_py`` takes over.
+The compiled extension ``torsionlab._core`` (built from ``_core.c``)
+holds twins of three kernels, ``enumerate_submodules``,
+``modularity_witness`` and ``module_axiom_witness``, the ones that run
+faster in C.  When it is importable they come from it; otherwise the
+pure-Python ``torsionlab._core_py`` takes over.  Every other kernel comes
+from ``_core_py`` on both backends.
 """
 
 from . import _core_py
@@ -14,15 +17,18 @@ except ImportError:
 
 BACKEND = _impl.BACKEND_NAME
 
-bits_of = _core_py.bits_of
-greedy_generators = _core_py.greedy_generators  # no compiled twin
-span_closure = _impl.span_closure
+# compiled when the extension is built
 enumerate_submodules = _impl.enumerate_submodules
 modularity_witness = _impl.modularity_witness
-assoc_witness = _impl.assoc_witness
 module_axiom_witness = _impl.module_axiom_witness
-delta_cond1_witness = _impl.delta_cond1_witness
-delta_cond2_witness = _impl.delta_cond2_witness
+
+# no compiled twin
+bits_of = _core_py.bits_of
+greedy_generators = _core_py.greedy_generators
+span_closure = _core_py.span_closure
+assoc_witness = _core_py.assoc_witness
+delta_cond1_witness = _core_py.delta_cond1_witness
+delta_cond2_witness = _core_py.delta_cond2_witness
 
 
 def backend():

@@ -10,8 +10,9 @@ from itertools import chain, compress
 
 from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
-from .rings import (TwoSidedIdeal, check_abelian_group, check_map, coset_representatives,
-                    greedy_generators, is_json_int, preimage, product_maps, rows_of)
+from .rings import (TwoSidedIdeal, check_abelian_group, check_generators, check_map,
+                    coset_representatives, greedy_generators, is_json_int, preimage,
+                    product_maps, rows_of)
 
 
 class FiniteModule:
@@ -82,7 +83,8 @@ class FiniteModule:
 
 
 class Submodule:
-    """A submodule as a bitset; closure is re-checked at construction."""
+    """A submodule as a bitset; closure is re-checked at construction, after
+    the bits are checked to lie in 0..order-1 (``ValueError`` if not)."""
 
     __slots__ = ("module", "bits", "_generators")
 
@@ -91,6 +93,8 @@ class Submodule:
         self.bits = bits
         self._generators = None
         if not _trusted:
+            if bits < 0 or bits >> module.order:
+                raise ValueError(f"bits {bits} name elements outside 0..{module.order - 1}")
             w = _closure_witness(module, bits)
             if w is not None:
                 raise ValueError(f"subset is not a submodule: witness {w}")
@@ -137,26 +141,30 @@ class Submodule:
 
 
 def _closure_witness(module, bits):
+    """``("zero",)``, else the least ``("add", x, y)``, else the least
+    ``("act", r, x)`` that leaves the subset ``bits``; None if it is closed.
+    Each row's escapes are the members it does not send into ``bits``."""
     if not bits >> module.zero & 1:
         return ("zero",)
-    elems = list(kernels.bits_of(bits))
-    for x in elems:
-        row = module.add[x]
-        for y in elems:
-            if not bits >> row[y] & 1:
-                return ("add", x, y)
-    for r in range(module.ring.order):
-        row = module.act[r]
-        for x in elems:
-            if not bits >> row[x] & 1:
-                return ("act", r, x)
+    order = module.order
+    for x in kernels.bits_of(bits):
+        missing = bits & ~preimage(module.add[x], bits, order)
+        if missing:
+            return ("add", x, next(kernels.bits_of(missing)))
+    for r, row in enumerate(module.act):
+        missing = bits & ~preimage(row, bits, order)
+        if missing:
+            return ("act", r, next(kernels.bits_of(missing)))
     return None
 
 
 def submodule_closure(module, gens):
-    """Least submodule containing the listed elements."""
+    """Least submodule containing the listed elements; ``ValueError`` if
+    one is outside 0..order-1."""
+    gens = tuple(gens)
+    check_generators(gens, module.order, module.name)
     bits = kernels.span_closure(module.order, module.ring.order, module.add_flat,
-                                module.act_flat, module.zero, tuple(gens))
+                                module.act_flat, module.zero, gens)
     return Submodule(module, bits, _trusted=True)
 
 

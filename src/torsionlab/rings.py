@@ -183,9 +183,7 @@ class LeftIdeal:
     def __init__(self, ring, generators, bits=None):
         self.ring = ring
         self.generators = tuple(generators)
-        for g in self.generators:
-            if not 0 <= g < ring.order:
-                raise ValueError(f"generator {g} out of range for {ring.name}")
+        check_generators(self.generators, ring.order, ring.name)
         span = kernels.span_closure(ring.order, ring.order, ring.add_flat,
                                     ring.mul_flat, ring.zero, self.generators)
         if bits is None:
@@ -248,6 +246,14 @@ class TwoSidedIdeal(LeftIdeal):
                 f"not right-closed: {ring.element_name(a)} * {ring.element_name(r)} escapes")
 
 
+def check_generators(gens, order, name):
+    """Raise ``ValueError`` at the first generator outside 0..order-1 of
+    the structure ``name``: the closure kernels index tables with them."""
+    for g in gens:
+        if not 0 <= g < order:
+            raise ValueError(f"generator {g} out of range for {name}")
+
+
 def preimage(row, bits, order):
     """The bitset of the positions x with ``row[x]`` in ``bits``, a subset
     of 0..order-1: membership is read through a "0"/"1" string, at C
@@ -287,8 +293,10 @@ def left_ideal_closure(ring, generators):
 
 def two_sided_closure(ring, generators):
     """Least two-sided ideal containing the listed elements."""
+    generators = tuple(generators)
+    check_generators(generators, ring.order, ring.name)
     bits = kernels.span_closure(ring.order, ring.order, ring.add_flat,
-                                ring.mul_flat, ring.zero, tuple(generators))
+                                ring.mul_flat, ring.zero, generators)
     while True:
         extra = [ring.mul[a][r]
                  for a in kernels.bits_of(bits)

@@ -123,6 +123,21 @@ def test_submodule_closure_and_sum(ut2):
     assert tl.submodule_sum(s, t).bits == A_BITS
 
 
+def test_submodule_closure_rejects_generators_outside_the_module(z4):
+    reg = tl.regular_module(z4)
+    for g in (4, -1):
+        with pytest.raises(ValueError, match=rf"generator {g} out of range for "):
+            tl.submodule_closure(reg, [1, g])
+
+
+def test_submodule_rejects_bits_outside_the_module(z4):
+    reg = tl.regular_module(z4)
+    for bits in (-1, 1 | 1 << 4):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            tl.Submodule(reg, bits)
+    assert tl.Submodule(reg, 0b0101).bits == 0b0101
+
+
 def test_quotient_submodules_biject_with_overgroups(ut2, z8):
     for ring in (ut2, z8):
         reg = tl.regular_module(ring)

@@ -3,9 +3,10 @@ bitset preimage, ``rings.preimage``.
 
 The per-element loops these functions ran before are kept here verbatim
 as the reference (``reference_*``), and the preimage routes must agree
-with them on generated modules, ideals and families: quotients of R and
-R^2 of the builtin rings of order <= 8, quotient rings, an ideal with no
-generators, an order-1 module and a module above 256 elements.
+with them on generated modules, ideals, subsets and families: quotients
+of R and R^2 of the builtin rings of order <= 8, quotient rings, an
+ideal with no generators, an order-1 module and a module above 256
+elements.
 """
 
 import pytest
@@ -140,6 +141,23 @@ def reference_preimage_ideal(ring, projection, quot_ideal):
     return left_ideal_closure(ring, greedy_generators(ring, bits))
 
 
+def reference_closure_witness(module, bits):
+    if not bits >> module.zero & 1:
+        return ("zero",)
+    elems = list(tl.kernels.bits_of(bits))
+    for x in elems:
+        row = module.add[x]
+        for y in elems:
+            if not bits >> row[y] & 1:
+                return ("add", x, y)
+    for r in range(module.ring.order):
+        row = module.act[r]
+        for x in elems:
+            if not bits >> row[x] & 1:
+                return ("act", r, x)
+    return None
+
+
 def reference_right_closure_witness(ideal):
     ring = ideal.ring
     for a in ideal:
@@ -234,6 +252,50 @@ def test_module_routes_match_reference_above_256_elements():
         for sub in subs[:4] + subs[-2:]:
             assert_module_routes_agree(module, ideal, sub.bits)
         assert_module_routes_agree(quot, ideal, 1 << quot.zero)
+
+
+def near_submodules(module, subs, flips):
+    """Each of ``subs`` with the elements listed in ``flips`` toggled."""
+    for sub in subs:
+        bits = sub.bits
+        for x in flips:
+            bits ^= 1 << x
+        yield bits
+
+
+def assert_closure_witness_agrees(module, bits):
+    got = modules._closure_witness(module, bits)
+    assert got == reference_closure_witness(module, bits)
+    return None if got is None else got[0]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(BUILTIN8), st.sampled_from([1, 2]), st.data())
+def test_closure_witness_matches_reference_on_generated_subsets(spec, k, data):
+    ring = tl.parse_ring_spec(spec)
+    parent = tl.power_module(ring, k)
+    module = tl.quotient_module(parent, data.draw(st.sampled_from(tl.all_submodules(parent))))
+    sub = data.draw(st.sampled_from(tl.all_submodules(module)))
+    flips = data.draw(st.lists(st.integers(0, module.order - 1), max_size=3))
+    for bits in near_submodules(module, [sub], flips):
+        assert_closure_witness_agrees(module, bits)
+    assert_closure_witness_agrees(module, data.draw(st.integers(0, (1 << module.order) - 1)))
+
+
+@pytest.mark.parametrize("spec", ["Z(1)", "Z(4)", "UT2(2)", "prod(Z(2),Z(2))"])
+def test_closure_witness_matches_reference_on_every_subset(spec):
+    module = tl.regular_module(tl.parse_ring_spec(spec))
+    kinds = {assert_closure_witness_agrees(module, bits) for bits in range(1 << module.order)}
+    if spec == "UT2(2)":  # an additive subgroup that is no left ideal gives "act"
+        assert kinds == {None, "zero", "add", "act"}
+
+
+def test_closure_witness_matches_reference_above_256_elements():
+    module = tl.power_module(tl.parse_ring_spec("Z(17)"), 2)
+    subs = tl.all_submodules(module)
+    for flips in ([], [0], [1], [18, 40], [288]):
+        for bits in near_submodules(module, subs, flips):
+            assert_closure_witness_agrees(module, bits)
 
 
 def test_an_ideal_without_generators_closes_to_the_whole_module():

@@ -224,6 +224,9 @@ def test_two_sided_closure(ut2):
     assert sorted(tl.two_sided_closure(ut2, [E12]).elements()) == [0, E12]
     # e11 does not: closure picks up e12
     assert sorted(tl.two_sided_closure(ut2, [E11]).elements()) == [0, E12, E11, E11 + E12]
+    for g in (8, -1):
+        with pytest.raises(ValueError, match=f"generator {g} out of range for UT2"):
+            tl.two_sided_closure(ut2, [g])
 
 
 # -- quotients --------------------------------------------------------------
