@@ -35,15 +35,6 @@ tests keep as the reference for the byte route.  A ring's tables are
 checked by ``module_axiom_witness`` on R acting on itself, so its
 distributivity, associativity and 1*x = x are found in this same order.
 
-The delta kernels (``delta_cond1_witness``, ``delta_cond2_witness``)
-split each row's value into its x/y terms and its u/z part, the base.
-``_delta_bases`` finds the distinct bases variable by variable, by
-prefix sums, each with the first (u, z) tuple in odometer order that
-reaches it; a reducible axiom (d = -c, e = 0) has one base, all zero,
-however many tuples there are.  Each base is then tested for every x
-(cond1) or every (x, y) (cond2) at once, as bytes, up to 256 elements;
-above that the ``*_loops`` functions test it one element at a time.
-
 Conventions shared by both backends:
 
 * operation tables are flat row-major sequences of element indices
@@ -342,169 +333,3 @@ def _module_axiom_witness_loops(n, m, radd, rmul, madd, act, one):
             return ("one_act", x, -1, -1)
     return None
 
-
-# the key and result of the last ``_delta_bases`` call: both delta
-# kernels run on the same arguments, one after the other
-_last_bases = (None, None)
-
-
-def _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
-    """Each distinct u/z base, mapped to the first (u, z) tuple in
-    odometer order that reaches it, as a dict in the order of those
-    tuples.
-
-    ``base[j]`` is row j's u/z part summed from ``zero``: the whole of
-    row j's value except its x/y terms.  The bases are built one
-    variable at a time.  The partial sums after v variables are kept
-    with their odometer-first prefix, and only those prefixes are
-    extended by t = 0..m-1: a prefix p reaches the same partial sum as
-    the kept prefix q <= p, so p + (t,) reaches what q + (t,) does, and
-    q + (t,) comes first.  Walking the kept prefixes in insertion order
-    therefore meets every sum first at its odometer-first tuple.  The
-    cost is the sum over v of |B_v| * m * rows, with B_v the partial
-    sums after v variables, instead of m**(u+z) tuples.
-
-    ``madd`` must be associative: u_i adds c_ij u_i + d_ij u_i as one
-    step.
-
-    The last call's result is returned again for equal arguments, so the
-    two kernels share one build.  The arguments are compared by value, as
-    tuples, so the kept result is the one a new build would give, whoever
-    calls; a tuple argument is kept as it is, so the same table object
-    compares at once.
-    """
-    global _last_bases
-    if not rows:  # zip() over no rows below would yield no sums at all
-        return {(): (0,) * (u_arity + z_arity)}
-    key = (m, rows, u_arity, z_arity, tuple(madd), tuple(act), tuple(c), tuple(d),
-           tuple(e), zero)
-    last_key, last = _last_bases
-    if last_key == key:
-        return last
-    # steps[v][j][t]: what variable v = t adds to row j
-    steps = []
-    for i in range(u_arity):
-        steps.append([[madd[act[cj * m + t] * m + act[dj * m + t]] for t in range(m)]
-                      for cj, dj in zip(c[i::u_arity], d[i::u_arity])])
-    for i in range(z_arity):
-        steps.append([act[ej * m:(ej + 1) * m] for ej in e[i::z_arity]])
-    bases = {(zero,) * rows: ()}
-    for step in steps:
-        grown = {}
-        for base, tup in bases.items():
-            sums = zip(*[map(madd[w * m:(w + 1) * m].__getitem__, add)
-                         for w, add in zip(base, step)])
-            for t, new in enumerate(sums):
-                if new not in grown:
-                    grown[new] = (*tup, t)
-        bases = grown
-    _last_bases = (key, bases)
-    return bases
-
-
-def _vanish_tables(m, madd, zero):
-    """``table(w)``: the translate table sending t to 1 if t + w is
-    ``zero`` and to 0 otherwise, built once per w."""
-    tables = {}
-
-    def table(w):
-        got = tables.get(w)
-        if got is None:
-            got = tables[w] = _translator(bytes([madd[t * m + w] == zero for t in range(m)]))
-        return got
-    return table
-
-
-def delta_cond1_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
-    """Exhaustive check that every difference row vanishes under x=y, u=v.
-
-    Quantifies over all (x, u-tuple, z-tuple); returns
-    ``(x, *u, *z, row)`` for the first nonzero evaluation.
-
-    ``madd`` must be associative with identity ``zero`` (a module's
-    validated addition): row j is evaluated as ``(a_j x + b_j x) +
-    base[j]``, once for each distinct base (see ``_delta_bases``).  Up
-    to ``BYTE_ORDER_LIMIT`` the row values a_j x + b_j x for every x are
-    bytes, translated through "t + base[j] is zero" for each base: the
-    first 0 byte of row j is its least failing x, and the least x over
-    the rows wins, the least j among ties.
-    """
-    bases = _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
-    xterm = [[madd[act[a[j] * m + x] * m + act[b[j] * m + x]] for x in range(m)]
-             for j in range(rows)]
-    if m > BYTE_ORDER_LIMIT:
-        return _delta_cond1_witness_loops(m, madd, xterm, zero, bases)
-    xrows = [bytes(row) for row in xterm]
-    vanish = _vanish_tables(m, madd, zero)
-    for base, tup in bases.items():
-        fails = [(x, j) for j, x in enumerate(
-                     row.translate(vanish(w)).find(0) for row, w in zip(xrows, base))
-                 if x >= 0]
-        if fails:
-            x, j = min(fails)
-            return (x, *tup, j)
-    return None
-
-
-def _delta_cond1_witness_loops(m, madd, xterm, zero, bases):
-    """``delta_cond1_witness`` for any order, one (x, j) at a time over
-    the distinct ``bases``; ``xterm[j][x]`` is a_j x + b_j x."""
-    for base, tup in bases.items():
-        for x in range(m):
-            for j in range(len(xterm)):
-                if madd[xterm[j][x] * m + base[j]] != zero:
-                    return (x, *tup, j)
-    return None
-
-
-def delta_cond2_witness(m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero):
-    """Exhaustive search for x != y where every row vanishes under u=v.
-
-    Quantifies over all (x, y, u-tuple, z-tuple); returns
-    ``(x, y, *u, *z)`` for the first counterexample tuple.
-
-    ``madd`` must be associative with identity ``zero`` (a module's
-    validated addition): row j is evaluated as ``(a_j x + b_j y) +
-    base[j]``, once for each distinct base (see ``_delta_bases``).  Up
-    to ``BYTE_ORDER_LIMIT`` the row values a_j x + b_j y for every
-    (x, y) are m*m bytes in row-major order.  For each base they are
-    translated through "t + base[j] is zero" and read as ints; the AND
-    over the rows, off the diagonal, has its lowest set byte at the
-    least counterexample (x, y).
-    """
-    bases = _delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
-    arows = [act[a[j] * m:(a[j] + 1) * m] for j in range(rows)]
-    brows = [act[b[j] * m:(b[j] + 1) * m] for j in range(rows)]
-    if m > BYTE_ORDER_LIMIT:
-        return _delta_cond2_witness_loops(m, madd, arows, brows, zero, bases)
-    madd_b = bytes(madd)
-    pair_rows = []
-    for arow, brow in zip(map(bytes, arows), map(bytes, brows)):
-        # position x*m + y: row a_j x of madd at b_j y
-        pair_rows.append(b"".join([brow.translate(_translator(madd_b[v * m:(v + 1) * m]))
-                                   for v in arow]))
-    off_diagonal = int.from_bytes(((b"\0" + b"\1" * m) * m)[:m * m], "little")
-    vanish = _vanish_tables(m, madd, zero)
-    for base, tup in bases.items():
-        hit = off_diagonal
-        for row, w in zip(pair_rows, base):
-            hit &= int.from_bytes(row.translate(vanish(w)), "little")
-            if not hit:
-                break
-        if hit:
-            return (*divmod(((hit & -hit).bit_length() - 1) >> 3, m), *tup)
-    return None
-
-
-def _delta_cond2_witness_loops(m, madd, arows, brows, zero, bases):
-    """``delta_cond2_witness`` for any order, one (x, y) at a time over
-    the distinct ``bases``; ``arows[j]``/``brows[j]`` are the rows of
-    ``act`` for a_j and b_j."""
-    for base, tup in bases.items():
-        for x in range(m):
-            for y in range(m):
-                if x != y and all(
-                        madd[madd[arows[j][x] * m + brows[j][y]] * m + base[j]] == zero
-                        for j in range(len(arows))):
-                    return (x, y, *tup)
-    return None

@@ -10,9 +10,18 @@ and asserts (1) every D_j vanishes identically under x = y, u = v, and
 class whose generated variety is all modules, (1) forces b = -a,
 d = -c, e = 0 coefficientwise; the reduced rows E_j(X, U) = a_j X +
 sum_i c_ij U_i are then encoded by the left ideal generated by the a_j.
+
+Both conditions are evaluated exhaustively here, with no kernel.  Row
+j's value splits into its x/y terms and its u/z part, the base w_j; the
+distinct bases are built once per call, and for each base a row vanishes
+exactly where its x/y terms take the value -w_j.  Those positions are a
+fiber of the x/y terms, kept as a bitset, so both conditions are read off
+bitsets in one route at every order.
 """
 
-from . import kernels
+from functools import reduce
+from operator import and_
+
 from .errors import InvariantError, ReductionError, RingSpecError
 from .modules import satisfies_quasiidentity
 from .rings import is_json_int, left_ideal_closure
@@ -108,26 +117,106 @@ def reduce_delta(axiom):
     return ReducedDelta(ring, reduced)
 
 
-def _coef_arrays(axiom):
-    rows = len(axiom.rows)
-    a = [row.a for row in axiom.rows]
-    b = [row.b for row in axiom.rows]
-    c = [x for row in axiom.rows for x in row.c]
-    d = [x for row in axiom.rows for x in row.d]
-    e = [x for row in axiom.rows for x in row.e]
-    return rows, a, b, c, d, e
+def _delta_bases(module, axiom):
+    """Each distinct u/z base, mapped to the first (u, z) tuple in
+    odometer order that reaches it, as a dict in the order of those
+    tuples.
+
+    ``base[j]`` is row j's u/z part summed from zero: the whole of row
+    j's value except its x/y terms.  The bases are built one variable at
+    a time.  The partial sums after v variables are kept with their
+    odometer-first prefix, and only those prefixes are extended by t =
+    0..m-1: a prefix p reaches the same partial sum as the kept prefix
+    q <= p, so p + (t,) reaches what q + (t,) does, and q + (t,) comes
+    first.  Walking the kept prefixes in insertion order therefore meets
+    every sum first at its odometer-first tuple.  The cost is the sum
+    over v of |B_v| * m * rows, with B_v the partial sums after v
+    variables, instead of m**(u+z) tuples.  A reducible axiom (d = -c,
+    e = 0) has one base, all zero.
+    """
+    add, act, rows = module.add, module.act, axiom.rows
+    # steps[v][j][t]: what variable v = t adds to row j; u_i adds
+    # c_ij u_i + d_ij u_i as one step, since the addition is associative
+    steps = [[[add[s][t] for s, t in zip(act[row.c[i]], act[row.d[i]])] for row in rows]
+             for i in range(axiom.u_arity)]
+    steps += [[act[row.e[i]] for row in rows] for i in range(axiom.z_arity)]
+    bases = {(module.zero,) * len(rows): ()}
+    for step in steps:
+        grown = {}
+        for base, tup in bases.items():
+            sums = zip(*[map(add[w].__getitem__, terms) for w, terms in zip(base, step)])
+            for t, new in enumerate(sums):
+                if new not in grown:
+                    grown[new] = (*tup, t)
+        bases = grown
+    return bases
+
+
+def _fibers(values):
+    """Each value, mapped to the bitset of the positions that hold it."""
+    fibers = {}
+    for pos, value in enumerate(values):
+        fibers[value] = fibers.get(value, 0) | 1 << pos
+    return fibers
+
+
+def _low_bit(bits):
+    return (bits & -bits).bit_length() - 1
 
 
 def delta_condition_witnesses(module, axiom):
-    """Exhaustively evaluate both conditions; returns (w1, w2) witnesses."""
+    """Exhaustively evaluate both conditions; returns (w1, w2) witnesses.
+
+    ``w1 = (x, *u, *z, row)`` is the first (x, u-tuple, z-tuple) in
+    odometer order, u and z outermost, at which some row fails to vanish
+    under x = y, u = v, the least row among ties; ``w2 = (x, y, *u,
+    *z)`` is the first (u-tuple, z-tuple, x, y) with x != y at which
+    every row vanishes under u = v.  Either is ``None`` when its
+    condition holds.
+
+    Row j's value is ``(a_j x + b_j y) + w_j`` for its base w_j (see
+    ``_delta_bases``), and each distinct base is tested in turn.  The
+    addition is an abelian group, so the value is zero exactly when the
+    x/y part equals ``neg[w_j]``: a fiber of the x/y part, read off a
+    bitset over x (cond1) or over y for each x (cond2).
+    """
     if axiom.ring is not module.ring:
         raise ValueError("delta axiom over a different ring")
-    rows, a, b, c, d, e = _coef_arrays(axiom)
-    args = (module.order, rows, axiom.u_arity, axiom.z_arity,
-            module.add_flat, module.act_flat, a, b, c, d, e, module.zero)
-    w1 = kernels.delta_cond1_witness(*args)
-    w2 = kernels.delta_cond2_witness(*args)
-    return w1, w2
+    bases = _delta_bases(module, axiom)
+    return _cond1_witness(module, axiom, bases), _cond2_witness(module, axiom, bases)
+
+
+def _cond1_witness(module, axiom, bases):
+    """The witness ``w1`` of ``delta_condition_witnesses``."""
+    add, act, neg = module.add, module.act, module.neg
+    full = (1 << module.order) - 1
+    # the fibers of x -> a_j x + b_j x
+    fibers = [_fibers(add[s][t] for s, t in zip(act[row.a], act[row.b])) for row in axiom.rows]
+    for base, tup in bases.items():
+        fails = [(_low_bit(bad), j) for j, bad in enumerate(
+                     full & ~fib.get(neg[w], 0) for fib, w in zip(fibers, base)) if bad]
+        if fails:
+            x, j = min(fails)
+            return (x, *tup, j)
+    return None
+
+
+def _cond2_witness(module, axiom, bases):
+    """The witness ``w2`` of ``delta_condition_witnesses``."""
+    add, act, neg = module.add, module.act, module.neg
+    full = (1 << module.order) - 1
+    # the fibers of y -> b_j y, and the rows x -> a_j x
+    fibers = [_fibers(act[row.b]) for row in axiom.rows]
+    arows = [act[row.a] for row in axiom.rows]
+    for base, tup in bases.items():
+        # hits[j][x]: the y at which row j vanishes, -(w_j + a_j x) = b_j y
+        hits = [[fib.get(neg[add[w][t]], 0) for t in arow]
+                for fib, w, arow in zip(fibers, base, arows)]
+        for x, cols in enumerate(zip(*hits)):
+            ys = reduce(and_, cols, full ^ 1 << x)
+            if ys:
+                return (x, _low_bit(ys), *tup)
+    return None
 
 
 def delta_satisfied(module, axiom):
@@ -211,7 +300,10 @@ def delta_from_doc(doc, ring):
                 raise RingSpecError("coefficient out of range", where)
             return v
         if isinstance(v, str):
-            return ring.resolve(v)
+            try:
+                return ring.resolve(v)
+            except RingSpecError as err:
+                raise RingSpecError(str(err), where) from None
         raise RingSpecError("coefficient must be an index or element name", where)
 
     rows = []

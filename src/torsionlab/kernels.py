@@ -5,7 +5,8 @@ holds twins of three kernels, ``enumerate_submodules``,
 ``modularity_witness`` and ``module_axiom_witness``, the ones that run
 faster in C.  When it is importable they come from it; otherwise the
 pure-Python ``torsionlab._core_py`` takes over.  Every other kernel comes
-from ``_core_py`` on both backends.
+from ``_core_py`` on both backends.  Delta axioms are evaluated in
+``delta``, with no kernel.
 """
 
 from . import _core_py
@@ -27,8 +28,6 @@ bits_of = _core_py.bits_of
 greedy_generators = _core_py.greedy_generators
 span_closure = _core_py.span_closure
 assoc_witness = _core_py.assoc_witness
-delta_cond1_witness = _core_py.delta_cond1_witness
-delta_cond2_witness = _core_py.delta_cond2_witness
 
 
 def backend():

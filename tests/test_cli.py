@@ -191,6 +191,7 @@ MODULE = {"order": 2, "add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 1], [0, 0], [
     (["wep", "Z(4)", "--filter", "1", "--module", "file:PATH"], dict(MODULE, zero=False)),
     (["wep", "Z(4)", "--filter", "1", "--module", "file:PATH"],
      dict(MODULE, act=[[0, 0], [0, True], [0, 0], [0, 1]])),
+    (["delta-reduce", "PATH"], dict(DELTA, rows=[{"a": "zz", "b": 0}])),
 ])
 def test_mistyped_documents_are_invalid_input(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
@@ -291,6 +292,15 @@ def test_census_delta_sweep_matches_pinned_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "16bdf1198b8c77a3bac8bbed7d51acff66ac645ba4a7466c2163311b051fec51"
+
+
+def test_census_delta_sweep_above_256_matches_pinned_digest(capsys):
+    # stdout of the seeded sweep over Z(17): three of its 21 delta
+    # instances run on Z(17)^2, of order 289, above what a byte holds
+    code, out = run_cli(capsys, "census", "Z(17)", "--seed", "5", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "03ddfdd5df6d3a6c053fa60d719c74941eee44610dc8106c2826e1c8691f8e44"
 
 
 def test_census_rcm_matches_pinned_digest(capsys):

@@ -28,6 +28,11 @@ def test_reduce_trivial_axiom(z4):
     assert red.ideal.is_full()
 
 
+def test_delta_axiom_needs_a_row(z4):
+    with pytest.raises(ValueError, match="at least one row"):
+        tl.DeltaAxiom(z4, [])
+
+
 def test_reduce_z6_mixed_row(z6):
     # a=2, b=4=-2, c=[3], d=[3]=-3: reduces to E(X,U) = 2X + 3U
     axiom = tl.DeltaAxiom(z6, [tl.DeltaRow(2, 4, (3,), (3,), ())])

@@ -2,7 +2,8 @@
 plus cross-checks between the compiled and pure backends of the three
 kernels that have a compiled twin (``enumerate_submodules``,
 ``modularity_witness``, ``module_axiom_witness``); the other kernels
-exist only in ``_core_py`` and are tested there.
+exist only in ``_core_py`` and are tested there, and the delta
+evaluation in ``delta`` is tested against verbatim references.
 
 When ``torsionlab._core`` is not installed, the compiled backend is built
 here from ``src/torsionlab/_core.c`` into a temporary directory and
@@ -26,9 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import _core_py
+from torsionlab import _core_py, delta
 from torsionlab import kernels
-from torsionlab.delta import _coef_arrays
 from torsionlab.errors import InvariantError, TableError
 
 from conftest import reference_lattice_axioms
@@ -625,10 +625,33 @@ def random_delta(ring, rng):
     return tl.DeltaAxiom(ring, rows, u_arity, z_arity)
 
 
+def coef_arrays(axiom):
+    """The coefficients of ``axiom`` as the flat lists the references take."""
+    rows = len(axiom.rows)
+    a = [row.a for row in axiom.rows]
+    b = [row.b for row in axiom.rows]
+    c = [x for row in axiom.rows for x in row.c]
+    d = [x for row in axiom.rows for x in row.d]
+    e = [x for row in axiom.rows for x in row.e]
+    return rows, a, b, c, d, e
+
+
+def reference_args(module, axiom):
+    """The flat arguments of the reference delta functions."""
+    rows, a, b, c, d, e = coef_arrays(axiom)
+    return (module.order, rows, axiom.u_arity, axiom.z_arity, module.add_flat,
+            module.act_flat, a, b, c, d, e, module.zero)
+
+
+def reference_witnesses(module, axiom):
+    args = reference_args(module, axiom)
+    return reference_delta_cond1_witness(*args), reference_delta_cond2_witness(*args)
+
+
 def delta_kernel_cases():
-    """Kernel arguments for reducible (as the census sweep draws them) and
-    random axioms over the bound-2 corpus modules of order <= 16, within
-    the sweep's budget of m**(2+u+z) <= 200000 evaluations."""
+    """``(module, axiom)`` for reducible (as the census sweep draws them)
+    and random axioms over the bound-2 corpus modules of order <= 16,
+    within the sweep's budget of m**(2+u+z) <= 200000 evaluations."""
     for spec in DELTA_RINGS:
         ring = tl.parse_ring_spec(spec)
         corpus = [mod for mod in tl.module_corpus(ring, 2) if mod.order <= 16]
@@ -638,30 +661,26 @@ def delta_kernel_cases():
                 axiom = random_delta(ring, rng)
             else:
                 axiom = tl.random_reducible_delta(ring, rng)
-            rows, a, b, c, d, e = _coef_arrays(axiom)
             for mod in corpus:
                 if mod.order ** (2 + axiom.u_arity + axiom.z_arity) > 200000:
                     continue
-                yield (mod.order, rows, axiom.u_arity, axiom.z_arity,
-                       list(mod.add_flat), list(mod.act_flat), a, b, c, d, e, mod.zero)
+                yield mod, axiom
 
 
 def test_delta_kernels_return_reference_witnesses():
     calls = witnesses = order16 = 0
-    for args in delta_kernel_cases():
-        for new, ref in ((_core_py.delta_cond1_witness, reference_delta_cond1_witness),
-                         (_core_py.delta_cond2_witness, reference_delta_cond2_witness)):
-            got = new(*args)
-            assert got == ref(*args), args
-            calls += 1
-            witnesses += got is not None
-        order16 += args[0] == 16
+    for mod, axiom in delta_kernel_cases():
+        got = delta.delta_condition_witnesses(mod, axiom)
+        assert got == reference_witnesses(mod, axiom), reference_args(mod, axiom)
+        calls += 2
+        witnesses += sum(w is not None for w in got)
+        order16 += mod.order == 16
     assert witnesses and calls - witnesses and order16
 
 
 # Rings whose bound-2 corpus modules of order <= 36 feed the generated
-# delta cases, and a module of order 289 (Z(17)^2) for the loop route
-# above ``BYTE_ORDER_LIMIT``.
+# delta cases, and a module of order 289 (Z(17)^2), above the 256
+# elements that a byte holds.
 GENERATED_DELTA_RINGS = ["Z(6)", "UT2(2)", "prod(Z(2),Z(2))", "prod(Z(2),Z(3))",
                          "quot(UT2(2),e12)", "quot(Z(8),4)"]
 BEYOND_BYTES = "Z(17)^2"
@@ -679,8 +698,9 @@ def delta_case_modules(spec):
 
 @st.composite
 def delta_cases(draw):
-    """Kernel arguments for a reducible or arbitrary axiom with 1-3 rows,
-    u <= 2 and z <= 1, within the sweep's budget m**(2+u+z) <= 200000."""
+    """``(module, axiom)`` for a reducible or arbitrary axiom with 1-3
+    rows, u <= 2 and z <= 1, within the sweep's budget m**(2+u+z) <=
+    200000."""
     ring, modules = delta_case_modules(draw(st.sampled_from(
         [*GENERATED_DELTA_RINGS, BEYOND_BYTES])))
     mod = draw(st.sampled_from(modules))
@@ -701,7 +721,10 @@ def delta_cases(draw):
     b = [near(ring.neg[x]) for x in a]
     d = [near(ring.neg[x]) for x in c]
     e = [near(ring.zero) for _ in range(rows * z_arity)]
-    return (m, rows, u_arity, z_arity, mod.add_flat, mod.act_flat, a, b, c, d, e, mod.zero)
+    return mod, tl.DeltaAxiom(ring, [
+        tl.DeltaRow(a[j], b[j], c[j * u_arity:(j + 1) * u_arity],
+                    d[j * u_arity:(j + 1) * u_arity], e[j * z_arity:(j + 1) * z_arity])
+        for j in range(rows)], u_arity, z_arity)
 
 
 def brute_delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
@@ -724,9 +747,10 @@ def brute_delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(delta_cases())
-def test_delta_bases_match_brute_force(args):
-    m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero = args
-    bases = _core_py._delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
+def test_delta_bases_match_brute_force(case):
+    mod, axiom = case
+    m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero = reference_args(mod, axiom)
+    bases = delta._delta_bases(mod, axiom)
     assert list(bases.items()) == brute_delta_bases(m, rows, u_arity, z_arity, madd, act,
                                                     c, d, e, zero)
 
@@ -735,72 +759,24 @@ def test_delta_bases_are_built_once_per_instance(monkeypatch):
     ring, (reg, *_) = delta_case_modules("Z(6)")
     axiom = tl.DeltaAxiom(ring, [tl.DeltaRow(1, 2, (3,), (4,), (5,)),
                                  tl.DeltaRow(2, 5, (1,), (5,), (0,))], 1, 1)
-    rows, a, b, c, d, e = _coef_arrays(axiom)
-    args = (reg.order, rows, 1, 1, reg.add_flat, reg.act_flat, a, b, c, d, e, reg.zero)
     builds = []
-    delta_bases = _core_py._delta_bases
+    delta_bases = delta._delta_bases
 
-    def spy(*bases_args):
-        before = _core_py._last_bases
-        got = delta_bases(*bases_args)
-        builds.append(_core_py._last_bases is not before)
-        return got
+    def spy(*args):
+        builds.append(args)
+        return delta_bases(*args)
 
-    monkeypatch.setattr(_core_py, "_last_bases", (None, None))
-    monkeypatch.setattr(_core_py, "_delta_bases", spy)
-    w1 = _core_py.delta_cond1_witness(*args)
-    w2 = _core_py.delta_cond2_witness(*args)
-    assert builds == [True, False]
-    assert (w1, w2) == (reference_delta_cond1_witness(*args), reference_delta_cond2_witness(*args))
-
-
-def test_delta_bases_memo_compares_argument_values():
-    ring, (reg, *_) = delta_case_modules("Z(6)")
-    m, madd, act = reg.order, reg.add_flat, reg.act_flat
-    c, d, e = [1, 2], [5, 4], [0, 3]
-
-    def fresh():
-        return brute_delta_bases(m, 2, 1, 1, madd, act, c, d, e, reg.zero)
-
-    first = _core_py._delta_bases(m, 2, 1, 1, madd, act, c, d, e, reg.zero)
-    assert list(first.items()) == fresh()
-    # equal values in new objects: the kept result
-    assert _core_py._delta_bases(m, 2, 1, 1, list(madd), list(act), list(c), list(d),
-                                 list(e), reg.zero) is first
-    # the same list objects, changed in place: a new build
-    e[0] = 1
-    got = _core_py._delta_bases(m, 2, 1, 1, madd, act, c, d, e, reg.zero)
-    assert list(got.items()) == fresh() != list(first.items())
+    monkeypatch.setattr(delta, "_delta_bases", spy)
+    got = delta.delta_condition_witnesses(reg, axiom)
+    assert builds == [(reg, axiom)]
+    assert got == reference_witnesses(reg, axiom)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(delta_cases())
-def test_delta_kernels_match_reference_on_generated_cases(args):
-    m, rows, u_arity, z_arity, madd, act, a, b, c, d, e, zero = args
-    bases = _core_py._delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero)
-    xterm = [[madd[act[a[j] * m + x] * m + act[b[j] * m + x]] for x in range(m)]
-             for j in range(rows)]
-    arows = [act[a[j] * m:(a[j] + 1) * m] for j in range(rows)]
-    brows = [act[b[j] * m:(b[j] + 1) * m] for j in range(rows)]
-    # the loop routes run on every case, not only above the byte limit
-    for name, reference, loops in (
-            ("delta_cond1_witness", reference_delta_cond1_witness,
-             lambda: _core_py._delta_cond1_witness_loops(m, madd, xterm, zero, bases)),
-            ("delta_cond2_witness", reference_delta_cond2_witness,
-             lambda: _core_py._delta_cond2_witness_loops(m, madd, arows, brows, zero, bases))):
-        expected = reference(*args)
-        assert getattr(_core_py, name)(*args) == expected, name
-        assert loops() == expected, name
-
-
-@pytest.mark.parametrize("impl", [_core_py], ids=lambda i: i.BACKEND_NAME)
-@pytest.mark.parametrize("u_arity, z_arity", [(0, 0), (2, 1)])
-def test_delta_kernels_without_rows(impl, u_arity, z_arity):
-    # no row constrains anything: cond1 holds and the first x != y fails cond2
-    args = (2, 0, u_arity, z_arity, (0, 1, 1, 0), (0, 0, 0, 1), [], [], [], [], [], 0)
-    assert impl.delta_cond1_witness(*args) is reference_delta_cond1_witness(*args) is None
-    assert impl.delta_cond2_witness(*args) == reference_delta_cond2_witness(*args) == \
-        (0, 1, *[0] * (u_arity + z_arity))
+def test_delta_kernels_match_reference_on_generated_cases(case):
+    mod, axiom = case
+    assert delta.delta_condition_witnesses(mod, axiom) == reference_witnesses(mod, axiom)
 
 
 # The lattice kernels as they were before enumeration took one generator
