@@ -1,8 +1,8 @@
-"""Build script: compiles the optional C extension for three hot kernels.
+"""Build script: compiles the optional C extension for two hot kernels.
 
 The extension ``torsionlab._core`` is built from the hand-written
-``src/torsionlab/_core.c`` and holds ``enumerate_submodules``,
-``modularity_witness`` and ``module_axiom_witness``.  The package works
+``src/torsionlab/_core.c`` and holds ``enumerate_submodules`` and
+``module_axiom_witness``.  The package works
 without it (a pure-Python implementation of the same kernels is selected
 at import time), so any failure here is downgraded to a warning and the
 build proceeds extension-free.

@@ -1,10 +1,9 @@
 /*
- * Compiled twins of three ``_core_py`` kernels, enumerate_submodules,
- * modularity_witness and module_axiom_witness, with the same signatures,
- * results and witnesses, written against the CPython C API.  These are
- * the kernels that measure faster in C; ``kernels`` takes every other
- * kernel from ``_core_py`` on both backends.  See ``_core_py`` for what
- * each kernel computes.
+ * Compiled twins of two ``_core_py`` kernels, enumerate_submodules and
+ * module_axiom_witness, with the same signatures, results and witnesses,
+ * written against the CPython C API.  These are the kernels that measure
+ * faster in C; ``kernels`` takes every other kernel from ``_core_py`` on
+ * both backends.  See ``_core_py`` for what each kernel computes.
  *
  * Flat tables arrive as Python sequences and are copied into int arrays;
  * every entry is checked to be an index into the table it points at, so
@@ -304,42 +303,6 @@ done:
     return result;
 }
 
-/* -- lattices ------------------------------------------------------------ */
-
-PyDoc_STRVAR(modularity_witness_doc,
-"modularity_witness(k, meet, join)\n"
-"First triple (x, y, z) with x <= z violating the modular law.");
-
-static PyObject *
-modularity_witness(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *kwlist[] = {"k", "meet", "join", NULL};
-    int k;
-    PyObject *meet_seq, *join_seq, *result = NULL;
-    int *meet = NULL, *join = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iOO:modularity_witness", kwlist,
-                                     &k, &meet_seq, &join_seq))
-        return NULL;
-    if ((meet = to_ints(meet_seq, (Py_ssize_t)k * k, k, "meet")) == NULL
-        || (join = to_ints(join_seq, (Py_ssize_t)k * k, k, "join")) == NULL)
-        goto done;
-    for (int x = 0; x < k; x++)
-        for (int y = 0; y < k; y++)
-            for (int z = 0; z < k; z++) {
-                if (meet[x * k + z] != x)
-                    continue; /* need x <= z */
-                if (join[x * k + meet[y * k + z]] != meet[join[x * k + y] * k + z]) {
-                    result = Py_BuildValue("(iii)", x, y, z);
-                    goto done;
-                }
-            }
-    result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(meet);
-    PyMem_Free(join);
-    return result;
-}
-
 /* -- table axioms -------------------------------------------------------- */
 
 PyDoc_STRVAR(module_axiom_witness_doc,
@@ -404,7 +367,6 @@ done:
 
 static PyMethodDef core_methods[] = {
     KERNEL(enumerate_submodules),
-    KERNEL(modularity_witness),
     KERNEL(module_axiom_witness),
     {NULL, NULL, 0, NULL},
 };
@@ -423,7 +385,7 @@ static PyModuleDef_Slot core_slots[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     "torsionlab._core",
-    "Compiled twins of three ``_core_py`` kernels; see that module for the contracts.",
+    "Compiled twins of two ``_core_py`` kernels; see that module for the contracts.",
     0,
     core_methods,
     core_slots,

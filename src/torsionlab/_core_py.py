@@ -1,26 +1,21 @@
 """Pure-Python implementation of the hot kernels.
 
-Three kernels here, ``enumerate_submodules``, ``modularity_witness`` and
-``module_axiom_witness``, have a compiled twin in ``_core``, built from
-the hand-written C source ``_core.c``; ``kernels`` picks one of each pair
-at import time, and takes every other kernel from this module on both
-backends.  ``orbit``, ``_coset`` and ``sum_with_orbit`` are helpers of
-the kernels here and are not exported.  A kernel and its twin must stay
-observationally identical: on the same inputs they return identical
-results and identical witnesses, while their algorithms may differ.  The
-test suite cross-checks them.
+Two kernels here, ``enumerate_submodules`` and ``module_axiom_witness``,
+have a compiled twin in ``_core``, built from the hand-written C source
+``_core.c``; ``kernels`` picks one of each pair at import time, and
+takes every other kernel from this module on both backends.  ``orbit``,
+``_coset`` and ``sum_with_orbit`` are helpers of the kernels here and
+are not exported.  A kernel and its twin must stay observationally
+identical: on the same inputs they return identical results and
+identical witnesses, while their algorithms may differ.  The test suite
+cross-checks them.  Lattice modularity is decided in ``modules``, with
+no kernel.
 
-The lattice kernels do less work than their definitions suggest, with
-the same results, errors and witnesses (both backends, except that the
-compiled modularity search keeps its plain loops):
-
-* ``enumerate_submodules`` extends each submodule S once per coset: S +
-  Rx depends only on x + S, so only the least x of each coset is tried.
-  ``sum_with_orbit`` adds S + t only for orbit elements t not yet in the
-  sum, so S + Rx costs |S + Rx| lookups, not |S| * |Rx|.
-* ``modularity_witness`` compares, for each x <= z, every y at once with
-  two ``bytes.translate`` calls, up to 256 members; above that it scans
-  the triples one at a time.
+``enumerate_submodules`` does less work than its definition suggests,
+with the same result on both backends: S + Rx depends only on x + S, so
+only the least x of each coset is tried.  ``sum_with_orbit`` adds S + t
+only for orbit elements t not yet in the sum, so S + Rx costs |S + Rx|
+lookups, not |S| * |Rx|.
 
 The table checks (``assoc_witness``, ``module_axiom_witness``) take a
 byte route when every order is at most 256: rows become ``bytes``, and
@@ -154,56 +149,6 @@ def _byte_rows(table, m, k):
     """``table`` (k rows of m entries) as bytes, and its rows."""
     flat = bytes(table)
     return flat, [flat[i * m:(i + 1) * m] for i in range(k)]
-
-
-def modularity_witness(k, meet, join):
-    """First triple (x, y, z) with x <= z violating the modular law,
-    scanned in (x, y, z) order.
-
-    Up to ``BYTE_ORDER_LIMIT`` members, each (x, z) with x <= z is
-    checked for every y at once: with M_z column z of meet and J_x row x
-    of join as bytes, M_z translated by J_x is x v (y ^ z) and J_x
-    translated by M_z is (x v y) ^ z.  For each x the least mismatching
-    y wins, over all z, and the least z among ties.
-    """
-    if k > BYTE_ORDER_LIMIT:
-        return _modularity_witness_loops(k, meet, join)
-    meet_b, join_b = bytes(meet), bytes(join)
-    cols = [meet_b[z::k] for z in range(k)]
-    cols_tr = [_translator(col) for col in cols]
-    for x in range(k):
-        row = join_b[x * k:(x + 1) * k]
-        row_tr = _translator(row)
-        best = None
-        for z in range(k):
-            if meet_b[x * k + z] != x:
-                continue  # need x <= z
-            lhs = cols[z].translate(row_tr)
-            rhs = row.translate(cols_tr[z])
-            if lhs != rhs:
-                y = _first_diff(lhs, rhs)
-                if best is None or y < best[0]:
-                    best = (y, z)
-        if best is not None:
-            return (x, *best)
-    return None
-
-
-def _modularity_witness_loops(k, meet, join):
-    """``modularity_witness`` for any size, one triple at a time."""
-    for x in range(k):
-        mrow_x = x * k
-        jrow_x = x * k
-        for y in range(k):
-            m_y = y * k
-            j_xy = join[jrow_x + y]
-            jy = j_xy * k
-            for z in range(k):
-                if meet[mrow_x + z] != x:
-                    continue  # need x <= z
-                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
-                    return (x, y, z)
-    return None
 
 
 def _additive_witness(f, m, add, add_tr):

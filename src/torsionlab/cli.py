@@ -360,6 +360,7 @@ def _cmd_classify(args):
     return 0 if verdict.rcm else 1
 
 
+# budget picks the instances that run, so it fixes delta_instances: re-pin stdout to change it
 def _delta_sweep(ring, seed, corpus, axioms=10, budget=200000):
     rng = random.Random(f"{seed}/{ring.name}")
     instances = 0

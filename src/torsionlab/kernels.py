@@ -1,12 +1,12 @@
 """Kernel backend selection.
 
 The compiled extension ``torsionlab._core`` (built from ``_core.c``)
-holds twins of three kernels, ``enumerate_submodules``,
-``modularity_witness`` and ``module_axiom_witness``, the ones that run
-faster in C.  When it is importable they come from it; otherwise the
-pure-Python ``torsionlab._core_py`` takes over.  Every other kernel comes
-from ``_core_py`` on both backends.  Delta axioms are evaluated in
-``delta``, with no kernel.
+holds twins of two kernels, ``enumerate_submodules`` and
+``module_axiom_witness``, the ones that run faster in C.  When it is
+importable they come from it; otherwise the pure-Python
+``torsionlab._core_py`` takes over.  Every other kernel comes from
+``_core_py`` on both backends.  Delta axioms are evaluated in ``delta``
+and lattice modularity in ``modules``, with no kernel.
 """
 
 from . import _core_py
@@ -20,7 +20,6 @@ BACKEND = _impl.BACKEND_NAME
 
 # compiled when the extension is built
 enumerate_submodules = _impl.enumerate_submodules
-modularity_witness = _impl.modularity_witness
 module_axiom_witness = _impl.module_axiom_witness
 
 # no compiled twin

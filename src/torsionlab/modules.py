@@ -7,6 +7,7 @@ Submodules are bitsets over the module's index space.
 """
 
 from itertools import chain, compress
+from operator import add, eq
 
 from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
@@ -378,7 +379,9 @@ class FiniteLattice:
     """A family of bitsets closed under intersection, with a top, and its
     meet and join tables, built from the family row by row.
 
-    The members are distinct, ``meet[i][j]`` is the member ``members[i]
+    The members are kept sorted by bitset value, so a member's subsets
+    come before it and index order is a linear extension of the order.
+    They are distinct, ``meet[i][j]`` is the member ``members[i]
     & members[j]``, and ``up[join[i][j]] == up[i] & up[j]``, with
     ``up[i]`` the members containing member i.  So each meet is the
     greatest member below both arguments and each join h the least above
@@ -390,7 +393,7 @@ class FiniteLattice:
     __slots__ = ("members", "size", "meet", "join")
 
     def __init__(self, members):
-        members = self.members = tuple(members)
+        members = self.members = tuple(sorted(members))
         k = self.size = len(members)
         index = {a: i for i, a in enumerate(members)}
         if len(index) < k:
@@ -434,12 +437,60 @@ def _pairwise_table(keys, index, fault):
 
 def lattice_from_family(members):
     """Build the lattice of an intersection-closed family of bitsets."""
-    return FiniteLattice(sorted(members))
+    return FiniteLattice(members)
 
 
 def modularity_witness(lattice):
-    """First (x, y, z) with x <= z and x v (y ^ z) != (x v y) ^ z, or None."""
-    return kernels.modularity_witness(lattice.size, lattice.meet, lattice.join)
+    """First (x, y, z) with x <= z and x v (y ^ z) != (x v y) ^ z, or None.
+
+    The lattice is modular exactly when its height function h, the
+    length of the longest chain up from the bottom, has
+    h(x) + h(y) = h(x ^ y) + h(x v y) for every pair (Birkhoff, *Lattice
+    Theory*, ch. II).  Index order is a linear extension, so h(i) is one
+    more than the largest h below member i, in one pass; the identity is
+    then compared row by row over the upper triangle.
+
+    The test is exact, so no chain-condition pass is needed:
+
+    * h is strictly monotone.  For x <= z, a = x v (y ^ z) lies below
+      b = (x v y) ^ z, and the identity, applied to (x, y ^ z), (y, z),
+      (x, y) and (x v y, z), gives h(a) = h(b); so a < b is impossible
+      and a = b.
+    * In a modular lattice h is the rank, which satisfies the identity.
+
+    Only when the identity fails are the triples searched, one at a
+    time, for the first witness in (x, y, z) order.
+    """
+    k = lattice.size
+    meet, join = lattice.meet, lattice.join
+    h = []
+    for i in range(k):
+        # member j < i lies below member i exactly when meet[i][j] == j
+        h.append(max(compress(h, map(eq, meet[i * k:i * k + i], range(i))), default=-1) + 1)
+    height = h.__getitem__
+    for x in range(k):
+        upper = slice(x * k + x + 1, (x + 1) * k)
+        if [*map(add, map(height, meet[upper]), map(height, join[upper]))] != \
+                [*map(h[x].__add__, h[x + 1:])]:
+            return _modularity_witness_loops(k, meet, join)
+    return None
+
+
+def _modularity_witness_loops(k, meet, join):
+    """``modularity_witness`` by the triple search."""
+    for x in range(k):
+        mrow_x = x * k
+        jrow_x = x * k
+        for y in range(k):
+            m_y = y * k
+            j_xy = join[jrow_x + y]
+            jy = j_xy * k
+            for z in range(k):
+                if meet[mrow_x + z] != x:
+                    continue  # need x <= z
+                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
+                    return (x, y, z)
+    return None
 
 
 def is_modular(lattice):

@@ -326,6 +326,25 @@ def test_rcm_lattice_sizes_match_pinned_digest(capsys):
         "1e981e7ecd49d33f45330ff98aed966aff145672b344f7058cfb84afc16df333"
 
 
+def test_census_above_256_members_matches_pinned_digest(capsys, monkeypatch):
+    # the census of prod(Z(2),UT2(2)) at bound 2 decides modularity on
+    # relative lattices of up to 600 members, above what a byte holds
+    import torsionlab.torsion as torsion_mod
+    sizes = []
+    decide = torsion_mod.modularity_witness
+
+    def spy(lattice):
+        sizes.append(lattice.size)
+        return decide(lattice)
+
+    monkeypatch.setattr(torsion_mod, "modularity_witness", spy)
+    code, out = run_cli(capsys, "census", "prod(Z(2),UT2(2))", "--bound", "2", "--json")
+    assert code == 0
+    assert max(sizes) == 600
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8ef5a9989f66de239b4359e8be51a8e421bbe9111cbc6184918c74bc7af06aa9"
+
+
 # the three classify-wide commands of perfbench/workloads.json, with the
 # stdout sha256 pinned there
 CLASSIFY_WIDE = [

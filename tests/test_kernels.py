@@ -1,9 +1,9 @@
 """Kernel unit tests: each kernel against a naive independent oracle,
-plus cross-checks between the compiled and pure backends of the three
+plus cross-checks between the compiled and pure backends of the two
 kernels that have a compiled twin (``enumerate_submodules``,
-``modularity_witness``, ``module_axiom_witness``); the other kernels
-exist only in ``_core_py`` and are tested there, and the delta
-evaluation in ``delta`` is tested against verbatim references.
+``module_axiom_witness``); the other kernels exist only in ``_core_py``
+and are tested there, and the delta evaluation in ``delta`` and the
+modularity test in ``modules`` are tested against verbatim references.
 
 When ``torsionlab._core`` is not installed, the compiled backend is built
 here from ``src/torsionlab/_core.c`` into a temporary directory and
@@ -73,7 +73,7 @@ TOOLCHAIN = toolchain()
 _core, NO_CORE = compiled_backend(TOOLCHAIN)
 BACKENDS = [_core_py] if _core is None else [_core_py, _core]
 # the kernels with a compiled twin; ``kernels`` takes the rest from ``_core_py``
-COMPILED_KERNELS = {"enumerate_submodules", "modularity_witness", "module_axiom_witness"}
+COMPILED_KERNELS = {"enumerate_submodules", "module_axiom_witness"}
 needs_core = pytest.mark.skipif(_core is None, reason=NO_CORE or "")
 
 
@@ -194,7 +194,7 @@ def test_closure_tables_match_naive_meet_join(impl, ut2):
         for w in sups[1:]:
             acc &= w
         assert members[lat.join[i * k + j]] == acc
-    assert impl.modularity_witness(k, lat.meet, lat.join) is None
+    assert tl.modularity_witness(lat) is None
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
@@ -220,25 +220,71 @@ def test_closure_tables_reject_non_closed_family(impl, ut2):
 N5_FAMILY = [0b00000, 0b00010, 0b00110, 0b11000, 0b11110]
 
 
+def square_submodule_family(impl, spec):
+    """The submodules of ``R^2`` as bitsets, enumerated by ``impl``."""
+    ring = tl.parse_ring_spec(spec)
+    square = tl.power_module(ring, 2)
+    return impl.enumerate_submodules(square.order, ring.order, list(square.add_flat),
+                                     list(square.act_flat), square.zero)
+
+
+# Modularity is decided in ``modules`` on both backends; the backends
+# differ in the families the lattices are built from.
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
 def test_modularity_pentagon_has_witness(impl):
     lat = tl.lattice_from_family(N5_FAMILY)
     meet, join = lat.meet, lat.join
-    w = impl.modularity_witness(5, meet, join)
+    w = tl.modularity_witness(lat)
+    assert w == reference_modularity_witness(5, meet, join)
     assert w is not None
     x, y, z = w
     k = 5
     assert meet[x * k + z] == x
     assert join[x * k + meet[y * k + z]] != meet[join[x * k + y] * k + z]
+    # the ideal chain {0} < (4) < (2) < Z(8), with {0, 1} beside it,
+    # meeting (4) in {0} and joining it to the top: N5 again
+    chain = left_ideal_family(impl, tl.parse_ring_spec("Z(8)"))
+    assert chain == [0b1, 0b10001, 0b1010101, 0b11111111]
+    lat = tl.lattice_from_family(chain + [0b11])
+    assert reference_modularity_witness(5, lat.meet, lat.join) == (2, 1, 3)
+    assert tl.modularity_witness(lat) == (2, 1, 3)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
 def test_modularity_chain_and_diamond_pass(impl):
     chain = tl.lattice_from_family([0b0001, 0b0011, 0b0111, 0b1111])
-    assert impl.modularity_witness(4, chain.meet, chain.join) is None
+    assert tl.modularity_witness(chain) is None
     # M3: three atoms meeting pairwise in the bottom, joining to the top
     diamond = tl.lattice_from_family([0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111])
-    assert impl.modularity_witness(5, diamond.meet, diamond.join) is None
+    assert tl.modularity_witness(diamond) is None
+    empty = tl.lattice_from_family([])
+    assert (empty.meet, empty.join) == ((), ())
+    assert tl.modularity_witness(empty) is None
+    # the same shapes as enumerated: the ideals of Z(8) form a chain and
+    # the subspaces of GF(2)^2 a diamond
+    chain = tl.lattice_from_family(left_ideal_family(impl, tl.parse_ring_spec("Z(8)")))
+    assert chain.size == 4
+    assert tl.modularity_witness(chain) is None
+    diamond = tl.lattice_from_family(square_submodule_family(impl, "GF(2)"))
+    assert diamond.size == 5
+    assert sorted(diamond.join[1 * 5 + j] for j in (2, 3)) == [4, 4]
+    assert tl.modularity_witness(diamond) is None
+
+
+def test_modularity_graded_lattice_fails_only_the_height_identity():
+    # {1}, {2}, {3} under {1,2} and {2,3}, under the top: every maximal
+    # chain has length 3, but {1} and {3} have heights 1 + 1 while their
+    # meet and join have 0 + 3
+    lat = tl.lattice_from_family([0b0000, 0b0010, 0b0100, 0b1000, 0b0110, 0b1100, 0b1110])
+    assert reference_modularity_witness(lat.size, lat.meet, lat.join) == (1, 4, 3)
+    assert tl.modularity_witness(lat) == (1, 4, 3)
+
+
+def test_finite_lattice_sorts_its_members():
+    family = [0b1110, 0b0000, 0b1100, 0b0010, 0b0110, 0b1000, 0b0100]
+    lat, built = tl.FiniteLattice(family), tl.lattice_from_family(family)
+    assert lat.members == built.members == tuple(sorted(family))
+    assert (lat.meet, lat.join) == (built.meet, built.join)
 
 
 @pytest.mark.parametrize("impl", [_core_py], ids=lambda i: i.BACKEND_NAME)
@@ -780,11 +826,11 @@ def test_delta_kernels_match_reference_on_generated_cases(case):
 
 
 # The lattice kernels as they were before enumeration took one generator
-# per coset, joins were read off up-sets and modularity compared whole
-# rows; kept verbatim as the reference (the modularity loops stay in
-# ``_core_py`` as ``_modularity_witness_loops``, the route above 256).
+# per coset, joins were read off up-sets and modularity was read off the
+# height function; kept verbatim as the reference.
 # ``reference_closure_tables`` is now the reference for the tables
-# ``FiniteLattice`` builds.
+# ``FiniteLattice`` builds, and ``reference_modularity_witness`` for
+# ``modules.modularity_witness``.
 def reference_sum_with_orbit(sub, elems, orb, m, add):
     """Closure of ``sub + Rx`` for a closed ``sub``, given its members
     ``elems`` and the orbit ``orb`` of the new generator x.
@@ -852,6 +898,24 @@ def reference_closure_tables(members):
     return meet, join
 
 
+def reference_modularity_witness(k, meet, join):
+    """First triple (x, y, z) with x <= z violating the modular law,
+    scanned in (x, y, z) order, one triple at a time."""
+    for x in range(k):
+        mrow_x = x * k
+        jrow_x = x * k
+        for y in range(k):
+            m_y = y * k
+            j_xy = join[jrow_x + y]
+            jy = j_xy * k
+            for z in range(k):
+                if meet[mrow_x + z] != x:
+                    continue  # need x <= z
+                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
+                    return (x, y, z)
+    return None
+
+
 @st.composite
 def bitset_families(draw):
     """Families of subsets of at most 8 points, in any order: raw lists
@@ -886,22 +950,7 @@ def test_lattice_kernels_match_reference_on_generated_families(family):
     lat = tl.lattice_from_family(family)
     assert (list(lat.meet), list(lat.join)) == expected
     reference_lattice_axioms(lat)
-    k = lat.size
-    witness = _core_py._modularity_witness_loops(k, *expected)
-    for impl in BACKENDS:
-        assert impl.modularity_witness(k, lat.meet, lat.join) == witness
-
-
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
-    st.just(k), st.lists(st.integers(0, k - 1), min_size=k * k, max_size=k * k),
-    st.lists(st.integers(0, k - 1), min_size=k * k, max_size=k * k))))
-def test_modularity_witness_matches_loops_on_any_tables(case):
-    # arbitrary tables, so meet is seldom symmetric: reading a row of
-    # meet where the law needs a column changes the witness
-    witness = _core_py._modularity_witness_loops(*case)
-    for impl in BACKENDS:
-        assert impl.modularity_witness(*case) == witness
+    assert tl.modularity_witness(lat) == reference_modularity_witness(lat.size, *expected)
 
 
 def pentagon_under_chain(k):
@@ -911,16 +960,14 @@ def pentagon_under_chain(k):
     return N5_FAMILY + chain
 
 
+# the sizes straddle ``BYTE_ORDER_LIMIT``, where the byte routes end;
+# the modularity test has no size split
 @pytest.mark.parametrize("k", [256, 257, 300])
 def test_modularity_witness_on_each_side_of_the_byte_limit(k):
     lat = tl.lattice_from_family(pentagon_under_chain(k))
-    meet, join = lat.meet, lat.join
     assert lat.size == k
-    assert _core_py.modularity_witness(k, meet, join) == (1, 3, 2)
-    if k == 256:
-        assert _core_py._modularity_witness_loops(k, meet, join) == (1, 3, 2)
-    if _core is not None:
-        assert _core.modularity_witness(k, meet, join) == (1, 3, 2)
+    assert reference_modularity_witness(k, lat.meet, lat.join) == (1, 3, 2)
+    assert tl.modularity_witness(lat) == (1, 3, 2)
 
 
 def submodule_cases():
@@ -946,8 +993,8 @@ def test_submodule_lattices_match_reference(impl):
         meet, join = reference_closure_tables(members)
         lat = tl.lattice_from_family(members)
         assert (list(lat.meet), list(lat.join)) == (meet, join)
-        assert impl.modularity_witness(len(members), lat.meet, lat.join) == \
-            _core_py._modularity_witness_loops(len(members), meet, join)
+        assert tl.modularity_witness(lat) == \
+            reference_modularity_witness(len(members), meet, join)
         if impl is not _core_py:
             continue  # span_closure has no compiled twin
         m, n, add, act, zero = args
@@ -963,15 +1010,7 @@ def test_backends_agree_on_submodule_enumeration():
         square = tl.power_module(ring, 2)
         args = (square.order, ring.order, list(square.add_flat),
                 list(square.act_flat), square.zero)
-        members = _core.enumerate_submodules(*args)
-        assert members == _core_py.enumerate_submodules(*args)
-        lat = tl.lattice_from_family(members)
-        assert _core.modularity_witness(lat.size, lat.meet, lat.join) == \
-            _core_py.modularity_witness(lat.size, lat.meet, lat.join)
-    empty = tl.lattice_from_family([])
-    assert (empty.meet, empty.join) == ((), ())
-    assert _core.modularity_witness(0, empty.meet, empty.join) is \
-        _core_py.modularity_witness(0, empty.meet, empty.join) is None
+        assert _core.enumerate_submodules(*args) == _core_py.enumerate_submodules(*args)
 
 
 @needs_core
@@ -980,8 +1019,6 @@ def test_compiled_kernels_reject_entries_outside_their_tables():
     add = [0, 1, 1, 0]
     for call in (lambda: _core.enumerate_submodules(2, 1, add, [0, 2], 0),
                  lambda: _core.enumerate_submodules(2, 1, add, [0, 1], 2),
-                 lambda: _core.modularity_witness(2, [0, 0, 0, 1], [0, 1, 1, 2]),
-                 lambda: _core.modularity_witness(2, [0, 0, 0], [0, 1, 1, 1]),
                  lambda: _core.module_axiom_witness(1, 2, [0], [0], add, [0, 1], 1)):
         with pytest.raises(ValueError):
             call()
@@ -992,7 +1029,7 @@ def test_selected_backend_is_exported():
     assert tl.backend() == kernels.backend()
 
 
-def test_only_three_kernels_are_compiled():
+def test_only_two_kernels_are_compiled():
     selected = _core if kernels.backend() == "compiled" else _core_py
     names = {name for name, value in vars(kernels).items()
              if callable(value) and name != "backend"}
