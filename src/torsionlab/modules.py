@@ -21,12 +21,12 @@ class FiniteModule:
 
     ``_trusted`` skips every table check.  Only three constructors pass
     it: ``regular_module``, for the tables ``FiniteRing`` checked as R
-    acting on itself, and ``quotient_module`` and ``direct_sum``, for
-    tables that ``rings.check_map`` has proved valid through the maps
-    that define them.  The module axioms are identities, so they hold in
-    every homomorphic image of a module and, coordinate by coordinate,
-    in every direct sum.  Tables from input (``file:``) are always
-    checked.
+    acting on itself, and ``direct_sum`` and ``_checked_quotient`` (for
+    ``quotient_module`` and ``module_corpus``), for tables that
+    ``rings.check_map`` has proved valid through the maps that define
+    them.  The module axioms are identities, so they hold in every
+    homomorphic image of a module and, coordinate by coordinate, in
+    every direct sum.  Tables from input (``file:``) are always checked.
     """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "name", "neg",
@@ -255,29 +255,31 @@ def quotient_module(module, sub, name=None):
 
     The projection is checked to be onto, with kernel ``sub``, and to
     preserve +, the action and zero, which proves the quotient's tables
-    valid (see ``rings.check_map``).
+    valid (see ``rings.check_map``).  Each call builds and checks anew.
     """
+    return _checked_quotient(module, sub, name or f"{module.name}/sub",
+                             *_quotient_tables(module, sub))
+
+
+def _quotient_tables(module, sub):
+    """``(proj, m, add, act, zero)``: the projection onto the m cosets of
+    ``sub`` and the unchecked flat tables of M/sub."""
     if sub.module is not module:
         raise ValueError("quotient_module: submodule of a different module")
-    key = ("quot", sub.bits, name)
-    cached = module._cache.get(key)
-    if cached is not None:
-        return cached
     reps, proj = coset_representatives(module.order, module.add, sub.elements())
-    m = len(reps)
     add = [proj[module.add[a][b]] for a in reps for b in reps]
     act = [proj[row[a]] for row in module.act for a in reps]
-    zero = proj[module.zero]
-    out_name = name or f"{module.name}/sub"
-    check_map(f"quotient module {out_name}", proj, m,
+    return proj, len(reps), add, act, proj[module.zero]
+
+
+def _checked_quotient(module, sub, name, proj, m, add, act, zero):
+    """M/sub on ``_quotient_tables``' output, once ``check_map`` proves it valid."""
+    check_map(f"quotient module {name}", proj, m,
               [("+", proj, module.add_flat, add),
                ("action", range(module.ring.order), module.act_flat, act)],
               [("zero", module.zero, zero)], kernel=(module.zero, sub.bits))
-    out = FiniteModule(module.ring, m, rows_of(add, m), rows_of(act, m), zero,
-                       name=out_name, _trusted=True)
-    out._cache["projection"] = proj
-    module._cache[key] = out
-    return out
+    return FiniteModule(module.ring, m, rows_of(add, m), rows_of(act, m), zero,
+                        name=name, _trusted=True)
 
 
 def module_from_table(doc, ring, name="table"):
@@ -309,7 +311,8 @@ def module_from_table(doc, ring, name="table"):
 
 
 def module_corpus(ring, bound=2):
-    """The bounded test corpus: quotients of R^k for k <= bound, deduplicated."""
+    """The bounded test corpus: quotients of R^k for k <= bound, deduplicated.
+    Only the first quotient with given tables is kept, map-checked and built."""
     key = ("corpus", bound)
     got = ring._cache.get(key)
     if got is not None:
@@ -319,10 +322,10 @@ def module_corpus(ring, bound=2):
     for k in range(1, bound + 1):
         parent = power_module(ring, k)
         for i, sub in enumerate(all_submodules(parent)):
-            quot = quotient_module(parent, sub, name=f"{parent.name}/s{i}")
-            sig = (quot.order, quot.add_flat, quot.act_flat, quot.zero)
-            if sig not in seen:
-                seen.add(sig)
+            _, m, add, act, zero = tables = _quotient_tables(parent, sub)
+            if (m, tuple(add), tuple(act), zero) not in seen:
+                quot = _checked_quotient(parent, sub, f"{parent.name}/s{i}", *tables)
+                seen.add((quot.order, quot.add_flat, quot.act_flat, quot.zero))
                 out.append(quot)
     got = tuple(out)
     ring._cache[key] = got

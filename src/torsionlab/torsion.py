@@ -270,7 +270,7 @@ def closure_witness(notion, module, sub, x):
 
 
 def relative_lattice(notion, module):
-    """Lattice of submodules with torsion-free quotient.
+    """Lattice of submodules with torsion-free quotient; not cached.
 
     These are exactly the fixed points of the relative closure; meet is
     intersection, join is the closure of the sum (equivalently the least
@@ -279,15 +279,9 @@ def relative_lattice(notion, module):
     _require_validated(notion, module)
     if not is_torsion_free(notion, module):
         raise ValueError(f"{module.name} is not torsion-free for {notion.describe()}")
-    key = ("rlat", notion.key())
-    got = module._cache.get(key)
-    if got is None:
-        subs = all_submodules(module)
-        fixed = [s.bits for s, closed in zip(subs, _submodule_closures(notion, module, subs))
-                 if closed == s.bits]
-        got = lattice_from_family(fixed)
-        module._cache[key] = got
-    return got
+    subs = all_submodules(module)
+    return lattice_from_family([s.bits for s, closed in zip(
+        subs, _submodule_closures(notion, module, subs)) if closed == s.bits])
 
 
 def weak_extension_witness(notion, module):

@@ -8,6 +8,8 @@ no submodule, must be an internal fault (``InvariantError``, exit 70),
 never a table error (exit 2).
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +251,38 @@ def test_corrupted_derived_entry_is_an_internal_fault(monkeypatch, kind, op, how
     monkeypatch.setattr(owner, "check_map", corrupting)
     with pytest.raises(InvariantError):
         build()
+    assert corrupted
+
+
+def test_rcm_verify_leaves_no_quotient_or_lattice_memo():
+    ring = tl.parse_ring_spec("UT2(2)")
+    reports = [tl.rcm_verify(notion, 2) for notion in tl.enumerate_torsion_notions(ring)]
+    assert sum(report.modules_checked for report in reports) > 0
+    held = [tl.power_module(ring, 1), tl.power_module(ring, 2), *tl.module_corpus(ring, 2)]
+    keys = {key[0] if isinstance(key, tuple) else key for m in held for key in m._cache}
+    assert "subs" in keys and "closures" in keys
+    assert not keys & {"quot", "projection", "rlat"}
+
+
+@pytest.mark.parametrize("op", [0, 1])
+@pytest.mark.parametrize("target", ["quotient module R/s1", "quotient module R^2/s0"])
+def test_a_corrupted_kept_corpus_quotient_is_an_internal_fault(monkeypatch, target, op):
+    ring = tl.parse_ring_spec("UT2(2)")
+    notion = tl.enumerate_torsion_notions(ring)[0]
+    check_map = rings.check_map
+    corrupted = []
+
+    def corrupting(what, f, m, operations, *args, **kwargs):
+        if what == target:
+            table = operations[op][3]
+            pos = len(table) // 2
+            table[pos] = (table[pos] + 1) % m
+            corrupted.append(pos)
+        return check_map(what, f, m, operations, *args, **kwargs)
+
+    monkeypatch.setattr(modules, "check_map", corrupting)
+    with pytest.raises(InvariantError, match=re.escape(target)):
+        tl.rcm_verify(notion, 2)
     assert corrupted
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import torsionlab as tl
-from torsionlab import kernels
+from torsionlab import kernels, modules
 from torsionlab.errors import InvariantError, TableError
 from torsionlab.rings import coset_representatives
 
@@ -144,7 +144,7 @@ def test_quotient_submodules_biject_with_overgroups(ut2, z8):
         subs = tl.all_submodules(reg)
         for s in subs:
             quot = tl.quotient_module(reg, s)
-            proj = quot._cache["projection"]
+            _, proj = coset_representatives(reg.order, reg.add, s.elements())
             over = [t for t in subs if s.bits & ~t.bits == 0]
             images = set()
             for t in over:
@@ -315,7 +315,7 @@ def test_module_corpus_contains_regular_and_square(z6):
 
 
 def test_corpus_names_do_not_depend_on_earlier_quotients():
-    # a fresh ring, so no corpus or quotient is cached on it yet
+    # a fresh ring, so no corpus is cached on it yet
     ring = tl.upper_triangular_ring(2)
     reg = tl.regular_module(ring)
     zero = tl.Submodule(reg, 1 << reg.zero)
@@ -324,3 +324,47 @@ def test_corpus_names_do_not_depend_on_earlier_quotients():
     # R/s4 has the same tables as R/s3, so deduplication drops it
     assert [m.name for m in corpus] == ["R/s0", "R/s1", "R/s2", "R/s3", "R/s5", "R/s6"]
     assert tl.quotient_module(reg, zero).name == "R/sub"
+
+
+def reference_module_corpus(ring, bound):
+    """The corpus loop that built and map-checked every quotient before
+    deduplicating, kept verbatim as the reference."""
+    out = []
+    seen = set()
+    for k in range(1, bound + 1):
+        parent = tl.power_module(ring, k)
+        for i, sub in enumerate(tl.all_submodules(parent)):
+            quot = tl.quotient_module(parent, sub, name=f"{parent.name}/s{i}")
+            sig = (quot.order, quot.add_flat, quot.act_flat, quot.zero)
+            if sig not in seen:
+                seen.add(sig)
+                out.append(quot)
+    return out
+
+
+def test_corpus_checks_each_kept_quotient_once(monkeypatch):
+    calls = []
+    check = modules.check_map
+
+    def counted(what, *args, **kwargs):
+        calls.append(what)
+        return check(what, *args, **kwargs)
+
+    monkeypatch.setattr(modules, "check_map", counted)
+    corpus = tl.module_corpus(tl.parse_ring_spec("UT2(2)"), 2)
+    # one check per kept quotient, and R^2's two coordinate maps
+    assert len(corpus) == 41
+    assert len(calls) == 43
+    assert [c for c in calls if c.startswith("quotient")] == \
+        [f"quotient module {m.name}" for m in corpus]
+    del calls[:]
+    assert len(reference_module_corpus(tl.parse_ring_spec("UT2(2)"), 2)) == 41
+    assert len(calls) == 129  # every one of the 7 + 120 quotients, and R^2
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in tl.builtin_rings(8)])
+def test_corpus_equals_the_check_every_quotient_reference(spec):
+    got = tl.module_corpus(tl.parse_ring_spec(spec), 2)
+    want = reference_module_corpus(tl.parse_ring_spec(spec), 2)
+    assert [(m.name, m.order, m.add, m.act, m.zero) for m in got] == \
+        [(m.name, m.order, m.add, m.act, m.zero) for m in want]
