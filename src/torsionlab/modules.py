@@ -11,9 +11,9 @@ from operator import add, eq
 
 from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
-from .rings import (TwoSidedIdeal, check_abelian_group, check_generators, check_map,
-                    coset_representatives, greedy_generators, is_json_int, preimage,
-                    product_maps, rows_of)
+from .rings import (TwoSidedIdeal, all_left_ideals, check_abelian_group, check_generators,
+                    check_map, coset_representatives, greedy_generators, is_json_int,
+                    preimage, product_maps, rows_of)
 
 
 class FiniteModule:
@@ -205,6 +205,9 @@ def regular_module(ring):
     if got is None:
         got = FiniteModule(ring, ring.order, ring.add, ring.mul, ring.zero, name="R",
                            _trusted=True)
+        # its submodules are R's left ideals, enumerated on the same tables
+        got._cache["subs"] = tuple(Submodule(got, a.bits, _trusted=True)
+                                   for a in all_left_ideals(ring))
         ring._cache["regular"] = got
     return got
 

@@ -8,7 +8,8 @@ index space, ordered as little-endian integers (bit ``i`` = element
 emits.
 """
 
-from itertools import chain
+import operator
+from itertools import chain, product
 
 from . import kernels
 from ._core_py import BYTE_ORDER_LIMIT, _first_diff, _translator
@@ -593,57 +594,50 @@ def upper_triangular_ring(p):
     Element index is ``(a*p + b)*p + c`` for the matrix [[a, b], [0, c]],
     so over GF(2): e11 = 4, e12 = 2, e22 = 1 and the identity is 5.
     """
-    _require_prime(p, "UT2(p)")
-    n = p ** 3
-
-    def unpack(i):
-        return (i // (p * p), (i // p) % p, i % p)
-
-    def pack(a, b, c):
-        return (a * p + b) * p + c
-
-    add = [[pack(*((x + y) % p for x, y in zip(unpack(i), unpack(j))))
-            for j in range(n)] for i in range(n)]
-    mul = []
-    for i in range(n):
-        a1, b1, c1 = unpack(i)
-        row = []
-        for j in range(n):
-            a2, b2, c2 = unpack(j)
-            row.append(pack((a1 * a2) % p, (a1 * b2 + b1 * c2) % p, (c1 * c2) % p))
-        mul.append(row)
-    names = {"e11": p * p, "e12": p, "e22": 1}
-    ring = FiniteRing(n, add, mul, 0, pack(1, 0, 1), name=f"UT2({p})", element_names=names)
-    ring._resolve = {i: _matrix_name(unpack(i), ("e11", "e12", "e22")) for i in range(n)}
-    return ring
+    return _matrix_ring(p, "UT2", ((0, 0), (0, 1), (1, 1)))
 
 
 def full_matrix_ring(p):
     """Full 2x2 matrix ring over GF(p); index = ((a*p+b)*p+c)*p + d."""
-    _require_prime(p, "M2(p)")
-    n = p ** 4
+    return _matrix_ring(p, "M2", ((0, 0), (0, 1), (1, 0), (1, 1)))
 
-    def unpack(i):
-        return (i // p ** 3, (i // p ** 2) % p, (i // p) % p, i % p)
 
-    def pack(a, b, c, d):
-        return ((a * p + b) * p + c) * p + d
+def _matrix_ring(p, ctor, cells):
+    """The ring ``ctor(p)`` of the 2x2 matrices over GF(p) that are zero
+    off ``cells``, product-closed positions that hold the diagonal.  An
+    element's index reads its entries at ``cells`` as base-p digits, most
+    significant first.  Row i of x + y and of x*y depends on x only through
+    row i of x, so each table row adds two row parts made once by C-level
+    maps over the entry columns of all y."""
+    _require_prime(p, f"{ctor}(p)")
+    n = p ** len(cells)
+    weight = {cell: n // p ** (c + 1) for c, cell in enumerate(cells)}
+    # col[i, j][y]: y's entry at (i, j)
+    col = {cell: [0] * n for cell in product((0, 1), repeat=2)}
+    col.update((cell, [y // w % p for y in range(n)]) for cell, w in weight.items())
 
-    add = [[pack(*((x + y) % p for x, y in zip(unpack(i), unpack(j))))
-            for j in range(n)] for i in range(n)]
-    mul = []
-    for i in range(n):
-        a1, b1, c1, d1 = unpack(i)
-        row = []
-        for j in range(n):
-            a2, b2, c2, d2 = unpack(j)
-            row.append(pack((a1 * a2 + b1 * c2) % p, (a1 * b2 + b1 * d2) % p,
-                            (c1 * a2 + d1 * c2) % p, (c1 * b2 + d1 * d2) % p))
-        mul.append(row)
-    names = {"e11": p ** 3, "e12": p ** 2, "e21": p, "e22": 1}
-    ring = FiniteRing(n, add, mul, 0, pack(1, 0, 0, 1), name=f"M2({p})", element_names=names)
-    ring._resolve = {i: _matrix_name(unpack(i), ("e11", "e12", "e21", "e22"))
-                     for i in range(n)}
+    def part(i, entries):
+        # the index part of row i of the matrices whose entry (i, j) is entries[j] mod p
+        terms = [map(weight[i, j].__mul__, map(p.__rmod__, entries[j]))
+                 for j in (0, 1) if (i, j) in weight]
+        return list(map(sum, zip(*terms)))
+
+    # sums[i][a, b], prods[i][a, b]: the parts of row i of x + y and of x*y
+    # over all y, for the x whose row i is (a, b)
+    sums, prods = ({}, {}), ({}, {})
+    for i in (0, 1):
+        for a, b in product(*(range(p) if (i, j) in weight else (0,) for j in (0, 1))):
+            sums[i][a, b] = part(i, [map(a.__add__, col[i, 0]), map(b.__add__, col[i, 1])])
+            prods[i][a, b] = part(i, [map(operator.add, map(a.__mul__, col[0, j]),
+                                          map(b.__mul__, col[1, j])) for j in (0, 1)])
+    xs = list(zip(col[0, 0], col[0, 1], col[1, 0], col[1, 1]))
+    add = [list(map(operator.add, sums[0][a, b], sums[1][c, d])) for a, b, c, d in xs]
+    mul = [list(map(operator.add, prods[0][a, b], prods[1][c, d])) for a, b, c, d in xs]
+    units = [f"e{i + 1}{j + 1}" for i, j in cells]
+    ring = FiniteRing(n, add, mul, 0, weight[0, 0] + weight[1, 1], name=f"{ctor}({p})",
+                      element_names=dict(zip(units, weight.values())))
+    ring._resolve = {x: _matrix_name(entries, units)
+                     for x, entries in enumerate(zip(*(col[cell] for cell in cells)))}
     return ring
 
 

@@ -13,35 +13,56 @@ from torsionlab.errors import RingSpecError, TableError
 from conftest import A_BITS, E11, E12, E22, ONE, RE22_BITS, UT2_IDEAL_BITS
 
 
-# -- independent matrix oracle for UT2(2) ---------------------------------
+# -- independent matrix oracle for UT2(p) and M2(p) ----------------------
 
-def mat(i):
-    a, b, c = (i >> 2) & 1, (i >> 1) & 1, i & 1
-    return ((a, b), (0, c))
-
-
-def mat_index(m):
-    return 4 * m[0][0] + 2 * m[0][1] + m[1][1]
+# the positions each ring may fill, in the order an element index reads
+# their entries as base-p digits, most significant first
+CELLS = {"UT2": ((0, 0), (0, 1), (1, 1)), "M2": ((0, 0), (0, 1), (1, 0), (1, 1))}
 
 
-def mat_mul(x, y):
-    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) % 2
+def matrices(kind, p):
+    """Every matrix of UT2(p) or M2(p) as a tuple of rows, by element index."""
+    out = []
+    for digits in itertools.product(range(p), repeat=len(CELLS[kind])):
+        entries = dict(zip(CELLS[kind], digits))
+        out.append(tuple(tuple(entries.get((i, j), 0) for j in range(2)) for i in range(2)))
+    return out
+
+
+def mat_mul(x, y, p):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) % p
                        for j in range(2)) for i in range(2))
 
 
-def mat_add(x, y):
-    return tuple(tuple((x[i][j] + y[i][j]) % 2 for j in range(2)) for i in range(2))
+def mat_add(x, y, p):
+    return tuple(tuple((x[i][j] + y[i][j]) % p for j in range(2)) for i in range(2))
 
 
-def test_ut2_tables_match_matrix_arithmetic(ut2):
-    assert ut2.order == 8
-    assert ut2.one == ONE
-    for i in range(8):
-        for j in range(8):
-            assert ut2.add[i][j] == mat_index(mat_add(mat(i), mat(j)))
-            assert ut2.mul[i][j] == mat_index(mat_mul(mat(i), mat(j)))
-    assert ut2.mul[E11][E12] == E12
-    assert ut2.mul[E12][E11] == ut2.zero
+def mat_name(x, kind):
+    """``2e11+e12`` style: the nonzero entries as multiples of the units."""
+    terms = [f"{'' if x[i][j] == 1 else x[i][j]}e{i + 1}{j + 1}"
+             for i, j in CELLS[kind] if x[i][j]]
+    return "+".join(terms) or "0"
+
+
+@pytest.mark.parametrize("spec", ["UT2(2)", "UT2(3)", "UT2(5)", "M2(2)", "M2(3)"])
+def test_matrix_ring_tables_match_matrix_arithmetic(spec):
+    kind, p = spec[:-1].split("(")
+    p = int(p)
+    ring = tl.parse_ring_spec(spec)
+    mats = matrices(kind, p)
+    index = {x: i for i, x in enumerate(mats)}
+    assert ring.order == len(mats)
+    assert ring.zero == index[((0, 0), (0, 0))]
+    assert ring.one == index[((1, 0), (0, 1))]
+    assert ring.add == tuple(tuple(index[mat_add(x, y, p)] for y in mats) for x in mats)
+    assert ring.mul == tuple(tuple(index[mat_mul(x, y, p)] for y in mats) for x in mats)
+    units = [(f"e{i + 1}{j + 1}", index[tuple(tuple(int((r, c) == (i, j)) for c in range(2))
+                                              for r in range(2))])
+             for i, j in CELLS[kind]]
+    assert list(ring._names.items()) == units + [("0", ring.zero), ("1", ring.one)]
+    assert [ring.element_name(i) for i in range(ring.order)] == [mat_name(x, kind)
+                                                                 for x in mats]
 
 
 def test_ut2_element_names(ut2):
@@ -68,7 +89,8 @@ def test_gf_requires_prime():
         tl.parse_ring_spec("UT2(6)")
 
 
-def test_prime_field_checks_its_tables_once(monkeypatch):
+def count_axiom_checks(monkeypatch):
+    """The (order, order) arguments of every later ``module_axiom_witness`` call."""
     calls = []
     check = kernels.module_axiom_witness
 
@@ -77,11 +99,24 @@ def test_prime_field_checks_its_tables_once(monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(kernels, "module_axiom_witness", counted)
+    return calls
+
+
+def test_prime_field_checks_its_tables_once(monkeypatch):
+    calls = count_axiom_checks(monkeypatch)
     field = tl.prime_field(7)
     assert calls == [(7, 7)]
     assert field.name == "GF(7)"
     z7 = tl.cyclic_ring(7)
     assert (field.add, field.mul, field.zero, field.one) == (z7.add, z7.mul, z7.zero, z7.one)
+
+
+@pytest.mark.parametrize("build,p,order", [(tl.upper_triangular_ring, 3, 27),
+                                           (tl.full_matrix_ring, 2, 16)])
+def test_matrix_rings_check_their_tables_once(monkeypatch, build, p, order):
+    calls = count_axiom_checks(monkeypatch)
+    build(p)
+    assert calls == [(order, order)]
 
 
 def test_one_element_ring():
