@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .classify import classify, commutative_collapse
-from .delta import delta_equiv_quasiidentity, delta_from_doc, random_reducible_delta, reduce_delta
+from .delta import _delta_equiv, delta_from_doc, random_reducible_delta, reduce_delta
 from .errors import InvariantError, ReductionError, RingSpecError, TableError
 from .kernels import backend
 from .modules import (module_corpus, module_from_table, power_module,
@@ -366,11 +366,12 @@ def _delta_sweep(ring, seed, corpus, axioms=10, budget=200000):
     instances = 0
     for _ in range(axioms):
         axiom = random_reducible_delta(ring, rng)
+        red = reduce_delta(axiom)
         cost_exp = 2 + axiom.u_arity + axiom.z_arity
         for module in corpus:
             if module.order ** cost_exp > budget:
                 continue
-            delta_equiv_quasiidentity(module, axiom)
+            _delta_equiv(module, axiom, red)
             instances += 1
     return instances
 

@@ -233,7 +233,12 @@ def delta_equiv_quasiidentity(module, axiom):
     original rows, the right side tests the one-variable quasiidentity of
     the encoding ideal.  Disagreement is a hard fault.
     """
-    red = reduce_delta(axiom)
+    return _delta_equiv(module, axiom, reduce_delta(axiom))
+
+
+def _delta_equiv(module, axiom, red):
+    """``delta_equiv_quasiidentity`` with the axiom already reduced to
+    ``red``, so that a sweep reduces each axiom once."""
     via_delta = delta_satisfied(module, axiom)
     via_ideal = satisfies_quasiidentity(module, red.ideal)
     if via_delta != via_ideal:

@@ -319,8 +319,9 @@ def module_corpus(ring, bound=2):
     key = ("corpus", bound)
     got = ring._cache.get(key)
     if got is not None:
-        return got
+        return got[0]
     out = []
+    sources = []
     seen = set()
     for k in range(1, bound + 1):
         parent = power_module(ring, k)
@@ -330,9 +331,17 @@ def module_corpus(ring, bound=2):
                 quot = _checked_quotient(parent, sub, f"{parent.name}/s{i}", *tables)
                 seen.add((quot.order, quot.add_flat, quot.act_flat, quot.zero))
                 out.append(quot)
-    got = tuple(out)
-    ring._cache[key] = got
-    return got
+                sources.append((parent, i))
+    got = ring._cache[key] = (tuple(out), tuple(sources))
+    return got[0]
+
+
+def _corpus_sources(ring, bound):
+    """For each module of ``module_corpus(ring, bound)``, in order, the
+    ``(parent, i)`` it is the quotient of: R^k by its i-th submodule in
+    ``all_submodules`` order."""
+    module_corpus(ring, bound)
+    return ring._cache[("corpus", bound)][1]
 
 
 # -- quasiidentity semantics ----------------------------------------------

@@ -20,11 +20,25 @@ alone: some member B has B*x inside a submodule S exactly when A*x is,
 the closure of S is {x : A*x in S}, and torsion-free means satisfying
 A's quasiidentity.  A has the least bitset, so it is ``ideals[0]``; the
 checker confirms that it lies below every member.
+
+``rcm_verify`` reads the whole corpus off R^k, once per notion and k.
+Each corpus module is a quotient R^k/S.  It is torsion-free exactly when
+S is closed, cl(S) = S, and then its relative lattice is the interval
+[S, R^k] of Closed(R^k), the lattice of closed submodules of R^k,
+because cl(T/S) = cl(T)/S.  Every interval of a modular lattice is
+modular (Birkhoff), so one modularity check of Closed(R^k) settles them
+all.  The closure is an intersection of preimages, so cl(T & U) =
+cl(T) & cl(U); if T/S and U/S meet in zero, then T & U = S and their
+closures meet in cl(S)/S = 0, which is the weak extension principle.
+That identity is checked over every pair of Sub(R^k).  Should either
+check fail for some R^k, its modules take the per-module route of
+``relative_lattice``, ``modularity_witness`` and
+``weak_extension_witness``, which reports the witnesses.
 """
 
 from . import kernels
 from .errors import InvariantError
-from .modules import (Submodule, all_submodules, lattice_from_family,
+from .modules import (Submodule, _corpus_sources, all_submodules, lattice_from_family,
                       module_corpus, modularity_witness, quasi_closure,
                       regular_module, satisfies_quasiidentity)
 from .rings import (LeftIdeal, _product_bits, all_left_ideals,
@@ -233,7 +247,8 @@ def is_torsion_free(notion, module):
 
 def _submodule_closures(notion, module, subs):
     """Closure bits of ``subs``, the module's ``all_submodules``; computed
-    once per notion and shared by the relative lattice and the WEP check."""
+    once per notion and shared by the relative lattice, the WEP check and
+    ``rcm_verify``'s reading of R^k."""
     key = ("closures", notion.key())
     got = module._cache.get(key)
     if got is None:
@@ -350,29 +365,72 @@ class RcmReport:
 
 def rcm_verify(notion, bound=2):
     """Check every torsion-free corpus module for a modular relative
-    lattice and the weak extension principle."""
+    lattice and the weak extension principle.
+
+    The module R^k/S is read off R^k (see the module docstring): it is
+    torsion-free when cl(S) = S, its relative lattice is the interval
+    [S, R^k] of Closed(R^k), so its size is the number of closed
+    submodules above S, and it is modular and satisfies WEP once
+    Closed(R^k) is modular and cl(T & U) = cl(T) & cl(U) holds over
+    Sub(R^k).  Both are checked once per k; if either fails, the modules
+    built from that R^k are checked one by one instead, witnesses
+    included.
+    """
     _require_validated(notion)
     ring = notion.ring
     cache_key = ("rcm", notion.key(), bound)
     got = ring._cache.get(cache_key)
     if got is not None:
         return got
+    routes = {}  # each parent's _closed_route, computed once
     entries = []
-    for mod in module_corpus(ring, bound):
-        if not is_torsion_free(notion, mod):
+    for mod, (parent, i) in zip(module_corpus(ring, bound), _corpus_sources(ring, bound)):
+        if parent not in routes:
+            routes[parent] = _closed_route(notion, parent)
+        route = routes[parent]
+        if route is None:
+            if is_torsion_free(notion, mod):
+                lat = relative_lattice(notion, mod)
+                entries.append(_entry(mod, lat.size, modularity_witness(lat),
+                                      weak_extension_witness(notion, mod)))
             continue
-        lat = relative_lattice(notion, mod)
-        mw = modularity_witness(lat)
-        ww = weak_extension_witness(notion, mod)
-        entries.append({
-            "module": mod.name, "order": mod.order, "lattice_size": lat.size,
-            "modular": mw is None, "modular_witness": mw,
-            "wep": ww is None,
-            "wep_witness": None if ww is None else (ww[0].bits, ww[1].bits),
-        })
+        bits, closures, closed = route
+        if closures[i] == bits[i]:
+            entries.append(_entry(mod, sum(bits[i] & ~c == 0 for c in closed)))
     got = RcmReport(notion, bound, entries)
     ring._cache[cache_key] = got
     return got
+
+
+def _entry(mod, lattice_size, mw=None, ww=None):
+    """One ``RcmReport`` entry; no witness means modular and WEP."""
+    return {"module": mod.name, "order": mod.order, "lattice_size": lattice_size,
+            "modular": mw is None, "modular_witness": mw,
+            "wep": ww is None,
+            "wep_witness": None if ww is None else (ww[0].bits, ww[1].bits)}
+
+
+def _closed_route(notion, parent):
+    """``(bits, closures, closed)`` for the parent R^k: the bitsets of
+    Sub(R^k), their closures and the closed ones, if Closed(R^k) is
+    modular and the closure preserves meets over Sub(R^k); else None."""
+    subs = all_submodules(parent)
+    bits = [s.bits for s in subs]
+    closures = _submodule_closures(notion, parent, subs)
+    closed = [b for b, c in zip(bits, closures) if c == b]
+    if modularity_witness(lattice_from_family(closed)) is not None \
+            or not _meets_preserved(bits, closures):
+        return None
+    return bits, closures, closed
+
+
+def _meets_preserved(bits, closures):
+    """Whether cl(T & U) == cl(T) & cl(U) for every pair of the
+    intersection-closed family ``bits`` with the given ``closures``,
+    compared row by row over the upper triangle."""
+    closure_of = dict(zip(bits, closures)).__getitem__
+    return all([*map(closure_of, map(a.__and__, bits[i:]))] == [*map(c.__and__, closures[i:])]
+               for i, (a, c) in enumerate(zip(bits, closures)))
 
 
 def enumerate_torsion_notions(ring):

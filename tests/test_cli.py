@@ -345,6 +345,17 @@ def test_census_above_256_members_matches_pinned_digest(capsys, monkeypatch):
         "8ef5a9989f66de239b4359e8be51a8e421bbe9111cbc6184918c74bc7af06aa9"
 
 
+def test_rcm_above_order_256_matches_pinned_digest(capsys):
+    # R^2 of UT2(3) has order 729, so the corpus builds quotients above
+    # what a byte holds, and each lattice size is counted on the 330
+    # members of Sub(R^2)
+    code, out = run_cli(capsys, "rcm", "UT2(3)", "--filter", "e11,e12;1", "--bound", "2",
+                        "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a2d6d4d56986f151263a2762b9f37189a7e0b9b5a4c044e33c73568d786bf3d2"
+
+
 # the three classify-wide commands of perfbench/workloads.json, with the
 # stdout sha256 pinned there
 CLASSIFY_WIDE = [

@@ -221,6 +221,111 @@ def test_rcm_report_json(ut2_nontrivial):
     assert doc["modules_checked"] == len(doc["entries"])
 
 
+# -- rcm_verify against the per-module route -----------------------------------
+
+def reference_rcm_entries(notion, bound):
+    """The entries of ``rcm_verify`` by the per-module loop it ran before
+    it read the corpus off Closed(R^k): each torsion-free corpus module's
+    own relative lattice, modularity search and pair search."""
+    entries = []
+    for mod in tl.module_corpus(notion.ring, bound):
+        if not tl.is_torsion_free(notion, mod):
+            continue
+        lat = tl.relative_lattice(notion, mod)
+        mw = tl.modularity_witness(lat)
+        ww = tl.weak_extension_witness(notion, mod)
+        entries.append({
+            "module": mod.name, "order": mod.order, "lattice_size": lat.size,
+            "modular": mw is None, "modular_witness": mw,
+            "wep": ww is None,
+            "wep_witness": None if ww is None else (ww[0].bits, ww[1].bits),
+        })
+    return tuple(entries)
+
+
+RCM_ORACLE_CASES = ([(spec, 2) for spec, _ in tl.builtin_rings(12)]
+                    + [("prod(Z(2),UT2(2))", 1), ("UT2(3)", 1)])
+
+
+@pytest.mark.parametrize("spec, bound", RCM_ORACLE_CASES)
+def test_rcm_verify_matches_per_module_route(spec, bound):
+    ring = tl.parse_ring_spec(spec)
+    for notion in tl.enumerate_torsion_notions(ring):
+        entries = tl.rcm_verify(notion, bound).entries
+        assert entries and entries == reference_rcm_entries(notion, bound)
+
+
+def _spy(monkeypatch, name, seen):
+    """Record the module argument of each call to ``torsion.<name>``."""
+    fn = getattr(tl.torsion, name)
+
+    def spy(notion, module):
+        seen.append(module)
+        return fn(notion, module)
+
+    monkeypatch.setattr(tl.torsion, name, spy)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("fault", ["modularity", "meets"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_rcm_verify_falls_back_per_module_for_one_parent(monkeypatch, which, fault, k):
+    ring = tl.parse_ring_spec("UT2(2)")
+    notion = tl.enumerate_torsion_notions(ring)[which]
+    expected = reference_rcm_entries(notion, 2)
+    ring = tl.parse_ring_spec("UT2(2)")  # fresh: no memo of the reference route
+    notion = tl.enumerate_torsion_notions(ring)[which]
+    parent = tl.power_module(ring, k)
+    if fault == "modularity":
+        closed = tl.relative_lattice(notion, parent).members  # Closed(R^k)
+        decide = tl.torsion.modularity_witness
+        fired = []
+
+        def faulty(lattice):
+            if not fired and lattice.members == closed:
+                fired.append(lattice)
+                return (0, 0, 0)
+            return decide(lattice)
+
+        monkeypatch.setattr(tl.torsion, "modularity_witness", faulty)
+    else:
+        full = (1 << parent.order) - 1
+        preserved = tl.torsion._meets_preserved
+        fired = []
+
+        def faulty(bits, closures):
+            if bits[-1] == full:
+                fired.append(bits)
+                return False
+            return preserved(bits, closures)
+
+        monkeypatch.setattr(tl.torsion, "_meets_preserved", faulty)
+    lattices, weps = [], []
+    _spy(monkeypatch, "relative_lattice", lattices)
+    _spy(monkeypatch, "weak_extension_witness", weps)
+    assert tl.rcm_verify(notion, 2).entries == expected
+    assert len(fired) == 1
+    built = [m for m, (p, _) in zip(tl.module_corpus(ring, 2),
+                                    tl.modules._corpus_sources(ring, 2))
+             if p is parent and tl.is_torsion_free(notion, m)]
+    assert built and lattices == built and weps == built
+
+
+def test_rcm_verify_enumerates_submodules_of_r_and_r2_only(monkeypatch):
+    orders = []
+    enumerate_submodules = tl.kernels.enumerate_submodules
+
+    def counting(order, *args):
+        orders.append(order)
+        return enumerate_submodules(order, *args)
+
+    monkeypatch.setattr(tl.kernels, "enumerate_submodules", counting)
+    ring = tl.parse_ring_spec("UT2(2)")
+    reports = [tl.rcm_verify(notion, 2) for notion in tl.enumerate_torsion_notions(ring)]
+    assert sum(report.modules_checked for report in reports) == 41 + 18
+    assert orders == [8, 64]  # the left ideals of R, then Sub(R^2)
+
+
 # -- enumeration ----------------------------------------------------------------
 
 def test_enumerate_examples(z4, gf2, ut2):
