@@ -17,17 +17,23 @@ only the least x of each coset is tried.  ``sum_with_orbit`` adds S + t
 only for orbit elements t not yet in the sum, so S + Rx costs |S + Rx|
 lookups, not |S| * |Rx|.
 
-The table checks (``assoc_witness``, ``module_axiom_witness``) take a
-byte route when every order is at most 256: rows become ``bytes``, and
-each axiom is compared for one fixed element at a time with C-level
-``bytes.translate`` and ``join`` calls over whole rows.  They still
-evaluate every triple, and the first differing byte gives the first
-witness of the order the loops scan in: (i, j, k) for associativity,
+The table checks (``assoc_witness``, ``module_axiom_witness``) scan
+every triple, so the package does not decide the axioms with them:
+``rings.check_abelian_group`` and ``rings.action_axiom_witness`` decide
+associativity of + and the module axioms on additive generators, and
+call these kernels only when that decision fails, to name the first
+witness.  On valid tables they do not run.
+
+They take a byte route when every order is at most 256: rows become
+``bytes``, and each axiom is compared for one fixed element at a time
+with C-level ``bytes.translate`` and ``join`` calls over whole rows.
+The first differing byte gives the first witness of the order the
+loops scan in: (i, j, k) for associativity,
 and for modules every ``act_add`` (r, x, y), then (r, s, x) with
 ``add_act`` before ``mul_act`` at the same x, then ``one_act``.  Above
 256 the same order is scanned by the ``*_loops`` functions, which the
-tests keep as the reference for the byte route.  A ring's tables are
-checked by ``module_axiom_witness`` on R acting on itself, so its
+tests keep as the reference for the byte route.  A ring's faulty tables
+are named by ``module_axiom_witness`` on R acting on itself, so its
 distributivity, associativity and 1*x = x are found in this same order.
 
 Conventions shared by both backends:
@@ -52,7 +58,7 @@ def bits_of(mask):
 
 def orbit(x, m, n, act):
     """The set {r.x : r in R} of one element x."""
-    return {act[r * m + x] for r in range(n)}
+    return set(act[x::m])  # act holds n rows of m entries
 
 
 def _coset(elems, t, m, add):

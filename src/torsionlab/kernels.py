@@ -6,7 +6,9 @@ holds twins of two kernels, ``enumerate_submodules`` and
 importable they come from it; otherwise the pure-Python
 ``torsionlab._core_py`` takes over.  Every other kernel comes from
 ``_core_py`` on both backends.  Delta axioms are evaluated in ``delta``
-and lattice modularity in ``modules``, with no kernel.
+and lattice modularity in ``modules``, with no kernel; the table checks
+``module_axiom_witness`` and ``assoc_witness`` run only to name the
+witness of an axiom that ``rings`` has found to fail.
 """
 
 from . import _core_py

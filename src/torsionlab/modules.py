@@ -2,14 +2,14 @@
 
 Modules follow the same table-plus-bitset design as rings: a module of
 order m over a ring of order n carries an m x m addition table and an
-n x m scalar-action table, both validated exhaustively at construction.
+n x m scalar-action table, both validated at construction.
 Submodules are bitsets over the module's index space.
 """
 
 from itertools import chain, compress
 from operator import add, eq
 
-from . import kernels
+from . import kernels, rings
 from .errors import InvariantError, RingSpecError, TableError
 from .rings import (TwoSidedIdeal, all_left_ideals, check_abelian_group, check_generators,
                     check_map, coset_representatives, greedy_generators, is_json_int,
@@ -18,6 +18,11 @@ from .rings import (TwoSidedIdeal, all_left_ideals, check_abelian_group, check_g
 
 class FiniteModule:
     """A finite left module with explicit tables, validated on creation.
+
+    Shape and range come first, then ``check_abelian_group`` on the
+    addition and ``rings.action_axiom_witness`` on the action: both
+    decide their axioms on additive generators, and run an exhaustive
+    kernel only to name the first failure, which raises ``TableError``.
 
     ``_trusted`` skips every table check.  Only three constructors pass
     it: ``regular_module``, for the tables ``FiniteRing`` checked as R
@@ -54,9 +59,9 @@ class FiniteModule:
             if not 0 <= zero < order:
                 raise TableError("module-zero-range", (zero,), "zero index out of range")
             check_abelian_group(order, self.add, zero, what="module-add")
-            w = kernels.module_axiom_witness(ring.order, order, ring.add_flat,
-                                             ring.mul_flat, self.add_flat,
-                                             self.act_flat, ring.one)
+            w = rings.action_axiom_witness(ring.order, order, ring.add_flat,
+                                           ring.mul_flat, self.add_flat,
+                                           self.act_flat, ring.one)
             if w is not None:
                 raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
         self.zero = zero

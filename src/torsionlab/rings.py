@@ -1,8 +1,9 @@
 """Finite unital rings, their left ideals, and ideal arithmetic.
 
 Rings are given by explicit addition / multiplication tables over the
-element indices ``0..n-1`` and are fully validated at construction by
-bounded-exhaustive checks.  Ideals are immutable bitsets over the same
+element indices ``0..n-1`` and are fully validated at construction: the
+axioms are decided on additive generators, and a failure is named by a
+bounded-exhaustive scan.  Ideals are immutable bitsets over the same
 index space, ordered as little-endian integers (bit ``i`` = element
 ``i``), which fixes a canonical order on every ideal family the package
 emits.
@@ -22,23 +23,47 @@ def is_json_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# the entry types a table row is accepted with at C level; ``bool`` is
+# an ``int`` subclass, which the entry loop accepts too
+_INDEX_TYPES = frozenset((int, bool))
+
+
 def _as_table(raw, size, what):
-    """Normalize a square table to a tuple of tuples, checking shape/range."""
+    """Normalize a square table to a tuple of tuples, checking shape/range.
+
+    A row whose entries are all of type ``int`` or ``bool`` and lie in
+    0..size-1 is accepted whole, by C-level set lookups (with those
+    types, set membership is the range test); any other row goes
+    through the entry loop, which names the first bad (i, j) or accepts
+    the row (an ``int`` subclass in range)."""
     if len(raw) != size:
         raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {size} rows")
+    indices = frozenset(range(size))
     rows = []
     for i, row in enumerate(raw):
         if len(row) != size:
             raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {size} entries")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < size:
-                raise TableError(f"{what}-range", (i, j), f"{what}[{i}][{j}] = {v!r} out of range")
+        if not (_INDEX_TYPES.issuperset(map(type, row)) and indices.issuperset(row)):
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < size:
+                    raise TableError(f"{what}-range", (i, j),
+                                     f"{what}[{i}][{j}] = {v!r} out of range")
         rows.append(tuple(row))
     return tuple(rows)
 
 
 def check_abelian_group(order, add, zero, what="add"):
-    """Bounded-exhaustive abelian-group check; raises TableError on failure."""
+    """Abelian-group check of the rows ``add``; raises TableError on failure.
+
+    Identity, commutativity and inverses are checked entry by entry.
+    Associativity is then decided on the generators of ``_generators``:
+    the set S of a with (x+a)+z = x+(a+z) for all x and z holds zero, a
+    two-sided identity, and with a and g it holds a+g (regroup
+    (x+(a+g))+z through (x+a)+g, (x+a)+(g+z) and x+(a+(g+z))), so S is
+    the whole table once it holds every generator.  Only when that
+    fails does ``kernels.assoc_witness`` scan every triple, to name the
+    first witness.
+    """
     for i in range(order):
         if add[zero][i] != i:
             raise TableError(f"{what}-identity", (i,), f"zero + {i} != {i}")
@@ -49,10 +74,98 @@ def check_abelian_group(order, add, zero, what="add"):
                 raise TableError(f"{what}-commutative", (i, j), f"{i} + {j} != {j} + {i}")
         if zero not in row:
             raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
-    flat = [v for row in add for v in row]
-    w = kernels.assoc_witness(order, flat)
-    if w is not None:
-        raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
+    as_row, as_map = _composition(order)
+    rows = list(map(as_row, add))
+    # (x+g)+z = x+(g+z) over z, for each x and generator g
+    gens = _generators(rows, zero)
+    if all(rows[row[g]] == plus(rows[g])
+           for row, plus in zip(rows, map(as_map, rows)) for g in gens):
+        return
+    w = kernels.assoc_witness(order, list(chain.from_iterable(add)))
+    raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
+
+
+def _composition(order):
+    """``(as_row, as_map)`` for maps between sets of at most ``order``
+    elements.  ``as_row(values)`` stores a map as the row of its values;
+    ``as_map(f)`` turns the row f into the function that sends a row xs
+    to the row of f[x] over the entries x of xs (f after xs), so equal
+    composites give equal rows.  Up to ``BYTE_ORDER_LIMIT`` rows are
+    bytearrays (made from ints faster than bytes) and f acts by
+    ``translate``; above it rows are tuples and f acts by ``map``."""
+    if order <= BYTE_ORDER_LIMIT:
+        return bytearray, lambda f: operator.methodcaller("translate", _translator(f))
+    return tuple, lambda f: lambda xs: tuple(map(f.__getitem__, xs))
+
+
+def _generators(rows, zero):
+    """Zero, then additive generators of the table ``rows`` (x + y at
+    ``rows[x][y]``): each is the least element not yet reached from zero
+    by adding generators on the right.  Every element is so reached."""
+    gens, reached = [zero], {zero}
+    for x in range(len(rows)):
+        if x in reached:
+            continue
+        gens.append(x)
+        todo = list(reached)
+        while todo:
+            row = rows[todo.pop()]
+            for g in gens:
+                if row[g] not in reached:
+                    reached.add(row[g])
+                    todo.append(row[g])
+    return gens
+
+
+def action_axiom_witness(n, m, radd, rmul, madd, act, one):
+    """``kernels.module_axiom_witness`` on the same flat tables, when
+    R's addition (n x n) and M's (m x m) are abelian groups and R's
+    multiplication distributes over its addition from the left (for R
+    acting on itself, the ``act_add`` axiom below).
+
+    The axioms are decided on the generators G of ``_generators`` (zero
+    first), by whole rows (see ``_composition``):
+
+    * ``act_add``: r.(x+g) = r.x + r.g for every r and x and g in G of M,
+    * ``add_act``: (r+s).x = r.x + s.x for every r and x and s in G of R,
+    * ``mul_act``: (r*s).x = r.(s.x) for every r and x and s in G of R,
+    * ``one_act``: 1.x = x for every x.
+
+    These suffice.  If f(a+g) = f(a)+f(g) for every a, every g in G and
+    zero, the set of b with f(a+b) = f(a)+f(b) for all a holds zero and
+    is closed under adding a generator on the right, so f is additive.
+    That makes x -> r.x and r -> r.x additive, and then both sides of
+    ``mul_act`` are additive in s, so they agree on all of R once they
+    agree on G.  Every equation read is an instance of an axiom, so the
+    decision fails exactly when the kernel finds a witness; only then
+    does the kernel run, to name the first witness in its scan order.
+    """
+    if _action_axioms_hold(n, m, radd, rmul, madd, act, one):
+        return None
+    return kernels.module_axiom_witness(n, m, radd, rmul, madd, act, one)
+
+
+def _action_axioms_hold(n, m, radd, rmul, madd, act, one):
+    """Whether the module axioms hold, decided as ``action_axiom_witness``
+    describes."""
+    as_row, as_map = _composition(max(n, m))
+    act = as_row(act)
+    msum, rsum = rows_of(as_row(madd), m), rows_of(as_row(radd), n)  # x + y at [x][y]
+    scale = rows_of(act, m)  # r.x at [r][x]
+    orbit = [act[x::m] for x in range(m)]  # r.x at [x][r]
+    plus = list(map(as_map, msum))  # plus[a](xs): a + x over the entries x of xs
+    mgens = _generators(msum, msum.index(as_row(range(m))))
+    rgens = _generators(rsum, rsum.index(as_row(range(n))))
+    # act_add over x, as r.(g+x) = r.g + r.x
+    if not all(times(msum[g]) == plus[f[g]](f)
+               for f, times in zip(scale, map(as_map, scale)) for g in mgens):
+        return False
+    # add_act and mul_act over r, as (s+r).x = s.x + r.x and (r*s).x = r.(s.x)
+    right = {s: as_row(rmul[s::n]) for s in rgens}  # r*s over r
+    if not all(at(rsum[s]) == plus[o[s]](o) and at(right[s]) == orbit[o[s]]
+               for o, at in zip(orbit, map(as_map, orbit)) for s in rgens):
+        return False
+    return scale[one] == as_row(range(m))
 
 
 # the ring axiom each module-axiom witness of R acting on itself names,
@@ -68,17 +181,20 @@ class FiniteRing:
     """A finite unital ring presented by operation tables.
 
     All invariants (abelian additive group, associative multiplication,
-    two-sided distributivity, identity element) are checked exhaustively
-    in the constructor.  Instances are immutable; internal caches only
-    memoize derived data.
+    two-sided distributivity, identity element) are decided in the
+    constructor.  Instances are immutable; internal caches only memoize
+    derived data.
 
     Apart from x*1 = x, the ring axioms are the module axioms of R acting
     on itself, so the tables are checked in this order: zero != one,
-    the abelian group, then ``kernels.module_axiom_witness`` on the
-    regular action (every left-distributive (r, x, y); then, over
-    (r, s, x), right-distributive (r+s)*x before mul-associative (r*s)*x
-    at the same triple; then 1*x = x), and last x*1 = x.  The first
-    failure raises ``TableError``.
+    the abelian group (``check_abelian_group``), then
+    ``action_axiom_witness`` on the regular action, and last x*1 = x.
+    The first failure raises ``TableError``.  Associativity of + and the
+    module axioms are decided on additive generators; only when they
+    fail does an exhaustive kernel run, to name the first failure in its
+    scan order: for the regular action every left-distributive
+    (r, x, y), then, over (r, s, x), right-distributive (r+s)*x before
+    mul-associative (r*s)*x at the same triple, then 1*x = x.
 
     ``_trusted`` skips every table check.  Only ``quotient_ring`` and
     ``product_ring`` pass it, for tables that ``check_map`` has proved
@@ -127,8 +243,8 @@ class FiniteRing:
         if zero == one and n > 1:
             raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
         check_abelian_group(n, self.add, zero)
-        w = kernels.module_axiom_witness(n, n, self.add_flat, self.mul_flat,
-                                         self.add_flat, self.mul_flat, one)
+        w = action_axiom_witness(n, n, self.add_flat, self.mul_flat,
+                                 self.add_flat, self.mul_flat, one)
         if w is not None:
             kind, i, j, k = w
             if kind == "one_act":

@@ -356,6 +356,14 @@ def test_rcm_above_order_256_matches_pinned_digest(capsys):
         "a2d6d4d56986f151263a2762b9f37189a7e0b9b5a4c044e33c73568d786bf3d2"
 
 
+def test_ring_info_above_order_256_matches_pinned_digest(capsys):
+    # UT2(7) has order 343, so its ring axioms are decided on tuple rows
+    code, out = run_cli(capsys, "ring-info", "UT2(7)", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "444b37adabdae930a14c3c401e66726be7ce3a0c2aa01b2a5d043994e94e6489"
+
+
 # the three classify-wide commands of perfbench/workloads.json, with the
 # stdout sha256 pinned there
 CLASSIFY_WIDE = [

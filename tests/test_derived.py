@@ -364,13 +364,13 @@ def test_quotient_by_a_non_submodule_is_an_internal_fault(spec, bits):
 
 def test_derived_tables_run_no_axiom_validator(monkeypatch):
     calls = []
-    check = kernels.module_axiom_witness
+    check = rings.action_axiom_witness
 
     def counted(*args):
         calls.append(args[:2])
         return check(*args)
 
-    monkeypatch.setattr(kernels, "module_axiom_witness", counted)
+    monkeypatch.setattr(rings, "action_axiom_witness", counted)
     ring = tl.parse_ring_spec("prod(UT2(2),Z(2))")  # both factors are checked
     assert calls == [(8, 8), (2, 2)]
     tl.module_corpus(ring, 2)
@@ -398,3 +398,63 @@ def test_range_check_reports_the_loop_witness(z4, bad):
         reference_module_checks(z4, 4, tables["add"], tables["act"], 0)
     assert (got.value.axiom, got.value.witness, str(got.value)) == \
         (want.value.axiom, want.value.witness, str(want.value))
+
+
+# -- axioms decided on additive generators ----------------------------------
+
+def count_exhaustive_checks(monkeypatch):
+    """The names of the later calls of the exhaustive table kernels."""
+    calls = []
+    for name in ("module_axiom_witness", "assoc_witness"):
+        def counted(*args, _name=name, _check=getattr(kernels, name)):
+            calls.append(_name)
+            return _check(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def test_valid_tables_run_no_exhaustive_check(monkeypatch):
+    calls = count_exhaustive_checks(monkeypatch)
+    for ring in (tl.upper_triangular_ring(5), tl.full_matrix_ring(3)):
+        tl.regular_module(ring)
+        tl.FiniteModule(ring, ring.order, ring.add, ring.mul, ring.zero)
+    assert calls == []
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (5, 26), (13, 13), (26, 1)])
+def test_a_corrupted_ring_names_the_scan_witness(monkeypatch, i, j):
+    ring = tl.upper_triangular_ring(3)
+    mul = [list(row) for row in ring.mul]
+    mul[i][j] = (mul[i][j] + 1) % ring.order
+    with pytest.raises(TableError) as want:
+        reference_ring_checks(ring.order, ring.add, mul, ring.zero, ring.one)
+    calls = count_exhaustive_checks(monkeypatch)
+    with pytest.raises(TableError) as got:
+        tl.FiniteRing(ring.order, ring.add, mul, ring.zero, ring.one)
+    assert calls.count("module_axiom_witness") <= 1 and calls.count("assoc_witness") <= 1
+    assert (got.value.axiom, got.value.witness, str(got.value)) == \
+        (want.value.axiom, want.value.witness, str(want.value))
+
+
+# -- whole-row table checks -------------------------------------------------
+
+@pytest.mark.parametrize("row", [
+    [1, 2],            # a row of the wrong length
+    [1, -1, 0],
+    [1, 2, 3],         # an entry too large
+    [1, 2.0, 0],
+    [1, "2", 0],
+    [1, True, 0],      # a bool is an int: accepted
+    [1, "x", -1],      # the first bad entry is named
+    [True, False, 2],
+])
+def test_as_table_matches_the_entry_loop(row):
+    raw = [[0, 1, 2], row, [2, 0, 1]]
+    outcomes = []
+    for check in (rings._as_table, reference_as_table):
+        try:
+            outcomes.append(repr(check(raw, 3, "add")))
+        except TableError as err:
+            outcomes.append((err.axiom, err.witness, str(err)))
+    assert outcomes[0] == outcomes[1]

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import _core_py, delta
+from torsionlab import _core_py, delta, rings
 from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
@@ -530,6 +530,143 @@ def test_ring_table_errors_match_reference():
                       "left-distributive", "right-distributive"}
 
 
+# -- the axioms decided on additive generators --------------------------------
+# ``rings.action_axiom_witness`` and ``rings.check_abelian_group`` decide the
+# axioms on additive generators and run the exhaustive scans only to name a
+# witness; the reference loops decide them on every triple.
+
+@functools.lru_cache(maxsize=None)
+def decision_structures():
+    """(ring, module): each of the ``TABLE_RINGS`` acting on itself, then the
+    corpus modules of order <= 16 at bound 2 over the ``MODULE_RINGS``."""
+    pairs = []
+    for spec in TABLE_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        pairs.append((ring, tl.regular_module(ring)))
+    for spec in MODULE_RINGS:
+        ring = tl.parse_ring_spec(spec)
+        pairs += [(ring, mod) for mod in tl.module_corpus(ring, 2) if mod.order <= 16]
+    return tuple(pairs)
+
+
+def decision_args(ring, module, kind, rng, faults):
+    """``module_axiom_witness`` arguments over a valid addition on each
+    side, as ``FiniteModule`` and ``FiniteRing`` call it: ``module``'s
+    action, valid, with planted faults or as an endomorphism action, or
+    ``ring`` acting on itself by a multiplication with planted faults, a
+    transported or a rescaled one."""
+    n, m = ring.order, module.order
+    radd, rmul = list(ring.add_flat), list(ring.mul_flat)
+    act, one = list(module.act_flat), ring.one
+    if kind == "act":
+        act = planted(act, m, rng, faults)
+    elif kind == "endomorphism":
+        first = rng.randrange(n)
+        sigma = list(range(first)) + [rng.randrange(n) for _ in range(first, n)]
+        act = [act[sigma[r] * m + x] for r in range(n) for x in range(m)]
+    elif kind != "valid":
+        if kind == "mul":
+            rmul = planted(rmul, n, rng, faults)
+        elif kind == "transported":
+            rmul, one = transported(ring, rng)
+        else:
+            rmul = rescaled(ring, rng)
+        return n, n, radd, rmul, radd, rmul, one
+    return n, m, radd, rmul, list(module.add_flat), act, one
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(["valid", "act", "endomorphism", "mul", "transported", "rescaled"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_action_decision_matches_the_loops(index, kind, seed, faults):
+    pairs = decision_structures()
+    ring, module = pairs[index % len(pairs)]
+    args = decision_args(ring, module, kind, random.Random(seed), faults)
+    want = _core_py._module_axiom_witness_loops(*args)
+    assert rings._action_axioms_hold(*args) == (want is None)
+    assert rings.action_axiom_witness(*args) == want
+
+
+def symmetric_faults(add, m, zero, rng, faults):
+    """The rows of the flat addition ``add`` with ``faults`` pairs of
+    entries x + y = y + x off zero's row and column changed to another
+    nonzero value: identity, commutativity and inverses still hold."""
+    rows = [list(add[x * m:(x + 1) * m]) for x in range(m)]
+    spots = [(x, y) for x in range(m) for y in range(x, m)
+             if zero not in (x, y, rows[x][y])]
+    for x, y in rng.sample(spots, min(faults, len(spots))):
+        values = [v for v in range(m) if v not in (zero, rows[x][y])]
+        if values:
+            rows[x][y] = rows[y][x] = rng.choice(values)
+    return rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+def test_associativity_decision_matches_the_loops(index, seed, faults):
+    pairs = decision_structures()
+    _, module = pairs[index % len(pairs)]
+    m, zero = module.order, module.zero
+    rows = symmetric_faults(module.add_flat, m, zero, random.Random(seed), faults)
+    want = _core_py._assoc_witness_loops(m, [v for row in rows for v in row])
+    if want is None:
+        rings.check_abelian_group(m, rows, zero)
+        return
+    with pytest.raises(TableError) as err:
+        rings.check_abelian_group(m, rows, zero)
+    assert (err.value.axiom, err.value.witness) == ("add-associative", want)
+
+
+def test_decisions_above_256_match_the_loops():
+    # Z(257) on itself: rows are tuples, composed by map; a fault in a
+    # row below 3 keeps the reference loops short
+    m = 257
+    add = [(x + y) % m for x in range(m) for y in range(m)]
+    mul = [x * y % m for x in range(m) for y in range(m)]
+    assert rings.action_axiom_witness(m, m, add, mul, add, mul, 1) is None
+    rings.check_abelian_group(m, rings.rows_of(add, m), 0)
+    rng = random.Random(m)
+    for k in range(3):
+        bad = list(mul)
+        bad[rng.randrange(3) * m + rng.randrange(m)] = rng.randrange(m)
+        for args in [(m, m, add, mul, add, bad, 1), (m, m, add, bad, add, bad, 1)]:
+            want = _core_py._module_axiom_witness_loops(*args)
+            if want is None:
+                continue
+            assert not rings._action_axioms_hold(*args)
+            assert rings.action_axiom_witness(*args) == want
+        rows = symmetric_faults(add, m, 0, rng, 1 + k)
+        with pytest.raises(TableError) as err:
+            rings.check_abelian_group(m, rows, 0)
+        assert err.value.witness == \
+            _core_py._assoc_witness_loops(m, [v for row in rows for v in row])
+
+
+def half_additive_action():
+    """prod(Z(2),Z(2)) acting on GF(2)^3 (x + y = x xor y) by
+    r.x = r1 (x + h(x)) + r2 h(x) for r = (r1, r2), index 2 r1 + r2, where
+    h sends 2 and 3 to 2 and every other x to 0.  h(x + 1) = h(x), so
+    every row is additive along the first generator 1, and every axiom
+    but ``act_add`` holds; h(2 + 4) != h(2) + h(4)."""
+    h = [0, 0, 2, 2, 0, 0, 0, 0]
+    act = [0] * 8 + h + [x ^ h[x] for x in range(8)] + list(range(8))
+    ring = tl.parse_ring_spec("prod(Z(2),Z(2))")
+    madd = [x ^ y for x in range(8) for y in range(8)]
+    return (4, 8, list(ring.add_flat), list(ring.mul_flat), madd, act, ring.one)
+
+
+def test_action_decision_reads_every_generator_and_zero():
+    # the action of Z(1) on Z(2) fixes 1: every equation with s = 0 left
+    # out, only (0+0).1 = 0.1 + 0.1 fails
+    identity = (1, 2, [0], [0], [0, 1, 1, 0], [0, 1], 0)
+    for args, kind in [(identity, "add_act"), (half_additive_action(), "act_add")]:
+        want = _core_py._module_axiom_witness_loops(*args)
+        assert want[0] == kind
+        assert not rings._action_axioms_hold(*args)
+        assert rings.action_axiom_witness(*args) == want
+
+
 def naive_delta_eval(module, axiom):
     """Literal quantifier evaluation via itertools (independent route)."""
     m = module.order
@@ -845,9 +982,14 @@ def reference_sum_with_orbit(sub, elems, orb, m, add):
     return out
 
 
+def reference_orbit(x, m, n, act):
+    """The set {r.x : r in R} of one element x."""
+    return {act[r * m + x] for r in range(n)}
+
+
 def reference_enumerate_submodules(m, n, add, act, zero):
     """All closed subsets, as a sorted list of bitsets."""
-    orbits = [_core_py.orbit(x, m, n, act) for x in range(m)]
+    orbits = [reference_orbit(x, m, n, act) for x in range(m)]
     start = 1 << zero
     found = {start}
     queue = [start]
@@ -1000,7 +1142,7 @@ def test_submodule_lattices_match_reference(impl):
         m, n, add, act, zero = args
         for g in range(m):
             assert impl.span_closure(m, n, add, act, zero, [g]) == \
-                reference_sum_with_orbit(1 << zero, [zero], _core_py.orbit(g, m, n, act), m, add)
+                reference_sum_with_orbit(1 << zero, [zero], reference_orbit(g, m, n, act), m, add)
 
 
 @needs_core

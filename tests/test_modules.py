@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import torsionlab as tl
-from torsionlab import kernels, modules
+from torsionlab import kernels, modules, rings
 from torsionlab.errors import InvariantError, TableError
 from torsionlab.rings import coset_representatives
 
@@ -74,13 +74,13 @@ def test_coset_representatives_match_min_formula(builtin8):
 
 def test_regular_module_checks_the_ring_tables_once(monkeypatch):
     calls = []
-    check = kernels.module_axiom_witness
+    check = rings.action_axiom_witness
 
     def counted(*args):
         calls.append(args[:2])
         return check(*args)
 
-    monkeypatch.setattr(kernels, "module_axiom_witness", counted)
+    monkeypatch.setattr(rings, "action_axiom_witness", counted)
     ring = tl.upper_triangular_ring(2)  # a fresh ring: no regular module cached
     assert calls == [(8, 8)]
     assert tl.regular_module(ring).act == ring.mul

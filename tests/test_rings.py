@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import kernels
+from torsionlab import rings
 from torsionlab.errors import RingSpecError, TableError
 
 from conftest import A_BITS, E11, E12, E22, ONE, RE22_BITS, UT2_IDEAL_BITS
@@ -90,15 +90,15 @@ def test_gf_requires_prime():
 
 
 def count_axiom_checks(monkeypatch):
-    """The (order, order) arguments of every later ``module_axiom_witness`` call."""
+    """The (order, order) arguments of every later ``rings.action_axiom_witness`` call."""
     calls = []
-    check = kernels.module_axiom_witness
+    check = rings.action_axiom_witness
 
     def counted(*args):
         calls.append(args[:2])
         return check(*args)
 
-    monkeypatch.setattr(kernels, "module_axiom_witness", counted)
+    monkeypatch.setattr(rings, "action_axiom_witness", counted)
     return calls
 
 
