@@ -7,13 +7,15 @@ deterministic: identical argv produces identical bytes.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
 
 from . import __version__
 from .classify import classify, commutative_collapse
-from .delta import _delta_equiv, delta_from_doc, random_reducible_delta, reduce_delta
+from .delta import (_delta_equiv, _FiberTable, delta_from_doc, random_reducible_delta,
+                    reduce_delta)
 from .errors import InvariantError, ReductionError, RingSpecError, TableError
 from .kernels import backend
 from .modules import (module_corpus, module_from_table, power_module,
@@ -29,9 +31,8 @@ _INPUT_ERRORS = (RingSpecError, TableError, ValueError, OSError, json.JSONDecode
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -62,7 +63,10 @@ def _positive_int(text):
     return value
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built at the first ``main`` call and reused
+    by later calls: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="torsionlab",
         description="Torsion filters and RCM classification over finite rings")
@@ -362,17 +366,21 @@ def _cmd_classify(args):
 
 # budget picks the instances that run, so it fixes delta_instances: re-pin stdout to change it
 def _delta_sweep(ring, seed, corpus, axioms=10, budget=200000):
+    """Draw and reduce ``axioms`` reducible delta axioms, then evaluate on
+    each corpus module every one within ``budget`` (m**(2+u+z) tuples),
+    all through one ``_FiberTable`` of that module."""
     rng = random.Random(f"{seed}/{ring.name}")
-    instances = 0
+    drawn = []
     for _ in range(axioms):
         axiom = random_reducible_delta(ring, rng)
-        red = reduce_delta(axiom)
-        cost_exp = 2 + axiom.u_arity + axiom.z_arity
-        for module in corpus:
-            if module.order ** cost_exp > budget:
-                continue
-            _delta_equiv(module, axiom, red)
-            instances += 1
+        drawn.append((axiom, reduce_delta(axiom), 2 + axiom.u_arity + axiom.z_arity))
+    instances = 0
+    for module in corpus:
+        table = _FiberTable(module)
+        for axiom, red, cost_exp in drawn:
+            if module.order ** cost_exp <= budget:
+                _delta_equiv(module, axiom, red, table)
+                instances += 1
     return instances
 
 

@@ -17,6 +17,18 @@ distinct bases are built once per call, and for each base a row vanishes
 exactly where its x/y terms take the value -w_j.  Those positions are a
 fiber of the x/y terms, kept as a bitset, so both conditions are read off
 bitsets in one route at every order.
+
+The fibers depend only on the module and the scalars, so they are kept
+in a ``_FiberTable``, built as it is read.  The census sweep evaluates
+all of its axioms on one module before it moves to the next, through
+one table per module that lives only for that batch; the public entry
+points build a table per call.  The evaluation uses the module axiom
+``add_act``, (r + s) x = r x + s x, to merge each u_i's two terms into
+(c_ij + d_ij) u_i and, under x = y, a_j x + b_j x into (a_j + b_j) x.
+Every ``FiniteModule`` satisfies it: untrusted tables are validated,
+derived ones proved through ``check_map``.  A step whose scalars are all
+zero (every step of a reducible axiom) adds 0 to every row, so it
+extends each base's tuple by 0 without walking t.
 """
 
 from functools import reduce
@@ -131,17 +143,23 @@ def _delta_bases(module, axiom):
     first.  Walking the kept prefixes in insertion order therefore meets
     every sum first at its odometer-first tuple.  The cost is the sum
     over v of |B_v| * m * rows, with B_v the partial sums after v
-    variables, instead of m**(u+z) tuples.  A reducible axiom (d = -c,
-    e = 0) has one base, all zero.
+    variables, instead of m**(u+z) tuples.  A variable whose scalars are
+    all zero adds 0 at every t, so each kept prefix is extended by 0
+    alone.  A reducible axiom (d = -c, e = 0) has one base, all zero,
+    reached at the all-zero tuple.
     """
     add, act, rows = module.add, module.act, axiom.rows
-    # steps[v][j][t]: what variable v = t adds to row j; u_i adds
-    # c_ij u_i + d_ij u_i as one step, since the addition is associative
-    steps = [[[add[s][t] for s, t in zip(act[row.c[i]], act[row.d[i]])] for row in rows]
-             for i in range(axiom.u_arity)]
-    steps += [[act[row.e[i]] for row in rows] for i in range(axiom.z_arity)]
+    radd, zero = module.ring.add, module.ring.zero
+    # scalars[v][j]: variable v = t adds scalars[v][j] t to row j; u_i
+    # adds c_ij u_i + d_ij u_i = (c_ij + d_ij) u_i, by add_act
+    scalars = [[radd[row.c[i]][row.d[i]] for row in rows] for i in range(axiom.u_arity)]
+    scalars += [[row.e[i] for row in rows] for i in range(axiom.z_arity)]
     bases = {(module.zero,) * len(rows): ()}
-    for step in steps:
+    for step in scalars:
+        if step.count(zero) == len(step):
+            bases = {base: (*tup, 0) for base, tup in bases.items()}
+            continue
+        step = [act[r] for r in step]
         grown = {}
         for base, tup in bases.items():
             sums = zip(*[map(add[w].__getitem__, terms) for w, terms in zip(base, step)])
@@ -164,6 +182,50 @@ def _low_bit(bits):
     return (bits & -bits).bit_length() - 1
 
 
+class _FiberTable:
+    """The fibers of one module's scalar actions, each built when it is
+    first read: ``of(r)`` the fibers of x -> r x, ``pair(a, b, v)`` the
+    (x, y) with a x + b y = v, and ``off_diagonal()`` the x != y.  Pairs
+    are bitsets over x * m + y, so the lowest set bit is the first (x, y)
+    in (x, y) order.  A table serves the axioms evaluated on one module
+    and is dropped with that batch; it is never kept in the module."""
+
+    __slots__ = ("module", "_of", "_pairs", "_off_diagonal")
+
+    def __init__(self, module):
+        self.module = module
+        self._of = {}
+        self._pairs = {}
+        self._off_diagonal = None
+
+    def of(self, r):
+        fibers = self._of.get(r)
+        if fibers is None:
+            fibers = self._of[r] = _fibers(self.module.act[r])
+        return fibers
+
+    def pair(self, a, b, v):
+        key = a, b, v
+        bits = self._pairs.get(key)
+        if bits is None:
+            module = self.module
+            m, minus, fibers = module.order, module.neg, self.of(b)
+            to_v = module.add[v]
+            # row x: the y with b y = v - a x
+            bits = 0
+            for shift, t in zip(range(0, m * m, m), module.act[a]):
+                bits |= fibers.get(to_v[minus[t]], 0) << shift
+            self._pairs[key] = bits
+        return bits
+
+    def off_diagonal(self):
+        if self._off_diagonal is None:
+            m = self.module.order
+            diagonal = sum(1 << x for x in range(0, m * m, m + 1))
+            self._off_diagonal = ((1 << m * m) - 1) ^ diagonal
+        return self._off_diagonal
+
+
 def delta_condition_witnesses(module, axiom):
     """Exhaustively evaluate both conditions; returns (w1, w2) witnesses.
 
@@ -178,20 +240,27 @@ def delta_condition_witnesses(module, axiom):
     ``_delta_bases``), and each distinct base is tested in turn.  The
     addition is an abelian group, so the value is zero exactly when the
     x/y part equals ``neg[w_j]``: a fiber of the x/y part, read off a
-    bitset over x (cond1) or over y for each x (cond2).
+    bitset over x of (a_j + b_j) x (cond1, by add_act) or over the pairs
+    (x, y) (cond2).  Each call reads a fresh ``_FiberTable``.
     """
+    return _condition_witnesses(module, axiom, _FiberTable(module))
+
+
+def _condition_witnesses(module, axiom, table):
+    """``delta_condition_witnesses`` reading the fibers off ``table``,
+    the ``_FiberTable`` of ``module``."""
     if axiom.ring is not module.ring:
         raise ValueError("delta axiom over a different ring")
     bases = _delta_bases(module, axiom)
-    return _cond1_witness(module, axiom, bases), _cond2_witness(module, axiom, bases)
+    return _cond1_witness(module, axiom, bases, table), _cond2_witness(module, axiom, bases, table)
 
 
-def _cond1_witness(module, axiom, bases):
+def _cond1_witness(module, axiom, bases, table):
     """The witness ``w1`` of ``delta_condition_witnesses``."""
-    add, act, neg = module.add, module.act, module.neg
+    radd, neg = module.ring.add, module.neg
     full = (1 << module.order) - 1
-    # the fibers of x -> a_j x + b_j x
-    fibers = [_fibers(add[s][t] for s, t in zip(act[row.a], act[row.b])) for row in axiom.rows]
+    # the fibers of x -> a_j x + b_j x = (a_j + b_j) x
+    fibers = [table.of(radd[row.a][row.b]) for row in axiom.rows]
     for base, tup in bases.items():
         fails = [(_low_bit(bad), j) for j, bad in enumerate(
                      full & ~fib.get(neg[w], 0) for fib, w in zip(fibers, base)) if bad]
@@ -201,21 +270,16 @@ def _cond1_witness(module, axiom, bases):
     return None
 
 
-def _cond2_witness(module, axiom, bases):
+def _cond2_witness(module, axiom, bases, table):
     """The witness ``w2`` of ``delta_condition_witnesses``."""
-    add, act, neg = module.add, module.act, module.neg
-    full = (1 << module.order) - 1
-    # the fibers of y -> b_j y, and the rows x -> a_j x
-    fibers = [_fibers(act[row.b]) for row in axiom.rows]
-    arows = [act[row.a] for row in axiom.rows]
+    a = [row.a for row in axiom.rows]
+    b = [row.b for row in axiom.rows]
+    off, minus = table.off_diagonal(), module.neg.__getitem__
     for base, tup in bases.items():
-        # hits[j][x]: the y at which row j vanishes, -(w_j + a_j x) = b_j y
-        hits = [[fib.get(neg[add[w][t]], 0) for t in arow]
-                for fib, w, arow in zip(fibers, base, arows)]
-        for x, cols in enumerate(zip(*hits)):
-            ys = reduce(and_, cols, full ^ 1 << x)
-            if ys:
-                return (x, _low_bit(ys), *tup)
+        # the x != y at which every row j vanishes: a_j x + b_j y = -w_j
+        hits = reduce(and_, map(table.pair, a, b, map(minus, base)), off)
+        if hits:
+            return (*divmod(_low_bit(hits), module.order), *tup)
     return None
 
 
@@ -233,13 +297,17 @@ def delta_equiv_quasiidentity(module, axiom):
     original rows, the right side tests the one-variable quasiidentity of
     the encoding ideal.  Disagreement is a hard fault.
     """
-    return _delta_equiv(module, axiom, reduce_delta(axiom))
+    return _delta_equiv(module, axiom, reduce_delta(axiom), _FiberTable(module))
 
 
-def _delta_equiv(module, axiom, red):
+def _delta_equiv(module, axiom, red, table):
     """``delta_equiv_quasiidentity`` with the axiom already reduced to
-    ``red``, so that a sweep reduces each axiom once."""
-    via_delta = delta_satisfied(module, axiom)
+    ``red`` and the fibers read off ``table``, the module's
+    ``_FiberTable``, so that a sweep reduces each axiom once and builds
+    each fiber once per module.  The quasiidentity reads no table: it is
+    the independent route."""
+    w1, w2 = _condition_witnesses(module, axiom, table)
+    via_delta = w1 is None and w2 is None
     via_ideal = satisfies_quasiidentity(module, red.ideal)
     if via_delta != via_ideal:
         raise InvariantError(

@@ -147,15 +147,20 @@ def action_axiom_witness(n, m, radd, rmul, madd, act, one):
 
 def _action_axioms_hold(n, m, radd, rmul, madd, act, one):
     """Whether the module axioms hold, decided as ``action_axiom_witness``
-    describes."""
+    describes.  When R acts on itself (``radd is madd``) its addition's
+    rows and generators serve both sides."""
     as_row, as_map = _composition(max(n, m))
     act = as_row(act)
-    msum, rsum = rows_of(as_row(madd), m), rows_of(as_row(radd), n)  # x + y at [x][y]
+    msum = rows_of(as_row(madd), m)  # x + y at [x][y]
     scale = rows_of(act, m)  # r.x at [r][x]
     orbit = [act[x::m] for x in range(m)]  # r.x at [x][r]
     plus = list(map(as_map, msum))  # plus[a](xs): a + x over the entries x of xs
     mgens = _generators(msum, msum.index(as_row(range(m))))
-    rgens = _generators(rsum, rsum.index(as_row(range(n))))
+    if radd is madd:
+        rsum, rgens = msum, mgens
+    else:
+        rsum = rows_of(as_row(radd), n)
+        rgens = _generators(rsum, rsum.index(as_row(range(n))))
     # act_add over x, as r.(g+x) = r.g + r.x
     if not all(times(msum[g]) == plus[f[g]](f)
                for f, times in zip(scale, map(as_map, scale)) for g in mgens):

@@ -294,6 +294,76 @@ def test_census_delta_sweep_matches_pinned_digest(capsys):
         "16bdf1198b8c77a3bac8bbed7d51acff66ac645ba4a7466c2163311b051fec51"
 
 
+@pytest.mark.parametrize("seed, digest", [
+    ("4", "e3b7b2cc8d7302c39b8afddf507615ff806a9e4cf4802528852674ad8c9d90ee"),
+    ("33", "91c42b7409515aa6f959fb4278651f9006223a2101c7c1b603739bf1149e2ec8"),
+    ("61", "5969fffb107cf19b35fceed7eeb100e031f7c3b0835fc5819806493d5e0c2dc7"),
+])
+def test_more_census_delta_seeds_match_pinned_digests(capsys, seed, digest):
+    # three more seeds of the census-delta pool in perfbench/workloads.json
+    code, out = run_cli(capsys, "census", "--max-order", "8", "--seed", seed, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_delta_sweep_reads_one_fiber_table_per_module(capsys, monkeypatch):
+    import torsionlab.cli as cli_mod
+    from torsionlab import delta
+
+    tables, keys, batches = [], {}, []
+    init = delta._FiberTable.__init__
+
+    def counted_init(self, module):
+        tables.append(module)
+        keys[id(module)] = (module, set(module._cache))
+        init(self, module)
+
+    equiv = cli_mod._delta_equiv
+
+    def counted_equiv(module, axiom, red, table):
+        assert table.module is module
+        if not batches or batches[-1][0] is not table:
+            batches.append((table, module))
+        return equiv(module, axiom, red, table)
+
+    monkeypatch.setattr(delta._FiberTable, "__init__", counted_init)
+    monkeypatch.setattr(cli_mod, "_delta_equiv", counted_equiv)
+    code, _ = run_cli(capsys, "census", "--max-order", "8", "--seed", "1", "--json")
+    assert code == 0
+    # at most one table per corpus module, and each module's instances
+    # run in one batch through its table
+    assert len(tables) == len({id(mod) for mod in tables})
+    assert len(batches) == len({id(mod) for _, mod in batches}) > 100
+    # the sweep leaves nothing in any module's cache
+    for module, before in keys.values():
+        assert set(module._cache) == before
+        assert not any(isinstance(v, delta._FiberTable) for v in module._cache.values())
+
+
+def test_a_delta_disagreement_is_an_internal_fault(capsys, monkeypatch):
+    from torsionlab import delta
+
+    oracle = delta.satisfies_quasiidentity
+    monkeypatch.setattr(delta, "satisfies_quasiidentity",
+                        lambda module, ideal: not oracle(module, ideal))
+    assert main(["census", "Z(4)", "--seed", "11"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal hard fault: delta evaluation (" in captured.err
+    assert ") disagrees with the encoded quasiidentity (" in captured.err
+
+
+def test_a_failed_parse_leaves_the_parser_as_it_was(capsys):
+    argv = ["classify", "UT2(2)", "--quasi", "e11,e12", "--ident", "1", "--json"]
+    alone = run_cli(capsys, *argv)
+    # the parse appends to --quasi before it fails
+    assert main(["classify", "UT2(2)", "--quasi", "e11", "--no-such-flag"]) == 2
+    assert main(["census", "--quasi", "e11"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_cli(capsys, *argv) == alone
+    assert run_cli(capsys, "classify", "UT2(2)", "--quasi", "e11,e12", "--json") != alone
+
+
 def test_census_delta_sweep_above_256_matches_pinned_digest(capsys):
     # stdout of the seeded sweep over Z(17): three of its 21 delta
     # instances run on Z(17)^2, of order 289, above what a byte holds

@@ -8,6 +8,7 @@ no submodule, must be an internal fault (``InvariantError``, exit 70),
 never a table error (exit 2).
 """
 
+import random
 import re
 
 import pytest
@@ -435,6 +436,37 @@ def test_a_corrupted_ring_names_the_scan_witness(monkeypatch, i, j):
     assert calls.count("module_axiom_witness") <= 1 and calls.count("assoc_witness") <= 1
     assert (got.value.axiom, got.value.witness, str(got.value)) == \
         (want.value.axiom, want.value.witness, str(want.value))
+
+
+def test_the_regular_action_finds_the_generators_once(monkeypatch):
+    ring = tl.upper_triangular_ring(3)
+    n, add, mul, one = ring.order, list(ring.add_flat), list(ring.mul_flat), ring.one
+    calls = []
+    generators = rings._generators
+
+    def counted(rows, zero):
+        calls.append(len(rows))
+        return generators(rows, zero)
+
+    monkeypatch.setattr(rings, "_generators", counted)
+    # R acting on itself: one generator set serves R and M
+    assert rings.action_axiom_witness(n, n, add, mul, add, mul, one) is None
+    assert calls == [n]
+    # equal tables given twice are two additions
+    assert rings.action_axiom_witness(n, n, add, mul, list(add), mul, one) is None
+    assert calls == [n, n, n]
+    # validating the ring: the abelian group, then the regular action
+    tl.FiniteRing(n, ring.add, ring.mul, ring.zero, one)
+    assert calls == [n] * 5
+    # a corrupted entry gives the same witness either way
+    rng = random.Random(3)
+    witnesses = []
+    for _ in range(20):
+        bad = list(mul)
+        bad[rng.randrange(n * n)] = rng.randrange(n)
+        witnesses.append(rings.action_axiom_witness(n, n, add, bad, add, bad, one))
+        assert witnesses[-1] == rings.action_axiom_witness(n, n, add, bad, list(add), bad, one)
+    assert any(witnesses)
 
 
 # -- whole-row table checks -------------------------------------------------

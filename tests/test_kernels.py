@@ -31,7 +31,7 @@ from torsionlab import _core_py, delta, rings
 from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
-from conftest import reference_lattice_axioms
+from conftest import E11, E12, E22, reference_lattice_axioms
 
 C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
@@ -879,15 +879,10 @@ def delta_case_modules(spec):
     return ring, tuple(mod for mod in tl.module_corpus(ring, 2) if mod.order <= 36)
 
 
-@st.composite
-def delta_cases(draw):
-    """``(module, axiom)`` for a reducible or arbitrary axiom with 1-3
-    rows, u <= 2 and z <= 1, within the sweep's budget m**(2+u+z) <=
-    200000."""
-    ring, modules = delta_case_modules(draw(st.sampled_from(
-        [*GENERATED_DELTA_RINGS, BEYOND_BYTES])))
-    mod = draw(st.sampled_from(modules))
-    m = mod.order
+def draw_delta_axiom(draw, ring, m):
+    """A reducible or arbitrary axiom over ``ring`` with 1-3 rows, u <= 2
+    and z <= 1, within the sweep's budget m**(2+u+z) <= 200000 for a
+    module of order m."""
     room = next(k for k in (3, 2, 1, 0) if m ** (2 + k) <= 200000)
     u_arity = draw(st.integers(0, min(2, room)))
     z_arity = draw(st.integers(0, min(1, room - u_arity)))
@@ -904,10 +899,34 @@ def delta_cases(draw):
     b = [near(ring.neg[x]) for x in a]
     d = [near(ring.neg[x]) for x in c]
     e = [near(ring.zero) for _ in range(rows * z_arity)]
-    return mod, tl.DeltaAxiom(ring, [
+    return tl.DeltaAxiom(ring, [
         tl.DeltaRow(a[j], b[j], c[j * u_arity:(j + 1) * u_arity],
                     d[j * u_arity:(j + 1) * u_arity], e[j * z_arity:(j + 1) * z_arity])
         for j in range(rows)], u_arity, z_arity)
+
+
+def draw_delta_module(draw):
+    """A ring of the generated delta cases and one of its modules."""
+    ring, modules = delta_case_modules(draw(st.sampled_from(
+        [*GENERATED_DELTA_RINGS, BEYOND_BYTES])))
+    return ring, draw(st.sampled_from(modules))
+
+
+@st.composite
+def delta_cases(draw):
+    """``(module, axiom)`` for a module of ``draw_delta_module`` and an
+    axiom of ``draw_delta_axiom``."""
+    ring, mod = draw_delta_module(draw)
+    return mod, draw_delta_axiom(draw, ring, mod.order)
+
+
+@st.composite
+def delta_batches(draw):
+    """``(module, axioms)``: 1-10 axioms of ``draw_delta_axiom`` over one
+    module, as a sweep evaluates them through one fiber table."""
+    ring, mod = draw_delta_module(draw)
+    count = draw(st.integers(1, 10))
+    return mod, [draw_delta_axiom(draw, ring, mod.order) for _ in range(count)]
 
 
 def brute_delta_bases(m, rows, u_arity, z_arity, madd, act, c, d, e, zero):
@@ -960,6 +979,42 @@ def test_delta_bases_are_built_once_per_instance(monkeypatch):
 def test_delta_kernels_match_reference_on_generated_cases(case):
     mod, axiom = case
     assert delta.delta_condition_witnesses(mod, axiom) == reference_witnesses(mod, axiom)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(delta_batches())
+def test_one_fiber_table_serves_a_batch_of_axioms(batch):
+    # what earlier axioms leave in the table must not change a later result
+    mod, axioms = batch
+    table = delta._FiberTable(mod)
+    for axiom in axioms:
+        assert delta._condition_witnesses(mod, axiom, table) == reference_witnesses(mod, axiom)
+
+
+@pytest.mark.parametrize("spec, rows", [
+    # every step zero: c + d = 0 and e = 0 in every row
+    ("Z(6)", [(1, 5, (2, 3), (4, 3), (0,)), (3, 3, (5, 0), (1, 0), (0,))]),
+    ("UT2(2)", [(E11, E11, (E12,), (E12,), (0,))]),
+    # exactly one zero step: u_0, then u_1, then z_0
+    ("Z(6)", [(1, 5, (2, 1), (4, 0), (3,)), (2, 4, (5, 3), (1, 1), (0,))]),
+    ("Z(6)", [(1, 5, (2, 1), (1, 5), (3,)), (2, 4, (5, 3), (4, 3), (1,))]),
+    ("Z(6)", [(1, 5, (2, 1), (1, 0), (0,)), (2, 4, (5, 3), (4, 2), (0,))]),
+    ("UT2(2)", [(E11, E22, (E12, E11), (E12, E22), (E22,))]),
+])
+def test_delta_bases_with_zero_steps_match_brute_force(spec, rows):
+    ring, modules = delta_case_modules(spec)
+    axiom = tl.DeltaAxiom(ring, [tl.DeltaRow(*row) for row in rows])
+    checked = 0
+    for mod in modules:
+        if mod.order ** (2 + axiom.u_arity + axiom.z_arity) > 200000:
+            continue
+        checked += 1
+        m, rows_, u_arity, z_arity, madd, act, a, b, c, d, e, zero = reference_args(mod, axiom)
+        bases = delta._delta_bases(mod, axiom)
+        assert list(bases.items()) == brute_delta_bases(m, rows_, u_arity, z_arity, madd, act,
+                                                        c, d, e, zero)
+        assert delta.delta_condition_witnesses(mod, axiom) == reference_witnesses(mod, axiom)
+    assert checked > 1
 
 
 # The lattice kernels as they were before enumeration took one generator
