@@ -1,11 +1,10 @@
-"""Build script: compiles the optional C extension for two hot kernels.
+"""Build script: compiles the optional C extension for one hot kernel.
 
 The extension ``torsionlab._core`` is built from the hand-written
-``src/torsionlab/_core.c`` and holds ``enumerate_submodules`` and
-``module_axiom_witness``.  The package works
-without it (a pure-Python implementation of the same kernels is selected
-at import time), so any failure here is downgraded to a warning and the
-build proceeds extension-free.
+``src/torsionlab/_core.c`` and holds ``enumerate_submodules``.  The
+package works without it (a pure-Python implementation of the same
+kernel is selected at import time), so any failure here is downgraded
+to a warning and the build proceeds extension-free.
 """
 
 import sys
@@ -33,7 +32,7 @@ class optional_build_ext(build_ext):
     def _warn(exc):
         print(
             f"warning: building torsionlab._core failed ({exc}); "
-            "falling back to the pure-Python kernels",
+            "falling back to the pure-Python kernel",
             file=sys.stderr,
         )
 

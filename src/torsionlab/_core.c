@@ -1,9 +1,8 @@
 /*
- * Compiled twins of two ``_core_py`` kernels, enumerate_submodules and
- * module_axiom_witness, with the same signatures, results and witnesses,
- * written against the CPython C API.  These are the kernels that measure
- * faster in C; ``kernels`` takes every other kernel from ``_core_py`` on
- * both backends.  See ``_core_py`` for what each kernel computes.
+ * The compiled twin of ``_core_py.enumerate_submodules``, with the same
+ * signature and result, written against the CPython C API.  It is the
+ * one kernel that measures faster in C; ``kernels`` takes every other
+ * kernel from ``_core_py`` on both backends.
  *
  * Flat tables arrive as Python sequences and are copied into int arrays;
  * every entry is checked to be an index into the table it points at, so
@@ -303,71 +302,11 @@ done:
     return result;
 }
 
-/* -- table axioms -------------------------------------------------------- */
-
-PyDoc_STRVAR(module_axiom_witness_doc,
-"module_axiom_witness(n, m, radd, rmul, madd, act, one)\n"
-"Check the four scalar-action axioms; witness = (code, i, j, k).");
-
-static PyObject *
-module_axiom_witness(PyObject *self, PyObject *args, PyObject *kw)
-{
-    static char *kwlist[] = {"n", "m", "radd", "rmul", "madd", "act", "one", NULL};
-    int n, m, one;
-    PyObject *radd_seq, *rmul_seq, *madd_seq, *act_seq, *result = NULL;
-    int *radd = NULL, *rmul = NULL, *madd = NULL, *act = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "iiOOOOi:module_axiom_witness", kwlist,
-                                     &n, &m, &radd_seq, &rmul_seq, &madd_seq, &act_seq,
-                                     &one))
-        return NULL;
-    if (check_index(one, n, "one") < 0
-        || (radd = to_ints(radd_seq, (Py_ssize_t)n * n, n, "radd")) == NULL
-        || (rmul = to_ints(rmul_seq, (Py_ssize_t)n * n, n, "rmul")) == NULL
-        || (madd = to_ints(madd_seq, (Py_ssize_t)m * m, m, "madd")) == NULL
-        || (act = to_ints(act_seq, (Py_ssize_t)n * m, m, "act")) == NULL)
-        goto done;
-    for (int r = 0; r < n; r++)
-        for (int x = 0; x < m; x++)
-            for (int y = 0; y < m; y++)
-                if (act[r * m + madd[x * m + y]]
-                    != madd[act[r * m + x] * m + act[r * m + y]]) {
-                    result = Py_BuildValue("(siii)", "act_add", r, x, y);
-                    goto done;
-                }
-    for (int r = 0; r < n; r++)
-        for (int s = 0; s < n; s++)
-            for (int x = 0; x < m; x++) {
-                if (act[radd[r * n + s] * m + x] != madd[act[r * m + x] * m + act[s * m + x]]) {
-                    result = Py_BuildValue("(siii)", "add_act", r, s, x);
-                    goto done;
-                }
-                if (act[rmul[r * n + s] * m + x] != act[r * m + act[s * m + x]]) {
-                    result = Py_BuildValue("(siii)", "mul_act", r, s, x);
-                    goto done;
-                }
-            }
-    for (int x = 0; x < m; x++)
-        if (act[one * m + x] != x) {
-            result = Py_BuildValue("(siii)", "one_act", x, -1, -1);
-            goto done;
-        }
-    result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(radd);
-    PyMem_Free(rmul);
-    PyMem_Free(madd);
-    PyMem_Free(act);
-    return result;
-}
-
 /* -- module -------------------------------------------------------------- */
 
-#define KERNEL(name) \
-    {#name, (PyCFunction)(void (*)(void))name, METH_VARARGS | METH_KEYWORDS, name##_doc}
-
 static PyMethodDef core_methods[] = {
-    KERNEL(enumerate_submodules),
-    KERNEL(module_axiom_witness),
+    {"enumerate_submodules", (PyCFunction)(void (*)(void))enumerate_submodules,
+     METH_VARARGS | METH_KEYWORDS, enumerate_submodules_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -385,7 +324,7 @@ static PyModuleDef_Slot core_slots[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     "torsionlab._core",
-    "Compiled twins of two ``_core_py`` kernels; see that module for the contracts.",
+    "The compiled twin of ``_core_py.enumerate_submodules``.",
     0,
     core_methods,
     core_slots,

@@ -22,7 +22,7 @@ class FiniteModule:
     Shape and range come first, then ``check_abelian_group`` on the
     addition and ``rings.action_axiom_witness`` on the action: both
     decide their axioms on additive generators, and run an exhaustive
-    kernel only to name the first failure, which raises ``TableError``.
+    scan only to name the first failure, which raises ``TableError``.
 
     ``_trusted`` skips every table check.  Only three constructors pass
     it: ``regular_module``, for the tables ``FiniteRing`` checked as R
@@ -499,16 +499,14 @@ def modularity_witness(lattice):
 def _modularity_witness_loops(k, meet, join):
     """``modularity_witness`` by the triple search."""
     for x in range(k):
-        mrow_x = x * k
-        jrow_x = x * k
+        row_x = x * k
         for y in range(k):
             m_y = y * k
-            j_xy = join[jrow_x + y]
-            jy = j_xy * k
+            jy = join[row_x + y] * k
             for z in range(k):
-                if meet[mrow_x + z] != x:
+                if meet[row_x + z] != x:
                     continue  # need x <= z
-                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
+                if join[row_x + meet[m_y + z]] != meet[jy + z]:
                     return (x, y, z)
     return None
 

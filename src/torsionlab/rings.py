@@ -13,8 +13,21 @@ import operator
 from itertools import chain, product
 
 from . import kernels
-from ._core_py import BYTE_ORDER_LIMIT, _first_diff, _translator
 from .errors import InvariantError, RingSpecError, TableError
+
+
+# the byte routes need every element index in a byte
+BYTE_ORDER_LIMIT = 256
+
+
+def _translator(row):
+    """A map on 0..len(row)-1, given as bytes, as a translate table."""
+    return row.ljust(256, b"\0")
+
+
+def _first_diff(a, b):
+    """Index of the first position where the equal-length ``a``, ``b`` differ."""
+    return next(i for i, (p, q) in enumerate(zip(a, b)) if p != q)
 
 
 def is_json_int(v):
@@ -61,8 +74,8 @@ def check_abelian_group(order, add, zero, what="add"):
     two-sided identity, and with a and g it holds a+g (regroup
     (x+(a+g))+z through (x+a)+g, (x+a)+(g+z) and x+(a+(g+z))), so S is
     the whole table once it holds every generator.  Only when that
-    fails does ``kernels.assoc_witness`` scan every triple, to name the
-    first witness.
+    fails does ``_assoc_witness`` scan every triple, to name the first
+    witness.
     """
     for i in range(order):
         if add[zero][i] != i:
@@ -81,7 +94,7 @@ def check_abelian_group(order, add, zero, what="add"):
     if all(rows[row[g]] == plus(rows[g])
            for row, plus in zip(rows, map(as_map, rows)) for g in gens):
         return
-    w = kernels.assoc_witness(order, list(chain.from_iterable(add)))
+    w = _assoc_witness(order, list(chain.from_iterable(add)))
     raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
 
 
@@ -118,7 +131,7 @@ def _generators(rows, zero):
 
 
 def action_axiom_witness(n, m, radd, rmul, madd, act, one):
-    """``kernels.module_axiom_witness`` on the same flat tables, when
+    """``_module_axiom_witness`` on the same flat tables, when
     R's addition (n x n) and M's (m x m) are abelian groups and R's
     multiplication distributes over its addition from the left (for R
     acting on itself, the ``act_add`` axiom below).
@@ -137,12 +150,12 @@ def action_axiom_witness(n, m, radd, rmul, madd, act, one):
     That makes x -> r.x and r -> r.x additive, and then both sides of
     ``mul_act`` are additive in s, so they agree on all of R once they
     agree on G.  Every equation read is an instance of an axiom, so the
-    decision fails exactly when the kernel finds a witness; only then
-    does the kernel run, to name the first witness in its scan order.
+    decision fails exactly when the scan finds a witness; only then
+    does the scan run, to name the first witness in its order.
     """
     if _action_axioms_hold(n, m, radd, rmul, madd, act, one):
         return None
-    return kernels.module_axiom_witness(n, m, radd, rmul, madd, act, one)
+    return _module_axiom_witness(n, m, radd, rmul, madd, act, one)
 
 
 def _action_axioms_hold(n, m, radd, rmul, madd, act, one):
@@ -173,6 +186,149 @@ def _action_axioms_hold(n, m, radd, rmul, madd, act, one):
     return scale[one] == as_row(range(m))
 
 
+# -- the exhaustive scans that name a witness ----------------------------
+# They run only once a decision above has failed.  When every order is at
+# most ``BYTE_ORDER_LIMIT``, rows become ``bytes`` and each axiom is
+# compared for one fixed element at a time with C-level ``translate``
+# and ``join`` calls over whole rows; the first differing byte gives the
+# first witness of the order the ``*_loops`` functions scan in above
+# that limit.  The tests keep the loops as the reference for both.
+
+def _byte_rows(table, m, k):
+    """``table`` (k rows of m entries) as bytes, and its rows."""
+    flat = bytes(table)
+    return flat, [flat[i * m:(i + 1) * m] for i in range(k)]
+
+
+def _additive_witness(f, m, add, add_tr):
+    """First (x, y) in row-major order with f(x + y) != f(x) + f(y).
+
+    ``f`` maps 0..m-1 (m bytes); ``add`` is the m x m addition table as
+    bytes and ``add_tr[a]`` row a of it as a translate table.  Position
+    x*m + y of both sides holds the pair (x, y).
+    """
+    lhs = add.translate(_translator(f))
+    rhs = b"".join([f.translate(add_tr[fx]) for fx in f])
+    if lhs == rhs:
+        return None
+    return divmod(_first_diff(lhs, rhs), m)
+
+
+def _assoc_witness(m, table):
+    """First (i, j, k) with (i*j)*k != i*(j*k), else None."""
+    if m > BYTE_ORDER_LIMIT:
+        return _assoc_witness_loops(m, table)
+    flat, rows = _byte_rows(table, m, m)
+    for i, row_i in enumerate(rows):
+        # position j*m + k: rows[i*j][k] = (i*j)*k and row_i[j*k] = i*(j*k)
+        lhs = b"".join([rows[v] for v in row_i])
+        rhs = flat.translate(_translator(row_i))
+        if lhs != rhs:
+            return (i, *divmod(_first_diff(lhs, rhs), m))
+    return None
+
+
+def _assoc_witness_loops(m, table):
+    """``_assoc_witness`` for any order, one row comparison per (i, j)."""
+    rows = [table[i * m:(i + 1) * m] for i in range(m)]
+    for i in range(m):
+        row_i = rows[i]
+        for j in range(m):
+            row_ij = rows[row_i[j]]
+            row_j = rows[j]
+            probe = [row_i[t] for t in row_j]
+            if row_ij != probe:
+                for k in range(m):
+                    if row_ij[k] != probe[k]:
+                        return (i, j, k)
+    return None
+
+
+def _module_axiom_witness(n, m, radd, rmul, madd, act, one):
+    """Check the four scalar-action axioms; witness = (code, i, j, k).
+
+    The scan order: every ``act_add`` (r, x, y), then (r, s, x) with
+    ``add_act`` before ``mul_act`` at each, then ``one_act`` (x, -1, -1).
+    For R acting on itself these name left distributivity, right
+    distributivity, associativity of * and 1*x = x.
+    """
+    if max(n, m) > BYTE_ORDER_LIMIT:
+        return _module_axiom_witness_loops(n, m, radd, rmul, madd, act, one)
+    madd_b, mrows = _byte_rows(madd, m, m)
+    madd_tr = [_translator(row) for row in mrows]
+    act_b, arows = _byte_rows(act, m, n)
+    for r, arow in enumerate(arows):
+        w = _additive_witness(arow, m, madd_b, madd_tr)
+        if w is not None:
+            return ("act_add", r, *w)
+    # columns of act: cols[x][s] = s.x, so position x*n + s of each side
+    # below holds the pair (s, x)
+    cols = [act_b[x::m] for x in range(m)]
+    cols_tr = [_translator(col) for col in cols]
+    cols_b = b"".join(cols)
+    radd_b, rmul_b = bytes(radd), bytes(rmul)
+    for r, arow in enumerate(arows):
+        radd_r = radd_b[r * n:(r + 1) * n]
+        rmul_r = rmul_b[r * n:(r + 1) * n]
+        add_lhs = b"".join([radd_r.translate(t) for t in cols_tr])  # (r+s).x
+        add_rhs = b"".join([col.translate(madd_tr[rx]) for col, rx in zip(cols, arow)])
+        mul_lhs = b"".join([rmul_r.translate(t) for t in cols_tr])  # (rs).x
+        mul_rhs = cols_b.translate(_translator(arow))  # r.(s.x)
+        if add_lhs != add_rhs or mul_lhs != mul_rhs:
+            return _scalar_witness(r, n, m, radd, rmul, [list(row) for row in mrows],
+                                   [list(row) for row in arows])
+    identity = bytes(range(m))
+    if arows[one] != identity:
+        return ("one_act", _first_diff(arows[one], identity), -1, -1)
+    return None
+
+
+def _scalar_witness(r, n, m, radd, rmul, mrows, arows):
+    """First ``add_act``/``mul_act`` witness for the scalar r, in (s, x)
+    order with ``add_act`` first; ``mrows``/``arows`` are lists of rows."""
+    arow_r = arows[r]
+    for s in range(n):
+        arow_s = arows[s]
+        arow_sum = arows[radd[r * n + s]]
+        arow_prod = arows[rmul[r * n + s]]
+        add_probe = [mrows[arow_r[x]][arow_s[x]] for x in range(m)]
+        mul_probe = [arow_r[t] for t in arow_s]
+        if arow_sum != add_probe or arow_prod != mul_probe:
+            for x in range(m):
+                if arow_sum[x] != add_probe[x]:
+                    return ("add_act", r, s, x)
+                if arow_prod[x] != mul_probe[x]:
+                    return ("mul_act", r, s, x)
+    return None
+
+
+def _module_axiom_witness_loops(n, m, radd, rmul, madd, act, one):
+    """``_module_axiom_witness`` for any orders, one row comparison per
+    (r, x) or (r, s)."""
+    arows = [list(act[r * m:(r + 1) * m]) for r in range(n)]
+    mrows = [list(madd[x * m:(x + 1) * m]) for x in range(m)]
+    for r in range(n):
+        arow = arows[r]
+        for x in range(m):
+            rx_row = mrows[arow[x]]
+            sums = mrows[x]
+            probe = [rx_row[arow[y]] for y in range(m)]
+            expect = [arow[sums[y]] for y in range(m)]
+            if probe != expect:
+                for y in range(m):
+                    if probe[y] != expect[y]:
+                        return ("act_add", r, x, y)
+    for r in range(n):
+        w = _scalar_witness(r, n, m, radd, rmul, mrows, arows)
+        if w is not None:
+            return w
+    arow_one = arows[one]
+    for x in range(m):
+        if arow_one[x] != x:
+            return ("one_act", x, -1, -1)
+    return None
+
+
 # the ring axiom each module-axiom witness of R acting on itself names,
 # with its message over the witness (i, j, k)
 _REGULAR_ACTION_AXIOMS = {
@@ -196,7 +352,7 @@ class FiniteRing:
     ``action_axiom_witness`` on the regular action, and last x*1 = x.
     The first failure raises ``TableError``.  Associativity of + and the
     module axioms are decided on additive generators; only when they
-    fail does an exhaustive kernel run, to name the first failure in its
+    fail does an exhaustive scan run, to name the first failure in its
     scan order: for the regular action every left-distributive
     (r, x, y), then, over (r, s, x), right-distributive (r+s)*x before
     mul-associative (r*s)*x at the same triple, then 1*x = x.

@@ -1,7 +1,7 @@
 import pytest
 
 import torsionlab as tl
-from torsionlab import kernels
+from torsionlab import rings
 from torsionlab.errors import InvariantError
 
 # UT2(2) element indices under the canonical encoding 4a + 2b + c.
@@ -77,7 +77,7 @@ def reference_lattice_axioms(lattice):
             for j in range(k):
                 if table[i * k + j] != table[j * k + i]:
                     _lattice_fault(f"{name}-commutative", (i, j), f"{name} not commutative")
-        w = kernels.assoc_witness(k, list(table))
+        w = rings._assoc_witness(k, list(table))
         if w is not None:
             _lattice_fault(f"{name}-associative", w, f"{name} not associative")
     for i in range(k):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import torsionlab as tl
+from torsionlab import rings
 from torsionlab.cli import main
 
 
@@ -202,6 +203,120 @@ def test_mistyped_documents_are_invalid_input(tmp_path, capsys, argv, doc):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "(at $" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def table_rows(order, op):
+    return [[op(x, y) for y in range(order)] for x in range(order)]
+
+
+def flat(rows):
+    return [v for row in rows for v in row]
+
+
+def ring_doc(add, mul, one=1):
+    return {"order": len(add), "add": add, "mul": mul, "zero": 0, "one": one}
+
+
+def cyclic_doc(n, mul_faults=(), one=1):
+    """Z(n) as a ring table document, with the multiplication entries
+    (x, y, value) of ``mul_faults`` changed."""
+    mul = table_rows(n, lambda x, y: x * y % n)
+    for x, y, v in mul_faults:
+        mul[x][y] = v
+    return ring_doc(table_rows(n, lambda x, y: (x + y) % n), mul, one)
+
+
+def nonassociative_z5():
+    """Z(5) with 1 + 2 = 2 + 1 = 4: identity, commutativity and inverses
+    still hold."""
+    doc = cyclic_doc(5)
+    doc["add"][1][2] = doc["add"][2][1] = 4
+    return doc
+
+
+def rescaled_ut2():
+    """UT2(2) with r *' x = (e11 r) x: distributive, not associative."""
+    ring = tl.parse_ring_spec("UT2(2)")
+    e11 = 4
+    return ring_doc([list(row) for row in ring.add],
+                    table_rows(8, lambda r, x: ring.mul[ring.mul[e11][r]][x]), ring.one)
+
+
+# the ring axiom each module-axiom witness of R acting on itself names
+RING_AXIOM_MESSAGES = {
+    "act_add": ("left-distributive", "{0}*({1}+{2}) != {0}*{1} + {0}*{2}"),
+    "add_act": ("right-distributive", "({0}+{1})*{2} != {0}*{2} + {1}*{2}"),
+    "mul_act": ("mul-associative", "({0}*{1})*{2} != {0}*({1}*{2})"),
+}
+
+
+def reference_ring_error(doc):
+    """(axiom, message) of the first scan witness in a ring table
+    document whose zero and one differ, from the reference loops."""
+    n, add, mul = doc["order"], flat(doc["add"]), flat(doc["mul"])
+    w = rings._assoc_witness_loops(n, add)
+    if w is not None:
+        return "add-associative", f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})"
+    kind, i, j, k = rings._module_axiom_witness_loops(n, n, add, mul, add, mul, doc["one"])
+    if kind == "one_act":
+        return "one-identity", f"one is not an identity at {i}"
+    axiom, message = RING_AXIOM_MESSAGES[kind]
+    return axiom, message.format(i, j, k)
+
+
+@pytest.mark.parametrize("axiom, make", [
+    ("add-associative", nonassociative_z5),
+    ("left-distributive", lambda: cyclic_doc(4, [(2, 1, 0)])),
+    ("right-distributive", lambda: ring_doc(table_rows(3, lambda x, y: (x + y) % 3),
+                                            table_rows(3, lambda r, x: (0, 1, 1)[r] * x % 3))),
+    ("mul-associative", rescaled_ut2),
+    ("one-identity", lambda: cyclic_doc(3, one=2)),
+    # above 256 elements the scan runs the loops; row 0 fails first
+    ("left-distributive", lambda: cyclic_doc(257, [(0, 5, 1)])),
+], ids=["add-associative", "left-distributive", "right-distributive", "mul-associative",
+        "one-identity", "left-distributive-257"])
+def test_a_faulty_ring_table_names_the_scan_witness(tmp_path, capsys, axiom, make):
+    doc = make()
+    want_axiom, message = reference_ring_error(doc)
+    assert want_axiom == axiom
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    code = main(["ring-info", f"table:{path}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def module_doc(add, act):
+    return {"order": len(add), "add": add, "act": act, "zero": 0}
+
+
+Z4_ADD = table_rows(4, lambda x, y: (x + y) % 4)
+XOR4 = table_rows(4, lambda x, y: x ^ y)
+SWAP = [0, 2, 1, 3]  # the coordinate swap of Z(2)^2, not idempotent
+
+
+@pytest.mark.parametrize("kind, doc", [
+    # Z(4) on itself with 2*1 = 0: row 2 is not additive
+    ("act_add", module_doc(Z4_ADD, [[0] * 4, [0, 1, 2, 3], [0, 0, 0, 2], [0, 3, 2, 1]])),
+    # r.x = f(r) x for f = (0, 1, 1, 3), which is not additive
+    ("add_act", module_doc(Z4_ADD, table_rows(4, lambda r, x: (0, 1, 1, 3)[r] * x % 4))),
+    # Z(2)^2 with r.x = r SWAP(x): additive on both sides, but
+    # (1*1).x = SWAP(x) and 1.(1.x) = x
+    ("mul_act", module_doc(XOR4, [[0] * 4, SWAP, [0] * 4, SWAP])),
+    # Z(2) with the zero action
+    ("one_act", module_doc([[0, 1], [1, 0]], [[0, 0]] * 4)),
+], ids=["act_add", "add_act", "mul_act", "one_act"])
+def test_a_faulty_module_table_names_the_scan_witness(tmp_path, capsys, kind, doc):
+    ring = tl.parse_ring_spec("Z(4)")
+    w = rings._module_axiom_witness_loops(ring.order, doc["order"], ring.add_flat, ring.mul_flat,
+                                          flat(doc["add"]), flat(doc["act"]), ring.one)
+    assert w[0] == kind
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    code = main(["wep", "Z(4)", "--filter", "1", "--module", f"file:{path}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: scalar action axiom {kind} fails at {w[1:]}\n"
 
 
 @pytest.mark.parametrize("row, where", [

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import kernels, modules, rings
-from torsionlab._core_py import BYTE_ORDER_LIMIT
+from torsionlab import modules, rings
 from torsionlab.errors import InvariantError, TableError
 
 from conftest import A_BITS, E12
@@ -40,7 +39,7 @@ def reference_check_abelian_group(order, add, zero, what="add"):
         if zero not in row:
             raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
     flat = [v for row in add for v in row]
-    w = kernels.assoc_witness(order, flat)
+    w = rings._assoc_witness(order, flat)
     if w is not None:
         raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
 
@@ -68,9 +67,9 @@ def reference_module_checks(ring, order, add, act, zero):
     add_flat = tuple(v for row in add for v in row)
     act_flat = tuple(v for row in act for v in row)
     reference_check_abelian_group(order, add, zero, what="module-add")
-    w = kernels.module_axiom_witness(ring.order, order, ring.add_flat,
-                                     ring.mul_flat, add_flat,
-                                     act_flat, ring.one)
+    w = rings._module_axiom_witness(ring.order, order, ring.add_flat,
+                                    ring.mul_flat, add_flat,
+                                    act_flat, ring.one)
     if w is not None:
         raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
 
@@ -113,8 +112,8 @@ def reference_ring_checks(order, add, mul, zero, one):
     if zero == one and n > 1:
         raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
     reference_check_abelian_group(n, add, zero)
-    w = kernels.module_axiom_witness(n, n, add_flat, mul_flat,
-                                     add_flat, mul_flat, one)
+    w = rings._module_axiom_witness(n, n, add_flat, mul_flat,
+                                    add_flat, mul_flat, one)
     if w is not None:
         kind, i, j, k = w
         if kind == "one_act":
@@ -184,7 +183,7 @@ def test_quotient_rings_pass_the_reference_validators(spec, data):
 def test_quotients_of_z17_squared_take_the_loop_route():
     ring = tl.parse_ring_spec("Z(17)")
     square = tl.power_module(ring, 2)  # a direct sum of order 289
-    assert square.order > BYTE_ORDER_LIMIT
+    assert square.order > rings.BYTE_ORDER_LIMIT
     subs = tl.all_submodules(square)
     assert len(subs) == 20  # zero, the 18 lines, the whole
     for sub in subs:
@@ -404,14 +403,14 @@ def test_range_check_reports_the_loop_witness(z4, bad):
 # -- axioms decided on additive generators ----------------------------------
 
 def count_exhaustive_checks(monkeypatch):
-    """The names of the later calls of the exhaustive table kernels."""
+    """The names of the later calls of the exhaustive table scans."""
     calls = []
-    for name in ("module_axiom_witness", "assoc_witness"):
-        def counted(*args, _name=name, _check=getattr(kernels, name)):
+    for name in ("_module_axiom_witness", "_assoc_witness"):
+        def counted(*args, _name=name, _check=getattr(rings, name)):
             calls.append(_name)
             return _check(*args)
 
-        monkeypatch.setattr(kernels, name, counted)
+        monkeypatch.setattr(rings, name, counted)
     return calls
 
 
@@ -433,7 +432,7 @@ def test_a_corrupted_ring_names_the_scan_witness(monkeypatch, i, j):
     calls = count_exhaustive_checks(monkeypatch)
     with pytest.raises(TableError) as got:
         tl.FiniteRing(ring.order, ring.add, mul, ring.zero, ring.one)
-    assert calls.count("module_axiom_witness") <= 1 and calls.count("assoc_witness") <= 1
+    assert calls.count("_module_axiom_witness") <= 1 and calls.count("_assoc_witness") <= 1
     assert (got.value.axiom, got.value.witness, str(got.value)) == \
         (want.value.axiom, want.value.witness, str(want.value))
 

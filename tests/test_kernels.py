@@ -1,9 +1,10 @@
 """Kernel unit tests: each kernel against a naive independent oracle,
-plus cross-checks between the compiled and pure backends of the two
-kernels that have a compiled twin (``enumerate_submodules``,
-``module_axiom_witness``); the other kernels exist only in ``_core_py``
-and are tested there, and the delta evaluation in ``delta`` and the
-modularity test in ``modules`` are tested against verbatim references.
+plus cross-checks between the compiled and pure backends of the one
+kernel that has a compiled twin (``enumerate_submodules``); the other
+kernels exist only in ``_core_py`` and are tested there, and the table
+axiom scans and decisions in ``rings``, the delta evaluation in
+``delta`` and the modularity test in ``modules`` are tested against
+verbatim references.
 
 When ``torsionlab._core`` is not installed, the compiled backend is built
 here from ``src/torsionlab/_core.c`` into a temporary directory and
@@ -72,8 +73,8 @@ def compiled_backend(tools):
 TOOLCHAIN = toolchain()
 _core, NO_CORE = compiled_backend(TOOLCHAIN)
 BACKENDS = [_core_py] if _core is None else [_core_py, _core]
-# the kernels with a compiled twin; ``kernels`` takes the rest from ``_core_py``
-COMPILED_KERNELS = {"enumerate_submodules", "module_axiom_witness"}
+# the kernel with a compiled twin; ``kernels`` takes the rest from ``_core_py``
+COMPILED_KERNELS = {"enumerate_submodules"}
 needs_core = pytest.mark.skipif(_core is None, reason=NO_CORE or "")
 
 
@@ -287,42 +288,39 @@ def test_finite_lattice_sorts_its_members():
     assert (lat.meet, lat.join) == (built.meet, built.join)
 
 
-@pytest.mark.parametrize("impl", [_core_py], ids=lambda i: i.BACKEND_NAME)
-def test_assoc_witness(impl):
+def test_assoc_witness():
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     flat = [v for row in table for v in row]
-    assert impl.assoc_witness(4, flat) is None
+    assert rings._assoc_witness(4, flat) is None
     flat[1 * 4 + 2] = 0  # 1+2 = 0 breaks associativity
-    w = impl.assoc_witness(4, flat)
+    w = rings._assoc_witness(4, flat)
     assert w is not None
     i, j, k = w
     assert flat[flat[i * 4 + j] * 4 + k] != flat[i * 4 + flat[j * 4 + k]]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
-def test_module_axiom_witness_detects_broken_action(impl, z4):
+def test_module_axiom_witness_detects_broken_action(z4):
     n = z4.order
     radd, rmul = list(z4.add_flat), list(z4.mul_flat)
     act = list(z4.mul_flat)
-    assert impl.module_axiom_witness(n, n, radd, rmul, radd, act, z4.one) is None
+    assert rings._module_axiom_witness(n, n, radd, rmul, radd, act, z4.one) is None
     act[1 * n + 2] = 1  # 1*2 = 1 breaks the unit axiom
-    w = impl.module_axiom_witness(n, n, radd, rmul, radd, act, z4.one)
+    w = rings._module_axiom_witness(n, n, radd, rmul, radd, act, z4.one)
     assert w is not None
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
-def test_module_axiom_witness_checks_add_and_mul_act_at_each_x(impl, ut2):
+def test_module_axiom_witness_checks_add_and_mul_act_at_each_x(ut2):
     # UT2(2) acting on GF(2)^2 with rows broken in both add_act and
     # mul_act: mul_act at (1, 2, 1) comes before add_act at (1, 2, 2).
     madd = [a ^ b for a in range(4) for b in range(4)]
     act = [0, 0, 0, 0, 0, 3, 0, 3, 0, 1, 0, 1, 0, 2, 3, 1,
            0, 0, 0, 0, 0, 1, 2, 3, 0, 2, 1, 3, 0, 0, 0, 0]
     radd, rmul = list(ut2.add_flat), list(ut2.mul_flat)
-    assert impl.module_axiom_witness(8, 4, radd, rmul, madd, act, ut2.one) == \
+    assert rings._module_axiom_witness(8, 4, radd, rmul, madd, act, ut2.one) == \
         ("mul_act", 1, 2, 1)
     # on GF(2), both axioms first fail at (1, 6, 1): add_act is reported
     act = [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1]
-    assert impl.module_axiom_witness(8, 2, radd, rmul, [0, 1, 1, 0], act, ut2.one) == \
+    assert rings._module_axiom_witness(8, 2, radd, rmul, [0, 1, 1, 0], act, ut2.one) == \
         ("add_act", 1, 6, 1)
 
 
@@ -423,17 +421,19 @@ def table_check_cases():
         yield "module_axiom_witness", (1, m, [0], [0], add, [0] * m, 0)
 
 
+# each scan of ``rings``, and the loops it must agree with at every order
 REFERENCE_TABLE_CHECKS = {
-    "assoc_witness": _core_py._assoc_witness_loops,
-    "module_axiom_witness": _core_py._module_axiom_witness_loops,
+    "assoc_witness": (rings._assoc_witness, rings._assoc_witness_loops),
+    "module_axiom_witness": (rings._module_axiom_witness, rings._module_axiom_witness_loops),
 }
 
 
 def test_table_checks_return_reference_witnesses():
     outcomes = {name: set() for name in REFERENCE_TABLE_CHECKS}
     for name, args in table_check_cases():
-        got = getattr(_core_py, name)(*args)
-        assert got == REFERENCE_TABLE_CHECKS[name](*args), (name, args)
+        scan, reference = REFERENCE_TABLE_CHECKS[name]
+        got = scan(*args)
+        assert got == reference(*args), (name, args)
         outcomes[name].add(got if got is None or name == "assoc_witness" else got[0])
     assert None in outcomes["assoc_witness"] and len(outcomes["assoc_witness"]) > 1
     assert outcomes["module_axiom_witness"] == {None, "act_add", "add_act", "mul_act", "one_act"}
@@ -467,7 +467,7 @@ def reference_ring_error(n, add, mul, zero, one):
         return ("zero-one", (zero,), "zero equals one in a ring of order > 1")
     add_flat = [v for row in add for v in row]
     mul_flat = [v for row in mul for v in row]
-    w = _core_py._module_axiom_witness_loops(n, n, add_flat, mul_flat, add_flat, mul_flat, one)
+    w = rings._module_axiom_witness_loops(n, n, add_flat, mul_flat, add_flat, mul_flat, one)
     if w is not None:
         kind, i, j, k = w
         if kind == "act_add":
@@ -550,11 +550,11 @@ def decision_structures():
 
 
 def decision_args(ring, module, kind, rng, faults):
-    """``module_axiom_witness`` arguments over a valid addition on each
-    side, as ``FiniteModule`` and ``FiniteRing`` call it: ``module``'s
-    action, valid, with planted faults or as an endomorphism action, or
-    ``ring`` acting on itself by a multiplication with planted faults, a
-    transported or a rescaled one."""
+    """``rings._module_axiom_witness`` arguments over a valid addition on
+    each side, as ``FiniteModule`` and ``FiniteRing`` call it:
+    ``module``'s action, valid, with planted faults or as an endomorphism
+    action, or ``ring`` acting on itself by a multiplication with planted
+    faults, a transported or a rescaled one."""
     n, m = ring.order, module.order
     radd, rmul = list(ring.add_flat), list(ring.mul_flat)
     act, one = list(module.act_flat), ring.one
@@ -583,7 +583,7 @@ def test_action_decision_matches_the_loops(index, kind, seed, faults):
     pairs = decision_structures()
     ring, module = pairs[index % len(pairs)]
     args = decision_args(ring, module, kind, random.Random(seed), faults)
-    want = _core_py._module_axiom_witness_loops(*args)
+    want = rings._module_axiom_witness_loops(*args)
     assert rings._action_axioms_hold(*args) == (want is None)
     assert rings.action_axiom_witness(*args) == want
 
@@ -609,7 +609,7 @@ def test_associativity_decision_matches_the_loops(index, seed, faults):
     _, module = pairs[index % len(pairs)]
     m, zero = module.order, module.zero
     rows = symmetric_faults(module.add_flat, m, zero, random.Random(seed), faults)
-    want = _core_py._assoc_witness_loops(m, [v for row in rows for v in row])
+    want = rings._assoc_witness_loops(m, [v for row in rows for v in row])
     if want is None:
         rings.check_abelian_group(m, rows, zero)
         return
@@ -631,7 +631,7 @@ def test_decisions_above_256_match_the_loops():
         bad = list(mul)
         bad[rng.randrange(3) * m + rng.randrange(m)] = rng.randrange(m)
         for args in [(m, m, add, mul, add, bad, 1), (m, m, add, bad, add, bad, 1)]:
-            want = _core_py._module_axiom_witness_loops(*args)
+            want = rings._module_axiom_witness_loops(*args)
             if want is None:
                 continue
             assert not rings._action_axioms_hold(*args)
@@ -640,7 +640,7 @@ def test_decisions_above_256_match_the_loops():
         with pytest.raises(TableError) as err:
             rings.check_abelian_group(m, rows, 0)
         assert err.value.witness == \
-            _core_py._assoc_witness_loops(m, [v for row in rows for v in row])
+            rings._assoc_witness_loops(m, [v for row in rows for v in row])
 
 
 def half_additive_action():
@@ -661,7 +661,7 @@ def test_action_decision_reads_every_generator_and_zero():
     # out, only (0+0).1 = 0.1 + 0.1 fails
     identity = (1, 2, [0], [0], [0, 1, 1, 0], [0, 1], 0)
     for args, kind in [(identity, "add_act"), (half_additive_action(), "act_add")]:
-        want = _core_py._module_axiom_witness_loops(*args)
+        want = rings._module_axiom_witness_loops(*args)
         assert want[0] == kind
         assert not rings._action_axioms_hold(*args)
         assert rings.action_axiom_witness(*args) == want
@@ -1200,14 +1200,40 @@ def test_submodule_lattices_match_reference(impl):
                 reference_sum_with_orbit(1 << zero, [zero], reference_orbit(g, m, n, act), m, add)
 
 
-@needs_core
-def test_backends_agree_on_submodule_enumeration():
-    for spec in ["Z(8)", "UT2(2)", "prod(Z(2),Z(2))"]:
-        ring = tl.parse_ring_spec(spec)
-        square = tl.power_module(ring, 2)
-        args = (square.order, ring.order, list(square.add_flat),
-                list(square.act_flat), square.zero)
-        assert _core.enumerate_submodules(*args) == _core_py.enumerate_submodules(*args)
+# a generated enumeration case has at most this many elements
+ENUMERATION_ORDER_LIMIT = 64
+
+
+@functools.lru_cache(maxsize=None)
+def enumeration_modules(index):
+    """Builtin ring ``index`` of order <= 16 and the modules a generated
+    enumeration case draws from: its bound-2 corpus and R^2, each of at
+    most ``ENUMERATION_ORDER_LIMIT`` elements."""
+    _, ring = tl.builtin_rings(16)[index]
+    mods = [*tl.module_corpus(ring, 2), tl.power_module(ring, 2)]
+    return tuple(mod for mod in mods if mod.order <= ENUMERATION_ORDER_LIMIT)
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A module of ``enumeration_modules``, or the direct sum of two of
+    them over the same ring, of at most ``ENUMERATION_ORDER_LIMIT``
+    elements."""
+    mods = enumeration_modules(draw(st.integers(0, len(tl.builtin_rings(16)) - 1)))
+    mod = draw(st.sampled_from(mods))
+    if draw(st.booleans()):
+        room = ENUMERATION_ORDER_LIMIT // mod.order
+        mod = tl.direct_sum(mod, draw(st.sampled_from([o for o in mods if o.order <= room])))
+    return mod
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(enumeration_cases())
+def test_backends_agree_on_submodule_enumeration(mod):
+    args = (mod.order, mod.ring.order, list(mod.add_flat), list(mod.act_flat), mod.zero)
+    members = reference_enumerate_submodules(*args)
+    for impl in BACKENDS:
+        assert impl.enumerate_submodules(*args) == members, impl.BACKEND_NAME
 
 
 @needs_core
@@ -1215,8 +1241,7 @@ def test_compiled_kernels_reject_entries_outside_their_tables():
     # the C kernels index raw arrays: a bad index must raise, not read out of bounds
     add = [0, 1, 1, 0]
     for call in (lambda: _core.enumerate_submodules(2, 1, add, [0, 2], 0),
-                 lambda: _core.enumerate_submodules(2, 1, add, [0, 1], 2),
-                 lambda: _core.module_axiom_witness(1, 2, [0], [0], add, [0, 1], 1)):
+                 lambda: _core.enumerate_submodules(2, 1, add, [0, 1], 2)):
         with pytest.raises(ValueError):
             call()
 
@@ -1226,21 +1251,16 @@ def test_selected_backend_is_exported():
     assert tl.backend() == kernels.backend()
 
 
-def test_only_two_kernels_are_compiled():
+def test_only_submodule_enumeration_is_compiled():
     selected = _core if kernels.backend() == "compiled" else _core_py
     names = {name for name, value in vars(kernels).items()
              if callable(value) and name != "backend"}
     assert COMPILED_KERNELS <= names
+    assert not {"module_axiom_witness", "assoc_witness"} & set(vars(kernels))
     for name in names:
         impl = selected if name in COMPILED_KERNELS else _core_py
         assert getattr(kernels, name) is getattr(impl, name), name
     if _core is not None:
         assert {name for name in vars(_core) if not name.startswith("__")} == \
-            COMPILED_KERNELS | {"BACKEND_NAME"}
+            {"enumerate_submodules", "BACKEND_NAME"}
 
-
-@needs_core
-def test_backends_agree_on_table_checks():
-    for name, args in table_check_cases():
-        if hasattr(_core, name):
-            assert getattr(_core, name)(*args) == getattr(_core_py, name)(*args), (name, args)

@@ -261,13 +261,13 @@ def test_lattice_construction_calls_no_kernel(monkeypatch, ut2):
 
 def count_assoc_witness_calls(monkeypatch):
     calls = []
-    check = kernels.assoc_witness
+    check = rings._assoc_witness
 
     def counted(*args):
         calls.append(args[0])
         return check(*args)
 
-    monkeypatch.setattr(kernels, "assoc_witness", counted)
+    monkeypatch.setattr(rings, "_assoc_witness", counted)
     return calls
 
 
