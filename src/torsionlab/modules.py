@@ -19,10 +19,11 @@ from .rings import (TwoSidedIdeal, all_left_ideals, check_abelian_group, check_g
 class FiniteModule:
     """A finite left module with explicit tables, validated on creation.
 
-    Shape and range come first, then ``check_abelian_group`` on the
-    addition and ``rings.action_axiom_witness`` on the action: both
-    decide their axioms on additive generators, and run an exhaustive
-    scan only to name the first failure, which raises ``TableError``.
+    Shape and range come first (an entry that is no ``int`` in range
+    is out of range), then ``check_abelian_group`` on the addition and
+    ``rings.action_axiom_witness`` on the action: both decide each axiom
+    on additive generators, and scan only an axiom whose decision
+    failed, to name its first witness, which raises ``TableError``.
 
     ``_trusted`` skips every table check.  Only three constructors pass
     it: ``regular_module``, for the tables ``FiniteRing`` checked as R
@@ -53,8 +54,8 @@ class FiniteModule:
         self.add_flat = tuple(chain.from_iterable(self.add))
         self.act_flat = tuple(chain.from_iterable(self.act))
         if not _trusted:
-            if not (0 <= min(self.add_flat) and max(self.add_flat) < order
-                    and 0 <= min(self.act_flat) and max(self.act_flat) < order):
+            if not rings.all_index_entries(self.add_flat + self.act_flat,
+                                           frozenset(range(order))):
                 self._range_witness()
             if not 0 <= zero < order:
                 raise TableError("module-zero-range", (zero,), "zero index out of range")
@@ -69,17 +70,14 @@ class FiniteModule:
         self._cache = {}
 
     def _range_witness(self):
-        """Raise ``TableError`` at the first entry out of range, add
-        before act, in row-major order."""
-        order = self.order
-        for i, row in enumerate(self.add):
-            for j, v in enumerate(row):
-                if not 0 <= v < order:
-                    raise TableError("module-add-range", (i, j), f"add[{i}][{j}] out of range")
-        for r, row in enumerate(self.act):
-            for x, v in enumerate(row):
-                if not 0 <= v < order:
-                    raise TableError("act-range", (r, x), f"act[{r}][{x}] out of range")
+        """Raise ``TableError`` at the first entry that is no ``int`` in
+        0..order-1, add before act, in row-major order."""
+        for axiom, name, table in (("module-add-range", "add", self.add),
+                                   ("act-range", "act", self.act)):
+            for i, row in enumerate(table):
+                for j, v in enumerate(row):
+                    if not isinstance(v, int) or not 0 <= v < self.order:
+                        raise TableError(axiom, (i, j), f"{name}[{i}][{j}] out of range")
 
     def elements(self):
         return range(self.order)

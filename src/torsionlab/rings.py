@@ -1,9 +1,10 @@
 """Finite unital rings, their left ideals, and ideal arithmetic.
 
 Rings are given by explicit addition / multiplication tables over the
-element indices ``0..n-1`` and are fully validated at construction: the
-axioms are decided on additive generators, and a failure is named by a
-bounded-exhaustive scan.  Ideals are immutable bitsets over the same
+element indices ``0..n-1`` and are fully validated at construction:
+each axiom is decided on additive generators, and only an axiom whose
+decision failed is scanned, to name its first witness, by whole rows in
+one route at every order.  Ideals are immutable bitsets over the same
 index space, ordered as little-endian integers (bit ``i`` = element
 ``i``), which fixes a canonical order on every ideal family the package
 emits.
@@ -41,14 +42,21 @@ def is_json_int(v):
 _INDEX_TYPES = frozenset((int, bool))
 
 
+def all_index_entries(entries, indices):
+    """Whether every entry of the sequence ``entries`` is of type ``int``
+    or ``bool`` and lies in the set ``indices`` of 0..size-1, by C-level
+    set lookups (with those types, set membership is the range test).
+    An ``int`` subclass entry fails it: callers then name the first bad
+    entry in a loop, which accepts that one."""
+    return _INDEX_TYPES.issuperset(map(type, entries)) and indices.issuperset(entries)
+
+
 def _as_table(raw, size, what):
     """Normalize a square table to a tuple of tuples, checking shape/range.
 
-    A row whose entries are all of type ``int`` or ``bool`` and lie in
-    0..size-1 is accepted whole, by C-level set lookups (with those
-    types, set membership is the range test); any other row goes
-    through the entry loop, which names the first bad (i, j) or accepts
-    the row (an ``int`` subclass in range)."""
+    A row that passes ``all_index_entries`` is accepted whole; any other
+    row goes through the entry loop, which names the first bad (i, j) or
+    accepts the row (an ``int`` subclass in range)."""
     if len(raw) != size:
         raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {size} rows")
     indices = frozenset(range(size))
@@ -56,7 +64,7 @@ def _as_table(raw, size, what):
     for i, row in enumerate(raw):
         if len(row) != size:
             raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {size} entries")
-        if not (_INDEX_TYPES.issuperset(map(type, row)) and indices.issuperset(row)):
+        if not all_index_entries(row, indices):
             for j, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < size:
                     raise TableError(f"{what}-range", (i, j),
@@ -74,7 +82,7 @@ def check_abelian_group(order, add, zero, what="add"):
     two-sided identity, and with a and g it holds a+g (regroup
     (x+(a+g))+z through (x+a)+g, (x+a)+(g+z) and x+(a+(g+z))), so S is
     the whole table once it holds every generator.  Only when that
-    fails does ``_assoc_witness`` scan every triple, to name the first
+    fails does ``_assoc_witness`` scan the triples, to name the first
     witness.
     """
     for i in range(order):
@@ -94,7 +102,7 @@ def check_abelian_group(order, add, zero, what="add"):
     if all(rows[row[g]] == plus(rows[g])
            for row, plus in zip(rows, map(as_map, rows)) for g in gens):
         return
-    w = _assoc_witness(order, list(chain.from_iterable(add)))
+    w = _assoc_witness(rows, as_map)
     raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
 
 
@@ -105,10 +113,12 @@ def _composition(order):
     to the row of f[x] over the entries x of xs (f after xs), so equal
     composites give equal rows.  Up to ``BYTE_ORDER_LIMIT`` rows are
     bytearrays (made from ints faster than bytes) and f acts by
-    ``translate``; above it rows are tuples and f acts by ``map``."""
+    ``translate``; above it rows are lists and f acts by a list
+    comprehension, which indexes a list faster than ``map`` over
+    ``__getitem__`` does."""
     if order <= BYTE_ORDER_LIMIT:
         return bytearray, lambda f: operator.methodcaller("translate", _translator(f))
-    return tuple, lambda f: lambda xs: tuple(map(f.__getitem__, xs))
+    return list, lambda f: lambda xs: [f[x] for x in xs]
 
 
 def _generators(rows, zero):
@@ -131,13 +141,18 @@ def _generators(rows, zero):
 
 
 def action_axiom_witness(n, m, radd, rmul, madd, act, one):
-    """``_module_axiom_witness`` on the same flat tables, when
-    R's addition (n x n) and M's (m x m) are abelian groups and R's
-    multiplication distributes over its addition from the left (for R
-    acting on itself, the ``act_add`` axiom below).
+    """The first witness (code, i, j, k) of a scalar-action axiom on the
+    flat tables, or None, when R's addition (n x n) and M's (m x m) are
+    abelian groups and R's multiplication distributes over its addition
+    from the left (for R acting on itself, the ``act_add`` axiom below).
 
-    The axioms are decided on the generators G of ``_generators`` (zero
-    first), by whole rows (see ``_composition``):
+    The scan order: every ``act_add`` (r, x, y), then (r, s, x) with
+    ``add_act`` before ``mul_act`` at each, then ``one_act`` (x, -1, -1).
+    For R acting on itself these name left distributivity, right
+    distributivity, associativity of * and 1*x = x.
+
+    Each axiom is first decided on the generators G of ``_generators``
+    (zero first), by whole rows (see ``_composition``):
 
     * ``act_add``: r.(x+g) = r.x + r.g for every r and x and g in G of M,
     * ``add_act``: (r+s).x = r.x + s.x for every r and x and s in G of R,
@@ -149,183 +164,73 @@ def action_axiom_witness(n, m, radd, rmul, madd, act, one):
     is closed under adding a generator on the right, so f is additive.
     That makes x -> r.x and r -> r.x additive, and then both sides of
     ``mul_act`` are additive in s, so they agree on all of R once they
-    agree on G.  Every equation read is an instance of an axiom, so the
-    decision fails exactly when the scan finds a witness; only then
-    does the scan run, to name the first witness in its order.
+    agree on G.  Every equation read is an instance of an axiom, so a
+    decision fails exactly when its axiom has a witness.  Only then is
+    that axiom scanned, in the same route at every order: ``act_add``
+    in the first row r that failed its decision, and ``add_act`` with
+    ``mul_act`` one r at a time, by the columns s.x over s.
     """
-    if _action_axioms_hold(n, m, radd, rmul, madd, act, one):
-        return None
-    return _module_axiom_witness(n, m, radd, rmul, madd, act, one)
-
-
-def _action_axioms_hold(n, m, radd, rmul, madd, act, one):
-    """Whether the module axioms hold, decided as ``action_axiom_witness``
-    describes.  When R acts on itself (``radd is madd``) its addition's
-    rows and generators serve both sides."""
     as_row, as_map = _composition(max(n, m))
     act = as_row(act)
     msum = rows_of(as_row(madd), m)  # x + y at [x][y]
     scale = rows_of(act, m)  # r.x at [r][x]
-    orbit = [act[x::m] for x in range(m)]  # r.x at [x][r]
+    cols = [act[x::m] for x in range(m)]  # s.x at [x][s]
     plus = list(map(as_map, msum))  # plus[a](xs): a + x over the entries x of xs
-    mgens = _generators(msum, msum.index(as_row(range(m))))
-    if radd is madd:
+    identity = as_row(range(m))
+    mgens = _generators(msum, msum.index(identity))
+    if radd is madd:  # R acting on itself: one addition serves both sides
         rsum, rgens = msum, mgens
     else:
         rsum = rows_of(as_row(radd), n)
         rgens = _generators(rsum, rsum.index(as_row(range(n))))
-    # act_add over x, as r.(g+x) = r.g + r.x
-    if not all(times(msum[g]) == plus[f[g]](f)
-               for f, times in zip(scale, map(as_map, scale)) for g in mgens):
-        return False
+    # act_add over x, as r.(g+x) = r.g + r.x; row r's pair (x, y) compares
+    # r.(x+y) with r.x + r.y over y
+    for r, f in enumerate(scale):
+        times = as_map(f)
+        if not all(times(msum[g]) == plus[f[g]](f) for g in mgens):
+            return ("act_add", r, *_first_mismatch(
+                (times(row), plus[fx](f)) for row, fx in zip(msum, f)))
     # add_act and mul_act over r, as (s+r).x = s.x + r.x and (r*s).x = r.(s.x)
+    at = list(map(as_map, cols))  # at[x](ss): s.x over the entries s of ss
     right = {s: as_row(rmul[s::n]) for s in rgens}  # r*s over r
-    if not all(at(rsum[s]) == plus[o[s]](o) and at(right[s]) == orbit[o[s]]
-               for o, at in zip(orbit, map(as_map, orbit)) for s in rgens):
-        return False
-    return scale[one] == as_row(range(m))
-
-
-# -- the exhaustive scans that name a witness ----------------------------
-# They run only once a decision above has failed.  When every order is at
-# most ``BYTE_ORDER_LIMIT``, rows become ``bytes`` and each axiom is
-# compared for one fixed element at a time with C-level ``translate``
-# and ``join`` calls over whole rows; the first differing byte gives the
-# first witness of the order the ``*_loops`` functions scan in above
-# that limit.  The tests keep the loops as the reference for both.
-
-def _byte_rows(table, m, k):
-    """``table`` (k rows of m entries) as bytes, and its rows."""
-    flat = bytes(table)
-    return flat, [flat[i * m:(i + 1) * m] for i in range(k)]
-
-
-def _additive_witness(f, m, add, add_tr):
-    """First (x, y) in row-major order with f(x + y) != f(x) + f(y).
-
-    ``f`` maps 0..m-1 (m bytes); ``add`` is the m x m addition table as
-    bytes and ``add_tr[a]`` row a of it as a translate table.  Position
-    x*m + y of both sides holds the pair (x, y).
-    """
-    lhs = add.translate(_translator(f))
-    rhs = b"".join([f.translate(add_tr[fx]) for fx in f])
-    if lhs == rhs:
-        return None
-    return divmod(_first_diff(lhs, rhs), m)
-
-
-def _assoc_witness(m, table):
-    """First (i, j, k) with (i*j)*k != i*(j*k), else None."""
-    if m > BYTE_ORDER_LIMIT:
-        return _assoc_witness_loops(m, table)
-    flat, rows = _byte_rows(table, m, m)
-    for i, row_i in enumerate(rows):
-        # position j*m + k: rows[i*j][k] = (i*j)*k and row_i[j*k] = i*(j*k)
-        lhs = b"".join([rows[v] for v in row_i])
-        rhs = flat.translate(_translator(row_i))
-        if lhs != rhs:
-            return (i, *divmod(_first_diff(lhs, rhs), m))
+    if not all(at_x(rsum[s]) == plus[col[s]](col) and at_x(right[s]) == cols[col[s]]
+               for col, at_x in zip(cols, at) for s in rgens):
+        prod = rows_of(as_row(rmul), n)  # r*s at [r][s]
+        for r, f in enumerate(scale):
+            times = as_map(f)
+            # over s: (r+s).x against r.x + s.x, (r*s).x against r.(s.x)
+            found = [(_first_diff(lhs, rhs), x, kind)
+                     for x, (col, at_x) in enumerate(zip(cols, at))
+                     for kind, lhs, rhs in (("add_act", at_x(rsum[r]), plus[f[x]](col)),
+                                            ("mul_act", at_x(prod[r]), times(col)))
+                     if lhs != rhs]
+            if found:
+                s, x, kind = min(found)
+                return (kind, r, s, x)
+    if scale[one] != identity:
+        return ("one_act", _first_diff(scale[one], identity), -1, -1)
     return None
 
 
-def _assoc_witness_loops(m, table):
-    """``_assoc_witness`` for any order, one row comparison per (i, j)."""
-    rows = [table[i * m:(i + 1) * m] for i in range(m)]
-    for i in range(m):
-        row_i = rows[i]
-        for j in range(m):
-            row_ij = rows[row_i[j]]
-            row_j = rows[j]
-            probe = [row_i[t] for t in row_j]
-            if row_ij != probe:
-                for k in range(m):
-                    if row_ij[k] != probe[k]:
-                        return (i, j, k)
-    return None
-
-
-def _module_axiom_witness(n, m, radd, rmul, madd, act, one):
-    """Check the four scalar-action axioms; witness = (code, i, j, k).
-
-    The scan order: every ``act_add`` (r, x, y), then (r, s, x) with
-    ``add_act`` before ``mul_act`` at each, then ``one_act`` (x, -1, -1).
-    For R acting on itself these name left distributivity, right
-    distributivity, associativity of * and 1*x = x.
-    """
-    if max(n, m) > BYTE_ORDER_LIMIT:
-        return _module_axiom_witness_loops(n, m, radd, rmul, madd, act, one)
-    madd_b, mrows = _byte_rows(madd, m, m)
-    madd_tr = [_translator(row) for row in mrows]
-    act_b, arows = _byte_rows(act, m, n)
-    for r, arow in enumerate(arows):
-        w = _additive_witness(arow, m, madd_b, madd_tr)
+def _assoc_witness(rows, as_map):
+    """First (i, j, k) with (i+j)+k != i+(j+k) in the table ``rows``
+    (i + j at ``rows[i][j]``, rows made by ``_composition``), else None.
+    For each i in turn, row j of each side is read whole: (i+j)+k over k
+    is row i+j, and i+(j+k) over k is row j composed with row i."""
+    for i, row in enumerate(rows):
+        plus = as_map(row)
+        w = _first_mismatch((rows[v], plus(rows[j])) for j, v in enumerate(row))
         if w is not None:
-            return ("act_add", r, *w)
-    # columns of act: cols[x][s] = s.x, so position x*n + s of each side
-    # below holds the pair (s, x)
-    cols = [act_b[x::m] for x in range(m)]
-    cols_tr = [_translator(col) for col in cols]
-    cols_b = b"".join(cols)
-    radd_b, rmul_b = bytes(radd), bytes(rmul)
-    for r, arow in enumerate(arows):
-        radd_r = radd_b[r * n:(r + 1) * n]
-        rmul_r = rmul_b[r * n:(r + 1) * n]
-        add_lhs = b"".join([radd_r.translate(t) for t in cols_tr])  # (r+s).x
-        add_rhs = b"".join([col.translate(madd_tr[rx]) for col, rx in zip(cols, arow)])
-        mul_lhs = b"".join([rmul_r.translate(t) for t in cols_tr])  # (rs).x
-        mul_rhs = cols_b.translate(_translator(arow))  # r.(s.x)
-        if add_lhs != add_rhs or mul_lhs != mul_rhs:
-            return _scalar_witness(r, n, m, radd, rmul, [list(row) for row in mrows],
-                                   [list(row) for row in arows])
-    identity = bytes(range(m))
-    if arows[one] != identity:
-        return ("one_act", _first_diff(arows[one], identity), -1, -1)
+            return (i, *w)
     return None
 
 
-def _scalar_witness(r, n, m, radd, rmul, mrows, arows):
-    """First ``add_act``/``mul_act`` witness for the scalar r, in (s, x)
-    order with ``add_act`` first; ``mrows``/``arows`` are lists of rows."""
-    arow_r = arows[r]
-    for s in range(n):
-        arow_s = arows[s]
-        arow_sum = arows[radd[r * n + s]]
-        arow_prod = arows[rmul[r * n + s]]
-        add_probe = [mrows[arow_r[x]][arow_s[x]] for x in range(m)]
-        mul_probe = [arow_r[t] for t in arow_s]
-        if arow_sum != add_probe or arow_prod != mul_probe:
-            for x in range(m):
-                if arow_sum[x] != add_probe[x]:
-                    return ("add_act", r, s, x)
-                if arow_prod[x] != mul_probe[x]:
-                    return ("mul_act", r, s, x)
-    return None
-
-
-def _module_axiom_witness_loops(n, m, radd, rmul, madd, act, one):
-    """``_module_axiom_witness`` for any orders, one row comparison per
-    (r, x) or (r, s)."""
-    arows = [list(act[r * m:(r + 1) * m]) for r in range(n)]
-    mrows = [list(madd[x * m:(x + 1) * m]) for x in range(m)]
-    for r in range(n):
-        arow = arows[r]
-        for x in range(m):
-            rx_row = mrows[arow[x]]
-            sums = mrows[x]
-            probe = [rx_row[arow[y]] for y in range(m)]
-            expect = [arow[sums[y]] for y in range(m)]
-            if probe != expect:
-                for y in range(m):
-                    if probe[y] != expect[y]:
-                        return ("act_add", r, x, y)
-    for r in range(n):
-        w = _scalar_witness(r, n, m, radd, rmul, mrows, arows)
-        if w is not None:
-            return w
-    arow_one = arows[one]
-    for x in range(m):
-        if arow_one[x] != x:
-            return ("one_act", x, -1, -1)
+def _first_mismatch(pairs):
+    """(i, j) for the first pair i of equal-length rows that differ, at
+    their first differing entry j, else None."""
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return i, _first_diff(a, b)
     return None
 
 
@@ -350,12 +255,13 @@ class FiniteRing:
     on itself, so the tables are checked in this order: zero != one,
     the abelian group (``check_abelian_group``), then
     ``action_axiom_witness`` on the regular action, and last x*1 = x.
-    The first failure raises ``TableError``.  Associativity of + and the
-    module axioms are decided on additive generators; only when they
-    fail does an exhaustive scan run, to name the first failure in its
-    scan order: for the regular action every left-distributive
-    (r, x, y), then, over (r, s, x), right-distributive (r+s)*x before
-    mul-associative (r*s)*x at the same triple, then 1*x = x.
+    The first failure raises ``TableError``.  Associativity of + and
+    each module axiom are decided on additive generators; only the
+    axiom whose decision failed is then scanned, to name its first
+    witness in the scan order: for the regular action every
+    left-distributive (r, x, y), then, over (r, s, x), right-distributive
+    (r+s)*x before mul-associative (r*s)*x at the same triple, then
+    1*x = x.
 
     ``_trusted`` skips every table check.  Only ``quotient_ring`` and
     ``product_ring`` pass it, for tables that ``check_map`` has proved

@@ -1,7 +1,6 @@
 import pytest
 
 import torsionlab as tl
-from torsionlab import rings
 from torsionlab.errors import InvariantError
 
 # UT2(2) element indices under the canonical encoding 4a + 2b + c.
@@ -77,7 +76,7 @@ def reference_lattice_axioms(lattice):
             for j in range(k):
                 if table[i * k + j] != table[j * k + i]:
                     _lattice_fault(f"{name}-commutative", (i, j), f"{name} not commutative")
-        w = rings._assoc_witness(k, list(table))
+        w = reference_assoc_witness(k, list(table))
         if w is not None:
             _lattice_fault(f"{name}-associative", w, f"{name} not associative")
     for i in range(k):
@@ -90,3 +89,94 @@ def reference_lattice_axioms(lattice):
 
 def _lattice_fault(axiom, witness, message):
     raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
+
+
+# -- the reference loops of the table axioms ----------------------------------
+# The exhaustive scans that ``rings`` once ran above 256 elements, kept
+# verbatim: the one witness route of ``rings`` must name the same first
+# witness at every order.
+
+def reference_assoc_witness(m, table):
+    """First (i, j, k) with (i*j)*k != i*(j*k) in the flat m x m
+    ``table``, else None; one row comparison per (i, j)."""
+    rows = [table[i * m:(i + 1) * m] for i in range(m)]
+    for i in range(m):
+        row_i = rows[i]
+        for j in range(m):
+            row_ij = rows[row_i[j]]
+            row_j = rows[j]
+            probe = [row_i[t] for t in row_j]
+            if row_ij != probe:
+                for k in range(m):
+                    if row_ij[k] != probe[k]:
+                        return (i, j, k)
+    return None
+
+
+def reference_module_axiom_witness(n, m, radd, rmul, madd, act, one):
+    """The four scalar-action axioms on the flat tables; witness =
+    (code, i, j, k), one row comparison per (r, x) or (r, s).
+
+    The scan order: every ``act_add`` (r, x, y), then (r, s, x) with
+    ``add_act`` before ``mul_act`` at each, then ``one_act`` (x, -1, -1).
+    """
+    arows = [list(act[r * m:(r + 1) * m]) for r in range(n)]
+    mrows = [list(madd[x * m:(x + 1) * m]) for x in range(m)]
+    for r in range(n):
+        arow = arows[r]
+        for x in range(m):
+            rx_row = mrows[arow[x]]
+            sums = mrows[x]
+            probe = [rx_row[arow[y]] for y in range(m)]
+            expect = [arow[sums[y]] for y in range(m)]
+            if probe != expect:
+                for y in range(m):
+                    if probe[y] != expect[y]:
+                        return ("act_add", r, x, y)
+    for r in range(n):
+        w = reference_scalar_witness(r, n, m, radd, rmul, mrows, arows)
+        if w is not None:
+            return w
+    arow_one = arows[one]
+    for x in range(m):
+        if arow_one[x] != x:
+            return ("one_act", x, -1, -1)
+    return None
+
+
+def reference_scalar_witness(r, n, m, radd, rmul, mrows, arows):
+    """First ``add_act``/``mul_act`` witness for the scalar r, in (s, x)
+    order with ``add_act`` first; ``mrows``/``arows`` are lists of rows."""
+    arow_r = arows[r]
+    for s in range(n):
+        arow_s = arows[s]
+        arow_sum = arows[radd[r * n + s]]
+        arow_prod = arows[rmul[r * n + s]]
+        add_probe = [mrows[arow_r[x]][arow_s[x]] for x in range(m)]
+        mul_probe = [arow_r[t] for t in arow_s]
+        if arow_sum != add_probe or arow_prod != mul_probe:
+            for x in range(m):
+                if arow_sum[x] != add_probe[x]:
+                    return ("add_act", r, s, x)
+                if arow_prod[x] != mul_probe[x]:
+                    return ("mul_act", r, s, x)
+    return None
+
+
+# the ring axiom each module-axiom witness of R acting on itself names,
+# with its message over the witness (i, j, k)
+REFERENCE_RING_AXIOMS = {
+    "act_add": ("left-distributive", "{0}*({1}+{2}) != {0}*{1} + {0}*{2}"),
+    "add_act": ("right-distributive", "({0}+{1})*{2} != {0}*{2} + {1}*{2}"),
+    "mul_act": ("mul-associative", "({0}*{1})*{2} != {0}*({1}*{2})"),
+}
+
+
+def reference_ring_axiom_error(w):
+    """(axiom, witness, message) of the ``TableError`` that a ring raises
+    for the module-axiom witness ``w`` of R acting on itself."""
+    kind, i, j, k = w
+    if kind == "one_act":
+        return ("one-identity", (i,), f"one is not an identity at {i}")
+    axiom, message = REFERENCE_RING_AXIOMS[kind]
+    return (axiom, (i, j, k), message.format(i, j, k))

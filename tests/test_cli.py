@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import torsionlab as tl
-from torsionlab import rings
 from torsionlab.cli import main
+
+from conftest import (reference_assoc_witness, reference_module_axiom_witness,
+                      reference_ring_axiom_error)
 
 
 def run_cli(capsys, *argv):
@@ -242,26 +244,16 @@ def rescaled_ut2():
                     table_rows(8, lambda r, x: ring.mul[ring.mul[e11][r]][x]), ring.one)
 
 
-# the ring axiom each module-axiom witness of R acting on itself names
-RING_AXIOM_MESSAGES = {
-    "act_add": ("left-distributive", "{0}*({1}+{2}) != {0}*{1} + {0}*{2}"),
-    "add_act": ("right-distributive", "({0}+{1})*{2} != {0}*{2} + {1}*{2}"),
-    "mul_act": ("mul-associative", "({0}*{1})*{2} != {0}*({1}*{2})"),
-}
-
-
 def reference_ring_error(doc):
     """(axiom, message) of the first scan witness in a ring table
     document whose zero and one differ, from the reference loops."""
     n, add, mul = doc["order"], flat(doc["add"]), flat(doc["mul"])
-    w = rings._assoc_witness_loops(n, add)
+    w = reference_assoc_witness(n, add)
     if w is not None:
         return "add-associative", f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})"
-    kind, i, j, k = rings._module_axiom_witness_loops(n, n, add, mul, add, mul, doc["one"])
-    if kind == "one_act":
-        return "one-identity", f"one is not an identity at {i}"
-    axiom, message = RING_AXIOM_MESSAGES[kind]
-    return axiom, message.format(i, j, k)
+    w = reference_module_axiom_witness(n, n, add, mul, add, mul, doc["one"])
+    axiom, _, message = reference_ring_axiom_error(w)
+    return axiom, message
 
 
 @pytest.mark.parametrize("axiom, make", [
@@ -308,8 +300,8 @@ SWAP = [0, 2, 1, 3]  # the coordinate swap of Z(2)^2, not idempotent
 ], ids=["act_add", "add_act", "mul_act", "one_act"])
 def test_a_faulty_module_table_names_the_scan_witness(tmp_path, capsys, kind, doc):
     ring = tl.parse_ring_spec("Z(4)")
-    w = rings._module_axiom_witness_loops(ring.order, doc["order"], ring.add_flat, ring.mul_flat,
-                                          flat(doc["add"]), flat(doc["act"]), ring.one)
+    w = reference_module_axiom_witness(ring.order, doc["order"], ring.add_flat, ring.mul_flat,
+                                       flat(doc["add"]), flat(doc["act"]), ring.one)
     assert w[0] == kind
     path = tmp_path / "module.json"
     path.write_text(json.dumps(doc))

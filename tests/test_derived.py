@@ -19,7 +19,8 @@ import torsionlab as tl
 from torsionlab import modules, rings
 from torsionlab.errors import InvariantError, TableError
 
-from conftest import A_BITS, E12
+from conftest import (A_BITS, E12, reference_assoc_witness, reference_module_axiom_witness,
+                      reference_ring_axiom_error)
 
 BUILTIN8 = [spec for spec, _ in tl.builtin_rings(8)]
 
@@ -39,7 +40,7 @@ def reference_check_abelian_group(order, add, zero, what="add"):
         if zero not in row:
             raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
     flat = [v for row in add for v in row]
-    w = rings._assoc_witness(order, flat)
+    w = reference_assoc_witness(order, flat)
     if w is not None:
         raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
 
@@ -67,9 +68,9 @@ def reference_module_checks(ring, order, add, act, zero):
     add_flat = tuple(v for row in add for v in row)
     act_flat = tuple(v for row in act for v in row)
     reference_check_abelian_group(order, add, zero, what="module-add")
-    w = rings._module_axiom_witness(ring.order, order, ring.add_flat,
-                                    ring.mul_flat, add_flat,
-                                    act_flat, ring.one)
+    w = reference_module_axiom_witness(ring.order, order, ring.add_flat,
+                                       ring.mul_flat, add_flat,
+                                       act_flat, ring.one)
     if w is not None:
         raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
 
@@ -89,13 +90,6 @@ def reference_as_table(raw, size, what):
     return tuple(rows)
 
 
-REFERENCE_REGULAR_ACTION_AXIOMS = {
-    "act_add": ("left-distributive", "{0}*({1}+{2}) != {0}*{1} + {0}*{2}"),
-    "add_act": ("right-distributive", "({0}+{1})*{2} != {0}*{2} + {1}*{2}"),
-    "mul_act": ("mul-associative", "({0}*{1})*{2} != {0}*({1}*{2})"),
-}
-
-
 def reference_ring_checks(order, add, mul, zero, one):
     """Every table check ``FiniteRing`` made on all its tables."""
     if order < 1:
@@ -112,14 +106,10 @@ def reference_ring_checks(order, add, mul, zero, one):
     if zero == one and n > 1:
         raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
     reference_check_abelian_group(n, add, zero)
-    w = rings._module_axiom_witness(n, n, add_flat, mul_flat,
-                                    add_flat, mul_flat, one)
+    w = reference_module_axiom_witness(n, n, add_flat, mul_flat,
+                                       add_flat, mul_flat, one)
     if w is not None:
-        kind, i, j, k = w
-        if kind == "one_act":
-            raise TableError("one-identity", (i,), f"one is not an identity at {i}")
-        axiom, message = REFERENCE_REGULAR_ACTION_AXIOMS[kind]
-        raise TableError(axiom, (i, j, k), message.format(i, j, k))
+        raise TableError(*reference_ring_axiom_error(w))
     for i, row in enumerate(mul):
         if row[one] != i:
             raise TableError("one-identity", (i,), f"one is not an identity at {i}")
@@ -402,24 +392,54 @@ def test_range_check_reports_the_loop_witness(z4, bad):
 
 # -- axioms decided on additive generators ----------------------------------
 
-def count_exhaustive_checks(monkeypatch):
-    """The names of the later calls of the exhaustive table scans."""
-    calls = []
-    for name in ("_module_axiom_witness", "_assoc_witness"):
-        def counted(*args, _name=name, _check=getattr(rings, name)):
-            calls.append(_name)
-            return _check(*args)
+def count_row_compositions(monkeypatch):
+    """A one-entry list counting the later calls of the row compositions
+    that ``rings._composition`` hands out."""
+    calls = [0]
+    composition = rings._composition
 
-        monkeypatch.setattr(rings, name, counted)
+    def counted(order):
+        as_row, as_map = composition(order)
+
+        def counted_map(f):
+            compose = as_map(f)
+
+            def call(xs):
+                calls[0] += 1
+                return compose(xs)
+            return call
+        return as_row, counted_map
+
+    monkeypatch.setattr(rings, "_composition", counted)
     return calls
 
 
 def test_valid_tables_run_no_exhaustive_check(monkeypatch):
-    calls = count_exhaustive_checks(monkeypatch)
+    # the decisions compose, per generator g: row x with row g for each
+    # x (associativity of +), two rows per scalar r (act_add) and three
+    # per element x (add_act, mul_act); any scan composes more
+    calls = count_row_compositions(monkeypatch)
     for ring in (tl.upper_triangular_ring(5), tl.full_matrix_ring(3)):
-        tl.regular_module(ring)
-        tl.FiniteModule(ring, ring.order, ring.add, ring.mul, ring.zero)
-    assert calls == []
+        n = ring.order
+        gens = rings._generators(ring.add, ring.zero)
+        for build in (lambda: tl.FiniteRing(n, ring.add, ring.mul, ring.zero, ring.one),
+                      lambda: tl.FiniteModule(ring, n, ring.add, ring.mul, ring.zero)):
+            calls[0] = 0
+            build()
+            assert calls[0] == 6 * n * len(gens)
+
+
+def count_assoc_scans(monkeypatch):
+    """A one-entry list counting the later calls of ``rings._assoc_witness``."""
+    calls = [0]
+    scan = rings._assoc_witness
+
+    def counted(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(rings, "_assoc_witness", counted)
+    return calls
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (5, 26), (13, 13), (26, 1)])
@@ -429,10 +449,10 @@ def test_a_corrupted_ring_names_the_scan_witness(monkeypatch, i, j):
     mul[i][j] = (mul[i][j] + 1) % ring.order
     with pytest.raises(TableError) as want:
         reference_ring_checks(ring.order, ring.add, mul, ring.zero, ring.one)
-    calls = count_exhaustive_checks(monkeypatch)
+    calls = count_assoc_scans(monkeypatch)
     with pytest.raises(TableError) as got:
         tl.FiniteRing(ring.order, ring.add, mul, ring.zero, ring.one)
-    assert calls.count("_module_axiom_witness") <= 1 and calls.count("_assoc_witness") <= 1
+    assert calls == [0]
     assert (got.value.axiom, got.value.witness, str(got.value)) == \
         (want.value.axiom, want.value.witness, str(want.value))
 

@@ -32,7 +32,8 @@ from torsionlab import _core_py, delta, rings
 from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
-from conftest import E11, E12, E22, reference_lattice_axioms
+from conftest import (E11, E12, E22, reference_assoc_witness, reference_lattice_axioms,
+                      reference_module_axiom_witness, reference_ring_axiom_error)
 
 C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
@@ -288,12 +289,18 @@ def test_finite_lattice_sorts_its_members():
     assert (lat.meet, lat.join) == (built.meet, built.join)
 
 
+def assoc_scan(m, table):
+    """``rings._assoc_witness`` on the flat m x m ``table``."""
+    as_row, as_map = rings._composition(m)
+    return rings._assoc_witness(rings.rows_of(as_row(table), m), as_map)
+
+
 def test_assoc_witness():
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     flat = [v for row in table for v in row]
-    assert rings._assoc_witness(4, flat) is None
+    assert assoc_scan(4, flat) is None
     flat[1 * 4 + 2] = 0  # 1+2 = 0 breaks associativity
-    w = rings._assoc_witness(4, flat)
+    w = assoc_scan(4, flat)
     assert w is not None
     i, j, k = w
     assert flat[flat[i * 4 + j] * 4 + k] != flat[i * 4 + flat[j * 4 + k]]
@@ -303,9 +310,9 @@ def test_module_axiom_witness_detects_broken_action(z4):
     n = z4.order
     radd, rmul = list(z4.add_flat), list(z4.mul_flat)
     act = list(z4.mul_flat)
-    assert rings._module_axiom_witness(n, n, radd, rmul, radd, act, z4.one) is None
+    assert rings.action_axiom_witness(n, n, radd, rmul, radd, act, z4.one) is None
     act[1 * n + 2] = 1  # 1*2 = 1 breaks the unit axiom
-    w = rings._module_axiom_witness(n, n, radd, rmul, radd, act, z4.one)
+    w = rings.action_axiom_witness(n, n, radd, rmul, radd, act, z4.one)
     assert w is not None
 
 
@@ -316,11 +323,11 @@ def test_module_axiom_witness_checks_add_and_mul_act_at_each_x(ut2):
     act = [0, 0, 0, 0, 0, 3, 0, 3, 0, 1, 0, 1, 0, 2, 3, 1,
            0, 0, 0, 0, 0, 1, 2, 3, 0, 2, 1, 3, 0, 0, 0, 0]
     radd, rmul = list(ut2.add_flat), list(ut2.mul_flat)
-    assert rings._module_axiom_witness(8, 4, radd, rmul, madd, act, ut2.one) == \
+    assert rings.action_axiom_witness(8, 4, radd, rmul, madd, act, ut2.one) == \
         ("mul_act", 1, 2, 1)
     # on GF(2), both axioms first fail at (1, 6, 1): add_act is reported
     act = [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1]
-    assert rings._module_axiom_witness(8, 2, radd, rmul, [0, 1, 1, 0], act, ut2.one) == \
+    assert rings.action_axiom_witness(8, 2, radd, rmul, [0, 1, 1, 0], act, ut2.one) == \
         ("add_act", 1, 6, 1)
 
 
@@ -353,27 +360,35 @@ TABLE_RINGS = [spec for spec, _ in tl.builtin_rings(16)] + ["UT2(3)"]
 MODULE_RINGS = ["Z(4)", "Z(6)", "Z(8)", "UT2(2)", "prod(Z(2),Z(2))", "M2(2)"]
 
 
+def endomorphism_action(act, n, m, rng):
+    """The flat action ``act`` of a ring of order n on a module of order m
+    with each scalar r acting as some scalar sigma(r) did: every row
+    stays additive, while the ring axioms break from the first r with
+    sigma(r) != r on."""
+    first = rng.randrange(n)
+    sigma = list(range(first)) + [rng.randrange(n) for _ in range(first, n)]
+    return [act[sigma[r] * m + x] for r in range(n) for x in range(m)]
+
+
 def module_actions(ring, module, rng):
-    """The valid action of ``ring`` on ``module``, planted faults in it and
-    in the addition, and random endomorphism actions: each scalar r acts
-    as some scalar sigma(r) did, so every row stays additive while the
-    ring axioms break from the first r with sigma(r) != r on."""
+    """The valid action of ``ring`` on ``module``, planted faults in it,
+    and random endomorphism actions; the addition stays valid, as the
+    action is checked only over a checked addition."""
     n, m = ring.order, module.order
-    act, madd = list(module.act_flat), list(module.add_flat)
-    yield madd, act
+    act = list(module.act_flat)
+    yield act
     for k in range(8):
-        yield madd, planted(act, m, rng, 1 + k % 3)
-        yield planted(madd, m, rng, 1 + k % 2), act
-        first = rng.randrange(n)
-        sigma = list(range(first)) + [rng.randrange(n) for _ in range(first, n)]
-        yield madd, [act[sigma[r] * m + x] for r in range(n) for x in range(m)]
+        yield planted(act, m, rng, 1 + k % 3)
+        yield endomorphism_action(act, n, m, rng)
 
 
 def table_check_cases():
-    """(kernel name, args) for the table checks: tables of builtin rings
+    """(check name, args) for the table checks: tables of builtin rings
     and module actions, valid and with planted faults, plus n = 1 module
     calls and Z(m) tables at m = 256 and 257, one on each side of the
-    byte route's order limit."""
+    byte rows' order limit.  The action is checked only where both
+    additions are abelian groups, as ``FiniteRing`` and ``FiniteModule``
+    call it."""
     for spec in TABLE_RINGS:
         ring = tl.parse_ring_spec(spec)
         n, add, mul = ring.order, list(ring.add_flat), list(ring.mul_flat)
@@ -387,8 +402,6 @@ def table_check_cases():
             # R acting on itself, as FiniteRing checks its tables
             bad = planted(mul, n, rng, 1 + k % 3)
             yield "module_axiom_witness", (n, n, add, bad, add, bad, ring.one)
-            bad = planted(add, n, rng, 1)
-            yield "module_axiom_witness", (n, n, bad, mul, bad, mul, ring.one)
             bad, one = transported(ring, rng)
             yield "module_axiom_witness", (n, n, add, bad, add, bad, one)
     modules = [(tl.parse_ring_spec("UT2(3)"), tl.regular_module(tl.parse_ring_spec("UT2(3)")))]
@@ -397,9 +410,10 @@ def table_check_cases():
         modules += [(ring, mod) for mod in tl.module_corpus(ring, 2) if mod.order <= 16]
     for ring, module in modules:
         rng = random.Random(f"{ring.name}/{module.name}/{module.order}")
-        for madd, act in module_actions(ring, module, rng):
+        for act in module_actions(ring, module, rng):
             yield "module_axiom_witness", (ring.order, module.order, list(ring.add_flat),
-                                           list(ring.mul_flat), madd, act, ring.one)
+                                           list(ring.mul_flat), list(module.add_flat), act,
+                                           ring.one)
     for m in (256, 257):
         rng = random.Random(m)
         add = [(x + y) % m for x in range(m) for y in range(m)]
@@ -412,40 +426,50 @@ def table_check_cases():
             early[rng.randrange(3) * m + rng.randrange(m)] = rng.randrange(m)
             early[rng.randrange(m) * m + rng.randrange(3)] = rng.randrange(m)
             yield "module_axiom_witness", (m, m, add, early, add, early, 1)
+        # every row additive: an add_act fault, then r.x = (a*r)*x, a
+        # mul_act fault for a != a*a; the reference loops read every
+        # act_add triple first
+        yield "module_axiom_witness", (m, m, add, mul, add, endomorphism_action(mul, m, m, rng), 1)
+        a = rng.randrange(2, m)
+        yield "module_axiom_witness", (m, m, add, mul, add, rescaled(mul, m, a), 1)
         for unit in (1, 3, m - 1):
             row = [unit * x % m for x in range(m)]
             yield "module_axiom_witness", (1, m, [0], [0], add, row, 0)
             for k in range(3):
                 yield "module_axiom_witness", (1, m, [0], [0], add, planted(row, m, rng, 1 + k), 0)
-                yield "module_axiom_witness", (1, m, [0], [0], planted(add, m, rng, 1 + k), row, 0)
         yield "module_axiom_witness", (1, m, [0], [0], add, [0] * m, 0)
 
 
-# each scan of ``rings``, and the loops it must agree with at every order
+# each witness route of ``rings``, and the loops it must agree with at every order
 REFERENCE_TABLE_CHECKS = {
-    "assoc_witness": (rings._assoc_witness, rings._assoc_witness_loops),
-    "module_axiom_witness": (rings._module_axiom_witness, rings._module_axiom_witness_loops),
+    "assoc_witness": (assoc_scan, reference_assoc_witness),
+    "module_axiom_witness": (rings.action_axiom_witness, reference_module_axiom_witness),
 }
 
 
 def test_table_checks_return_reference_witnesses():
     outcomes = {name: set() for name in REFERENCE_TABLE_CHECKS}
+    wide = set()  # (module order, kind) of the action witnesses at 256 and 257
     for name, args in table_check_cases():
         scan, reference = REFERENCE_TABLE_CHECKS[name]
         got = scan(*args)
         assert got == reference(*args), (name, args)
         outcomes[name].add(got if got is None or name == "assoc_witness" else got[0])
+        if name == "module_axiom_witness" and got is not None and args[1] >= 256:
+            wide.add((args[1], got[0]))
     assert None in outcomes["assoc_witness"] and len(outcomes["assoc_witness"]) > 1
     assert outcomes["module_axiom_witness"] == {None, "act_add", "add_act", "mul_act", "one_act"}
+    assert wide == {(m, kind) for m in (256, 257)
+                    for kind in ("act_add", "add_act", "mul_act", "one_act")}
 
 
-def rescaled(ring, rng):
-    """``ring``'s multiplication with a random a put in front, r*'x =
-    (a*r)*x: distributive on both sides over the unchanged addition, and
-    associative with 1*'x = x only when a = 1."""
-    n, mul = ring.order, ring.mul
-    a = rng.randrange(n)
-    return [mul[mul[a][r]][x] for r in range(n) for x in range(n)]
+def rescaled(mul, n, a):
+    """The flat multiplication ``mul`` of order n with a put in front,
+    r*'x = (a*r)*x: distributive on both sides over the unchanged
+    addition, and associative with 1*'x = x only when a = 1.  As an
+    action of the ring on itself it keeps every axiom but ``mul_act``
+    and ``one_act``."""
+    return [mul[mul[a * n + r] * n + x] for r in range(n) for x in range(n)]
 
 
 def left_unital():
@@ -467,16 +491,9 @@ def reference_ring_error(n, add, mul, zero, one):
         return ("zero-one", (zero,), "zero equals one in a ring of order > 1")
     add_flat = [v for row in add for v in row]
     mul_flat = [v for row in mul for v in row]
-    w = rings._module_axiom_witness_loops(n, n, add_flat, mul_flat, add_flat, mul_flat, one)
+    w = reference_module_axiom_witness(n, n, add_flat, mul_flat, add_flat, mul_flat, one)
     if w is not None:
-        kind, i, j, k = w
-        if kind == "act_add":
-            return ("left-distributive", (i, j, k), f"{i}*({j}+{k}) != {i}*{j} + {i}*{k}")
-        if kind == "add_act":
-            return ("right-distributive", (i, j, k), f"({i}+{j})*{k} != {i}*{k} + {j}*{k}")
-        if kind == "mul_act":
-            return ("mul-associative", (i, j, k), f"({i}*{j})*{k} != {i}*({j}*{k})")
-        return ("one-identity", (i,), f"one is not an identity at {i}")
+        return reference_ring_axiom_error(w)
     for i in range(n):
         if mul[i][one] != i:
             return ("one-identity", (i,), f"one is not an identity at {i}")
@@ -508,7 +525,7 @@ def bad_ring_tables():
         for k in range(8):
             yield (ring, planted(ring.mul_flat, ring.order, rng, 1 + k % 3), ring.one)
             yield (ring, *transported(ring, rng))
-            yield ring, rescaled(ring, rng), ring.one
+            yield ring, rescaled(ring.mul_flat, ring.order, rng.randrange(ring.order)), ring.one
     yield left_unital()
 
 
@@ -532,8 +549,8 @@ def test_ring_table_errors_match_reference():
 
 # -- the axioms decided on additive generators --------------------------------
 # ``rings.action_axiom_witness`` and ``rings.check_abelian_group`` decide the
-# axioms on additive generators and run the exhaustive scans only to name a
-# witness; the reference loops decide them on every triple.
+# axioms on additive generators and scan an axiom only when its decision
+# failed, to name a witness; the reference loops decide them on every triple.
 
 @functools.lru_cache(maxsize=None)
 def decision_structures():
@@ -550,7 +567,7 @@ def decision_structures():
 
 
 def decision_args(ring, module, kind, rng, faults):
-    """``rings._module_axiom_witness`` arguments over a valid addition on
+    """``rings.action_axiom_witness`` arguments over a valid addition on
     each side, as ``FiniteModule`` and ``FiniteRing`` call it:
     ``module``'s action, valid, with planted faults or as an endomorphism
     action, or ``ring`` acting on itself by a multiplication with planted
@@ -561,16 +578,14 @@ def decision_args(ring, module, kind, rng, faults):
     if kind == "act":
         act = planted(act, m, rng, faults)
     elif kind == "endomorphism":
-        first = rng.randrange(n)
-        sigma = list(range(first)) + [rng.randrange(n) for _ in range(first, n)]
-        act = [act[sigma[r] * m + x] for r in range(n) for x in range(m)]
+        act = endomorphism_action(act, n, m, rng)
     elif kind != "valid":
         if kind == "mul":
             rmul = planted(rmul, n, rng, faults)
         elif kind == "transported":
             rmul, one = transported(ring, rng)
         else:
-            rmul = rescaled(ring, rng)
+            rmul = rescaled(rmul, n, rng.randrange(n))
         return n, n, radd, rmul, radd, rmul, one
     return n, m, radd, rmul, list(module.add_flat), act, one
 
@@ -583,9 +598,7 @@ def test_action_decision_matches_the_loops(index, kind, seed, faults):
     pairs = decision_structures()
     ring, module = pairs[index % len(pairs)]
     args = decision_args(ring, module, kind, random.Random(seed), faults)
-    want = rings._module_axiom_witness_loops(*args)
-    assert rings._action_axioms_hold(*args) == (want is None)
-    assert rings.action_axiom_witness(*args) == want
+    assert rings.action_axiom_witness(*args) == reference_module_axiom_witness(*args)
 
 
 def symmetric_faults(add, m, zero, rng, faults):
@@ -609,7 +622,7 @@ def test_associativity_decision_matches_the_loops(index, seed, faults):
     _, module = pairs[index % len(pairs)]
     m, zero = module.order, module.zero
     rows = symmetric_faults(module.add_flat, m, zero, random.Random(seed), faults)
-    want = rings._assoc_witness_loops(m, [v for row in rows for v in row])
+    want = reference_assoc_witness(m, [v for row in rows for v in row])
     if want is None:
         rings.check_abelian_group(m, rows, zero)
         return
@@ -631,16 +644,15 @@ def test_decisions_above_256_match_the_loops():
         bad = list(mul)
         bad[rng.randrange(3) * m + rng.randrange(m)] = rng.randrange(m)
         for args in [(m, m, add, mul, add, bad, 1), (m, m, add, bad, add, bad, 1)]:
-            want = rings._module_axiom_witness_loops(*args)
+            want = reference_module_axiom_witness(*args)
             if want is None:
                 continue
-            assert not rings._action_axioms_hold(*args)
             assert rings.action_axiom_witness(*args) == want
         rows = symmetric_faults(add, m, 0, rng, 1 + k)
         with pytest.raises(TableError) as err:
             rings.check_abelian_group(m, rows, 0)
         assert err.value.witness == \
-            rings._assoc_witness_loops(m, [v for row in rows for v in row])
+            reference_assoc_witness(m, [v for row in rows for v in row])
 
 
 def half_additive_action():
@@ -661,9 +673,8 @@ def test_action_decision_reads_every_generator_and_zero():
     # out, only (0+0).1 = 0.1 + 0.1 fails
     identity = (1, 2, [0], [0], [0, 1, 1, 0], [0, 1], 0)
     for args, kind in [(identity, "add_act"), (half_additive_action(), "act_add")]:
-        want = rings._module_axiom_witness_loops(*args)
+        want = reference_module_axiom_witness(*args)
         assert want[0] == kind
-        assert not rings._action_axioms_hold(*args)
         assert rings.action_axiom_witness(*args) == want
 
 

@@ -99,6 +99,33 @@ def test_module_validation_rejects_broken_action(z4):
         tl.FiniteModule(z4, 4, z4.add, act, 0)
 
 
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+@pytest.mark.parametrize("name, axiom", [("add", "module-add-range"), ("act", "act-range")])
+def test_module_rejects_a_non_integer_entry(z4, bad, name, axiom):
+    tables = {"add": [list(row) for row in z4.add], "act": [list(row) for row in z4.mul]}
+    tables[name][2][1] = bad
+    with pytest.raises(TableError) as err:
+        tl.FiniteModule(z4, 4, tables["add"], tables["act"], 0)
+    assert (err.value.axiom, err.value.witness, str(err.value)) == \
+        (axiom, (2, 1), f"{name}[2][1] out of range")
+
+
+def test_module_accepts_bool_entries(z4):
+    # ``bool`` is an ``int`` subclass, as ``FiniteRing`` accepts it
+    act = [list(row) for row in z4.mul]
+    act[1][1] = True
+    assert tl.FiniteModule(z4, 4, z4.add, act, 0).act == z4.mul
+
+
+def test_zero_action_of_ut2_7_names_the_first_fixed_point():
+    # every axiom but 1.x = x holds, and x = 0 is fixed
+    ring = tl.upper_triangular_ring(7)
+    zero_action = [[0] * ring.order] * ring.order
+    with pytest.raises(TableError) as err:
+        tl.FiniteModule(ring, ring.order, ring.add, zero_action, ring.zero)
+    assert (err.value.axiom, err.value.witness) == ("one_act", (1, -1, -1))
+
+
 def test_all_submodules_chain(z4):
     reg = tl.regular_module(z4)
     assert [s.bits for s in tl.all_submodules(reg)] == [1, 0b0101, 0b1111]

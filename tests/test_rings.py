@@ -119,6 +119,17 @@ def test_matrix_rings_check_their_tables_once(monkeypatch, build, p, order):
     assert calls == [(order, order)]
 
 
+def test_rescaled_ut2_7_names_the_first_nonassociative_triple():
+    # x *' y = (57 x) y for the unit 57 = [[1, 1], [0, 1]]: distributive,
+    # and associative only where 57 commutes in
+    ring = tl.upper_triangular_ring(7)
+    mul = [[ring.mul[ring.mul[57][x]][y] for y in range(ring.order)] for x in range(ring.order)]
+    with pytest.raises(TableError) as err:
+        tl.FiniteRing(ring.order, ring.add, mul, ring.zero, ring.one)
+    assert (err.value.axiom, err.value.witness, str(err.value)) == \
+        ("mul-associative", (1, 1, 1), "(1*1)*1 != 1*(1*1)")
+
+
 def test_one_element_ring():
     ring = tl.cyclic_ring(1)
     assert ring.zero == ring.one
