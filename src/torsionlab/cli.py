@@ -223,17 +223,13 @@ def _cmd_ideals(args):
 
 def _cmd_torsion_check(args):
     ring = parse_ring_spec(args.ring)
-    family = _parse_filter(ring, args.filter)
-    result = check_torsion_axioms(ring, family)
-    if isinstance(result, TorsionNotion):
-        doc = {"ring": ring.name, "valid": True,
-               "ideals": [a.to_json() for a in result.ideals]}
-        _emit(doc, args, [f"VALID torsion notion with {len(result)} ideals",
-                          *(f"  {_ideal_str(a)}" for a in result.ideals)])
-        return 0
-    doc = {"ring": ring.name, "valid": False, "violation": result.to_json()}
-    _emit(doc, args, [f"AXIOM {result.axiom} VIOLATED: {result.message}"])
-    return 1
+    notion = _require_notion(ring, args)
+    if notion is None:
+        return 1
+    doc = {"ring": ring.name, "valid": True, "ideals": [a.to_json() for a in notion.ideals]}
+    _emit(doc, args, [f"VALID torsion notion with {len(notion)} ideals",
+                      *(f"  {_ideal_str(a)}" for a in notion.ideals)])
+    return 0
 
 
 def _cmd_torsion_enum(args):
@@ -248,18 +244,22 @@ def _cmd_torsion_enum(args):
     return 0
 
 
-def _require_notion(ring, literal):
-    result = check_torsion_axioms(ring, _parse_filter(ring, literal))
+def _require_notion(ring, args):
+    """The torsion notion that ``args.filter`` names over ``ring``, or
+    None after emitting the violated axiom: under ``--json`` the document
+    ``{"ring", "valid": false, "violation"}``, else one text line."""
+    result = check_torsion_axioms(ring, _parse_filter(ring, args.filter))
     if isinstance(result, TorsionNotion):
-        return result, None
-    return None, result
+        return result
+    doc = {"ring": ring.name, "valid": False, "violation": result.to_json()}
+    _emit(doc, args, [f"AXIOM {result.axiom} VIOLATED: {result.message}"])
+    return None
 
 
 def _cmd_closure(args):
     ring = parse_ring_spec(args.ring)
-    notion, violation = _require_notion(ring, args.filter)
-    if violation is not None:
-        print(f"AXIOM {violation.axiom} VIOLATED: {violation.message}")
+    notion = _require_notion(ring, args)
+    if notion is None:
         return 1
     module = _parse_module(ring, args.module)
     sub = _parse_sub(module, ring, args.sub, args.module)
@@ -275,9 +275,8 @@ def _cmd_closure(args):
 
 def _cmd_wep(args):
     ring = parse_ring_spec(args.ring)
-    notion, violation = _require_notion(ring, args.filter)
-    if violation is not None:
-        print(f"AXIOM {violation.axiom} VIOLATED: {violation.message}")
+    notion = _require_notion(ring, args)
+    if notion is None:
         return 1
     module = _parse_module(ring, args.module)
     witness = weak_extension_witness(notion, module)
@@ -296,9 +295,8 @@ def _cmd_wep(args):
 
 def _cmd_rcm(args):
     ring = parse_ring_spec(args.ring)
-    notion, violation = _require_notion(ring, args.filter)
-    if violation is not None:
-        print(f"AXIOM {violation.axiom} VIOLATED: {violation.message}")
+    notion = _require_notion(ring, args)
+    if notion is None:
         return 1
     report = rcm_verify(notion, args.bound)
     doc = dict(report.to_json(), ring=ring.name)

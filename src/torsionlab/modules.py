@@ -57,7 +57,7 @@ class FiniteModule:
             if not rings.all_index_entries(self.add_flat + self.act_flat,
                                            frozenset(range(order))):
                 self._range_witness()
-            if not 0 <= zero < order:
+            if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("module-zero-range", (zero,), "zero index out of range")
             check_abelian_group(order, self.add, zero, what="module-add")
             w = rings.action_axiom_witness(ring.order, order, ring.add_flat,

@@ -17,13 +17,8 @@ from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
 
 
-# the byte routes need every element index in a byte
+# the byte rows of ``_composition`` need every element index in a byte
 BYTE_ORDER_LIMIT = 256
-
-
-def _translator(row):
-    """A map on 0..len(row)-1, given as bytes, as a translate table."""
-    return row.ljust(256, b"\0")
 
 
 def _first_diff(a, b):
@@ -37,18 +32,17 @@ def is_json_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# the entry types a table row is accepted with at C level; ``bool`` is
-# an ``int`` subclass, which the entry loop accepts too
-_INDEX_TYPES = frozenset((int, bool))
-
-
 def all_index_entries(entries, indices):
-    """Whether every entry of the sequence ``entries`` is of type ``int``
-    or ``bool`` and lies in the set ``indices`` of 0..size-1, by C-level
-    set lookups (with those types, set membership is the range test).
-    An ``int`` subclass entry fails it: callers then name the first bad
-    entry in a loop, which accepts that one."""
-    return _INDEX_TYPES.issuperset(map(type, entries)) and indices.issuperset(entries)
+    """Whether every entry of the sequence ``entries`` is an ``int`` (or
+    ``bool``) in the set ``indices`` of 0..size-1, at C level: for ints,
+    set membership is the range test, and the sum of the entries is an
+    ``int`` only when none of them is a float or another kind of number
+    equal to an index.  An ``int`` subclass entry may fail it: callers
+    then name the first bad entry in a loop, which accepts that one."""
+    try:
+        return indices.issuperset(entries) and type(sum(entries)) is int
+    except TypeError:  # an unhashable entry, or numbers that do not add
+        return False
 
 
 def _as_table(raw, size, what):
@@ -95,7 +89,7 @@ def check_abelian_group(order, add, zero, what="add"):
                 raise TableError(f"{what}-commutative", (i, j), f"{i} + {j} != {j} + {i}")
         if zero not in row:
             raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
-    as_row, as_map = _composition(order)
+    as_row, as_map, _ = _composition(order)
     rows = list(map(as_row, add))
     # (x+g)+z = x+(g+z) over z, for each x and generator g
     gens = _generators(rows, zero)
@@ -107,18 +101,38 @@ def check_abelian_group(order, add, zero, what="add"):
 
 
 def _composition(order):
-    """``(as_row, as_map)`` for maps between sets of at most ``order``
-    elements.  ``as_row(values)`` stores a map as the row of its values;
-    ``as_map(f)`` turns the row f into the function that sends a row xs
-    to the row of f[x] over the entries x of xs (f after xs), so equal
-    composites give equal rows.  Up to ``BYTE_ORDER_LIMIT`` rows are
-    bytearrays (made from ints faster than bytes) and f acts by
-    ``translate``; above it rows are lists and f acts by a list
-    comprehension, which indexes a list faster than ``map`` over
-    ``__getitem__`` does."""
-    if order <= BYTE_ORDER_LIMIT:
-        return bytearray, lambda f: operator.methodcaller("translate", _translator(f))
-    return list, lambda f: lambda xs: [f[x] for x in xs]
+    """``(as_row, as_map, index_row)`` for maps between sets of at most
+    ``order`` elements.  ``as_row(values)`` stores a map as the row of its
+    values; ``as_map(f)`` turns the row f into the function that sends a
+    row xs to the row of f[x] over the entries x of xs (f after xs), so
+    equal composites give equal rows; ``index_row(table, size)``, for a
+    size of at most ``order``, is ``as_row(table)`` when every entry of
+    ``table`` is an index 0..size-1, else None.  Rows of one kind join
+    with ``+=``.  Up to ``BYTE_ORDER_LIMIT`` rows are bytearrays (made
+    from ints faster than bytes), f acts by ``translate`` and
+    ``index_row`` deletes the valid bytes to find a bad one; above it
+    rows are lists, f acts by a list comprehension, which indexes a list
+    faster than ``map`` over ``__getitem__`` does, and ``index_row``
+    reads ``all_index_entries``."""
+    return _BYTE_ROWS if order <= BYTE_ORDER_LIMIT else _LIST_ROWS
+
+
+def _index_bytes(table, size):
+    try:
+        row = bytearray(table)
+    except (TypeError, ValueError):
+        return None
+    return None if row.translate(None, _ALL_BYTES[:size]) else row
+
+
+def _index_list(table, size):
+    return list(table) if all_index_entries(table, frozenset(range(size))) else None
+
+
+_ALL_BYTES = bytes(range(256))
+_BYTE_ROWS = (bytearray, lambda f: operator.methodcaller("translate", f.ljust(256, b"\0")),
+              _index_bytes)
+_LIST_ROWS = (list, lambda f: lambda xs: [f[x] for x in xs], _index_list)
 
 
 def _generators(rows, zero):
@@ -170,7 +184,7 @@ def action_axiom_witness(n, m, radd, rmul, madd, act, one):
     in the first row r that failed its decision, and ``add_act`` with
     ``mul_act`` one r at a time, by the columns s.x over s.
     """
-    as_row, as_map = _composition(max(n, m))
+    as_row, as_map, _ = _composition(max(n, m))
     act = as_row(act)
     msum = rows_of(as_row(madd), m)  # x + y at [x][y]
     scale = rows_of(act, m)  # r.x at [r][x]
@@ -285,9 +299,9 @@ class FiniteRing:
         else:
             self.add = _as_table(add, order, "add")
             self.mul = _as_table(mul, order, "mul")
-            if not 0 <= zero < order:
+            if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("zero-range", (zero,), "zero index out of range")
-            if not 0 <= one < order:
+            if not isinstance(one, int) or not 0 <= one < order:
                 raise TableError("one-range", (one,), "one index out of range")
         self.zero = zero
         self.one = one
@@ -587,7 +601,9 @@ def check_map(what, f, m, operations, constants=(), kernel=None):
     ``range(n)`` for the action of a ring of order n.  A constant
     ``(name, a, b)`` asks that f(a) = b.  ``kernel``, a pair ``(a, bits)``,
     asks that the elements f sends to f(a) be exactly the bitset bits.
-    A table entry that is no element index also fails the check.
+    A table entry that is no element index also fails the check.  Each
+    operation is checked by whole-row composition, in one route at every
+    order (``_operation_witness``).
     """
     if set(f) != set(range(m)):
         _map_fault(what, "the map is not onto")
@@ -596,8 +612,7 @@ def check_map(what, f, m, operations, constants=(), kernel=None):
             _map_fault(what, f"{name} is not preserved")
     if kernel is not None:
         a, bits = kernel
-        image = f[a]
-        if sum(1 << x for x, v in enumerate(f) if v == image) != bits:
+        if preimage(f, 1 << f[a], m) != bits:
             _map_fault(what, "the kernel differs from the submodule or ideal")
     for name, g, src, dst in operations:
         w = _operation_witness(f, m, g, src, dst)
@@ -616,57 +631,26 @@ def _operation_witness(f, m, g, src, dst):
     ``"range"`` when a table has the wrong size or an entry that is no
     element index, or None; ``f`` must map onto 0..m-1.
 
-    Up to ``BYTE_ORDER_LIMIT`` elements on either side the tables are
-    bytes: ``src`` translated through f gives every left side at once,
-    and the right sides for each i are f translated through row g[i] of
-    ``dst``, made once per row, so the work is O(len(g) + rows of dst)
-    Python steps.
+    One route at every order, by whole rows (see ``_composition``):
+    ``src`` with f after it gives every left side at once, and f with row
+    h of ``dst`` after it gives the right sides of each row i with
+    g[i] = h, joined in the order of g: one composition per row of
+    ``dst`` and one comparison of the whole tables.
     """
-    k, n_src = len(g), len(f)
-    if len(src) != k * n_src or len(dst) != (max(g) + 1) * m:
+    n_src = len(f)
+    if len(src) != len(g) * n_src or len(dst) != (max(g) + 1) * m:
         return "range"
-    if max(n_src, m) > BYTE_ORDER_LIMIT:
-        if not (_all_indices(src, n_src) and _all_indices(dst, m)):
-            return "range"
-        for i, gi in enumerate(g):
-            row = dst[gi * m:(gi + 1) * m]
-            base = i * n_src
-            for x in range(n_src):
-                if f[src[base + x]] != row[f[x]]:
-                    return (i, x)
-        return None
-    src_b, dst_b = _index_bytes(src, n_src), _index_bytes(dst, m)
-    if src_b is None or dst_b is None:
+    as_row, as_map, index_row = _composition(max(n_src, m))
+    src, dst = index_row(src, n_src), index_row(dst, m)
+    if src is None or dst is None:
         return "range"
-    f_b = bytes(f)
-    # rights[h]: dst[h][f(x)] over all x
-    rights = [f_b.translate(_translator(dst_b[i:i + m])) for i in range(0, len(dst_b), m)]
-    lhs = src_b.translate(_translator(f_b))
-    rhs = b"".join([rights[gi] for gi in g])
-    if lhs == rhs:
-        return None
-    return divmod(_first_diff(lhs, rhs), n_src)
-
-
-_ALL_BYTES = bytes(range(256))
-
-
-def _index_bytes(table, order):
-    """``table`` as bytes when every entry is an index 0..order-1 and
-    order <= 256, else None."""
-    try:
-        flat = bytes(table)
-    except (TypeError, ValueError):
-        return None
-    return None if flat.translate(None, _ALL_BYTES[:order]) else flat
-
-
-def _all_indices(table, order):
-    """Whether every entry of the nonempty ``table`` is an index 0..order-1."""
-    try:
-        return 0 <= min(table) and max(table) < order
-    except TypeError:
-        return False
+    f = as_row(f)
+    lhs = as_map(f)(src)
+    rights = [as_map(row)(f) for row in rows_of(dst, m)]  # dst[h][f(x)] over x
+    rhs = as_row()
+    for h in g:
+        rhs += rights[h]
+    return None if lhs == rhs else divmod(_first_diff(lhs, rhs), n_src)
 
 
 def product_maps(n1, n2):

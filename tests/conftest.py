@@ -91,10 +91,10 @@ def _lattice_fault(axiom, witness, message):
     raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
 
 
-# -- the reference loops of the table axioms ----------------------------------
-# The exhaustive scans that ``rings`` once ran above 256 elements, kept
-# verbatim: the one witness route of ``rings`` must name the same first
-# witness at every order.
+# -- the reference loops of the table axioms and maps ------------------------
+# The exhaustive scans and the map check that ``rings`` once ran above 256
+# elements, kept verbatim: the one route of ``rings`` must name the same
+# first witness at every order.
 
 def reference_assoc_witness(m, table):
     """First (i, j, k) with (i*j)*k != i*(j*k) in the flat m x m
@@ -161,6 +161,34 @@ def reference_scalar_witness(r, n, m, radd, rmul, mrows, arows):
                 if arow_prod[x] != mul_probe[x]:
                     return ("mul_act", r, s, x)
     return None
+
+
+def reference_operation_witness(f, m, g, src, dst):
+    """First (i, x) in row-major order with f(src[i][x]) != dst[g[i]][f(x)],
+    ``"range"`` when a table has the wrong size or an entry that is no
+    element index, or None; ``f`` must map onto 0..m-1.  The per-element
+    loop that ``rings.check_map`` once ran above 256 elements, with its
+    min/max range check, here at every order."""
+    k, n_src = len(g), len(f)
+    if len(src) != k * n_src or len(dst) != (max(g) + 1) * m:
+        return "range"
+    if not (_reference_all_indices(src, n_src) and _reference_all_indices(dst, m)):
+        return "range"
+    for i, gi in enumerate(g):
+        row = dst[gi * m:(gi + 1) * m]
+        base = i * n_src
+        for x in range(n_src):
+            if f[src[base + x]] != row[f[x]]:
+                return (i, x)
+    return None
+
+
+def _reference_all_indices(table, order):
+    """Whether every entry of the nonempty ``table`` is an index 0..order-1."""
+    try:
+        return 0 <= min(table) and max(table) < order
+    except TypeError:
+        return False
 
 
 # the ring axiom each module-axiom witness of R acting on itself names,

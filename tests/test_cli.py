@@ -99,6 +99,20 @@ def test_invalid_filter_reports_violation(capsys):
     assert "AXIOM 5" in out
 
 
+NOT_A_NOTION = ["UT2(2)", "--filter", "e12"]  # (e12) is in it, but not its superset (e22)
+
+
+@pytest.mark.parametrize("argv", [["closure", *NOT_A_NOTION, "--sub", "e12"],
+                                  ["wep", *NOT_A_NOTION], ["rcm", *NOT_A_NOTION]])
+def test_a_filter_that_is_no_notion_is_reported_as_torsion_check_does(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert (code, out) == run_cli(capsys, "torsion-check", *NOT_A_NOTION) == \
+        (1, "AXIOM 1 VIOLATED: (e12) is a member but its superset (e22) is not\n")
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc) == run_json(capsys, "torsion-check", *NOT_A_NOTION)
+    assert (doc["ring"], doc["valid"], doc["violation"]["axiom"]) == ("UT2(2)", False, 1)
+
+
 def test_ideals_and_ring_info(capsys):
     code, doc = run_json(capsys, "ideals", "UT2(2)")
     assert code == 0

@@ -8,6 +8,7 @@ no submodule, must be an internal fault (``InvariantError``, exit 70),
 never a table error (exit 2).
 """
 
+import functools
 import random
 import re
 
@@ -20,7 +21,7 @@ from torsionlab import modules, rings
 from torsionlab.errors import InvariantError, TableError
 
 from conftest import (A_BITS, E12, reference_assoc_witness, reference_module_axiom_witness,
-                      reference_ring_axiom_error)
+                      reference_operation_witness, reference_ring_axiom_error)
 
 BUILTIN8 = [spec for spec, _ in tl.builtin_rings(8)]
 
@@ -170,7 +171,7 @@ def test_quotient_rings_pass_the_reference_validators(spec, data):
     assert {x for x in range(ring.order) if proj[x] == quot.zero} == set(ideal)
 
 
-def test_quotients_of_z17_squared_take_the_loop_route():
+def test_quotients_of_z17_squared_pass_the_reference_validators():
     ring = tl.parse_ring_spec("Z(17)")
     square = tl.power_module(ring, 2)  # a direct sum of order 289
     assert square.order > rings.BYTE_ORDER_LIMIT
@@ -183,6 +184,66 @@ def test_quotients_of_z17_squared_take_the_loop_route():
         else:
             reference_validate_module(quot)
     reference_validate_module(square)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclic_square(n):
+    """Z(n)^2 as a direct sum of two copies of the regular module."""
+    return tl.power_module(tl.cyclic_ring(n), 2)
+
+
+def map_checks(n, kind, gen):
+    """``(f, m, operations)`` as ``check_map`` reads them for a map out of
+    Z(n)^2: the projection onto its quotient by the submodule that
+    ``gen`` generates, or the coordinate map ``gen % 2`` of the sum."""
+    square = cyclic_square(n)
+    if kind == "quotient":
+        sub = tl.submodule_closure(square, [gen])
+        f, m, add, act, _ = modules._quotient_tables(square, sub)
+    else:
+        f, m = rings.product_maps(n, n)[gen % 2], n
+        add, act = square.ring.add_flat, square.ring.mul_flat
+    return f, m, [(f, square.add_flat, add), (range(n), square.act_flat, act)]
+
+
+# the entries planted in a table; "another index" is also planted in f
+PLANTS = {"another index": lambda v, size: (v + 1) % size, "-1": lambda v, size: -1,
+          "size": lambda v, size: size, "300": lambda v, size: 300,
+          "None": lambda v, size: None}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from([16, 17]), st.sampled_from(["quotient", "direct sum"]),
+       st.integers(0, 288), st.integers(0, 1), st.sampled_from(["none", "src", "dst", "f"]),
+       st.sampled_from(sorted(PLANTS)), st.data())
+def test_operation_witness_matches_the_reference_loop(n, kind, gen, op, where, plant, data):
+    # Z(16)^2 has 256 elements and Z(17)^2 289: both sides of the byte rows
+    f, m, operations = map_checks(n, kind, gen % n ** 2)
+    g, src, dst = operations[op]
+    f, src, dst = list(f), list(src), list(dst)
+    if where == "f":
+        x = data.draw(st.integers(0, len(f) - 1))
+        f[x] = (f[x] + 1) % m
+    elif where != "none":
+        table, size = (src, len(f)) if where == "src" else (dst, m)
+        pos = data.draw(st.integers(0, len(table) - 1))
+        table[pos] = PLANTS[plant](table[pos], size)
+    want = reference_operation_witness(f, m, g, src, dst)
+    assert rings._operation_witness(f, m, g, src, dst) == want
+    if where in ("src", "dst") and plant != "another index":
+        assert want == "range"
+
+
+@pytest.mark.parametrize("where", ["src", "dst"])
+@pytest.mark.parametrize("n", [16, 17])
+def test_a_float_entry_is_out_of_range_at_every_order(n, where):
+    # the reference loop reads a float in dst as the index it equals, and
+    # fails on one in src, so this case is not compared with it
+    f, m, operations = map_checks(n, "quotient", 1)
+    g, src, dst = map(list, operations[0])
+    table = src if where == "src" else dst
+    table[len(table) // 2] = float(table[len(table) // 2])
+    assert rings._operation_witness(f, m, g, src, dst) == "range"
 
 
 # -- faults in derived tables --------------------------------------------
@@ -399,7 +460,7 @@ def count_row_compositions(monkeypatch):
     composition = rings._composition
 
     def counted(order):
-        as_row, as_map = composition(order)
+        as_row, as_map, index_row = composition(order)
 
         def counted_map(f):
             compose = as_map(f)
@@ -408,7 +469,7 @@ def count_row_compositions(monkeypatch):
                 calls[0] += 1
                 return compose(xs)
             return call
-        return as_row, counted_map
+        return as_row, counted_map, index_row
 
     monkeypatch.setattr(rings, "_composition", counted)
     return calls

@@ -111,10 +111,20 @@ def test_module_rejects_a_non_integer_entry(z4, bad, name, axiom):
 
 
 def test_module_accepts_bool_entries(z4):
-    # ``bool`` is an ``int`` subclass, as ``FiniteRing`` accepts it
+    # ``bool`` is an ``int`` subclass, as ``FiniteRing`` accepts it, in a
+    # table and as the zero
     act = [list(row) for row in z4.mul]
     act[1][1] = True
-    assert tl.FiniteModule(z4, 4, z4.add, act, 0).act == z4.mul
+    module = tl.FiniteModule(z4, 4, z4.add, act, False)
+    assert (module.act, module.zero) == (z4.mul, 0)
+
+
+@pytest.mark.parametrize("bad", [None, "0", 0.0, 1.5])
+def test_module_rejects_a_non_integer_zero(z4, bad):
+    with pytest.raises(TableError) as err:
+        tl.FiniteModule(z4, 4, z4.add, z4.mul, bad)
+    assert (err.value.axiom, err.value.witness, str(err.value)) == \
+        ("module-zero-range", (bad,), "zero index out of range")
 
 
 def test_zero_action_of_ut2_7_names_the_first_fixed_point():

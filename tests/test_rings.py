@@ -136,6 +136,22 @@ def test_one_element_ring():
     assert [a.bits for a in tl.all_left_ideals(ring)] == [1]
 
 
+@pytest.mark.parametrize("bad", [None, "0", 0.0, 1.5])
+@pytest.mark.parametrize("which", ["zero", "one"])
+def test_ring_rejects_a_non_integer_zero_or_one(z4, which, bad):
+    # 0.0 == 0 passes a range test alone
+    zero, one = (bad, 1) if which == "zero" else (0, bad)
+    with pytest.raises(TableError) as err:
+        tl.FiniteRing(4, z4.add, z4.mul, zero, one)
+    assert (err.value.axiom, err.value.witness, str(err.value)) == \
+        (f"{which}-range", (bad,), f"{which} index out of range")
+
+
+def test_ring_accepts_a_bool_zero_and_one(z4):
+    ring = tl.FiniteRing(4, z4.add, z4.mul, False, True)
+    assert (ring.zero, ring.one) == (0, 1)
+
+
 def test_invalid_table_names_witness_triple():
     mul = [[(i * j) % 4 for j in range(4)] for i in range(4)]
     mul[2][3] = 1  # 2*3 = 1 breaks associativity or distributivity
