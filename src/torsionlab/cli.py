@@ -427,28 +427,20 @@ def _cmd_census(args):
     # the backend tag stays out of the JSON document so reports are
     # byte-identical across environments, not just across runs
     doc = {"bound": args.bound, "entries": entries}
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"census over {len(entries)} entries (backend: {backend()})")
-        for e in entries:
-            if "error" in e:
-                print(f"  {e['spec']}: ERROR {e['error']}")
-                continue
-            tags = []
-            if e["commutative"]:
-                tags.append("commutative")
-            line = f"  {e['spec']} (order {e['order']}"
-            if tags:
-                line += ", " + ", ".join(tags)
-            line += f"): {e['notions']} notions"
-            print(line)
-            for pn in e["per_notion"]:
-                gens = "; ".join(",".join(map(str, g)) for g in pn["ideals"])
-                print(f"    {{{gens}}} rcm_pass={pn['rcm_pass']} "
-                      f"({pn['modules_checked']} modules)")
-            if "delta_instances" in e:
-                print(f"    delta sweep: {e['delta_instances']} instances agreed")
+    lines = [f"census over {len(entries)} entries (backend: {backend()})"]
+    for e in entries:
+        if "error" in e:
+            lines.append(f"  {e['spec']}: ERROR {e['error']}")
+            continue
+        tags = ", commutative" if e["commutative"] else ""
+        lines.append(f"  {e['spec']} (order {e['order']}{tags}): {e['notions']} notions")
+        for pn in e["per_notion"]:
+            gens = "; ".join(",".join(map(str, g)) for g in pn["ideals"])
+            lines.append(f"    {{{gens}}} rcm_pass={pn['rcm_pass']} "
+                         f"({pn['modules_checked']} modules)")
+        if "delta_instances" in e:
+            lines.append(f"    delta sweep: {e['delta_instances']} instances agreed")
+    _emit(doc, args, lines)
     if bad:
         return 2
     return 1 if negative else 0

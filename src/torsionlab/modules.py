@@ -10,17 +10,18 @@ from itertools import chain, compress
 from operator import add, eq
 
 from . import kernels, rings
-from .errors import InvariantError, RingSpecError, TableError
+from .errors import InvariantError, TableError
 from .rings import (TwoSidedIdeal, all_left_ideals, check_abelian_group, check_generators,
-                    check_map, coset_representatives, greedy_generators, is_json_int,
+                    check_map, coset_representatives, greedy_generators, pair_table,
                     preimage, product_maps, rows_of)
 
 
 class FiniteModule:
     """A finite left module with explicit tables, validated on creation.
 
-    Shape and range come first (an entry that is no ``int`` in range
-    is out of range), then ``check_abelian_group`` on the addition and
+    Shape and range come first, by ``rings._as_table`` as for a ring:
+    ``add`` m rows of m indices, then ``act`` n rows of m.  Then come the
+    zero, ``check_abelian_group`` on the addition and
     ``rings.action_axiom_witness`` on the action: both decide each axiom
     on additive generators, and scan only an axiom whose decision
     failed, to name its first witness, which raises ``TableError``.
@@ -44,19 +45,15 @@ class FiniteModule:
         self.ring = ring
         self.order = order
         self.name = name
-        if not _trusted:
-            if len(add) != order or any(len(row) != order for row in add):
-                raise TableError("module-add-shape", (order,), "add table must be m x m")
-            if len(act) != ring.order or any(len(row) != order for row in act):
-                raise TableError("act-shape", (ring.order, order), "act table must be n x m")
-        self.add = tuple(map(tuple, add))
-        self.act = tuple(map(tuple, act))
+        if _trusted:
+            self.add = tuple(map(tuple, add))
+            self.act = tuple(map(tuple, act))
+        else:
+            self.add = rings._as_table(add, order, order, "module-add")
+            self.act = rings._as_table(act, ring.order, order, "act")
         self.add_flat = tuple(chain.from_iterable(self.add))
         self.act_flat = tuple(chain.from_iterable(self.act))
         if not _trusted:
-            if not rings.all_index_entries(self.add_flat + self.act_flat,
-                                           frozenset(range(order))):
-                self._range_witness()
             if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("module-zero-range", (zero,), "zero index out of range")
             check_abelian_group(order, self.add, zero, what="module-add")
@@ -68,16 +65,6 @@ class FiniteModule:
         self.zero = zero
         self.neg = tuple(self.add[i].index(zero) for i in range(order))
         self._cache = {}
-
-    def _range_witness(self):
-        """Raise ``TableError`` at the first entry that is no ``int`` in
-        0..order-1, add before act, in row-major order."""
-        for axiom, name, table in (("module-add-range", "add", self.add),
-                                   ("act-range", "act", self.act)):
-            for i, row in enumerate(table):
-                for j, v in enumerate(row):
-                    if not isinstance(v, int) or not 0 <= v < self.order:
-                        raise TableError(axiom, (i, j), f"{name}[{i}][{j}] out of range")
 
     def elements(self):
         return range(self.order)
@@ -225,8 +212,7 @@ def direct_sum(m1, m2):
         raise ValueError("direct_sum: modules over different rings")
     n2 = m2.order
     order = m1.order * n2
-    add = [m1.add[i // n2][j // n2] * n2 + m2.add[i % n2][j % n2]
-           for i in range(order) for j in range(order)]
+    add = pair_table(m1.add, m2.add)
     act = [m1.act[r][i // n2] * n2 + m2.act[r][i % n2]
            for r in range(m1.ring.order) for i in range(order)]
     zero = m1.zero * n2 + m2.zero
@@ -289,31 +275,11 @@ def _checked_quotient(module, sub, name, proj, m, add, act, zero):
 
 
 def module_from_table(doc, ring, name="table"):
-    """Build a module from a parsed module-table document."""
-    if not isinstance(doc, dict):
-        raise RingSpecError("module table document must be a JSON object", "$")
-    for key in ("order", "add", "act", "zero"):
-        if key not in doc:
-            raise RingSpecError(f"missing key {key!r}", "$")
-    order = doc["order"]
-    if not is_json_int(order) or order < 1:
-        raise RingSpecError("order must be a positive integer", "$.order")
-    add, act = doc["add"], doc["act"]
-    if not isinstance(add, list) or len(add) != order:
-        raise RingSpecError(f"add must be a {order}x{order} array", "$.add")
-    if not isinstance(act, list) or len(act) != ring.order:
-        raise RingSpecError(f"act must have {ring.order} rows", "$.act")
-    for key, table, rows in (("add", add, order), ("act", act, ring.order)):
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != order:
-                raise RingSpecError(f"row must have {order} entries", f"$.{key}[{i}]")
-            for j, v in enumerate(row):
-                if not is_json_int(v) or not 0 <= v < order:
-                    raise RingSpecError("entry must be an element index",
-                                        f"$.{key}[{i}][{j}]")
-    if not is_json_int(doc["zero"]) or not 0 <= doc["zero"] < order:
-        raise RingSpecError("zero must be an element index", "$.zero")
-    return FiniteModule(ring, order, add, act, doc["zero"], name=name)
+    """Build a module over ``ring`` from a parsed document ``{"order": m,
+    "add": [[...]], "act": [[...]], "zero": z}``: ``rings.table_document``
+    checks its JSON form, then ``FiniteModule`` shape, range and axioms."""
+    order = rings.table_document(doc, "module", ("add", "act"), ("zero",))
+    return FiniteModule(ring, order, doc["add"], doc["act"], doc["zero"], name=name)
 
 
 def module_corpus(ring, bound=2):

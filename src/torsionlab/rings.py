@@ -45,26 +45,27 @@ def all_index_entries(entries, indices):
         return False
 
 
-def _as_table(raw, size, what):
-    """Normalize a square table to a tuple of tuples, checking shape/range.
-
-    A row that passes ``all_index_entries`` is accepted whole; any other
-    row goes through the entry loop, which names the first bad (i, j) or
-    accepts the row (an ``int`` subclass in range)."""
-    if len(raw) != size:
-        raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {size} rows")
-    indices = frozenset(range(size))
-    rows = []
+def _as_table(raw, rows, cols, what):
+    """The ring or module table ``raw``, ``rows`` rows of ``cols`` indices
+    0..cols-1, as a tuple of tuples, else ``TableError`` ``{what}-shape``
+    or ``{what}-range``.  The row count is checked before the index set is
+    built.  A row that passes ``all_index_entries`` is accepted whole; any
+    other row goes through the entry loop, which names the first bad
+    (i, j) or accepts the row (an ``int`` subclass in range)."""
+    if len(raw) != rows:
+        raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {rows} rows")
+    indices = frozenset(range(cols))
+    out = []
     for i, row in enumerate(raw):
-        if len(row) != size:
-            raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {size} entries")
+        if len(row) != cols:
+            raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {cols} entries")
         if not all_index_entries(row, indices):
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < size:
+                if not isinstance(v, int) or not 0 <= v < cols:
                     raise TableError(f"{what}-range", (i, j),
                                      f"{what}[{i}][{j}] = {v!r} out of range")
-        rows.append(tuple(row))
-    return tuple(rows)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def check_abelian_group(order, add, zero, what="add"):
@@ -297,8 +298,8 @@ class FiniteRing:
             self.add = tuple(map(tuple, add))
             self.mul = tuple(map(tuple, mul))
         else:
-            self.add = _as_table(add, order, "add")
-            self.mul = _as_table(mul, order, "mul")
+            self.add = _as_table(add, order, order, "add")
+            self.mul = _as_table(mul, order, order, "mul")
             if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("zero-range", (zero,), "zero index out of range")
             if not isinstance(one, int) or not 0 <= one < order:
@@ -601,11 +602,13 @@ def check_map(what, f, m, operations, constants=(), kernel=None):
     ``range(n)`` for the action of a ring of order n.  A constant
     ``(name, a, b)`` asks that f(a) = b.  ``kernel``, a pair ``(a, bits)``,
     asks that the elements f sends to f(a) be exactly the bitset bits.
-    A table entry that is no element index also fails the check.  Each
-    operation is checked by whole-row composition, in one route at every
-    order (``_operation_witness``).
+    An entry of f or of a table that is no element index also fails the
+    check.  Each operation is checked by whole-row composition, in one
+    route at every order (``_operation_witness``).
     """
-    if set(f) != set(range(m)):
+    if not all_index_entries(f, frozenset(range(m))):
+        _map_fault(what, "an entry of the map is no element index")
+    if len(set(f)) != m:
         _map_fault(what, "the map is not onto")
     for name, a, b in constants:
         if f[a] != b:
@@ -659,6 +662,13 @@ def product_maps(n1, n2):
     they pair 0..n1*n2-1 one to one with the pairs (i1, i2)."""
     n = n1 * n2
     return [i // n2 for i in range(n)], [i % n2 for i in range(n)]
+
+
+def pair_table(t1, t2):
+    """The flat table of the operation on pairs i = i1 * n2 + i2 that acts
+    by the square table ``t1`` on i1 and by ``t2`` (n2 x n2) on i2."""
+    n2 = len(t2)
+    return [x * n2 + y for a in t1 for b in t2 for x in a for y in b]
 
 
 def quotient_ring(ring, ideal):
@@ -826,10 +836,7 @@ def product_ring(r1, r2):
     """
     n1, n2 = r1.order, r2.order
     n = n1 * n2
-    add = [(r1.add[i // n2][j // n2]) * n2 + r2.add[i % n2][j % n2]
-           for i in range(n) for j in range(n)]
-    mul = [(r1.mul[i // n2][j // n2]) * n2 + r2.mul[i % n2][j % n2]
-           for i in range(n) for j in range(n)]
+    add, mul = pair_table(r1.add, r2.add), pair_table(r1.mul, r2.mul)
     zero, one = r1.zero * n2 + r2.zero, r1.one * n2 + r2.one
     name = f"prod({r1.name},{r2.name})"
     for p, factor in zip(product_maps(n1, n2), (r1, r2)):
@@ -843,34 +850,37 @@ def product_ring(r1, r2):
     return ring
 
 
-def ring_from_table(doc, name="table"):
-    """Build a ring from a parsed explicit-table document.
-
-    Expects ``{"order": n, "add": [[...]], "mul": [[...]], "zero": z,
-    "one": o}``; malformed documents raise positioned RingSpecError,
-    invalid tables raise TableError naming the failed axiom.
-    """
+def table_document(doc, kind, tables, indices):
+    """The order of the parsed ``kind`` table document ``doc`` once its
+    JSON form holds: an object with every key, ``order`` an integer of at
+    least 1, each of ``tables`` an array of arrays of integers and each of
+    ``indices`` an integer, else ``RingSpecError`` at the JSON path.  Row
+    counts, row lengths and ranges are left to the constructor."""
     if not isinstance(doc, dict):
-        raise RingSpecError("ring table document must be a JSON object", "$")
-    for key in ("order", "add", "mul", "zero", "one"):
+        raise RingSpecError(f"{kind} table document must be a JSON object", "$")
+    for key in ("order", *tables, *indices):
         if key not in doc:
             raise RingSpecError(f"missing key {key!r}", "$")
-    order = doc["order"]
-    if not is_json_int(order) or order < 1:
+    if not is_json_int(doc["order"]) or doc["order"] < 1:
         raise RingSpecError("order must be a positive integer", "$.order")
-    for key in ("add", "mul"):
-        table = doc[key]
-        if not isinstance(table, list) or len(table) != order:
-            raise RingSpecError(f"{key} must be a {order}x{order} array", f"$.{key}")
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != order:
-                raise RingSpecError(f"row must have {order} entries", f"$.{key}[{i}]")
-            for j, v in enumerate(row):
-                if not is_json_int(v) or not 0 <= v < order:
-                    raise RingSpecError("entry must be an element index",
-                                        f"$.{key}[{i}][{j}]")
-    for key in ("zero", "one"):
-        v = doc[key]
-        if not is_json_int(v) or not 0 <= v < order:
+    for key in tables:
+        if not isinstance(doc[key], list):
+            raise RingSpecError("must be an array of rows", f"$.{key}")
+        for i, row in enumerate(doc[key]):
+            if not isinstance(row, list):
+                raise RingSpecError("row must be an array", f"$.{key}[{i}]")
+            if not set(map(type, row)) <= {int}:  # no bool, float, string or null
+                j = next(j for j, v in enumerate(row) if not is_json_int(v))
+                raise RingSpecError("entry must be an element index", f"$.{key}[{i}][{j}]")
+    for key in indices:
+        if not is_json_int(doc[key]):
             raise RingSpecError("must be an element index", f"$.{key}")
+    return doc["order"]
+
+
+def ring_from_table(doc, name="table"):
+    """Build a ring from a parsed document ``{"order": n, "add": [[...]],
+    "mul": [[...]], "zero": z, "one": o}``: ``table_document`` checks its
+    JSON form, then ``FiniteRing`` shape, range and axioms, once."""
+    order = table_document(doc, "ring", ("add", "mul"), ("zero", "one"))
     return FiniteRing(order, doc["add"], doc["mul"], doc["zero"], doc["one"], name=name)

@@ -221,6 +221,48 @@ def test_mistyped_documents_are_invalid_input(tmp_path, capsys, argv, doc):
     assert captured.err.count("\n") == 1
 
 
+def with_entry(doc, key, i, j, v):
+    """``doc`` with entry (i, j) of its table ``key`` set to v."""
+    table = [list(row) for row in doc[key]]
+    table[i][j] = v
+    return dict(doc, **{key: table})
+
+
+RING_ARGV = ["ring-info", "table:PATH"]
+MODULE_ARGV = ["wep", "Z(4)", "--filter", "1", "--module", "file:PATH"]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (RING_ARGV, with_entry(RING, "add", 1, 1, 5), "add[1][1] = 5 out of range"),
+    (RING_ARGV, dict(RING, add=[[0, 1], [1]]), "add row 1 must have 2 entries"),
+    (RING_ARGV, dict(RING, add=[[0, 1]]), "add table must have 2 rows"),
+    (RING_ARGV, with_entry(RING, "add", 1, 1, True),
+     "entry must be an element index (at $.add[1][1])"),
+    (RING_ARGV, with_entry(RING, "add", 1, 1, 1.0),
+     "entry must be an element index (at $.add[1][1])"),
+    (RING_ARGV, with_entry(RING, "add", 1, 1, "x"),
+     "entry must be an element index (at $.add[1][1])"),
+    (RING_ARGV, dict(RING, zero=2), "zero index out of range"),
+    (MODULE_ARGV, with_entry(MODULE, "act", 1, 1, 5), "act[1][1] = 5 out of range"),
+    (MODULE_ARGV, dict(MODULE, add=[[0, 1], [1]]), "module-add row 1 must have 2 entries"),
+    (MODULE_ARGV, dict(MODULE, act=MODULE["act"][:3]), "act table must have 4 rows"),
+    (MODULE_ARGV, with_entry(MODULE, "act", 1, 1, True),
+     "entry must be an element index (at $.act[1][1])"),
+    (MODULE_ARGV, with_entry(MODULE, "act", 1, 1, 1.0),
+     "entry must be an element index (at $.act[1][1])"),
+    (MODULE_ARGV, with_entry(MODULE, "act", 1, 1, "x"),
+     "entry must be an element index (at $.act[1][1])"),
+    (MODULE_ARGV, dict(MODULE, zero=2), "zero index out of range"),
+])
+def test_a_malformed_table_document_names_its_fault(tmp_path, capsys, argv, doc, message):
+    # JSON types are named at their path; shape and range by the constructor
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([arg.replace("PATH", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def table_rows(order, op):
     return [[op(x, y) for y in range(order)] for x in range(order)]
 

@@ -50,20 +50,8 @@ def reference_module_checks(ring, order, add, act, zero):
     """Every table check ``FiniteModule`` made on all its tables."""
     if order < 1:
         raise TableError("order", (order,), "module order must be positive")
-    if len(add) != order or any(len(row) != order for row in add):
-        raise TableError("module-add-shape", (order,), "add table must be m x m")
-    if len(act) != ring.order or any(len(row) != order for row in act):
-        raise TableError("act-shape", (ring.order, order), "act table must be n x m")
-    add = tuple(tuple(row) for row in add)
-    act = tuple(tuple(row) for row in act)
-    for i, row in enumerate(add):
-        for j, v in enumerate(row):
-            if not 0 <= v < order:
-                raise TableError("module-add-range", (i, j), f"add[{i}][{j}] out of range")
-    for r, row in enumerate(act):
-        for x, v in enumerate(row):
-            if not 0 <= v < order:
-                raise TableError("act-range", (r, x), f"act[{r}][{x}] out of range")
+    add = reference_as_table(add, order, order, "module-add")
+    act = reference_as_table(act, ring.order, order, "act")
     if not 0 <= zero < order:
         raise TableError("module-zero-range", (zero,), "zero index out of range")
     add_flat = tuple(v for row in add for v in row)
@@ -76,27 +64,28 @@ def reference_module_checks(ring, order, add, act, zero):
         raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
 
 
-def reference_as_table(raw, size, what):
-    """Normalize a square table to a tuple of tuples, checking shape/range."""
-    if len(raw) != size:
-        raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {size} rows")
-    rows = []
+def reference_as_table(raw, rows, cols, what):
+    """Normalize a table of ``rows`` rows of ``cols`` indices to a tuple of
+    tuples, checking shape/range."""
+    if len(raw) != rows:
+        raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {rows} rows")
+    out = []
     for i, row in enumerate(raw):
-        if len(row) != size:
-            raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {size} entries")
+        if len(row) != cols:
+            raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {cols} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < size:
+            if not isinstance(v, int) or not 0 <= v < cols:
                 raise TableError(f"{what}-range", (i, j), f"{what}[{i}][{j}] = {v!r} out of range")
-        rows.append(tuple(row))
-    return tuple(rows)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def reference_ring_checks(order, add, mul, zero, one):
     """Every table check ``FiniteRing`` made on all its tables."""
     if order < 1:
         raise TableError("order", (order,), "ring order must be positive")
-    add = reference_as_table(add, order, "add")
-    mul = reference_as_table(mul, order, "mul")
+    add = reference_as_table(add, order, order, "add")
+    mul = reference_as_table(mul, order, order, "mul")
     if not 0 <= zero < order:
         raise TableError("zero-range", (zero,), "zero index out of range")
     if not 0 <= one < order:
@@ -381,7 +370,10 @@ def test_check_map_rejects_each_failed_condition():
         ((f, 2, ops, [("one", 1, 0)]), "one is not preserved"),
         ((f, 2, ops, (), (0, 0b0001)), "kernel differs"),
         (([0, 0, 0, 0], 2, ops), "not onto"),
-        (([0, 1, 0, 2], 2, ops), "not onto"),
+        (([0, 1, 0, 2], 2, ops), "no element index"),
+        (([0, 1.0, 0, 1], 2, ops), "no element index"),
+        (([0, 1.0], 2, [], (), (0, 1)), "no element index"),
+        (([0, None], 2, []), "no element index"),
         ((f, 2, [("+", f, z4.add_flat, (0, 1, 1, 1))]), r"\+ is not preserved at \(1, 1\)"),
         ((f, 2, [("+", f, z4.add_flat[:-1], z2.add_flat)]), "wrong size"),
         ((f, 2, [("+", f, z4.add_flat, z2.add_flat[:-1])]), "wrong size"),
@@ -562,11 +554,26 @@ def test_the_regular_action_finds_the_generators_once(monkeypatch):
     [True, False, 2],
 ])
 def test_as_table_matches_the_entry_loop(row):
-    raw = [[0, 1, 2], row, [2, 0, 1]]
+    assert_as_table_matches_the_entry_loop([[0, 1, 2], row, [2, 0, 1]], 3, 3, "add")
+
+
+@pytest.mark.parametrize("row", [[1, 2], [1, 2, 3], [1, 2.0, 0], [True, False, 2]])
+@pytest.mark.parametrize("rows, declared", [
+    (2, 2),            # fewer rows than entries
+    (4, 4),            # more rows, as for the action of a larger ring
+    (4, 5),            # a missing row
+    (2, 1),            # an extra row
+])
+def test_as_table_matches_the_entry_loop_off_the_square(row, rows, declared):
+    raw = [[0, 1, 2], row, [2, 0, 1], [1, 1, 0]][:rows]
+    assert_as_table_matches_the_entry_loop(raw, declared, 3, "act")
+
+
+def assert_as_table_matches_the_entry_loop(*args):
     outcomes = []
     for check in (rings._as_table, reference_as_table):
         try:
-            outcomes.append(repr(check(raw, 3, "add")))
+            outcomes.append(repr(check(*args)))
         except TableError as err:
             outcomes.append((err.axiom, err.witness, str(err)))
     assert outcomes[0] == outcomes[1]

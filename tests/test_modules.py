@@ -107,7 +107,7 @@ def test_module_rejects_a_non_integer_entry(z4, bad, name, axiom):
     with pytest.raises(TableError) as err:
         tl.FiniteModule(z4, 4, tables["add"], tables["act"], 0)
     assert (err.value.axiom, err.value.witness, str(err.value)) == \
-        (axiom, (2, 1), f"{name}[2][1] out of range")
+        (axiom, (2, 1), f"{axiom.removesuffix('-range')}[2][1] = {bad!r} out of range")
 
 
 def test_module_accepts_bool_entries(z4):
