@@ -17,8 +17,8 @@ from .classify import (ClassificationVerdict, CollapseTrace, Quasiidentity,
 from .delta import (DeltaAxiom, DeltaRow, ReducedDelta, delta_equiv_quasiidentity,
                     delta_from_doc, delta_membership_witness, delta_satisfied,
                     random_reducible_delta, reduce_delta)
-from .errors import (InvariantError, ReductionError, RingSpecError, TableError,
-                     TorsionLabError)
+from .errors import (InputError, InvariantError, ReductionError, RingSpecError,
+                     TableError, TorsionLabError)
 from .kernels import backend
 from .modules import (FiniteLattice, FiniteModule, Submodule, all_submodules,
                       annihilator, direct_sum, is_modular, lattice_from_family,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 = computation completed with positive verdicts, 1 =
 computation completed with a negative verdict (violation or witness
-emitted), 2 = invalid input, 70 = internal fault.  Output is
-deterministic: identical argv produces identical bytes.
+emitted), 2 = invalid input (an ``InputError``), 70 = internal fault
+(any other escape).  Identical argv produces identical output bytes.
 """
 
 import argparse
@@ -16,18 +16,16 @@ from . import __version__
 from .classify import classify, commutative_collapse
 from .delta import (_delta_equiv, _FiberTable, delta_from_doc, random_reducible_delta,
                     reduce_delta)
-from .errors import InvariantError, ReductionError, RingSpecError, TableError
+from .errors import InputError, InvariantError, ReductionError, RingSpecError
 from .kernels import backend
 from .modules import (module_corpus, module_from_table, power_module,
                       quotient_module, regular_module, submodule_closure)
 from .rings import (all_left_ideals, format_quasiidentity, is_two_sided,
                     left_ideal_closure)
-from .ringspec import builtin_rings, parse_ring_spec
+from .ringspec import builtin_rings, parse_ring_spec, read_int, read_json
 from .torsion import (TorsionNotion, check_torsion_axioms,
                       enumerate_torsion_notions, principal_generator,
                       rcm_verify, relative_closure, weak_extension_witness)
-
-_INPUT_ERRORS = (RingSpecError, TableError, ValueError, OSError, json.JSONDecodeError)
 
 
 def main(argv=None):
@@ -37,7 +35,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
@@ -55,8 +53,8 @@ def _positive_int(text):
     below 1 holds no module and a maximum order below 1 no ring, so every
     verdict over them would be vacuous."""
     try:
-        value = int(text)
-    except ValueError:
+        value = read_int(text)
+    except RingSpecError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -70,7 +68,8 @@ def _parser():
     parser = argparse.ArgumentParser(
         prog="torsionlab",
         description="Torsion filters and RCM classification over finite rings")
-    parser.add_argument("--version", action="version", version=f"torsionlab {__version__}")
+    parser.add_argument("--version", action="version",
+                        version=f"torsionlab {__version__} (backend: {backend()})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, func, help_text, ring_arg=True):
@@ -137,15 +136,15 @@ def _ideal_str(ideal):
     return f"({gens}) = {{{elems}}}"
 
 
+def _read_tokens(literal, read):
+    """``read`` of each nonblank comma-separated token of ``literal``."""
+    return [read(tok) for tok in literal.split(",") if tok.strip()]
+
+
 def _parse_filter(ring, literal):
     literal = literal.strip()
-    if not literal:
-        return []
-    out = []
-    for part in literal.split(";"):
-        gens = [ring.resolve(tok) for tok in part.split(",") if tok.strip()]
-        out.append(left_ideal_closure(ring, gens))
-    return out
+    return [left_ideal_closure(ring, _read_tokens(part, ring.resolve))
+            for part in literal.split(";")] if literal else []
 
 
 def _parse_module(ring, spec):
@@ -153,32 +152,25 @@ def _parse_module(ring, spec):
     if spec in ("", "regular"):
         return regular_module(ring)
     if spec.startswith("power:"):
-        k = int(spec[6:])
+        k = read_int(spec[6:])
         if k < 1:
             raise RingSpecError("power:k requires k >= 1")
         return power_module(ring, k)
     if spec.startswith("quot:"):
-        gens = [ring.resolve(tok) for tok in spec[5:].split(",") if tok.strip()]
         reg = regular_module(ring)
-        sub = submodule_closure(reg, gens)
+        sub = submodule_closure(reg, _read_tokens(spec[5:], ring.resolve))
         return quotient_module(reg, sub, name=f"R/({spec[5:]})")
     if spec.startswith("file:"):
-        path = spec[5:]
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return module_from_table(doc, ring, name=f"file:{path}")
+        return module_from_table(read_json(spec[5:], "module table"), ring, name=spec)
     raise RingSpecError(f"unknown module spec {spec!r}")
 
 
 def _parse_sub(module, ring, literal, module_spec):
-    tokens = [tok for tok in literal.split(",") if tok.strip()]
-    if module_spec.strip() in ("", "regular"):
-        gens = [ring.resolve(tok) for tok in tokens]
-    else:
-        gens = [int(tok) for tok in tokens]
-        for g in gens:
-            if not 0 <= g < module.order:
-                raise RingSpecError(f"module element index {g} out of range")
+    regular = module_spec.strip() in ("", "regular")
+    gens = _read_tokens(literal, ring.resolve if regular else read_int)
+    for g in gens:
+        if not 0 <= g < module.order:
+            raise RingSpecError(f"module element index {g} out of range")
     return submodule_closure(module, gens)
 
 
@@ -222,8 +214,7 @@ def _cmd_ideals(args):
 
 
 def _cmd_torsion_check(args):
-    ring = parse_ring_spec(args.ring)
-    notion = _require_notion(ring, args)
+    ring, notion = _require_notion(args)
     if notion is None:
         return 1
     doc = {"ring": ring.name, "valid": True, "ideals": [a.to_json() for a in notion.ideals]}
@@ -244,21 +235,21 @@ def _cmd_torsion_enum(args):
     return 0
 
 
-def _require_notion(ring, args):
-    """The torsion notion that ``args.filter`` names over ``ring``, or
-    None after emitting the violated axiom: under ``--json`` the document
-    ``{"ring", "valid": false, "violation"}``, else one text line."""
+def _require_notion(args):
+    """The ring ``args.ring`` and the torsion notion ``args.filter`` names
+    over it, or None after emitting the violated axiom: under ``--json``
+    the document ``{"ring", "valid": false, "violation"}``, else a line."""
+    ring = parse_ring_spec(args.ring)
     result = check_torsion_axioms(ring, _parse_filter(ring, args.filter))
     if isinstance(result, TorsionNotion):
-        return result
+        return ring, result
     doc = {"ring": ring.name, "valid": False, "violation": result.to_json()}
     _emit(doc, args, [f"AXIOM {result.axiom} VIOLATED: {result.message}"])
-    return None
+    return ring, None
 
 
 def _cmd_closure(args):
-    ring = parse_ring_spec(args.ring)
-    notion = _require_notion(ring, args)
+    ring, notion = _require_notion(args)
     if notion is None:
         return 1
     module = _parse_module(ring, args.module)
@@ -274,8 +265,7 @@ def _cmd_closure(args):
 
 
 def _cmd_wep(args):
-    ring = parse_ring_spec(args.ring)
-    notion = _require_notion(ring, args)
+    ring, notion = _require_notion(args)
     if notion is None:
         return 1
     module = _parse_module(ring, args.module)
@@ -294,8 +284,7 @@ def _cmd_wep(args):
 
 
 def _cmd_rcm(args):
-    ring = parse_ring_spec(args.ring)
-    notion = _require_notion(ring, args)
+    ring, notion = _require_notion(args)
     if notion is None:
         return 1
     report = rcm_verify(notion, args.bound)
@@ -311,12 +300,8 @@ def _cmd_rcm(args):
 
 
 def _cmd_delta_reduce(args):
-    with open(args.path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or not isinstance(doc.get("ring"), str):
-        raise RingSpecError("delta axiom file must carry a 'ring' spec", "$.ring")
-    ring = parse_ring_spec(doc["ring"])
-    axiom = delta_from_doc(doc, ring)
+    axiom = delta_from_doc(read_json(args.path, "delta axiom"), None)
+    ring = axiom.ring
     try:
         red = reduce_delta(axiom)
     except ReductionError as exc:
@@ -341,10 +326,8 @@ def _cmd_delta_reduce(args):
 
 def _cmd_classify(args):
     ring = parse_ring_spec(args.ring)
-    quasis = [[ring.resolve(tok) for tok in lit.split(",") if tok.strip()]
-              for lit in args.quasi]
-    idents = [[ring.resolve(tok) for tok in lit.split(",") if tok.strip()]
-              for lit in args.ident]
+    quasis = [_read_tokens(lit, ring.resolve) for lit in args.quasi]
+    idents = [_read_tokens(lit, ring.resolve) for lit in args.ident]
     verdict = classify(ring, quasis, idents, bound=args.bound)
     doc = verdict.to_json()
     lines = [f"ring {ring.name}: {'RCM' if verdict.rcm else 'NOT RCM'}",
@@ -384,21 +367,16 @@ def _delta_sweep(ring, seed, corpus, axioms=10, budget=200000):
 
 def _cmd_census(args):
     specs = args.specs
-    if not specs or specs == ["builtin"]:
-        pairs = builtin_rings(args.max_order)
-    else:
-        pairs = []
-        for spec in specs:
-            try:
-                pairs.append((spec, parse_ring_spec(spec)))
-            except _INPUT_ERRORS as exc:
-                pairs.append((spec, exc))
+    builtin = not specs or specs == ["builtin"]
+    pairs = builtin_rings(args.max_order) if builtin else [(spec, None) for spec in specs]
     entries = []
     bad = 0
     negative = 0
     for spec, ring in pairs:
-        if not hasattr(ring, "order"):
-            entries.append({"spec": spec, "error": str(ring)})
+        try:
+            ring = ring or parse_ring_spec(spec)  # None: a spec not yet parsed
+        except InputError as exc:
+            entries.append({"spec": spec, "error": str(exc)})
             bad += 1
             continue
         notions = enumerate_torsion_notions(ring)

@@ -34,10 +34,11 @@ extends each base's tuple by 0 without walking t.
 from functools import reduce
 from operator import and_
 
-from .errors import InvariantError, ReductionError, RingSpecError
+from .errors import InputError, InvariantError, ReductionError, RingSpecError
 from .modules import satisfies_quasiidentity
-from .rings import is_json_int, left_ideal_closure
-from .torsion import _require_validated, is_torsion_free, relative_closure
+from .rings import is_json_int, json_object, left_ideal_closure
+from .ringspec import document_ring
+from .torsion import _require_torsion_free, relative_closure
 
 
 class DeltaRow:
@@ -75,7 +76,7 @@ class DeltaAxiom:
                 raise ValueError(f"row {j}: e must have arity {z_arity}")
             for coef in (row.a, row.b, *row.c, *row.d, *row.e):
                 if not 0 <= coef < ring.order:
-                    raise ValueError(f"row {j}: coefficient {coef} out of range")
+                    raise InputError(f"row {j}: coefficient {coef} out of range")
 
     def __repr__(self):
         return (f"<DeltaAxiom over {self.ring.name}: {len(self.rows)} rows, "
@@ -323,11 +324,9 @@ def delta_membership_witness(notion, module, sub, x, ideal):
     ``sub``; that implication is re-checked and a failure is a hard
     fault.
     """
-    _require_validated(notion, module)
+    _require_torsion_free(notion, module)
     if ideal not in notion:
         raise ValueError("ideal is not a member of the torsion notion")
-    if not is_torsion_free(notion, module):
-        raise ValueError(f"{module.name} is not torsion-free for {notion.describe()}")
     result = all(sub.bits >> module.act[g][x] & 1 for g in ideal.generators)
     if result:
         closure = relative_closure(notion, module, sub)
@@ -352,25 +351,20 @@ def random_reducible_delta(ring, rng, max_rows=3, max_u=2, max_z=1):
 
 
 def delta_from_doc(doc, ring):
-    """Build a delta axiom from a parsed axiom-file document.
-
-    Expects ``{"ring": spec, "u_arity": k, "z_arity": l, "rows": [{"a":
-    .., "b": .., "c": [..], "d": [..], "e": [..]}]}``; coefficients are
-    element indices or builtin element names.
-    """
-    if not isinstance(doc, dict):
-        raise RingSpecError("delta axiom document must be a JSON object", "$")
-    for key in ("u_arity", "z_arity", "rows"):
-        if key not in doc:
-            raise RingSpecError(f"missing key {key!r}", "$")
+    """Build a delta axiom from a parsed document ``{"ring": spec, "u_arity":
+    k, "z_arity": l, "rows": [{"a": .., "b": .., "c": [..], "d": [..], "e":
+    [..]}]}`` over ``ring``, or over the ring its ``"ring"`` names when
+    ``ring`` is None (``ringspec.document_ring``).  Coefficients are element
+    indices or names.  JSON types and arities are checked at their JSON
+    paths; ``DeltaAxiom`` checks that each index is in range (``InputError``)."""
+    json_object(doc, "delta axiom document", ("u_arity", "z_arity", "rows"), "$")
+    ring = document_ring(doc, ring)
     for key in ("u_arity", "z_arity"):
         if not is_json_int(doc[key]) or doc[key] < 0:
             raise RingSpecError(f"{key} must be a nonnegative integer", f"$.{key}")
 
     def coef(v, where):
         if is_json_int(v):
-            if not 0 <= v < ring.order:
-                raise RingSpecError("coefficient out of range", where)
             return v
         if isinstance(v, str):
             try:
@@ -383,23 +377,17 @@ def delta_from_doc(doc, ring):
     if not isinstance(doc["rows"], list) or not doc["rows"]:
         raise RingSpecError("rows must be a nonempty array", "$.rows")
     for j, row in enumerate(doc["rows"]):
-        if not isinstance(row, dict):
-            raise RingSpecError("row must be an object", f"$.rows[{j}]")
-        for key in ("a", "b"):
-            if key not in row:
-                raise RingSpecError(f"missing coefficient {key!r}", f"$.rows[{j}]")
+        at = f"$.rows[{j}]"
+        json_object(row, "row", ("a", "b"), at)
         for key, arity in (("c", "u_arity"), ("d", "u_arity"), ("e", "z_arity")):
             vals = row.get(key, [])
             if not isinstance(vals, list):
-                raise RingSpecError(f"{key} must be an array", f"$.rows[{j}].{key}")
+                raise RingSpecError(f"{key} must be an array", f"{at}.{key}")
             if len(vals) != doc[arity]:
                 raise RingSpecError(f"{key} has {len(vals)} entries but {arity} is {doc[arity]}",
-                                    f"$.rows[{j}].{key}")
-        rows.append(DeltaRow(
-            coef(row["a"], f"$.rows[{j}].a"),
-            coef(row["b"], f"$.rows[{j}].b"),
-            tuple(coef(v, f"$.rows[{j}].c[{i}]") for i, v in enumerate(row.get("c", []))),
-            tuple(coef(v, f"$.rows[{j}].d[{i}]") for i, v in enumerate(row.get("d", []))),
-            tuple(coef(v, f"$.rows[{j}].e[{i}]") for i, v in enumerate(row.get("e", []))),
-        ))
+                                    f"{at}.{key}")
+        a, b = (coef(row[key], f"{at}.{key}") for key in "ab")
+        c, d, e = (tuple(coef(v, f"{at}.{key}[{i}]") for i, v in enumerate(row.get(key, [])))
+                   for key in "cde")
+        rows.append(DeltaRow(a, b, c, d, e))
     return DeltaAxiom(ring, rows, doc["u_arity"], doc["z_arity"])

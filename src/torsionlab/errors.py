@@ -5,7 +5,11 @@ class TorsionLabError(Exception):
     """Base class for all torsionlab errors."""
 
 
-class RingSpecError(TorsionLabError):
+class InputError(TorsionLabError, ValueError):
+    """Bad input, the one error the command line exits 2 on; a ``ValueError`` for callers."""
+
+
+class RingSpecError(InputError):
     """A ring / module / axiom specification failed to parse."""
 
     def __init__(self, message, position=None):
@@ -15,7 +19,7 @@ class RingSpecError(TorsionLabError):
         super().__init__(message)
 
 
-class TableError(TorsionLabError):
+class TableError(InputError):
     """An operation table violates a structural axiom.
 
     Carries the name of the failed axiom and a witness tuple of element

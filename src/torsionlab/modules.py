@@ -14,6 +14,7 @@ from .errors import InvariantError, TableError
 from .rings import (TwoSidedIdeal, all_left_ideals, check_abelian_group, check_generators,
                     check_map, coset_representatives, greedy_generators, pair_table,
                     preimage, product_maps, rows_of)
+from .ringspec import document_ring
 
 
 class FiniteModule:
@@ -275,10 +276,11 @@ def _checked_quotient(module, sub, name, proj, m, add, act, zero):
 
 
 def module_from_table(doc, ring, name="table"):
-    """Build a module over ``ring`` from a parsed document ``{"order": m,
-    "add": [[...]], "act": [[...]], "zero": z}``: ``rings.table_document``
-    checks its JSON form, then ``FiniteModule`` shape, range and axioms."""
+    """A module over ``ring`` from a parsed ``{"order": m, "add": [[...]], "act": [[...]],
+    "zero": z}``: ``rings.table_document`` checks its JSON form, ``ringspec.document_ring``
+    its ``"ring"`` key, and ``FiniteModule`` shape, range and axioms."""
     order = rings.table_document(doc, "module", ("add", "act"), ("zero",))
+    ring = document_ring(doc, ring)
     return FiniteModule(ring, order, doc["add"], doc["act"], doc["zero"], name=name)
 
 

@@ -850,17 +850,22 @@ def product_ring(r1, r2):
     return ring
 
 
+def json_object(doc, what, keys, where):
+    """Raise ``RingSpecError`` at ``where`` unless ``doc`` is a JSON object with every key."""
+    if not isinstance(doc, dict):
+        raise RingSpecError(f"{what} must be a JSON object", where)
+    for key in keys:
+        if key not in doc:
+            raise RingSpecError(f"missing key {key!r}", where)
+
+
 def table_document(doc, kind, tables, indices):
     """The order of the parsed ``kind`` table document ``doc`` once its
     JSON form holds: an object with every key, ``order`` an integer of at
     least 1, each of ``tables`` an array of arrays of integers and each of
     ``indices`` an integer, else ``RingSpecError`` at the JSON path.  Row
     counts, row lengths and ranges are left to the constructor."""
-    if not isinstance(doc, dict):
-        raise RingSpecError(f"{kind} table document must be a JSON object", "$")
-    for key in ("order", *tables, *indices):
-        if key not in doc:
-            raise RingSpecError(f"missing key {key!r}", "$")
+    json_object(doc, f"{kind} table document", ("order", *tables, *indices), "$")
     if not is_json_int(doc["order"]) or doc["order"] < 1:
         raise RingSpecError("order must be a positive integer", "$.order")
     for key in tables:

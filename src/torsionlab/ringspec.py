@@ -12,6 +12,7 @@ Generator tokens inside ``quot`` are element names of the inner ring
 """
 
 import json
+import reprlib
 
 from .errors import RingSpecError
 from .rings import (cyclic_ring, full_matrix_ring, prime_field, product_ring,
@@ -42,7 +43,7 @@ def _parse(text, pos):
         path = text[pos + 6:end].strip()
         if not path:
             raise RingSpecError("table: requires a file path", pos)
-        return _load_table(path), end
+        return ring_from_table(read_json(path, "ring table"), name=f"table:{path}"), end
     head = pos
     while head < len(text) and (text[head].isalnum() or text[head] == "_"):
         head += 1
@@ -92,7 +93,7 @@ def _parse_int(text, pos):
         end += 1
     if end == pos:
         raise RingSpecError("expected an integer", pos)
-    return int(text[pos:end]), _skip_ws(text, end)
+    return read_int(text[pos:end]), _skip_ws(text, end)
 
 
 def _expect(text, pos, ch):
@@ -102,15 +103,42 @@ def _expect(text, pos, ch):
     return pos + 1
 
 
-def _load_table(path):
+def read_json(path, what):
+    """The JSON document in the file ``path``, the one reader of a user
+    file: one that cannot be opened, is no UTF-8 JSON (``ValueError``) or
+    nests too deeply raises ``RingSpecError`` naming ``what`` and ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise RingSpecError(f"cannot read ring table {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise RingSpecError(f"invalid JSON in {path!r}: {exc}") from exc
-    return ring_from_table(doc, name=f"table:{path}")
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise RingSpecError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def read_int(token):
+    """``int(token)``; ``RingSpecError`` if it is no integer or too long for ``int``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise RingSpecError(f"cannot read an integer from {reprlib.repr(token)}") from None
+
+
+def document_ring(doc, ring):
+    """The ring that the indices of the JSON object ``doc`` refer to, named by
+    its ``"ring"`` spec: required when ``ring`` is None, else optional and, if
+    present, a ring with ``ring``'s tables (``ring`` is returned), at ``$.ring``."""
+    if ring is not None and "ring" not in doc:
+        return ring
+    spec = doc.get("ring")
+    if not isinstance(spec, str):
+        raise RingSpecError("'ring' must be a ring spec", "$.ring")
+    try:
+        named = parse_ring_spec(spec)
+    except RingSpecError as exc:
+        raise RingSpecError(f"ring spec {spec!r}: {exc}", "$.ring") from None
+    if ring is not None and (named.add, named.mul, named.zero, named.one) != \
+            (ring.add, ring.mul, ring.zero, ring.one):
+        raise RingSpecError(f"{spec!r} is not the ring {ring.name}", "$.ring")
+    return named if ring is None else ring
 
 
 #: Spec strings of the builtin corpus, in census order.

@@ -37,7 +37,7 @@ check fail for some R^k, its modules take the per-module route of
 """
 
 from . import kernels
-from .errors import InvariantError
+from .errors import InputError, InvariantError
 from .modules import (Submodule, _corpus_sources, all_submodules, lattice_from_family,
                       module_corpus, modularity_witness, quasi_closure,
                       regular_module, satisfies_quasiidentity)
@@ -245,6 +245,12 @@ def is_torsion_free(notion, module):
     return satisfies_quasiidentity(module, notion.least)
 
 
+def _require_torsion_free(notion, module):
+    """Raise ``InputError`` unless ``module`` is torsion-free for ``notion``."""
+    if not is_torsion_free(notion, module):
+        raise InputError(f"{module.name} is not torsion-free for {notion.describe()}")
+
+
 def _submodule_closures(notion, module, subs):
     """Closure bits of ``subs``, the module's ``all_submodules``; computed
     once per notion and shared by the relative lattice, the WEP check and
@@ -263,11 +269,9 @@ def relative_closure(notion, module, sub):
     Computed as the set of elements that the least member carries into
     ``sub``.  Only defined on torsion-free modules.
     """
-    _require_validated(notion, module)
+    _require_torsion_free(notion, module)
     if sub.module is not module:
         raise ValueError("submodule of a different module")
-    if not is_torsion_free(notion, module):
-        raise ValueError(f"{module.name} is not torsion-free for {notion.describe()}")
     bits = quasi_closure(module, notion.least, sub.bits)
     try:
         return Submodule(module, bits)
@@ -291,9 +295,7 @@ def relative_lattice(notion, module):
     intersection, join is the closure of the sum (equivalently the least
     fixed point above the union).
     """
-    _require_validated(notion, module)
-    if not is_torsion_free(notion, module):
-        raise ValueError(f"{module.name} is not torsion-free for {notion.describe()}")
+    _require_torsion_free(notion, module)
     subs = all_submodules(module)
     return lattice_from_family([s.bits for s, closed in zip(
         subs, _submodule_closures(notion, module, subs)) if closed == s.bits])
@@ -301,9 +303,7 @@ def relative_lattice(notion, module):
 
 def weak_extension_witness(notion, module):
     """A pair of disjoint submodules with intersecting closures, or None."""
-    _require_validated(notion, module)
-    if not is_torsion_free(notion, module):
-        raise ValueError(f"{module.name} is not torsion-free for {notion.describe()}")
+    _require_torsion_free(notion, module)
     subs = all_submodules(module)
     zero_bit = 1 << module.zero
     closures = _submodule_closures(notion, module, subs)

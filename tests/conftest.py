@@ -1,7 +1,7 @@
 import pytest
 
 import torsionlab as tl
-from torsionlab.errors import InvariantError
+from torsionlab.errors import InvariantError, TableError
 
 # UT2(2) element indices under the canonical encoding 4a + 2b + c.
 E11, E12, E22 = 4, 2, 1
@@ -11,6 +11,8 @@ ONE = 5
 UT2_IDEAL_BITS = (1, 5, 15, 17, 65, 85, 255)
 A_BITS = 85       # (e11, e12) = {0, e12, e11, e11+e12}
 RE22_BITS = 15    # (e22) = {0, e22, e12, e12+e22}
+# spec strings of the builtin rings of order <= 8
+BUILTIN8 = [spec for spec, _ in tl.builtin_rings(8)]
 
 
 @pytest.fixture(scope="session")
@@ -208,3 +210,75 @@ def reference_ring_axiom_error(w):
         return ("one-identity", (i,), f"one is not an identity at {i}")
     axiom, message = REFERENCE_RING_AXIOMS[kind]
     return (axiom, (i, j, k), message.format(i, j, k))
+
+
+# -- the reference ring validator ---------------------------------------------
+# Every table check ``FiniteRing`` makes, as plain loops in its check order:
+# the one oracle for the ring ``TableError`` that the tests compare against.
+
+def reference_as_table(raw, rows, cols, what):
+    """Normalize a table of ``rows`` rows of ``cols`` indices to a tuple of
+    tuples, checking shape/range."""
+    if len(raw) != rows:
+        raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {rows} rows")
+    out = []
+    for i, row in enumerate(raw):
+        if len(row) != cols:
+            raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {cols} entries")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < cols:
+                raise TableError(f"{what}-range", (i, j), f"{what}[{i}][{j}] = {v!r} out of range")
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_check_abelian_group(order, add, zero, what="add"):
+    """Bounded-exhaustive abelian-group check; raises TableError on failure."""
+    for i in range(order):
+        if add[zero][i] != i:
+            raise TableError(f"{what}-identity", (i,), f"zero + {i} != {i}")
+    for i in range(order):
+        row = add[i]
+        for j in range(i + 1, order):
+            if row[j] != add[j][i]:
+                raise TableError(f"{what}-commutative", (i, j), f"{i} + {j} != {j} + {i}")
+        if zero not in row:
+            raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
+    flat = [v for row in add for v in row]
+    w = reference_assoc_witness(order, flat)
+    if w is not None:
+        raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
+
+
+def _reference_ring_checks(order, add, mul, zero, one):
+    if order < 1:
+        raise TableError("order", (order,), "ring order must be positive")
+    add = reference_as_table(add, order, order, "add")
+    mul = reference_as_table(mul, order, order, "mul")
+    if not 0 <= zero < order:
+        raise TableError("zero-range", (zero,), "zero index out of range")
+    if not 0 <= one < order:
+        raise TableError("one-range", (one,), "one index out of range")
+    if zero == one and order > 1:
+        raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
+    reference_check_abelian_group(order, add, zero)
+    add_flat = [v for row in add for v in row]
+    mul_flat = [v for row in mul for v in row]
+    w = reference_module_axiom_witness(order, order, add_flat, mul_flat, add_flat, mul_flat, one)
+    if w is not None:
+        raise TableError(*reference_ring_axiom_error(w))
+    for i, row in enumerate(mul):
+        if row[one] != i:
+            raise TableError("one-identity", (i,), f"one is not an identity at {i}")
+
+
+def reference_ring_error(order, add, mul, zero, one):
+    """(axiom, witness, message) of the ``TableError`` that ``FiniteRing``
+    raises for the tables (sequences of rows), else None: shape and
+    range, zero and one, the abelian group, then the module axioms of R
+    acting on itself, each named as the ring axiom it is, then x*1 = x."""
+    try:
+        _reference_ring_checks(order, add, mul, zero, one)
+    except TableError as err:
+        return err.axiom, err.witness, str(err)
+    return None

@@ -1,17 +1,20 @@
 """CLI surface: exit codes, JSON schemas, determinism, witness replay."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab.cli import main
 
-from conftest import (reference_assoc_witness, reference_module_axiom_witness,
-                      reference_ring_axiom_error)
+from conftest import reference_module_axiom_witness, reference_ring_error
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +167,33 @@ def test_invalid_spec_is_exit_2(capsys):
     assert code == 2
 
 
+# more digits than int() reads from a string, and how the error shows it
+LONG = "1" * 5000
+LONG_SHOWN = "'111111111111...1111111111111'"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring-info", f"Z({LONG})"],
+    ["closure", "Z(4)", "--filter", "1", "--module", f"power:{LONG}"],
+    ["closure", "Z(4)", "--filter", "1", "--module", "power:2", "--sub", LONG],
+    ["closure", "Z(4)", "--filter", "1", "--module", "power:2", "--sub", f"1,{LONG}"],
+], ids=["ring-spec", "power", "sub", "sub-second"])
+def test_an_integer_too_long_to_read_is_invalid_input(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: cannot read an integer from {LONG_SHOWN}\n"
+
+
+def test_census_records_an_unreadable_spec_and_reports_the_rest(capsys):
+    code, doc = run_json(capsys, "census", "Z(4)", f"Z({LONG})", "Z(2)")
+    assert code == 2
+    assert doc["entries"][1] == {"spec": f"Z({LONG})",
+                                 "error": f"cannot read an integer from {LONG_SHOWN}"}
+    _, alone = run_json(capsys, "census", "Z(4)", "Z(2)")
+    assert [doc["entries"][0], doc["entries"][2]] == alone["entries"]
+
+
 def test_internal_fault_exits_70(capsys, monkeypatch):
     import torsionlab.cli as cli_mod
     from torsionlab.errors import InvariantError
@@ -188,6 +218,29 @@ def test_uncaught_exception_exits_70(capsys, monkeypatch):
     assert captured.err == "internal error: TypeError: synthetic bug\n"
 
 
+def test_an_escaped_value_error_exits_70(capsys, monkeypatch):
+    # only InputError is bad input: a bug that raises a plain ValueError
+    # is an internal fault like any other escape
+    import torsionlab.cli as cli_mod
+
+    def boom(ring):
+        raise ValueError("synthetic bug")
+
+    monkeypatch.setattr(cli_mod, "enumerate_torsion_notions", boom)
+    assert main(["torsion-enum", "Z(4)"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: synthetic bug\n"
+
+
+def test_input_errors_are_value_errors():
+    # library callers that catch ValueError keep catching bad input
+    assert issubclass(tl.InputError, ValueError)
+    assert issubclass(tl.RingSpecError, tl.InputError)
+    assert issubclass(tl.TableError, tl.InputError)
+    assert not issubclass(tl.InvariantError, tl.InputError)
+
+
 DELTA = {"ring": "Z(4)", "u_arity": 0, "z_arity": 0, "rows": [{"a": 0, "b": 0}]}
 RING = {"order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
 MODULE = {"order": 2, "add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 1], [0, 0], [0, 1]],
@@ -209,6 +262,8 @@ MODULE = {"order": 2, "add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 1], [0, 0], [
     (["wep", "Z(4)", "--filter", "1", "--module", "file:PATH"],
      dict(MODULE, act=[[0, 0], [0, True], [0, 0], [0, 1]])),
     (["delta-reduce", "PATH"], dict(DELTA, rows=[{"a": "zz", "b": 0}])),
+    (["delta-reduce", "PATH"], dict(DELTA, ring="Z(x)")),
+    (["delta-reduce", "PATH"], {k: v for k, v in DELTA.items() if k != "ring"}),
 ])
 def test_mistyped_documents_are_invalid_input(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
@@ -263,6 +318,150 @@ def test_a_malformed_table_document_names_its_fault(tmp_path, capsys, argv, doc,
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, what", [
+    (RING_ARGV, "ring table"), (MODULE_ARGV, "module table"),
+    (["delta-reduce", "PATH"], "delta axiom"),
+], ids=["table", "file", "delta-reduce"])
+@pytest.mark.parametrize("content, cause", [
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+    (b'{"order": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (None, "No such file or directory"),
+], ids=["nested", "not-utf-8", "missing"])
+def test_an_unreadable_document_is_invalid_input_naming_its_path(tmp_path, capsys, argv,
+                                                                 what, content, cause):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_bytes(content)
+    code = main([arg.replace("PATH", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot read {what} {str(path)!r}: ")
+    assert cause in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ring, message", [
+    ("Z(9)", "'Z(9)' is not the ring Z(4) (at $.ring)"),
+    # the same order and additive group, another multiplication
+    ("prod(Z(2),Z(2))", "'prod(Z(2),Z(2))' is not the ring Z(4) (at $.ring)"),
+    (4, "'ring' must be a ring spec (at $.ring)"),
+    (None, "'ring' must be a ring spec (at $.ring)"),
+    ("Q(4)", "ring spec 'Q(4)': unknown ring constructor 'Q' (at 1) (at $.ring)"),
+])
+def test_a_module_document_over_another_ring_is_invalid_input(tmp_path, capsys, ring, message):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(dict(MODULE, ring=ring)))
+    code = main(["wep", "Z(4)", "--filter", "1", "--module", f"file:{path}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("ring", ["Z(4)", "quot(Z(8),4)", "omitted"])
+def test_a_module_document_over_the_command_ring_is_accepted(tmp_path, capsys, ring):
+    # the "ring" key may be left out; when present it must name a ring
+    # with the command ring's tables, whatever its spec
+    assert tl.parse_ring_spec("quot(Z(8),4)").mul == tl.parse_ring_spec("Z(4)").mul
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(MODULE if ring == "omitted" else dict(MODULE, ring=ring)))
+    code, doc = run_json(capsys, "wep", "Z(4)", "--filter", "1", "--module", f"file:{path}")
+    assert (code, doc) == (0, {"ring": "Z(4)", "module": f"file:{path}", "wep": True})
+
+
+@pytest.mark.parametrize("a", [4, -1, 10 ** 30])
+def test_a_delta_coefficient_out_of_range_is_invalid_input(tmp_path, capsys, a):
+    path = tmp_path / "axiom.json"
+    path.write_text(json.dumps(dict(DELTA, rows=[{"a": 0, "b": 0}, {"a": a, "b": 0}])))
+    code = main(["delta-reduce", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (2, "", f"error: row 1: coefficient {a} out of range\n")
+
+
+# -- one mutation of a valid document, through every reader --------------------
+
+FUZZ_DOCUMENTS = [
+    (RING_ARGV, RING),
+    (MODULE_ARGV, dict(MODULE, ring="Z(4)")),
+    (["delta-reduce", "PATH"], {"ring": "Z(4)", "u_arity": 1, "z_arity": 1,
+                                "rows": [{"a": 1, "b": 3, "c": [1], "d": [3], "e": [0]}]}),
+]
+SCALARS = [st.booleans(), st.floats(), st.text(max_size=4), st.none()]
+NON_OBJECTS = st.one_of(*SCALARS, st.lists(st.integers(-3, 5), max_size=3))
+ODD_VALUES = st.one_of(NON_OBJECTS, st.dictionaries(st.text(max_size=2), st.integers(-3, 5),
+                                                    max_size=2))
+
+
+def json_paths(value, path=()):
+    """The path of every value inside the parsed JSON ``value``, its own first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from json_paths(item, (*path, key))
+
+
+def json_at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# mutation -> whether it applies at a (parent, value) pair
+MUTATIONS = {
+    "drop": lambda parent, value: isinstance(parent, dict),
+    "retype": lambda parent, value: True,
+    "short": lambda parent, value: isinstance(value, list) and bool(value),
+    "extra": lambda parent, value: isinstance(value, list),
+    "huge": lambda parent, value: is_int(value),
+    "negative": lambda parent, value: is_int(value),
+    "top": None,
+}
+
+
+def mutate(doc, mutation, data):
+    """``doc`` with one ``mutation`` drawn from ``data``."""
+    if mutation == "top":
+        return data.draw(NON_OBJECTS)
+    applies = MUTATIONS[mutation]
+    path = data.draw(st.sampled_from([p for p in json_paths(doc) if p and applies(
+        json_at(doc, p[:-1]), json_at(doc, p))]))
+    parent, key = json_at(doc, path[:-1]), path[-1]
+    value = parent[key]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "retype":
+        parent[key] = data.draw(ODD_VALUES)
+    elif mutation == "short":
+        value.pop()
+    elif mutation == "extra":
+        value.append(json.loads(json.dumps(value[-1])) if value else 0)
+    elif mutation == "huge":
+        parent[key] = 10 ** data.draw(st.integers(3, 4000))
+    else:
+        parent[key] = data.draw(st.integers(-10 ** 6, -1))
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(FUZZ_DOCUMENTS), st.sampled_from(sorted(MUTATIONS)), st.data())
+def test_a_mutated_document_is_never_an_internal_fault(tmp_path_factory, case, mutation, data):
+    # a valid ring, module or delta document with one mutation: bad input
+    # exits 2 with one error line and no stdout, never 70
+    argv, doc = case
+    doc = mutate(json.loads(json.dumps(doc)), mutation, data)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("PATH", str(path)) for arg in argv])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 def table_rows(order, op):
     return [[op(x, y) for y in range(order)] for x in range(order)]
 
@@ -300,18 +499,6 @@ def rescaled_ut2():
                     table_rows(8, lambda r, x: ring.mul[ring.mul[e11][r]][x]), ring.one)
 
 
-def reference_ring_error(doc):
-    """(axiom, message) of the first scan witness in a ring table
-    document whose zero and one differ, from the reference loops."""
-    n, add, mul = doc["order"], flat(doc["add"]), flat(doc["mul"])
-    w = reference_assoc_witness(n, add)
-    if w is not None:
-        return "add-associative", f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})"
-    w = reference_module_axiom_witness(n, n, add, mul, add, mul, doc["one"])
-    axiom, _, message = reference_ring_axiom_error(w)
-    return axiom, message
-
-
 @pytest.mark.parametrize("axiom, make", [
     ("add-associative", nonassociative_z5),
     ("left-distributive", lambda: cyclic_doc(4, [(2, 1, 0)])),
@@ -325,7 +512,8 @@ def reference_ring_error(doc):
         "one-identity", "left-distributive-257"])
 def test_a_faulty_ring_table_names_the_scan_witness(tmp_path, capsys, axiom, make):
     doc = make()
-    want_axiom, message = reference_ring_error(doc)
+    want_axiom, _, message = reference_ring_error(doc["order"], doc["add"], doc["mul"],
+                                                  doc["zero"], doc["one"])
     assert want_axiom == axiom
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(doc))
@@ -664,6 +852,13 @@ def test_output_is_deterministic(capsys):
     _, third = run_cli(capsys, "classify", "UT2(2)", "--quasi", "e11,e12", "--json")
     _, fourth = run_cli(capsys, "classify", "UT2(2)", "--quasi", "e11,e12", "--json")
     assert third == fourth
+
+
+def test_version_names_the_backend(capsys):
+    code = main(["--version"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == \
+        (0, f"torsionlab {tl.__version__} (backend: {tl.backend()})\n")
 
 
 def test_console_script_entry_point():

@@ -165,3 +165,7 @@ def test_delta_from_doc_names_and_errors(ut2):
     assert tl.reduce_delta(axiom).ideal.bits == A_BITS
     with pytest.raises(tl.RingSpecError):
         tl.delta_from_doc({"u_arity": 0, "rows": []}, ut2)
+    # without a ring the document's "ring" key names it
+    assert tl.delta_from_doc(doc, None).ring.mul == ut2.mul
+    with pytest.raises(tl.InputError, match="row 0: coefficient 8 out of range"):
+        tl.delta_from_doc(dict(doc, rows=[{"a": 8, "b": 0}]), ut2)

@@ -1,11 +1,12 @@
 """Derived structures: quotients, direct sums and product rings are
 proved valid by checking the maps that define them (``rings.check_map``).
 
-The full table validators these constructions ran before are kept here
-verbatim as the reference: every generated derived structure must pass
-them too.  A corrupted derived entry, or a quotient by a subset that is
-no submodule, must be an internal fault (``InvariantError``, exit 70),
-never a table error (exit 2).
+The full table validators these constructions ran before are kept as
+the reference, here and (the ring validator) in ``conftest.py``: every
+generated derived structure must pass them too.  A corrupted derived
+entry, or a quotient by a subset that is no submodule, must be an
+internal fault (``InvariantError``, exit 70), never a table error
+(exit 2).
 """
 
 import functools
@@ -20,31 +21,12 @@ import torsionlab as tl
 from torsionlab import modules, rings
 from torsionlab.errors import InvariantError, TableError
 
-from conftest import (A_BITS, E12, reference_assoc_witness, reference_module_axiom_witness,
-                      reference_operation_witness, reference_ring_axiom_error)
-
-BUILTIN8 = [spec for spec, _ in tl.builtin_rings(8)]
+from conftest import (A_BITS, BUILTIN8, E12, reference_as_table, reference_check_abelian_group,
+                      reference_module_axiom_witness, reference_operation_witness,
+                      reference_ring_error)
 
 
 # -- the reference validators ------------------------------------------------
-
-def reference_check_abelian_group(order, add, zero, what="add"):
-    """Bounded-exhaustive abelian-group check; raises TableError on failure."""
-    for i in range(order):
-        if add[zero][i] != i:
-            raise TableError(f"{what}-identity", (i,), f"zero + {i} != {i}")
-    for i in range(order):
-        row = add[i]
-        for j in range(i + 1, order):
-            if row[j] != add[j][i]:
-                raise TableError(f"{what}-commutative", (i, j), f"{i} + {j} != {j} + {i}")
-        if zero not in row:
-            raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
-    flat = [v for row in add for v in row]
-    w = reference_assoc_witness(order, flat)
-    if w is not None:
-        raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
-
 
 def reference_module_checks(ring, order, add, act, zero):
     """Every table check ``FiniteModule`` made on all its tables."""
@@ -64,53 +46,12 @@ def reference_module_checks(ring, order, add, act, zero):
         raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
 
 
-def reference_as_table(raw, rows, cols, what):
-    """Normalize a table of ``rows`` rows of ``cols`` indices to a tuple of
-    tuples, checking shape/range."""
-    if len(raw) != rows:
-        raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {rows} rows")
-    out = []
-    for i, row in enumerate(raw):
-        if len(row) != cols:
-            raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {cols} entries")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < cols:
-                raise TableError(f"{what}-range", (i, j), f"{what}[{i}][{j}] = {v!r} out of range")
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def reference_ring_checks(order, add, mul, zero, one):
-    """Every table check ``FiniteRing`` made on all its tables."""
-    if order < 1:
-        raise TableError("order", (order,), "ring order must be positive")
-    add = reference_as_table(add, order, order, "add")
-    mul = reference_as_table(mul, order, order, "mul")
-    if not 0 <= zero < order:
-        raise TableError("zero-range", (zero,), "zero index out of range")
-    if not 0 <= one < order:
-        raise TableError("one-range", (one,), "one index out of range")
-    add_flat = tuple(v for row in add for v in row)
-    mul_flat = tuple(v for row in mul for v in row)
-    n = order
-    if zero == one and n > 1:
-        raise TableError("zero-one", (zero,), "zero equals one in a ring of order > 1")
-    reference_check_abelian_group(n, add, zero)
-    w = reference_module_axiom_witness(n, n, add_flat, mul_flat,
-                                       add_flat, mul_flat, one)
-    if w is not None:
-        raise TableError(*reference_ring_axiom_error(w))
-    for i, row in enumerate(mul):
-        if row[one] != i:
-            raise TableError("one-identity", (i,), f"one is not an identity at {i}")
-
-
 def reference_validate_module(module):
     reference_module_checks(module.ring, module.order, module.add, module.act, module.zero)
 
 
 def reference_validate_ring(ring):
-    reference_ring_checks(ring.order, ring.add, ring.mul, ring.zero, ring.one)
+    assert reference_ring_error(ring.order, ring.add, ring.mul, ring.zero, ring.one) is None
 
 
 # -- generated derived structures ----------------------------------------
@@ -500,14 +441,13 @@ def test_a_corrupted_ring_names_the_scan_witness(monkeypatch, i, j):
     ring = tl.upper_triangular_ring(3)
     mul = [list(row) for row in ring.mul]
     mul[i][j] = (mul[i][j] + 1) % ring.order
-    with pytest.raises(TableError) as want:
-        reference_ring_checks(ring.order, ring.add, mul, ring.zero, ring.one)
+    want = reference_ring_error(ring.order, ring.add, mul, ring.zero, ring.one)
+    assert want is not None
     calls = count_assoc_scans(monkeypatch)
     with pytest.raises(TableError) as got:
         tl.FiniteRing(ring.order, ring.add, mul, ring.zero, ring.one)
     assert calls == [0]
-    assert (got.value.axiom, got.value.witness, str(got.value)) == \
-        (want.value.axiom, want.value.witness, str(want.value))
+    assert (got.value.axiom, got.value.witness, str(got.value)) == want
 
 
 def test_the_regular_action_finds_the_generators_once(monkeypatch):

@@ -33,7 +33,7 @@ from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
 from conftest import (E11, E12, E22, reference_assoc_witness, reference_lattice_axioms,
-                      reference_module_axiom_witness, reference_ring_axiom_error)
+                      reference_module_axiom_witness, reference_ring_error)
 
 C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
@@ -479,25 +479,6 @@ def left_unital():
     ring = tl.parse_ring_spec("prod(Z(2),Z(2))")
     mul = [ring.mul[(x // 2) * 3][y] for x in range(4) for y in range(4)]
     return ring, mul, ring.one
-
-
-def reference_ring_error(n, add, mul, zero, one):
-    """(axiom, witness, message) of the TableError that ``FiniteRing``
-    raises for a valid addition ``add`` and a multiplication ``mul`` (row
-    tuples): zero = one, then the reference loops of the module axioms of
-    R acting on itself with each kind named as the ring axiom it is, then
-    x*1 = x."""
-    if zero == one and n > 1:
-        return ("zero-one", (zero,), "zero equals one in a ring of order > 1")
-    add_flat = [v for row in add for v in row]
-    mul_flat = [v for row in mul for v in row]
-    w = reference_module_axiom_witness(n, n, add_flat, mul_flat, add_flat, mul_flat, one)
-    if w is not None:
-        return reference_ring_axiom_error(w)
-    for i in range(n):
-        if mul[i][one] != i:
-            return ("one-identity", (i,), f"one is not an identity at {i}")
-    return None
 
 
 def fails_ring_axiom(add, mul, zero, one, axiom, witness):

@@ -344,6 +344,19 @@ def test_module_table_file(tmp_path, z4):
     assert tl.annihilator(module).elements() == [0, 2]
 
 
+def test_a_module_document_names_its_ring(z4):
+    # without a ring the document's "ring" key names it; with one, the
+    # key must name a ring with its tables
+    doc = {"ring": "Z(4)", "order": 2, "add": [[0, 1], [1, 0]],
+           "act": [[0, 0], [0, 1], [0, 0], [0, 1]], "zero": 0}
+    assert tl.module_from_table(doc, None).ring.mul == z4.mul
+    assert tl.module_from_table(doc, z4).ring is z4
+    with pytest.raises(tl.RingSpecError, match=r"'ring' must be a ring spec \(at \$\.ring\)"):
+        tl.module_from_table({k: v for k, v in doc.items() if k != "ring"}, None)
+    with pytest.raises(tl.RingSpecError, match=r"is not the ring Z\(6\)"):
+        tl.module_from_table(doc, tl.parse_ring_spec("Z(6)"))
+
+
 def test_module_corpus_contains_regular_and_square(z6):
     corpus = tl.module_corpus(z6, 2)
     orders = sorted(m.order for m in corpus)

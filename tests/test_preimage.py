@@ -21,7 +21,8 @@ from torsionlab.rings import (_product_bits, all_left_ideals, greedy_generators,
                               left_ideal_closure)
 from torsionlab.torsion import AxiomViolation, TorsionNotion
 
-BUILTIN8 = [spec for spec, _ in tl.builtin_rings(8)]
+from conftest import BUILTIN8
+
 NONCOMMUTATIVE = ["M2(2)", "prod(UT2(2),Z(2))"]
 
 

@@ -142,6 +142,27 @@ def test_relative_closure_requires_torsion_free(ut2, ut2_nontrivial):
         tl.relative_closure(ut2_nontrivial, quot, tl.Submodule(quot, 1))
 
 
+def test_a_module_that_is_not_torsion_free_is_invalid_input(ut2, ut2_nontrivial):
+    # the one check behind every operation defined on torsion-free modules
+    # only; a notion that is not validated is a misuse, no bad input
+    reg = tl.regular_module(ut2)
+    quot = tl.quotient_module(reg, tl.Submodule(reg, A_BITS))
+    zero = tl.Submodule(quot, 1)
+    calls = [lambda: tl.relative_closure(ut2_nontrivial, quot, zero),
+             lambda: tl.relative_lattice(ut2_nontrivial, quot),
+             lambda: tl.weak_extension_witness(ut2_nontrivial, quot),
+             lambda: tl.delta_membership_witness(ut2_nontrivial, quot, zero, 0,
+                                                 ut2_nontrivial.least)]
+    for call in calls:
+        with pytest.raises(tl.InputError) as err:
+            call()
+        assert str(err.value) == f"{quot.name} is not torsion-free for {ut2_nontrivial.describe()}"
+    raw = tl.TorsionNotion(ut2, list(ut2_nontrivial.ideals), validated=False)
+    with pytest.raises(ValueError) as err:
+        tl.relative_lattice(raw, quot)
+    assert not isinstance(err.value, tl.InputError)
+
+
 def test_closure_operator_laws(builtin8):
     for _, ring in builtin8:
         for notion in tl.enumerate_torsion_notions(ring):
