@@ -14,7 +14,10 @@ the table axioms in ``rings``, with no kernel.
 with the same result on both backends: S + Rx depends only on x + S, so
 only the least x of each coset is tried.  ``sum_with_orbit`` adds S + t
 only for orbit elements t not yet in the sum, so S + Rx costs |S + Rx|
-lookups, not |S| * |Rx|.
+lookups, not |S| * |Rx|.  ``greedy_generators`` walks a subset's members
+once, in increasing order: the generators it adjoins and its check that
+their span is the subset come from that one walk, which ends on every
+input, closed or not.
 
 Conventions shared by both backends:
 
@@ -66,19 +69,22 @@ def sum_with_orbit(sub, elems, orb, m, add):
 
 
 def greedy_generators(m, n, add, act, zero, bits):
-    """Canonical generators of the closed subset ``bits``: repeatedly
-    adjoin the least missing element."""
-    zero_bits = 1 << zero
-    if bits == zero_bits:
-        return (zero,)
+    """Canonical generators of the closed subset ``bits``: each member,
+    in increasing order, that the span of the generators so far misses,
+    so each is the least member outside the span of the ones before it;
+    the zero subset lists zero.  ``ValueError`` unless that span is
+    ``bits``."""
+    if bits < 0 or bits >> m:
+        raise ValueError(f"bits {bits} name elements outside 0..{m - 1}")
     gens = []
-    cur = zero_bits
-    while cur != bits:
-        missing = bits & ~cur
-        x = (missing & -missing).bit_length() - 1
-        gens.append(x)
-        cur = sum_with_orbit(cur, list(bits_of(cur)), orbit(x, m, n, act), m, add)
-    return tuple(gens)
+    cur = 1 << zero
+    for x in bits_of(bits):
+        if not cur >> x & 1:
+            gens.append(x)
+            cur = sum_with_orbit(cur, list(bits_of(cur)), orbit(x, m, n, act), m, add)
+    if cur != bits:
+        raise ValueError("subset is not closed: it differs from the span of its members")
+    return tuple(gens) or (zero,)
 
 
 def span_closure(m, n, add, act, zero, gens):

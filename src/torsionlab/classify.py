@@ -11,10 +11,9 @@ yields the (I, G) descriptor with G the preimages of the members.
 from .errors import InvariantError
 from .modules import (Submodule, annihilator, module_corpus, quasi_closure,
                       quotient_module, regular_module, satisfies_quasiidentity)
-from .rings import (all_left_ideals, as_two_sided,
-                    format_quasiidentity, greedy_generators,
-                    left_ideal_closure, preimage, product_ideal, quotient_ring,
-                    idempotent_generator, two_sided_closure)
+from .rings import (LeftIdeal, TwoSidedIdeal, all_left_ideals, format_quasiidentity,
+                    idempotent_generator, left_ideal_closure, preimage, product_ideal,
+                    quotient_ring, two_sided_closure)
 from .torsion import (TorsionNotion, _require_validated, check_torsion_axioms,
                       principal_generator)
 
@@ -95,9 +94,10 @@ def annihilator_of_quasivariety(ring, quasis, sigma=None):
         acc &= ideal.bits
     if acc not in {p.bits for p in passing}:
         raise InvariantError("passing submodules are not intersection-closed")
-    result = as_two_sided(left_ideal_closure(ring, greedy_generators(ring, acc)))
-    if result is None:
-        raise InvariantError("least annihilating submodule is not two-sided")
+    try:
+        result = TwoSidedIdeal(ring, bits=acc)
+    except ValueError as exc:
+        raise InvariantError(f"least annihilating submodule is not two-sided: {exc}") from exc
     quot = quotient_module(reg, Submodule(reg, acc, _trusted=True))
     if annihilator(quot).bits != acc:
         raise InvariantError("annihilator of the quotient differs from the least submodule")
@@ -273,7 +273,7 @@ def classify(ring, quasis, identities=(), bound=2):
 
 def _preimage_ideal(ring, projection, quot_ideal):
     bits = preimage(projection, quot_ideal.bits, quot_ideal.ring.order)
-    return left_ideal_closure(ring, greedy_generators(ring, bits))
+    return LeftIdeal(ring, bits=bits)
 
 
 def _annihilates(ideal, module):

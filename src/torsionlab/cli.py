@@ -3,12 +3,14 @@
 Exit codes: 0 = computation completed with positive verdicts, 1 =
 computation completed with a negative verdict (violation or witness
 emitted), 2 = invalid input (an ``InputError``), 70 = internal fault
-(any other escape).  Identical argv produces identical output bytes.
+(any other escape), 141 = stdout closed by its reader (128 + SIGPIPE).
+Identical argv produces identical output bytes.
 """
 
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -34,7 +36,14 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a writer killed by SIGPIPE, and
+        # point stdout at the null device so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,12 @@ Submodules are bitsets over the module's index space.
 """
 
 from itertools import chain, compress
-from operator import add, eq
+from operator import add, attrgetter, eq
 
 from . import kernels, rings
 from .errors import InvariantError, TableError
-from .rings import (TwoSidedIdeal, all_left_ideals, check_abelian_group, check_generators,
-                    check_map, coset_representatives, greedy_generators, pair_table,
+from .rings import (Subset, TwoSidedIdeal, all_left_ideals, check_abelian_group,
+                    check_generators, check_map, coset_representatives, pair_table,
                     preimage, product_maps, rows_of)
 from .ringspec import document_ring
 
@@ -74,59 +74,23 @@ class FiniteModule:
         return f"FiniteModule({self.name}, order={self.order} over {self.ring.name})"
 
 
-class Submodule:
+class Submodule(Subset):
     """A submodule as a bitset; closure is re-checked at construction, after
     the bits are checked to lie in 0..order-1 (``ValueError`` if not)."""
 
-    __slots__ = ("module", "bits", "_generators")
+    __slots__ = ("module", "bits")
+
+    structure = property(attrgetter("module"))
 
     def __init__(self, module, bits, _trusted=False):
         self.module = module
         self.bits = bits
-        self._generators = None
         if not _trusted:
             if bits < 0 or bits >> module.order:
                 raise ValueError(f"bits {bits} name elements outside 0..{module.order - 1}")
             w = _closure_witness(module, bits)
             if w is not None:
                 raise ValueError(f"subset is not a submodule: witness {w}")
-
-    @property
-    def generators(self):
-        if self._generators is None:
-            module = self.module
-            self._generators = kernels.greedy_generators(
-                module.order, module.ring.order, module.add_flat, module.act_flat,
-                module.zero, self.bits)
-        return self._generators
-
-    def elements(self):
-        return list(kernels.bits_of(self.bits))
-
-    def __contains__(self, idx):
-        return bool(self.bits >> idx & 1)
-
-    def __iter__(self):
-        return kernels.bits_of(self.bits)
-
-    def __len__(self):
-        return self.bits.bit_count()
-
-    def __eq__(self, other):
-        return (isinstance(other, Submodule) and other.module is self.module
-                and other.bits == self.bits)
-
-    def __hash__(self):
-        return hash((id(self.module), self.bits))
-
-    def __le__(self, other):
-        return self.bits & ~other.bits == 0
-
-    def is_zero(self):
-        return self.bits == 1 << self.module.zero
-
-    def is_full(self):
-        return self.bits == (1 << self.module.order) - 1
 
     def __repr__(self):
         return f"<submodule of {self.module.name}, {len(self)} elements>"
@@ -161,15 +125,10 @@ def submodule_closure(module, gens):
 
 
 def submodule_sum(a, b):
-    """Elementwise sum of two submodules of the same module."""
+    """Sum of two submodules of the same module: the closure of their union."""
     if a.module is not b.module:
         raise ValueError("submodule_sum: different modules")
-    module = a.module
-    out = a.bits
-    for t in b:
-        for s in a:
-            out |= 1 << module.add[s][t]
-    return Submodule(module, out, _trusted=True)
+    return submodule_closure(a.module, kernels.bits_of(a.bits | b.bits))
 
 
 def all_submodules(module):
@@ -354,7 +313,7 @@ def annihilator(module):
         if all(v == zero for v in module.act[r]):
             bits |= 1 << r
     try:
-        return TwoSidedIdeal(ring, greedy_generators(ring, bits), bits)
+        return TwoSidedIdeal(ring, bits=bits)
     except ValueError as exc:
         raise InvariantError(f"annihilator of {module.name} is not two-sided: {exc}") from exc
 

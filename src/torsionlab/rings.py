@@ -370,32 +370,15 @@ class FiniteRing:
         return f"FiniteRing({self.name}, order={self.order})"
 
 
-class LeftIdeal:
-    """A left ideal as a bitset plus the generator list that produced it.
+class Subset:
+    """A subset of the ring or module ``structure`` as a bitset ``bits``.
+    Subsets are equal when they have the same structure object and bits:
+    a left ideal is no submodule of the regular module, another object."""
 
-    The element set must equal the closure of the generators; this is
-    re-checked at construction so every instance is trustworthy.
-    """
-
-    __slots__ = ("ring", "bits", "generators")
-
-    def __init__(self, ring, generators, bits=None):
-        self.ring = ring
-        self.generators = tuple(generators)
-        check_generators(self.generators, ring.order, ring.name)
-        span = kernels.span_closure(ring.order, ring.order, ring.add_flat,
-                                    ring.mul_flat, ring.zero, self.generators)
-        if bits is None:
-            bits = span
-        elif bits != span:
-            raise ValueError("element set does not match the closure of the generators")
-        self.bits = bits
+    __slots__ = ()
 
     def elements(self):
         return list(kernels.bits_of(self.bits))
-
-    def to_json(self):
-        return {"generators": list(self.generators), "elements": self.elements()}
 
     def __contains__(self, idx):
         return bool(self.bits >> idx & 1)
@@ -407,20 +390,46 @@ class LeftIdeal:
         return self.bits.bit_count()
 
     def __eq__(self, other):
-        return (isinstance(other, LeftIdeal) and other.ring is self.ring
+        return (isinstance(other, Subset) and other.structure is self.structure
                 and other.bits == self.bits)
 
     def __hash__(self):
-        return hash((id(self.ring), self.bits))
+        return hash((id(self.structure), self.bits))
 
     def __le__(self, other):
         return self.bits & ~other.bits == 0
 
     def is_zero(self):
-        return self.bits == 1 << self.ring.zero
+        return self.bits == 1 << self.structure.zero
 
     def is_full(self):
-        return self.bits == (1 << self.ring.order) - 1
+        return self.bits == (1 << self.structure.order) - 1
+
+
+class LeftIdeal(Subset):
+    """A left ideal as a bitset plus a generator list, given by either: the
+    generators are spanned, or the bits walked by ``greedy_generators`` for
+    their canonical generators and their check (``ValueError`` if no ideal)."""
+
+    __slots__ = ("ring", "bits", "generators")
+
+    structure = property(operator.attrgetter("ring"))
+
+    def __init__(self, ring, generators=None, bits=None):
+        self.ring = ring
+        if bits is None:
+            self.generators = tuple(generators)
+            check_generators(self.generators, ring.order, ring.name)
+            bits = kernels.span_closure(ring.order, ring.order, ring.add_flat,
+                                        ring.mul_flat, ring.zero, self.generators)
+        elif generators is None:
+            self.generators = greedy_generators(ring, bits)
+        else:
+            raise TypeError("an ideal is given by its generators or by its bits, not both")
+        self.bits = bits
+
+    def to_json(self):
+        return {"generators": list(self.generators), "elements": self.elements()}
 
     def describe(self):
         names = ",".join(self.ring.element_name(g) for g in self.generators)
@@ -436,7 +445,7 @@ class TwoSidedIdeal(LeftIdeal):
 
     __slots__ = ()
 
-    def __init__(self, ring, generators, bits=None):
+    def __init__(self, ring, generators=None, bits=None):
         super().__init__(ring, generators, bits)
         w = _right_closure_witness(self)
         if w is not None:
@@ -480,9 +489,10 @@ def as_two_sided(ideal):
     """Promote to TwoSidedIdeal, or None if not right-closed."""
     if isinstance(ideal, TwoSidedIdeal):
         return ideal
-    if _right_closure_witness(ideal) is not None:
+    try:
+        return TwoSidedIdeal(ideal.ring, ideal.generators)
+    except ValueError:  # the generators of an ideal span it: not right-closed
         return None
-    return TwoSidedIdeal(ideal.ring, ideal.generators, ideal.bits)
 
 
 def left_ideal_closure(ring, generators):
@@ -491,26 +501,20 @@ def left_ideal_closure(ring, generators):
 
 
 def two_sided_closure(ring, generators):
-    """Least two-sided ideal containing the listed elements."""
+    """Least two-sided ideal containing the listed elements: R*G*R, the
+    left ideal spanned by the products g*r over g in G and r in R, as 1
+    is in R."""
     generators = tuple(generators)
     check_generators(generators, ring.order, ring.name)
+    products = [ring.mul[g][r] for g in generators for r in range(ring.order)]
     bits = kernels.span_closure(ring.order, ring.order, ring.add_flat,
-                                ring.mul_flat, ring.zero, generators)
-    while True:
-        extra = [ring.mul[a][r]
-                 for a in kernels.bits_of(bits)
-                 for r in range(ring.order)
-                 if not bits >> ring.mul[a][r] & 1]
-        if not extra:
-            break
-        bits = kernels.span_closure(ring.order, ring.order, ring.add_flat,
-                                    ring.mul_flat, ring.zero,
-                                    list(kernels.bits_of(bits)) + extra)
-    return TwoSidedIdeal(ring, greedy_generators(ring, bits), bits)
+                                ring.mul_flat, ring.zero, products)
+    return TwoSidedIdeal(ring, bits=bits)
 
 
 def greedy_generators(ring, bits):
-    """Canonical generator list: repeatedly adjoin the least missing element."""
+    """Canonical generator list of the left ideal ``bits``: each member the
+    span of the ones before it misses; ``ValueError`` if it is no left ideal."""
     return kernels.greedy_generators(ring.order, ring.order, ring.add_flat,
                                      ring.mul_flat, ring.zero, bits)
 
@@ -521,7 +525,7 @@ def all_left_ideals(ring):
     if got is None:
         masks = kernels.enumerate_submodules(ring.order, ring.order, ring.add_flat,
                                              ring.mul_flat, ring.zero)
-        got = tuple(LeftIdeal(ring, greedy_generators(ring, bits), bits) for bits in masks)
+        got = tuple(LeftIdeal(ring, bits=bits) for bits in masks)
         ring._cache["ideals"] = got
     return got
 
@@ -537,8 +541,7 @@ def ideal_intersect(a, b):
     """Set intersection (always a left ideal)."""
     if a.ring is not b.ring:
         raise ValueError("ideal_intersect: ideals over different rings")
-    bits = a.bits & b.bits
-    return LeftIdeal(a.ring, greedy_generators(a.ring, bits), bits)
+    return LeftIdeal(a.ring, bits=a.bits & b.bits)
 
 
 def product_ideal(xs, ys, ring):

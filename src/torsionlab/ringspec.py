@@ -22,7 +22,10 @@ from .rings import (cyclic_ring, full_matrix_ring, prime_field, product_ring,
 
 def parse_ring_spec(text):
     """Parse a ring-spec expression into a validated FiniteRing."""
-    ring, pos = _parse(text, _skip_ws(text, 0))
+    try:
+        ring, pos = _parse(text, _skip_ws(text, 0))
+    except RecursionError:
+        raise RingSpecError("ring spec nests too deeply") from None
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise RingSpecError(f"trailing input {text[pos:]!r}", pos)
@@ -84,7 +87,7 @@ def _parse(text, pos):
         ideal = two_sided_closure(base, gens)
         quot, _ = quotient_ring(base, ideal)
         return quot, pos
-    raise RingSpecError(f"unknown ring constructor {ctor!r}", head)
+    raise RingSpecError(f"unknown ring constructor {ctor!r}", head - len(ctor))
 
 
 def _parse_int(text, pos):

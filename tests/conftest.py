@@ -1,6 +1,10 @@
+import contextlib
+import signal
+
 import pytest
 
 import torsionlab as tl
+from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
 # UT2(2) element indices under the canonical encoding 4a + 2b + c.
@@ -282,3 +286,54 @@ def reference_ring_error(order, add, mul, zero, one):
     except TableError as err:
         return err.axiom, err.witness, str(err)
     return None
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise ``TimeoutError`` in the enclosed block after ``seconds``, so a
+    loop that never ends fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -- the reference ideal walks --------------------------------------------------
+# The loops that ``_core_py.greedy_generators`` and ``rings.two_sided_closure``
+# once ran, kept as the references for the one walk and the one span that
+# replaced them: every ideal keeps the generators and bits they gave.
+
+def reference_greedy_generators(m, n, add, act, zero, bits):
+    """Canonical generators of the closed subset ``bits``: repeatedly adjoin
+    the least missing element.  It never ends on a subset that is not closed."""
+    if bits == 1 << zero:
+        return (zero,)
+    gens = []
+    cur = 1 << zero
+    while cur != bits:
+        missing = bits & ~cur
+        gens.append((missing & -missing).bit_length() - 1)
+        cur = kernels.span_closure(m, n, add, act, zero, gens)
+    return tuple(gens)
+
+
+def reference_two_sided_closure(ring, generators):
+    """``(generators, bits)`` of the least two-sided ideal containing the
+    listed elements: span-closure and right products, repeated until
+    nothing changes."""
+    tables = (ring.order, ring.order, ring.add_flat, ring.mul_flat, ring.zero)
+    bits = kernels.span_closure(*tables, generators)
+    while True:
+        extra = [ring.mul[a][r]
+                 for a in kernels.bits_of(bits)
+                 for r in range(ring.order)
+                 if not bits >> ring.mul[a][r] & 1]
+        if not extra:
+            break
+        bits = kernels.span_closure(*tables, list(kernels.bits_of(bits)) + extra)
+    return reference_greedy_generators(*tables, bits), bits

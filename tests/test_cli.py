@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -345,7 +346,7 @@ def test_an_unreadable_document_is_invalid_input_naming_its_path(tmp_path, capsy
     ("prod(Z(2),Z(2))", "'prod(Z(2),Z(2))' is not the ring Z(4) (at $.ring)"),
     (4, "'ring' must be a ring spec (at $.ring)"),
     (None, "'ring' must be a ring spec (at $.ring)"),
-    ("Q(4)", "ring spec 'Q(4)': unknown ring constructor 'Q' (at 1) (at $.ring)"),
+    ("Q(4)", "ring spec 'Q(4)': unknown ring constructor 'Q' (at 0) (at $.ring)"),
 ])
 def test_a_module_document_over_another_ring_is_invalid_input(tmp_path, capsys, ring, message):
     path = tmp_path / "module.json"
@@ -353,6 +354,21 @@ def test_a_module_document_over_another_ring_is_invalid_input(tmp_path, capsys, 
     code = main(["wep", "Z(4)", "--filter", "1", "--module", f"file:{path}"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+DEEP_SPEC = "prod(" * 3000
+
+
+@pytest.mark.parametrize("argv", [["ring-info", DEEP_SPEC], MODULE_ARGV],
+                         ids=["ring-info", "file"])
+def test_a_deeply_nested_ring_spec_is_invalid_input(tmp_path, capsys, argv):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(dict(MODULE, ring=DEEP_SPEC)))
+    code = main([arg.replace("PATH", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "ring spec nests too deeply" in captured.err
 
 
 @pytest.mark.parametrize("ring", ["Z(4)", "quot(Z(8),4)", "omitted"])
@@ -859,6 +875,21 @@ def test_version_names_the_backend(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == \
         (0, f"torsionlab {tl.__version__} (backend: {tl.backend()})\n")
+
+
+@pytest.mark.parametrize("argv", [["ring-info", "Z(4)"], ["ideals", "UT2(3)", "--json"]],
+                         ids=["short", "long"])
+def test_a_closed_stdout_exits_141_in_silence(argv):
+    # the read end is closed before the command starts, so its first write
+    # to stdout fails however short the output: 128 + SIGPIPE, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "torsionlab", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_console_script_entry_point():

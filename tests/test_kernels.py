@@ -24,16 +24,17 @@ import sysconfig
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import _core_py, delta, rings
+from torsionlab import _core_py, delta, modules, rings
 from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
-from conftest import (E11, E12, E22, reference_assoc_witness, reference_lattice_axioms,
-                      reference_module_axiom_witness, reference_ring_error)
+from conftest import (E11, E12, E22, reference_assoc_witness, reference_greedy_generators,
+                      reference_lattice_axioms, reference_module_axiom_witness,
+                      reference_ring_error, time_limit)
 
 C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
@@ -149,10 +150,58 @@ def test_greedy_generators_adjoin_the_least_missing_element(spec):
             assert naive_closure(*tables, gens) == bits
     for a in tl.all_left_ideals(ring):
         assert tl.greedy_generators(ring, a.bits) == a.generators
-    for s in tl.all_submodules(square):
-        assert tl.Submodule(square, s.bits).generators == \
-            kernels.greedy_generators(square.order, ring.order, square.add_flat,
-                                      square.act_flat, square.zero, s.bits)
+
+
+@functools.cache
+def walk_structures():
+    """R and R^2 for several rings, each with its submodules."""
+    out = []
+    for spec in ["GF(3)", "Z(4)", "Z(6)", "Z(8)", "UT2(2)", "prod(Z(2),Z(2))"]:
+        ring = tl.parse_ring_spec(spec)
+        for module in (tl.regular_module(ring), tl.power_module(ring, 2)):
+            out.append((module, [s.bits for s in tl.all_submodules(module)]))
+    return out
+
+
+# no shrinking: a walk that never ends would time out on every shrink step
+@settings(max_examples=300, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.sampled_from(["closed", "without-zero", "one-flipped", "subgroup", "random"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_the_walk_gives_the_greedy_generators_or_rejects_the_subset(index, sub, kind, seed):
+    # a closed subset gets the generators of the least-missing loop; any
+    # other, with or without zero, is rejected, and the walk always ends;
+    # a subgroup S + <x> is closed under addition, but maybe not the action
+    module, subs = walk_structures()[index % len(walk_structures())]
+    m, zero, rng = module.order, module.zero, random.Random(seed)
+    bits = subs[sub % len(subs)]
+    if kind == "without-zero":
+        bits &= ~(1 << zero)
+    elif kind == "one-flipped":
+        bits ^= 1 << rng.randrange(m)
+    elif kind == "subgroup":
+        members, x = list(kernels.bits_of(bits)), rng.randrange(m)
+        t = x
+        while not bits >> t & 1:  # the cosets S + kx repeat from here on
+            bits |= _core_py._coset(members, t, m, module.add_flat)
+            t = module.add[t][x]
+    elif kind == "random":
+        bits = rng.getrandbits(m)
+    tables = (m, module.ring.order, module.add_flat, module.act_flat, zero)
+    with time_limit(10):
+        if modules._closure_witness(module, bits) is None:
+            assert kernels.greedy_generators(*tables, bits) == \
+                reference_greedy_generators(*tables, bits)
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                kernels.greedy_generators(*tables, bits)
+
+
+def test_the_walk_rejects_bits_outside_the_structure():
+    tables = ring_tables("Z(4)")
+    for bits in (-1, 1 | 1 << 4):
+        with time_limit(10), pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            kernels.greedy_generators(*tables, bits)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)

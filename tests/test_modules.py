@@ -160,6 +160,17 @@ def test_submodule_closure_and_sum(ut2):
     assert tl.submodule_sum(s, t).bits == A_BITS
 
 
+@pytest.mark.parametrize("spec", ["Z(6)", "UT2(2)", "prod(Z(2),Z(2))"])
+def test_submodule_sum_is_the_elementwise_sum(spec):
+    square = tl.power_module(tl.parse_ring_spec(spec), 2)
+    for s, t in itertools.product(tl.all_submodules(square), repeat=2):
+        elementwise = 0
+        for x in s:
+            for y in t:
+                elementwise |= 1 << square.add[x][y]
+        assert tl.submodule_sum(s, t).bits == elementwise
+
+
 def test_submodule_closure_rejects_generators_outside_the_module(z4):
     reg = tl.regular_module(z4)
     for g in (4, -1):

@@ -1,6 +1,7 @@
 """Ring construction, validation, and ideal arithmetic."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ import torsionlab as tl
 from torsionlab import rings
 from torsionlab.errors import RingSpecError, TableError
 
-from conftest import A_BITS, E11, E12, E22, ONE, RE22_BITS, UT2_IDEAL_BITS
+from conftest import (A_BITS, BUILTIN8, E11, E12, E22, ONE, RE22_BITS, UT2_IDEAL_BITS,
+                      reference_two_sided_closure, time_limit)
 
 
 # -- independent matrix oracle for UT2(p) and M2(p) ----------------------
@@ -289,6 +291,64 @@ def test_two_sided_closure(ut2):
     for g in (8, -1):
         with pytest.raises(ValueError, match=f"generator {g} out of range for UT2"):
             tl.two_sided_closure(ut2, [g])
+
+
+@pytest.mark.parametrize("spec", ["Z(4)", "Z(6)", "UT2(2)", "prod(Z(2),Z(2))"])
+def test_an_ideal_given_by_its_bits_is_checked_by_its_walk(spec):
+    # every subset: the left ideals and the two-sided ones are accepted with
+    # their canonical generators, every other subset raises ValueError
+    ring = tl.parse_ring_spec(spec)
+    left = {a.bits: a for a in tl.all_left_ideals(ring)}
+    two_sided = {bits for bits, a in left.items() if tl.is_two_sided(a)}
+    for bits in range(1 << ring.order):
+        with time_limit(10):
+            for cls, accepted in ((tl.LeftIdeal, left), (tl.TwoSidedIdeal, two_sided)):
+                if bits in accepted:
+                    ideal = cls(ring, bits=bits)
+                    assert (ideal.bits, ideal.generators) == (bits, left[bits].generators)
+                else:
+                    with pytest.raises(ValueError):
+                        cls(ring, bits=bits)
+
+
+def test_an_ideal_is_given_by_its_generators_or_its_bits_not_both(ut2):
+    with pytest.raises(TypeError, match="not both"):
+        tl.LeftIdeal(ut2, [E11, E12], A_BITS)
+
+
+@pytest.mark.parametrize("spec", [*BUILTIN8, "UT2(3)", "quot(M2(3),0)"])
+def test_two_sided_closure_matches_the_fixpoint_loop(spec):
+    ring = tl.parse_ring_spec(spec)
+    rng = random.Random(spec)
+    for _ in range(20):
+        gens = [rng.randrange(ring.order) for _ in range(rng.randint(0, 3))]
+        ideal = tl.two_sided_closure(ring, gens)
+        assert (ideal.generators, ideal.bits) == reference_two_sided_closure(ring, gens)
+
+
+def test_subsets_are_equal_on_one_structure_and_the_same_bits(ut2):
+    # equality and hash across LeftIdeal, TwoSidedIdeal and Submodule: a
+    # left ideal is no submodule of the regular module, another object
+    reg = tl.regular_module(ut2)
+    other = tl.parse_ring_spec("UT2(2)")
+    subsets = {
+        "left": tl.left_ideal_closure(ut2, [E11, E12]),
+        "left-by-bits": tl.LeftIdeal(ut2, bits=A_BITS),
+        "two-sided": tl.two_sided_closure(ut2, [E11]),
+        "left-other-bits": tl.LeftIdeal(ut2, bits=RE22_BITS),
+        "left-other-ring": tl.LeftIdeal(other, bits=A_BITS),
+        "submodule": tl.Submodule(reg, A_BITS),
+        "submodule-again": tl.Submodule(reg, A_BITS, _trusted=True),
+    }
+    classes = [{"left", "left-by-bits", "two-sided"}, {"left-other-bits"},
+               {"left-other-ring"}, {"submodule", "submodule-again"}]
+    assert subsets["two-sided"].bits == A_BITS
+    for (p, a), (q, b) in itertools.product(subsets.items(), repeat=2):
+        equal = any({p, q} <= c for c in classes)
+        assert (a == b, a != b) == (equal, not equal), (p, q)
+        if equal:
+            assert hash(a) == hash(b), (p, q)
+    assert len(set(subsets.values())) == len(classes)
 
 
 # -- quotients --------------------------------------------------------------
