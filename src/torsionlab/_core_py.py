@@ -10,14 +10,16 @@ sorted list, while their algorithms may differ.  The test suite
 cross-checks them.  Lattice modularity is decided in ``modules`` and
 the table axioms in ``rings``, with no kernel.
 
-``enumerate_submodules`` does less work than its definition suggests,
-with the same result on both backends: S + Rx depends only on x + S, so
-only the least x of each coset is tried.  ``sum_with_orbit`` adds S + t
-only for orbit elements t not yet in the sum, so S + Rx costs |S + Rx|
-lookups, not |S| * |Rx|.  ``greedy_generators`` walks a subset's members
-once, in increasing order: the generators it adjoins and its check that
-their span is the subset come from that one walk, which ends on every
-input, closed or not.
+``enumerate_submodules`` builds each submodule once, from its parent in
+the tree of greedy generators (canonical augmentation, McKay 1998).  The
+compiled twin reaches the same list by a breadth-first search over
+cosets that builds S + Rx for every S below it and drops the repeats
+through a ``found`` set.  ``sum_with_orbit`` adds S + t only for orbit
+elements t not yet in the sum, so S + Rx costs |S + Rx| lookups, not
+|S| * |Rx|.  ``greedy_generators`` walks a subset's members once, in
+increasing order: the generators it adjoins and its check that their
+span is the subset come from that one walk, which ends on every input,
+closed or not.
 
 Conventions shared by both backends:
 
@@ -99,25 +101,36 @@ def span_closure(m, n, add, act, zero, gens):
 def enumerate_submodules(m, n, add, act, zero):
     """All closed subsets, as a sorted list of bitsets.
 
-    S + Rx depends only on the coset x + S: R(x + s) lies in Rx + S and
-    Rx in R(x + s) + S.  So each popped S is extended once per coset, by
-    its least element, which also keeps the order of the pushes.
+    A submodule T other than zero has the greedy generators g1 < ... < gk,
+    each the least member of T outside the span of the ones before it.
+    So T has one parent, S = span(g1 ... g(k-1)), whose greedy generators
+    are g1 ... g(k-1), and T = S + R.gk.  Conversely, for x > g(k-1)
+    outside S, T = S + Rx has S's generators followed by x exactly when
+    no member of T outside S lies below x.  The walk pops (S, last), with
+    last the greatest generator of S (-1 for zero), and pushes each such
+    (T, x), so every submodule is built once, and no set of found ones is
+    needed.  The coset x + S and the orbit Rx lie in T, so x is skipped
+    before the sum when either has a member below x outside S; a member
+    of a coset already met is such a member of its own coset.
     """
     orbits = [orbit(x, m, n, act) for x in range(m)]
-    start = 1 << zero
-    found = {start}
-    queue = [start]
-    while queue:
-        sub = queue.pop()
+    orbit_bits = [sum(1 << t for t in orb) for orb in orbits]
+    out = []
+    stack = [(1 << zero, -1)]
+    while stack:
+        sub, last = stack.pop()
+        out.append(sub)
         elems = list(bits_of(sub))
         seen = sub
-        for x in range(m):
+        for x in range(last + 1, m):
             if seen >> x & 1:
                 continue
-            seen |= _coset(elems, x, m, add)
+            coset = _coset(elems, x, m, add)
+            seen |= coset
+            outside_below = ~sub & ((1 << x) - 1)
+            if (coset | orbit_bits[x]) & outside_below:
+                continue
             bigger = sum_with_orbit(sub, elems, orbits[x], m, add)
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-    return sorted(found)
-
+            if not bigger & outside_below:
+                stack.append((bigger, x))
+    return sorted(out)

@@ -128,7 +128,8 @@ def read_int(token):
 def document_ring(doc, ring):
     """The ring that the indices of the JSON object ``doc`` refer to, named by
     its ``"ring"`` spec: required when ``ring`` is None, else optional and, if
-    present, a ring with ``ring``'s tables (``ring`` is returned), at ``$.ring``."""
+    present, a ring with ``ring``'s tables (``ring`` is returned), at ``$.ring``;
+    its errors quote the spec shortened by ``reprlib.repr``."""
     if ring is not None and "ring" not in doc:
         return ring
     spec = doc.get("ring")
@@ -137,10 +138,10 @@ def document_ring(doc, ring):
     try:
         named = parse_ring_spec(spec)
     except RingSpecError as exc:
-        raise RingSpecError(f"ring spec {spec!r}: {exc}", "$.ring") from None
+        raise RingSpecError(f"ring spec {reprlib.repr(spec)}: {exc}", "$.ring") from None
     if ring is not None and (named.add, named.mul, named.zero, named.one) != \
             (ring.add, ring.mul, ring.zero, ring.one):
-        raise RingSpecError(f"{spec!r} is not the ring {ring.name}", "$.ring")
+        raise RingSpecError(f"{reprlib.repr(spec)} is not the ring {ring.name}", "$.ring")
     return named if ring is None else ring
 
 

@@ -371,6 +371,20 @@ def test_a_deeply_nested_ring_spec_is_invalid_input(tmp_path, capsys, argv):
     assert "ring spec nests too deeply" in captured.err
 
 
+@pytest.mark.parametrize("ring, message", [
+    (DEEP_SPEC, "ring spec nests too deeply"),
+    ("Z(9)" + " " * 20000, "is not the ring Z(4)"),
+], ids=["deep", "another-ring"])
+def test_a_long_ring_key_is_quoted_short(tmp_path, capsys, ring, message):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(dict(MODULE, ring=ring)))
+    code = main(["wep", "Z(4)", "--filter", "1", "--module", f"file:{path}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 300
+
+
 @pytest.mark.parametrize("ring", ["Z(4)", "quot(Z(8),4)", "omitted"])
 def test_a_module_document_over_the_command_ring_is_accepted(tmp_path, capsys, ring):
     # the "ring" key may be left out; when present it must name a ring

@@ -1277,6 +1277,69 @@ def test_backends_agree_on_submodule_enumeration(mod):
         assert impl.enumerate_submodules(*args) == members, impl.BACKEND_NAME
 
 
+def relabelled(args, rng):
+    """The module tables ``args`` with its element indices permuted at
+    random, zero moved off index 0, and the permutation (old -> new)."""
+    m, n, add, act, zero = args
+    perm = list(range(m))
+    while perm[zero] == 0:
+        rng.shuffle(perm)
+    new_add = [0] * (m * m)
+    for x in range(m):
+        for y in range(m):
+            new_add[perm[x] * m + perm[y]] = perm[add[x * m + y]]
+    new_act = [0] * (n * m)
+    for r in range(n):
+        for x in range(m):
+            new_act[r * m + perm[x]] = perm[act[r * m + x]]
+    return (m, n, new_add, new_act, perm[zero]), perm
+
+
+@functools.cache
+def relabel_cases():
+    """Tables of R and R^2 for a few rings, each with at most 64 elements."""
+    squares = [tl.power_module(tl.parse_ring_spec(spec), 2)
+               for spec in ["Z(4)", "UT2(2)", "prod(Z(2),Z(2))"]]
+    return ([ring_tables(spec) for spec in ["Z(8)", "Z(6)", "UT2(2)", "prod(Z(2),Z(2))", "M2(2)"]]
+            + [(sq.order, sq.ring.order, list(sq.add_flat), list(sq.act_flat), sq.zero)
+               for sq in squares])
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_enumeration_does_not_depend_on_the_labels(index):
+    # the pure walk picks each submodule's parent by index order, so the
+    # same module under other labels, zero not first, must give the same family
+    args = relabel_cases()[index]
+    members = reference_enumerate_submodules(*args)
+    rng = random.Random(index)
+    for _ in range(20):
+        moved, perm = relabelled(args, rng)
+        expected = reference_enumerate_submodules(*moved)
+        assert expected == sorted(sum(1 << perm[x] for x in _core_py.bits_of(bits))
+                                  for bits in members)
+        for impl in BACKENDS:
+            assert impl.enumerate_submodules(*moved) == expected, impl.BACKEND_NAME
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
+def test_each_submodule_extends_its_greedy_parent(impl):
+    # T is the span of its greedy generators g, and the span of g[:-1]
+    # is a submodule too, whose least missing member of T is g[-1]
+    rng = random.Random(0)
+    cases = [*submodule_cases(), *(relabelled(args, rng)[0] for args in relabel_cases())]
+    for args in cases:
+        members = impl.enumerate_submodules(*args)
+        family = set(members)
+        for bits in members:
+            if bits == 1 << args[4]:  # the zero submodule has no parent
+                continue
+            gens = kernels.greedy_generators(*args, bits)
+            parent = naive_closure(*args, gens[:-1])
+            assert parent in family, (args, bits)
+            missing = bits & ~parent
+            assert gens[-1] == (missing & -missing).bit_length() - 1
+
+
 @needs_core
 def test_compiled_kernels_reject_entries_outside_their_tables():
     # the C kernels index raw arrays: a bad index must raise, not read out of bounds
