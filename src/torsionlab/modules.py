@@ -6,7 +6,7 @@ n x m scalar-action table, both validated at construction.
 Submodules are bitsets over the module's index space.
 """
 
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import add, attrgetter, eq
 
 from . import kernels, rings
@@ -27,14 +27,20 @@ class FiniteModule:
     on additive generators, and scan only an axiom whose decision
     failed, to name its first witness, which raises ``TableError``.
 
-    ``_trusted`` skips every table check.  Only three constructors pass
-    it: ``regular_module``, for the tables ``FiniteRing`` checked as R
-    acting on itself, and ``direct_sum`` and ``_checked_quotient`` (for
-    ``quotient_module`` and ``module_corpus``), for tables that
-    ``rings.check_map`` has proved valid through the maps that define
-    them.  The module axioms are identities, so they hold in every
-    homomorphic image of a module and, coordinate by coordinate, in
-    every direct sum.  Tables from input (``file:``) are always checked.
+    ``_trusted`` skips every table check.  Only ``direct_sum`` and
+    ``_checked_quotient`` (for ``quotient_module`` and ``module_corpus``)
+    pass it, for tables that ``rings.check_map`` has proved valid through
+    the maps that define them.  The module axioms are identities, so they
+    hold in every homomorphic image of a module and, coordinate by
+    coordinate, in every direct sum.  Trusted tables are flat and
+    row-major, as those two build them: the flat tables are their
+    ``tuple``, and each row is a slice of its flat table.  Tables from
+    input (``file:``) are always checked.
+
+    Two modules are not built here but share checked tables whole
+    (``_sharing``): ``regular_module`` shares the ring's, which
+    ``FiniteRing`` checked as R acting on itself, and a quotient by the
+    zero submodule shares its parent's.
     """
 
     __slots__ = ("ring", "order", "add", "act", "zero", "name", "neg",
@@ -47,14 +53,13 @@ class FiniteModule:
         self.order = order
         self.name = name
         if _trusted:
-            self.add = tuple(map(tuple, add))
-            self.act = tuple(map(tuple, act))
+            self.add_flat, self.act_flat = tuple(add), tuple(act)
+            self.add, self.act = rows_of(self.add_flat, order), rows_of(self.act_flat, order)
         else:
             self.add = rings._as_table(add, order, order, "module-add")
             self.act = rings._as_table(act, ring.order, order, "act")
-        self.add_flat = tuple(chain.from_iterable(self.add))
-        self.act_flat = tuple(chain.from_iterable(self.act))
-        if not _trusted:
+            self.add_flat = tuple(chain.from_iterable(self.add))
+            self.act_flat = tuple(chain.from_iterable(self.act))
             if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("module-zero-range", (zero,), "zero index out of range")
             check_abelian_group(order, self.add, zero, what="module-add")
@@ -64,7 +69,7 @@ class FiniteModule:
             if w is not None:
                 raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
         self.zero = zero
-        self.neg = tuple(self.add[i].index(zero) for i in range(order))
+        self.neg = tuple(map(tuple.index, self.add, repeat(zero)))
         self._cache = {}
 
     def elements(self):
@@ -145,16 +150,29 @@ def all_submodules(module):
 
 # -- constructions -------------------------------------------------------
 
+def _sharing(ring, name, source, act, act_flat):
+    """A module over ``ring`` named ``name``, with its own cache, that
+    shares the checked tables it is given: the order, zero, addition
+    rows, flat addition and negation of ``source`` (a module or a ring)
+    and the action ``act`` with its flat form.  No table is copied or
+    checked."""
+    got = object.__new__(FiniteModule)
+    got.ring, got.name, got.act, got.act_flat, got._cache = ring, name, act, act_flat, {}
+    got.order, got.zero, got.add, got.add_flat, got.neg = (
+        source.order, source.zero, source.add, source.add_flat, source.neg)
+    return got
+
+
 def regular_module(ring):
     """The ring acting on itself by left multiplication.
 
-    Its tables are the ring's, which ``FiniteRing`` checked as the module
-    axioms of R acting on itself, so they are not checked again.
+    Its tables are the ring's own tuples, which ``FiniteRing`` checked as
+    the module axioms of R acting on itself, so they are shared, not
+    copied or checked again.
     """
     got = ring._cache.get("regular")
     if got is None:
-        got = FiniteModule(ring, ring.order, ring.add, ring.mul, ring.zero, name="R",
-                           _trusted=True)
+        got = _sharing(ring, "R", ring, ring.mul, ring.mul_flat)
         # its submodules are R's left ideals, enumerated on the same tables
         got._cache["subs"] = tuple(Submodule(got, a.bits, _trusted=True)
                                    for a in all_left_ideals(ring))
@@ -182,8 +200,7 @@ def direct_sum(m1, m2):
         check_map(f"direct sum {name}", p, factor.order,
                   [("+", p, add, factor.add_flat), ("action", scalars, act, factor.act_flat)],
                   [("zero", zero, factor.zero)])
-    return FiniteModule(m1.ring, order, rows_of(add, order), rows_of(act, order), zero,
-                        name=name, _trusted=True)
+    return FiniteModule(m1.ring, order, add, act, zero, name=name, _trusted=True)
 
 
 def power_module(ring, k):
@@ -207,7 +224,10 @@ def quotient_module(module, sub, name=None):
 
     The projection is checked to be onto, with kernel ``sub``, and to
     preserve +, the action and zero, which proves the quotient's tables
-    valid (see ``rings.check_map``).  Each call builds and checks anew.
+    valid (see ``rings.check_map``).  Each call builds and checks anew,
+    except by the zero submodule: M/0 is M under the new name, sharing
+    M's tables (its projection is the identity, so nothing is derived
+    and nothing is checked), with its own cache.
     """
     return _checked_quotient(module, sub, name or f"{module.name}/sub",
                              *_quotient_tables(module, sub))
@@ -215,9 +235,12 @@ def quotient_module(module, sub, name=None):
 
 def _quotient_tables(module, sub):
     """``(proj, m, add, act, zero)``: the projection onto the m cosets of
-    ``sub`` and the unchecked flat tables of M/sub."""
+    ``sub`` and the unchecked flat tables of M/sub; by the zero
+    submodule, the identity and M's own flat tables."""
     if sub.module is not module:
         raise ValueError("quotient_module: submodule of a different module")
+    if sub.bits == 1 << module.zero:
+        return range(module.order), module.order, module.add_flat, module.act_flat, module.zero
     reps, proj = coset_representatives(module.order, module.add, sub.elements())
     add = [proj[module.add[a][b]] for a in reps for b in reps]
     act = [proj[row[a]] for row in module.act for a in reps]
@@ -225,13 +248,15 @@ def _quotient_tables(module, sub):
 
 
 def _checked_quotient(module, sub, name, proj, m, add, act, zero):
-    """M/sub on ``_quotient_tables``' output, once ``check_map`` proves it valid."""
+    """M/sub on ``_quotient_tables``' output, once ``check_map`` proves it
+    valid; M/0, whose tables are M's own, shares them (``_sharing``)."""
+    if add is module.add_flat:
+        return _sharing(module.ring, name, module, module.act, module.act_flat)
     check_map(f"quotient module {name}", proj, m,
               [("+", proj, module.add_flat, add),
                ("action", range(module.ring.order), module.act_flat, act)],
               [("zero", module.zero, zero)], kernel=(module.zero, sub.bits))
-    return FiniteModule(module.ring, m, rows_of(add, m), rows_of(act, m), zero,
-                        name=name, _trusted=True)
+    return FiniteModule(module.ring, m, add, act, zero, name=name, _trusted=True)
 
 
 def module_from_table(doc, ring, name="table"):

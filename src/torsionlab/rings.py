@@ -11,7 +11,7 @@ emits.
 """
 
 import operator
-from itertools import chain, product
+from itertools import chain, product, repeat
 
 from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
@@ -284,6 +284,9 @@ class FiniteRing:
     identities, so they hold in every homomorphic image of a ring and,
     coordinate by coordinate, in every product of rings.  Tables from
     input (``table:``) and the builtin formula rings are always checked.
+    Trusted tables are flat and row-major, as those two build them: the
+    flat tables are their ``tuple``, and each row is a slice of its flat
+    table.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "name", "neg",
@@ -295,8 +298,8 @@ class FiniteRing:
             raise TableError("order", (order,), "ring order must be positive")
         self.order = order
         if _trusted:
-            self.add = tuple(map(tuple, add))
-            self.mul = tuple(map(tuple, mul))
+            self.add_flat, self.mul_flat = tuple(add), tuple(mul)
+            self.add, self.mul = rows_of(self.add_flat, order), rows_of(self.mul_flat, order)
         else:
             self.add = _as_table(add, order, order, "add")
             self.mul = _as_table(mul, order, order, "mul")
@@ -304,6 +307,8 @@ class FiniteRing:
                 raise TableError("zero-range", (zero,), "zero index out of range")
             if not isinstance(one, int) or not 0 <= one < order:
                 raise TableError("one-range", (one,), "one index out of range")
+            self.add_flat = tuple(chain.from_iterable(self.add))
+            self.mul_flat = tuple(chain.from_iterable(self.mul))
         self.zero = zero
         self.one = one
         self.name = name
@@ -314,11 +319,9 @@ class FiniteRing:
         self._names.setdefault("1", one)
         self._resolve = {v: k for k, v in self._names.items() if not k.isdigit()}
         self._cache = {}
-        self.add_flat = tuple(chain.from_iterable(self.add))
-        self.mul_flat = tuple(chain.from_iterable(self.mul))
         if not _trusted:
             self._validate()
-        self.neg = tuple(self.add[i].index(zero) for i in range(order))
+        self.neg = tuple(map(tuple.index, self.add, repeat(zero)))
 
     def _validate(self):
         n, zero, one = self.order, self.zero, self.one
@@ -464,10 +467,12 @@ def check_generators(gens, order, name):
 
 def preimage(row, bits, order):
     """The bitset of the positions x with ``row[x]`` in ``bits``, a subset
-    of 0..order-1: membership is read through a "0"/"1" string, at C
-    level and at every order."""
+    of 0..order-1, for a nonempty ``row``: membership is read through a
+    "0"/"1" string by one ``itemgetter`` over the whole row, at C level
+    and at every order (over a one-entry row it gives a one-character
+    string, which ``join`` reads the same)."""
     member = format(bits, f"0{order}b")[::-1]
-    return int("".join(map(member.__getitem__, row))[::-1], 2)
+    return int("".join(operator.itemgetter(*row)(member))[::-1], 2)
 
 
 def _right_closure_witness(ideal):
@@ -581,8 +586,8 @@ def coset_representatives(order, add, members):
 
 
 def rows_of(flat, m):
-    """A flat table as a list of its rows of m entries."""
-    return [flat[i:i + m] for i in range(0, len(flat), m)]
+    """A flat table as a tuple of its rows of m entries."""
+    return tuple([flat[i:i + m] for i in range(0, len(flat), m)])
 
 
 def check_map(what, f, m, operations, constants=(), kernel=None):
@@ -707,8 +712,8 @@ def quotient_ring(ring, ideal):
     names = {}
     for k, r in enumerate(reps):
         names.setdefault(f"[{ring.element_name(r)}]", k)
-    quot = FiniteRing(m, rows_of(add, m), rows_of(mul, m), zero, one, name=name,
-                      element_names=names, _trusted=True)
+    quot = FiniteRing(m, add, mul, zero, one, name=name, element_names=names,
+                      _trusted=True)
     ring._cache[("quot", ideal.bits)] = (quot, proj)
     return quot, proj
 
@@ -846,8 +851,7 @@ def product_ring(r1, r2):
         check_map(f"product ring {name}", p, factor.order,
                   [("+", p, add, factor.add_flat), ("*", p, mul, factor.mul_flat)],
                   [("zero", zero, factor.zero), ("one", one, factor.one)])
-    ring = FiniteRing(n, rows_of(add, n), rows_of(mul, n), zero, one, name=name,
-                      _trusted=True)
+    ring = FiniteRing(n, add, mul, zero, one, name=name, _trusted=True)
     ring._resolve = {i: f"({r1.element_name(i // n2)},{r2.element_name(i % n2)})"
                      for i in range(n)}
     return ring

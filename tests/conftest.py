@@ -337,3 +337,13 @@ def reference_two_sided_closure(ring, generators):
             break
         bits = kernels.span_closure(*tables, list(kernels.bits_of(bits)) + extra)
     return reference_greedy_generators(*tables, bits), bits
+
+
+# -- the reference membership gather ---------------------------------------------
+
+def reference_preimage(row, bits, order):
+    """``rings.preimage`` by the route it took before: membership read
+    from the "0"/"1" string one entry at a time, by ``map`` over
+    ``__getitem__``."""
+    member = format(bits, f"0{order}b")[::-1]
+    return int("".join(map(member.__getitem__, row))[::-1], 2)

@@ -403,6 +403,47 @@ def reference_module_corpus(ring, bound):
     return out
 
 
+TABLE_SLOTS = ("add", "act", "add_flat", "act_flat", "neg")
+
+
+def assert_shares_tables(quot, parent):
+    """``quot`` holds ``parent``'s table objects, not copies, and its own cache."""
+    assert all(getattr(quot, slot) is getattr(parent, slot) for slot in TABLE_SLOTS)
+    assert (quot.ring, quot.order, quot.zero) == (parent.ring, parent.order, parent.zero)
+    assert quot._cache is not parent._cache
+
+
+@pytest.mark.parametrize("spec, k", [("Z(4)", 1), ("Z(4)", 2), ("UT2(2)", 1), ("UT2(2)", 2),
+                                     ("Z(17)", 1), ("Z(17)", 2)])
+def test_a_quotient_by_zero_shares_its_parents_tables(monkeypatch, spec, k):
+    ring = tl.parse_ring_spec(spec)
+    parent = tl.power_module(ring, k)
+    subs = tl.all_submodules(parent)
+    calls = []
+    check = modules.check_map
+
+    def counted(what, *args, **kwargs):
+        calls.append(what)
+        return check(what, *args, **kwargs)
+
+    monkeypatch.setattr(modules, "check_map", counted)
+    quot = tl.quotient_module(parent, subs[0], name="M/0")
+    assert subs[0].bits == 1 << parent.zero
+    assert quot.name == "M/0" and parent.name == ("R" if k == 1 else "R^2")
+    assert_shares_tables(quot, parent)
+    assert calls == []
+    got = tl.all_submodules(quot)
+    assert [s.bits for s in got] == [s.bits for s in subs]
+    assert all(s.module is quot for s in got)
+    # a zero submodule is only the zero of its own module
+    for other in (quot, tl.power_module(ring, 3 - k)):
+        with pytest.raises(ValueError, match="different module"):
+            tl.quotient_module(parent, tl.Submodule(other, 1 << other.zero))
+    if k == 1:  # the regular module shares the ring's own tables
+        own = (ring.add, ring.mul, ring.add_flat, ring.mul_flat, ring.neg)
+        assert all(getattr(parent, slot) is t for slot, t in zip(TABLE_SLOTS, own))
+
+
 def test_corpus_checks_each_kept_quotient_once(monkeypatch):
     calls = []
     check = modules.check_map
@@ -412,15 +453,21 @@ def test_corpus_checks_each_kept_quotient_once(monkeypatch):
         return check(what, *args, **kwargs)
 
     monkeypatch.setattr(modules, "check_map", counted)
-    corpus = tl.module_corpus(tl.parse_ring_spec("UT2(2)"), 2)
-    # one check per kept quotient, and R^2's two coordinate maps
+    ring = tl.parse_ring_spec("UT2(2)")
+    corpus = tl.module_corpus(ring, 2)
+    # one check per kept quotient but R/s0 and R^2/s0, which derive no
+    # table and share their parent's, and R^2's two coordinate maps
     assert len(corpus) == 41
-    assert len(calls) == 43
+    assert len(calls) == 41
+    by_zero = {"R/s0": tl.power_module(ring, 1), "R^2/s0": tl.power_module(ring, 2)}
     assert [c for c in calls if c.startswith("quotient")] == \
-        [f"quotient module {m.name}" for m in corpus]
+        [f"quotient module {m.name}" for m in corpus if m.name not in by_zero]
+    for quot in corpus:
+        if quot.name in by_zero:
+            assert_shares_tables(quot, by_zero[quot.name])
     del calls[:]
     assert len(reference_module_corpus(tl.parse_ring_spec("UT2(2)"), 2)) == 41
-    assert len(calls) == 129  # every one of the 7 + 120 quotients, and R^2
+    assert len(calls) == 127  # the 7 + 120 quotients but the two by zero, and R^2
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in tl.builtin_rings(8)])

@@ -21,14 +21,14 @@ from torsionlab.rings import (_product_bits, all_left_ideals, greedy_generators,
                               left_ideal_closure)
 from torsionlab.torsion import AxiomViolation, TorsionNotion
 
-from conftest import BUILTIN8
+from conftest import BUILTIN8, reference_preimage
 
 NONCOMMUTATIVE = ["M2(2)", "prod(UT2(2),Z(2))"]
 
 
 # -- the reference loops -----------------------------------------------------
 
-def reference_preimage(row, bits):
+def reference_preimage_loop(row, bits):
     got = 0
     for x, v in enumerate(row):
         if bits >> v & 1:
@@ -206,6 +206,9 @@ def verdict(result):
     ([1, 1], 0b01, 2, 0),
     ([3, 2, 1, 0], 0b1111, 4, 0b1111),
     (list(range(300)), 1 << 299 | 1 << 256 | 1, 300, 1 << 299 | 1 << 256 | 1),
+    ((3,), 0b1000, 4, 1),               # a one-entry row, as a tuple
+    (range(299, 300), 1 << 299, 300, 1),
+    (range(0, 257, 2), 1 << 256 | 1, 257, 1 << 128 | 1),
 ])
 def test_preimage_cases(row, bits, order, expected):
     assert rings.preimage(row, bits, order) == expected
@@ -217,7 +220,31 @@ def test_preimage_matches_reference(data):
     order = data.draw(st.integers(1, 300))
     row = data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=300))
     bits = data.draw(st.integers(0, (1 << order) - 1))
-    assert rings.preimage(row, bits, order) == reference_preimage(row, bits)
+    assert rings.preimage(row, bits, order) == reference_preimage_loop(row, bits)
+
+
+@st.composite
+def preimage_rows(draw, order):
+    """A nonempty row of indices 0..order-1 as a tuple, a list or a
+    ``range``, often one entry long."""
+    kind = draw(st.sampled_from(["tuple", "list", "range"]))
+    if kind == "range":
+        start = draw(st.integers(0, order - 1))
+        stop = draw(st.sampled_from([start + 1, order]))
+        return range(start, stop, draw(st.integers(1, max(1, stop - start))))
+    size = draw(st.sampled_from([1, 1, 2, order, 300]))
+    row = draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size))
+    return tuple(row) if kind == "tuple" else row
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_preimage_matches_the_map_route(data):
+    order = data.draw(st.sampled_from([1, 2, 255, 256, 257, 300]) | st.integers(1, 300))
+    row = data.draw(preimage_rows(order))
+    full = (1 << order) - 1
+    bits = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
+    assert rings.preimage(row, bits, order) == reference_preimage(row, bits, order)
 
 
 # -- modules -----------------------------------------------------------------
