@@ -16,10 +16,10 @@ compiled twin reaches the same list by a breadth-first search over
 cosets that builds S + Rx for every S below it and drops the repeats
 through a ``found`` set.  ``sum_with_orbit`` adds S + t only for orbit
 elements t not yet in the sum, so S + Rx costs |S + Rx| lookups, not
-|S| * |Rx|.  ``greedy_generators`` walks a subset's members once, in
-increasing order: the generators it adjoins and its check that their
-span is the subset come from that one walk, which ends on every input,
-closed or not.
+|S| * |Rx|.  One walk decides every subset: ``span_closure`` runs it
+over the generators given, ``greedy_generators`` over a subset's members
+in increasing order, and a subset is closed exactly when that span is
+the subset.  The walk ends on every input, closed or not.
 
 Conventions shared by both backends:
 
@@ -70,32 +70,37 @@ def sum_with_orbit(sub, elems, orb, m, add):
     return out
 
 
+def _walk(m, n, add, act, zero, candidates):
+    """``(gens, span)``: the candidates, in the order given, that the span
+    of the ones before them misses, and the span of them all."""
+    gens = []
+    span = 1 << zero
+    for x in candidates:
+        if not span >> x & 1:
+            gens.append(x)
+            span = sum_with_orbit(span, list(bits_of(span)), orbit(x, m, n, act), m, add)
+    return gens, span
+
+
 def greedy_generators(m, n, add, act, zero, bits):
-    """Canonical generators of the closed subset ``bits``: each member,
-    in increasing order, that the span of the generators so far misses,
-    so each is the least member outside the span of the ones before it;
-    the zero subset lists zero.  ``ValueError`` unless that span is
-    ``bits``."""
+    """Canonical generators of the closed subset ``bits``: each member, in
+    increasing order, that the span of the ones before it misses; the zero
+    subset lists zero.  ``ValueError`` for bits outside 0..m-1, or unless
+    the span of the members, the least closed subset holding them, is
+    ``bits``: it names the least element of the span outside ``bits``,
+    which the members generate but which is no member."""
     if bits < 0 or bits >> m:
         raise ValueError(f"bits {bits} name elements outside 0..{m - 1}")
-    gens = []
-    cur = 1 << zero
-    for x in bits_of(bits):
-        if not cur >> x & 1:
-            gens.append(x)
-            cur = sum_with_orbit(cur, list(bits_of(cur)), orbit(x, m, n, act), m, add)
-    if cur != bits:
-        raise ValueError("subset is not closed: it differs from the span of its members")
+    gens, span = _walk(m, n, add, act, zero, bits_of(bits))
+    if span != bits:
+        raise ValueError(f"subset is not closed: the span of its members holds "
+                         f"{next(bits_of(span & ~bits))}, which is no member")
     return tuple(gens) or (zero,)
 
 
 def span_closure(m, n, add, act, zero, gens):
     """Least subset containing ``gens`` closed under add and scalar action."""
-    out = 1 << zero
-    for g in gens:
-        if not out >> g & 1:
-            out = sum_with_orbit(out, list(bits_of(out)), orbit(g, m, n, act), m, add)
-    return out
+    return _walk(m, n, add, act, zero, gens)[1]
 
 
 def enumerate_submodules(m, n, add, act, zero):

@@ -36,7 +36,7 @@ from operator import and_
 
 from .errors import InputError, InvariantError, ReductionError, RingSpecError
 from .modules import satisfies_quasiidentity
-from .rings import is_json_int, json_object, left_ideal_closure
+from .rings import check_generators, is_json_int, json_object, left_ideal_closure
 from .ringspec import document_ring
 from .torsion import _require_torsion_free, relative_closure
 
@@ -325,6 +325,7 @@ def delta_membership_witness(notion, module, sub, x, ideal):
     fault.
     """
     _require_torsion_free(notion, module)
+    check_generators((x,), module.order, module.name, "element")
     if ideal not in notion:
         raise ValueError("ideal is not a member of the torsion notion")
     result = all(sub.bits >> module.act[g][x] & 1 for g in ideal.generators)

@@ -26,6 +26,8 @@ class FiniteModule:
     ``rings.action_axiom_witness`` on the action: both decide each axiom
     on additive generators, and scan only an axiom whose decision
     failed, to name its first witness, which raises ``TableError``.
+    Those generators come from ``rings._generators``, a plain search: the
+    greedy walk that checks a ``Submodule`` relies on these axioms.
 
     ``_trusted`` skips every table check.  Only ``direct_sum`` and
     ``_checked_quotient`` (for ``quotient_module`` and ``module_corpus``)
@@ -80,8 +82,9 @@ class FiniteModule:
 
 
 class Submodule(Subset):
-    """A submodule as a bitset; closure is re-checked at construction, after
-    the bits are checked to lie in 0..order-1 (``ValueError`` if not)."""
+    """A submodule as a bitset.  Unless ``_trusted``, ``greedy_generators``
+    walks the bits, as for an ideal: ``ValueError`` for bits outside
+    0..order-1, or, naming an escape, for a subset that is not closed."""
 
     __slots__ = ("module", "bits")
 
@@ -91,32 +94,11 @@ class Submodule(Subset):
         self.module = module
         self.bits = bits
         if not _trusted:
-            if bits < 0 or bits >> module.order:
-                raise ValueError(f"bits {bits} name elements outside 0..{module.order - 1}")
-            w = _closure_witness(module, bits)
-            if w is not None:
-                raise ValueError(f"subset is not a submodule: witness {w}")
+            kernels.greedy_generators(module.order, module.ring.order, module.add_flat,
+                                      module.act_flat, module.zero, bits)
 
     def __repr__(self):
         return f"<submodule of {self.module.name}, {len(self)} elements>"
-
-
-def _closure_witness(module, bits):
-    """``("zero",)``, else the least ``("add", x, y)``, else the least
-    ``("act", r, x)`` that leaves the subset ``bits``; None if it is closed.
-    Each row's escapes are the members it does not send into ``bits``."""
-    if not bits >> module.zero & 1:
-        return ("zero",)
-    order = module.order
-    for x in kernels.bits_of(bits):
-        missing = bits & ~preimage(module.add[x], bits, order)
-        if missing:
-            return ("add", x, next(kernels.bits_of(missing)))
-    for r, row in enumerate(module.act):
-        missing = bits & ~preimage(row, bits, order)
-        if missing:
-            return ("act", r, next(kernels.bits_of(missing)))
-    return None
 
 
 def submodule_closure(module, gens):
@@ -204,7 +186,9 @@ def direct_sum(m1, m2):
 
 
 def power_module(ring, k):
-    """The free module R^k (k >= 0 gives the zero module for k = 0)."""
+    """The free module R^k for k >= 0 (the zero module for k = 0)."""
+    if k < 0:
+        raise ValueError(f"power_module: exponent {k} is negative")
     if k == 0:
         return FiniteModule(ring, 1, [[0]], [[0]] * ring.order, 0, name="0")
     if k == 1:

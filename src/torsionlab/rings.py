@@ -457,12 +457,13 @@ class TwoSidedIdeal(LeftIdeal):
                 f"not right-closed: {ring.element_name(a)} * {ring.element_name(r)} escapes")
 
 
-def check_generators(gens, order, name):
-    """Raise ``ValueError`` at the first generator outside 0..order-1 of
-    the structure ``name``: the closure kernels index tables with them."""
+def check_generators(gens, order, name, what="generator"):
+    """Raise ``ValueError`` at the first generator (or other index,
+    ``what``) outside 0..order-1 of the structure ``name``: the kernels
+    and witness functions index tables with them."""
     for g in gens:
         if not 0 <= g < order:
-            raise ValueError(f"generator {g} out of range for {name}")
+            raise ValueError(f"{what} {g} out of range for {name}")
 
 
 def preimage(row, bits, order):
@@ -476,9 +477,15 @@ def preimage(row, bits, order):
 
 
 def _right_closure_witness(ideal):
+    """``(a, r)``, a the first generator with a * r outside the left ideal
+    for some r, and r the least; None if the ideal is right-closed.  The
+    generators decide it: I = sum of R g, so a * r = sum of s (g r).  For
+    greedy generators it is also the member scan's witness: a member that
+    is no generator lies in the span of the generators below it, so the
+    least member that escapes is a generator, with the same least r."""
     ring = ideal.ring
     full = (1 << ring.order) - 1
-    for a in ideal:
+    for a in ideal.generators:
         missing = full & ~preimage(ring.mul[a], ideal.bits, ring.order)
         if missing:
             return (a, next(kernels.bits_of(missing)))

@@ -41,7 +41,7 @@ from .errors import InputError, InvariantError
 from .modules import (Submodule, _corpus_sources, all_submodules, lattice_from_family,
                       module_corpus, modularity_witness, quasi_closure,
                       regular_module, satisfies_quasiidentity)
-from .rings import (LeftIdeal, _product_bits, all_left_ideals,
+from .rings import (LeftIdeal, _product_bits, all_left_ideals, check_generators,
                     format_quasiidentity)
 
 
@@ -282,6 +282,7 @@ def relative_closure(notion, module, sub):
 def closure_witness(notion, module, sub, x):
     """First member ideal carrying ``x`` into ``sub`` (the least, if any), or None."""
     _require_validated(notion, module)
+    check_generators((x,), module.order, module.name, "element")
     a = notion.least
     if all(sub.bits >> module.act[g][x] & 1 for g in a.generators):
         return a
@@ -469,6 +470,7 @@ def right_translation_witness(notion, ideal, r):
     """First member B with B*r inside the given ideal (the least, if any), or None."""
     _require_validated(notion)
     ring = notion.ring
+    check_generators((r,), ring.order, ring.name, "element")
     b = notion.least
     if all(ring.mul[g][r] in ideal for g in b.generators):
         return b

@@ -4,7 +4,7 @@ import signal
 import pytest
 
 import torsionlab as tl
-from torsionlab import kernels
+from torsionlab import kernels, rings
 from torsionlab.errors import InvariantError, TableError
 
 # UT2(2) element indices under the canonical encoding 4a + 2b + c.
@@ -304,9 +304,10 @@ def time_limit(seconds):
 
 
 # -- the reference ideal walks --------------------------------------------------
-# The loops that ``_core_py.greedy_generators`` and ``rings.two_sided_closure``
-# once ran, kept as the references for the one walk and the one span that
-# replaced them: every ideal keeps the generators and bits they gave.
+# The loops that ``_core_py.greedy_generators``, ``Submodule`` and
+# ``rings.two_sided_closure`` once ran, kept as the references for the one
+# walk and the one span that replaced them: every ideal keeps the generators
+# and bits they gave, and every subset the verdict.
 
 def reference_greedy_generators(m, n, add, act, zero, bits):
     """Canonical generators of the closed subset ``bits``: repeatedly adjoin
@@ -320,6 +321,26 @@ def reference_greedy_generators(m, n, add, act, zero, bits):
         gens.append((missing & -missing).bit_length() - 1)
         cur = kernels.span_closure(m, n, add, act, zero, gens)
     return tuple(gens)
+
+
+def scan_closure_witness(module, bits):
+    """``("zero",)``, else the least ``("add", x, y)``, else the least
+    ``("act", r, x)`` that leaves the subset ``bits``; None if it is closed.
+    Each row's escapes are the members it does not send into ``bits``.
+    The member scan that once checked every ``Submodule`` given by its
+    bits, kept as the oracle for the walk that replaced it."""
+    if not bits >> module.zero & 1:
+        return ("zero",)
+    order = module.order
+    for x in kernels.bits_of(bits):
+        missing = bits & ~rings.preimage(module.add[x], bits, order)
+        if missing:
+            return ("add", x, next(kernels.bits_of(missing)))
+    for r, row in enumerate(module.act):
+        missing = bits & ~rings.preimage(row, bits, order)
+        if missing:
+            return ("act", r, next(kernels.bits_of(missing)))
+    return None
 
 
 def reference_two_sided_closure(ring, generators):

@@ -158,6 +158,15 @@ def test_membership_witness_requires_member(ut2, ut2_nontrivial):
                                     tl.Submodule(reg, 1), 0, outsider)
 
 
+def test_membership_witness_rejects_an_index_outside_the_module(ut2, ut2_nontrivial):
+    # a negative index would read another element, the order raise IndexError
+    reg = tl.regular_module(ut2)
+    a = ut2_nontrivial.ideals[0]
+    for bad in (-1, reg.order):
+        with pytest.raises(ValueError, match=rf"element {bad} out of range for R$"):
+            tl.delta_membership_witness(ut2_nontrivial, reg, tl.Submodule(reg, A_BITS), bad, a)
+
+
 def test_delta_from_doc_names_and_errors(ut2):
     doc = {"ring": "UT2(2)", "u_arity": 0, "z_arity": 0,
            "rows": [{"a": "e11", "b": "e11"}, {"a": "e12", "b": "e12"}]}

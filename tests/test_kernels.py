@@ -28,13 +28,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import _core_py, delta, modules, rings
+from torsionlab import _core_py, delta, rings
 from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
 from conftest import (E11, E12, E22, reference_assoc_witness, reference_greedy_generators,
                       reference_lattice_axioms, reference_module_axiom_witness,
-                      reference_ring_error, time_limit)
+                      reference_ring_error, scan_closure_witness, time_limit)
 
 C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
@@ -189,7 +189,7 @@ def test_the_walk_gives_the_greedy_generators_or_rejects_the_subset(index, sub, 
         bits = rng.getrandbits(m)
     tables = (m, module.ring.order, module.add_flat, module.act_flat, zero)
     with time_limit(10):
-        if modules._closure_witness(module, bits) is None:
+        if scan_closure_witness(module, bits) is None:
             assert kernels.greedy_generators(*tables, bits) == \
                 reference_greedy_generators(*tables, bits)
         else:

@@ -186,6 +186,16 @@ def test_submodule_rejects_bits_outside_the_module(z4):
     assert tl.Submodule(reg, 0b0101).bits == 0b0101
 
 
+def test_power_module_rejects_a_negative_exponent():
+    # a negative k once renamed the cached regular module "R^-1"
+    ring = tl.parse_ring_spec("Z(4)")
+    with pytest.raises(ValueError, match="exponent -1 is negative"):
+        tl.power_module(ring, -1)
+    assert tl.regular_module(ring).name == "R"
+    assert ("power", -1) not in ring._cache
+    assert all(not m.name.startswith("R^-") for m in tl.module_corpus(ring, 2))
+
+
 def test_quotient_submodules_biject_with_overgroups(ut2, z8):
     for ring in (ut2, z8):
         reg = tl.regular_module(ring)

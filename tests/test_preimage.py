@@ -6,22 +6,27 @@ as the reference (``reference_*``), and the preimage routes must agree
 with them on generated modules, ideals, subsets and families: quotients
 of R and R^2 of the builtin rings of order <= 8, quotient rings, an
 ideal with no generators, an order-1 module and a module above 256
-elements.
+elements.  The member scan that checked a ``Submodule`` given by its bits
+is now the oracle ``conftest.scan_closure_witness``: the constructor's
+walk must reject exactly the subsets it names a witness for.
 """
+
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import modules, rings
+from torsionlab import kernels, modules, rings
 from torsionlab.classify import _annihilates, _preimage_ideal
 from torsionlab.errors import InvariantError
 from torsionlab.rings import (_product_bits, all_left_ideals, greedy_generators,
                               left_ideal_closure)
 from torsionlab.torsion import AxiomViolation, TorsionNotion
 
-from conftest import BUILTIN8, reference_preimage
+from conftest import BUILTIN8, reference_preimage, scan_closure_witness
 
 NONCOMMUTATIVE = ["M2(2)", "prod(UT2(2),Z(2))"]
 
@@ -292,9 +297,21 @@ def near_submodules(module, subs, flips):
 
 
 def assert_closure_witness_agrees(module, bits):
-    got = modules._closure_witness(module, bits)
+    """The member scan agrees with the loop reference, and ``Submodule``
+    rejects exactly the subsets the scan names a witness for, naming an
+    element that the members span but that is no member."""
+    got = scan_closure_witness(module, bits)
     assert got == reference_closure_witness(module, bits)
-    return None if got is None else got[0]
+    if got is None:
+        assert tl.Submodule(module, bits).bits == bits
+        return None
+    with pytest.raises(ValueError, match="not closed") as err:
+        tl.Submodule(module, bits)
+    w = int(re.search(r"holds (\d+),", str(err.value)).group(1))
+    span = kernels.span_closure(module.order, module.ring.order, module.add_flat,
+                                module.act_flat, module.zero, kernels.bits_of(bits))
+    assert span >> w & 1 and not bits >> w & 1
+    return got[0]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -368,6 +385,33 @@ def test_ring_routes_match_reference_on_every_ideal(spec):
     for r in [ring] + [quot for quot, _ in quotients]:
         for ideal in ideals_with_empty(r):
             assert_ring_routes_agree(ideal)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in tl.builtin_rings(16)])
+def test_right_closure_reads_any_generator_list(spec):
+    """Every left ideal rebuilt from its members, shuffled, each twice,
+    and as redundant members ahead of its generators: the verdict is the
+    member scan's, and a witness (g, r) has g in I and g * r outside."""
+    ring = tl.parse_ring_spec(spec)
+    rng = random.Random(spec)
+    for ideal in all_left_ideals(ring):
+        closed = reference_right_closure_witness(ideal) is None
+        members = ideal.elements()
+        shuffled = rng.sample(members, len(members))
+        extra = rng.sample(members, rng.randint(1, len(members)))
+        for gens in (shuffled, [x for x in shuffled for _ in "ab"],
+                     extra + list(ideal.generators)):
+            rebuilt = tl.LeftIdeal(ring, gens)
+            assert rebuilt.bits == ideal.bits
+            assert rings.is_two_sided(rebuilt) == closed
+            two_sided = rings.as_two_sided(rebuilt)
+            assert (two_sided is not None) == closed
+            assert two_sided is None or two_sided.bits == ideal.bits
+            w = rings._right_closure_witness(rebuilt)
+            assert (w is None) == closed
+            if w is not None:
+                g, r = w
+                assert g in rebuilt and ring.mul[g][r] not in rebuilt
 
 
 @pytest.mark.parametrize("spec", BUILTIN8 + NONCOMMUTATIVE + ["UT2(3)"])

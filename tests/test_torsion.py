@@ -400,6 +400,18 @@ def test_right_translation_witness(ut2, ut2_nontrivial):
         assert all(ut2.mul[g][r] in a for g in b.generators)
 
 
+def test_witness_functions_reject_an_index_outside_the_structure(ut2, ut2_nontrivial):
+    # a negative index would read another element, the order raise IndexError
+    reg = tl.regular_module(ut2)
+    a = ut2_nontrivial.ideals[0]
+    sub = tl.Submodule(reg, A_BITS)
+    for bad in (-1, ut2.order):
+        with pytest.raises(ValueError, match=rf"element {bad} out of range for R$"):
+            tl.closure_witness(ut2_nontrivial, reg, sub, bad)
+        with pytest.raises(ValueError, match=rf"element {bad} out of range for UT2\(2\)$"):
+            tl.right_translation_witness(ut2_nontrivial, a, bad)
+
+
 def test_down_directed_witness_in_square(ut2, ut2_nontrivial):
     # the (1,1) element of R + R lies in the closure of A + B, and the
     # ideal carrying it there sits inside the intersection
