@@ -7,13 +7,13 @@ Submodules are bitsets over the module's index space.
 """
 
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, eq
+from operator import add, attrgetter, eq, indexOf, itemgetter
 
 from . import kernels, rings
 from .errors import InvariantError, TableError
 from .rings import (Subset, TwoSidedIdeal, all_left_ideals, check_abelian_group,
-                    check_generators, check_map, coset_representatives, pair_table,
-                    preimage, product_maps, rows_of)
+                    check_generators, check_map, coset_representatives, flat_table,
+                    pair_table, preimage, product_maps, rows_of)
 from .ringspec import document_ring
 
 
@@ -35,9 +35,11 @@ class FiniteModule:
     the maps that define them.  The module axioms are identities, so they
     hold in every homomorphic image of a module and, coordinate by
     coordinate, in every direct sum.  Trusted tables are flat and
-    row-major, as those two build them: the flat tables are their
-    ``tuple``, and each row is a slice of its flat table.  Tables from
-    input (``file:``) are always checked.
+    row-major, as those two build them.  Tables from input (``file:``)
+    are always checked.  Either way the flat tables are stored as a
+    ring's are (``rings.flat_table``): ``bytes`` up to 256 elements, one
+    byte per entry, which ``check_map`` reads by ``translate`` without a
+    copy, and tuples above; each row is a slice of its flat table.
 
     Two modules are not built here but share checked tables whole
     (``_sharing``): ``regular_module`` shares the ring's, which
@@ -54,16 +56,14 @@ class FiniteModule:
         self.ring = ring
         self.order = order
         self.name = name
-        if _trusted:
-            self.add_flat, self.act_flat = tuple(add), tuple(act)
-            self.add, self.act = rows_of(self.add_flat, order), rows_of(self.act_flat, order)
-        else:
-            self.add = rings._as_table(add, order, order, "module-add")
-            self.act = rings._as_table(act, ring.order, order, "act")
-            self.add_flat = tuple(chain.from_iterable(self.add))
-            self.act_flat = tuple(chain.from_iterable(self.act))
+        if not _trusted:
+            add = chain.from_iterable(rings._as_table(add, order, order, "module-add"))
+            act = chain.from_iterable(rings._as_table(act, ring.order, order, "act"))
             if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("module-zero-range", (zero,), "zero index out of range")
+        self.add_flat, self.act_flat = flat_table(add, order), flat_table(act, order)
+        self.add, self.act = rows_of(self.add_flat, order), rows_of(self.act_flat, order)
+        if not _trusted:
             check_abelian_group(order, self.add, zero, what="module-add")
             w = rings.action_axiom_witness(ring.order, order, ring.add_flat,
                                            ring.mul_flat, self.add_flat,
@@ -71,7 +71,7 @@ class FiniteModule:
             if w is not None:
                 raise TableError(w[0], w[1:], f"scalar action axiom {w[0]} fails at {w[1:]}")
         self.zero = zero
-        self.neg = tuple(map(tuple.index, self.add, repeat(zero)))
+        self.neg = tuple(map(indexOf, self.add, repeat(zero)))
         self._cache = {}
 
     def elements(self):
@@ -148,9 +148,9 @@ def _sharing(ring, name, source, act, act_flat):
 def regular_module(ring):
     """The ring acting on itself by left multiplication.
 
-    Its tables are the ring's own tuples, which ``FiniteRing`` checked as
-    the module axioms of R acting on itself, so they are shared, not
-    copied or checked again.
+    Its tables are the ring's own flat tables, which ``FiniteRing``
+    checked as the module axioms of R acting on itself, so they are
+    shared, not copied or checked again.
     """
     got = ring._cache.get("regular")
     if got is None:
@@ -219,16 +219,37 @@ def quotient_module(module, sub, name=None):
 
 def _quotient_tables(module, sub):
     """``(proj, m, add, act, zero)``: the projection onto the m cosets of
-    ``sub`` and the unchecked flat tables of M/sub; by the zero
-    submodule, the identity and M's own flat tables."""
+    ``sub`` and the unchecked flat tables of M/sub, stored as
+    ``rings.flat_table`` stores them; by the zero submodule, the identity
+    and M's own flat tables.
+
+    Each row of a quotient table is one column gather over the coset
+    representatives (``itemgetter(*reps)``) mapped through the projection
+    by ``_composition``'s ``as_map``: ``translate`` up to 256 elements, a
+    list comprehension above, in one code path.  A subset without zero
+    leaves some element in no coset, None in ``proj``; its tables are
+    left empty, as ``check_map`` rejects such a projection before it
+    reads a table."""
     if sub.module is not module:
         raise ValueError("quotient_module: submodule of a different module")
     if sub.bits == 1 << module.zero:
         return range(module.order), module.order, module.add_flat, module.act_flat, module.zero
     reps, proj = coset_representatives(module.order, module.add, sub.elements())
-    add = [proj[module.add[a][b]] for a in reps for b in reps]
-    act = [proj[row[a]] for row in module.act for a in reps]
-    return proj, len(reps), add, act, proj[module.zero]
+    m = len(reps)
+    as_row, as_map, index_row = rings._composition(module.order)
+    f = index_row(proj, m)
+    if f is None:
+        return proj, m, (), (), None
+    to_coset = as_map(f)
+    # itemgetter of one index returns an entry, not a sequence: for m = 1,
+    # reps is [0], read as the slice [:1]
+    gather = itemgetter(*reps) if m > 1 else itemgetter(slice(1))
+    add, act = as_row(), as_row()
+    for a in reps:
+        add += to_coset(as_row(gather(module.add[a])))
+    for row in module.act:
+        act += to_coset(as_row(gather(row)))
+    return proj, m, flat_table(add, m), flat_table(act, m), proj[module.zero]
 
 
 def _checked_quotient(module, sub, name, proj, m, add, act, zero):
@@ -254,7 +275,9 @@ def module_from_table(doc, ring, name="table"):
 
 def module_corpus(ring, bound=2):
     """The bounded test corpus: quotients of R^k for k <= bound, deduplicated.
-    Only the first quotient with given tables is kept, map-checked and built."""
+    Only the first quotient with given tables is kept, map-checked and built.
+    The tables are compared as ``_quotient_tables`` stores them, ``bytes``
+    up to 256 elements and tuples above, with no copy for the key."""
     key = ("corpus", bound)
     got = ring._cache.get(key)
     if got is not None:
@@ -265,11 +288,10 @@ def module_corpus(ring, bound=2):
     for k in range(1, bound + 1):
         parent = power_module(ring, k)
         for i, sub in enumerate(all_submodules(parent)):
-            _, m, add, act, zero = tables = _quotient_tables(parent, sub)
-            if (m, tuple(add), tuple(act), zero) not in seen:
-                quot = _checked_quotient(parent, sub, f"{parent.name}/s{i}", *tables)
-                seen.add((quot.order, quot.add_flat, quot.act_flat, quot.zero))
-                out.append(quot)
+            tables = _quotient_tables(parent, sub)
+            if tables[1:] not in seen:
+                seen.add(tables[1:])
+                out.append(_checked_quotient(parent, sub, f"{parent.name}/s{i}", *tables))
                 sources.append((parent, i))
     got = ring._cache[key] = (tuple(out), tuple(sources))
     return got[0]

@@ -17,7 +17,8 @@ from . import kernels
 from .errors import InvariantError, RingSpecError, TableError
 
 
-# the byte rows of ``_composition`` need every element index in a byte
+# the stored flat tables and the byte rows of ``_composition`` need every
+# element index in a byte
 BYTE_ORDER_LIMIT = 256
 
 
@@ -43,6 +44,14 @@ def all_index_entries(entries, indices):
         return indices.issuperset(entries) and type(sum(entries)) is int
     except TypeError:  # an unhashable entry, or numbers that do not add
         return False
+
+
+def flat_table(values, order):
+    """The flat table of the entries ``values``, indices into a structure
+    of ``order`` elements, as stored: ``bytes`` up to ``BYTE_ORDER_LIMIT``
+    (one byte per entry, read by ``translate`` without a copy), a tuple
+    above it.  A table already of that type is returned as it is."""
+    return bytes(values) if order <= BYTE_ORDER_LIMIT else tuple(values)
 
 
 def _as_table(raw, rows, cols, what):
@@ -111,7 +120,8 @@ def _composition(order):
     ``table`` is an index 0..size-1, else None.  Rows of one kind join
     with ``+=``.  Up to ``BYTE_ORDER_LIMIT`` rows are bytearrays (made
     from ints faster than bytes), f acts by ``translate`` and
-    ``index_row`` deletes the valid bytes to find a bad one; above it
+    ``index_row`` deletes the valid bytes to find a bad one, reading a
+    stored ``bytes`` table (``flat_table``) without a copy; above it
     rows are lists, f acts by a list comprehension, which indexes a list
     faster than ``map`` over ``__getitem__`` does, and ``index_row``
     reads ``all_index_entries``."""
@@ -119,11 +129,12 @@ def _composition(order):
 
 
 def _index_bytes(table, size):
-    try:
-        row = bytearray(table)
-    except (TypeError, ValueError):
-        return None
-    return None if row.translate(None, _ALL_BYTES[:size]) else row
+    if type(table) is not bytes:  # a stored table is read as it is
+        try:
+            table = bytearray(table)
+        except (TypeError, ValueError):
+            return None
+    return None if table.translate(None, _ALL_BYTES[:size]) else table
 
 
 def _index_list(table, size):
@@ -284,9 +295,12 @@ class FiniteRing:
     identities, so they hold in every homomorphic image of a ring and,
     coordinate by coordinate, in every product of rings.  Tables from
     input (``table:``) and the builtin formula rings are always checked.
-    Trusted tables are flat and row-major, as those two build them: the
-    flat tables are their ``tuple``, and each row is a slice of its flat
-    table.
+    Trusted tables are flat and row-major, as those two build them.
+
+    Either way the flat tables are stored by ``flat_table``: ``bytes``
+    up to 256 elements, one byte per entry, which ``check_map`` reads
+    by ``translate`` without a copy, and tuples above.  Each row is a
+    slice of its flat table, so of the same type.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "name", "neg",
@@ -297,18 +311,15 @@ class FiniteRing:
         if order < 1:
             raise TableError("order", (order,), "ring order must be positive")
         self.order = order
-        if _trusted:
-            self.add_flat, self.mul_flat = tuple(add), tuple(mul)
-            self.add, self.mul = rows_of(self.add_flat, order), rows_of(self.mul_flat, order)
-        else:
-            self.add = _as_table(add, order, order, "add")
-            self.mul = _as_table(mul, order, order, "mul")
+        if not _trusted:
+            add = chain.from_iterable(_as_table(add, order, order, "add"))
+            mul = chain.from_iterable(_as_table(mul, order, order, "mul"))
             if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("zero-range", (zero,), "zero index out of range")
             if not isinstance(one, int) or not 0 <= one < order:
                 raise TableError("one-range", (one,), "one index out of range")
-            self.add_flat = tuple(chain.from_iterable(self.add))
-            self.mul_flat = tuple(chain.from_iterable(self.mul))
+        self.add_flat, self.mul_flat = flat_table(add, order), flat_table(mul, order)
+        self.add, self.mul = rows_of(self.add_flat, order), rows_of(self.mul_flat, order)
         self.zero = zero
         self.one = one
         self.name = name
@@ -321,7 +332,7 @@ class FiniteRing:
         self._cache = {}
         if not _trusted:
             self._validate()
-        self.neg = tuple(map(tuple.index, self.add, repeat(zero)))
+        self.neg = tuple(map(operator.indexOf, self.add, repeat(zero)))
 
     def _validate(self):
         n, zero, one = self.order, self.zero, self.one
@@ -593,7 +604,8 @@ def coset_representatives(order, add, members):
 
 
 def rows_of(flat, m):
-    """A flat table as a tuple of its rows of m entries."""
+    """A flat table as a tuple of its rows of m entries, slices of the
+    flat table and so of its type."""
     return tuple([flat[i:i + m] for i in range(0, len(flat), m)])
 
 
@@ -619,7 +631,10 @@ def check_map(what, f, m, operations, constants=(), kernel=None):
     asks that the elements f sends to f(a) be exactly the bitset bits.
     An entry of f or of a table that is no element index also fails the
     check.  Each operation is checked by whole-row composition, in one
-    route at every order (``_operation_witness``).
+    route at every order (``_operation_witness``).  Stored tables, ``bytes``
+    up to 256 elements (``flat_table``), are range-checked and composed by
+    ``translate`` as they are; a table of any other type is copied into
+    a row first, and tuples above 256 are read as lists.
     """
     if not all_index_entries(f, frozenset(range(m))):
         _map_fault(what, "an entry of the map is no element index")

@@ -12,6 +12,7 @@ Generator tokens inside ``quot`` are element names of the inner ring
 """
 
 import json
+import operator
 import reprlib
 
 from .errors import RingSpecError
@@ -20,16 +21,38 @@ from .rings import (cyclic_ring, full_matrix_ring, prime_field, product_ring,
                     upper_triangular_ring)
 
 
+# what the constructors of a spec build: rings, or the rings' orders,
+# which a spec of Z, GF, UT2, M2 and prod gives before anything is built
+_RINGS = {"Z": cyclic_ring, "GF": prime_field, "UT2": upper_triangular_ring,
+          "M2": full_matrix_ring, "prod": product_ring}
+_ORDERS = {"Z": int, "GF": int, "UT2": lambda p: p ** 3, "M2": lambda p: p ** 4,
+           "prod": operator.mul}
+
+
 def parse_ring_spec(text):
     """Parse a ring-spec expression into a validated FiniteRing."""
+    return _evaluate(text, _RINGS)
+
+
+def spec_order(text):
+    """The order of the ring a spec of Z, GF, UT2, M2 and prod names, read
+    off the spec without building it: n for Z(n), p for GF(p), p**3 for
+    UT2(p), p**4 for M2(p) and the product of the factors' orders for
+    prod.  The other checks of the spec (a prime p) are left to
+    ``parse_ring_spec``; a ``quot`` or ``table:`` spec raises
+    ``RingSpecError``, as its order is known only once it is built."""
+    return _evaluate(text, _ORDERS)
+
+
+def _evaluate(text, build):
     try:
-        ring, pos = _parse(text, _skip_ws(text, 0))
+        got, pos = _parse(text, _skip_ws(text, 0), build)
     except RecursionError:
         raise RingSpecError("ring spec nests too deeply") from None
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise RingSpecError(f"trailing input {text[pos:]!r}", pos)
-    return ring
+    return got
 
 
 def _skip_ws(text, pos):
@@ -38,7 +61,10 @@ def _skip_ws(text, pos):
     return pos
 
 
-def _parse(text, pos):
+def _parse(text, pos, build):
+    if build is not _RINGS and text.startswith(("table:", "quot("), pos):
+        raise RingSpecError("the order of a quot or table: spec is known only once "
+                            "it is built", pos)
     if text.startswith("table:", pos):
         end = pos + 6
         while end < len(text) and text[end] not in ",)":
@@ -60,17 +86,15 @@ def _parse(text, pos):
     if ctor in ("Z", "GF", "UT2", "M2"):
         num, pos = _parse_int(text, pos)
         pos = _expect(text, pos, ")")
-        builders = {"Z": cyclic_ring, "GF": prime_field,
-                    "UT2": upper_triangular_ring, "M2": full_matrix_ring}
-        return builders[ctor](num), pos
+        return build[ctor](num), pos
     if ctor == "prod":
-        left, pos = _parse(text, pos)
+        left, pos = _parse(text, pos, build)
         pos = _expect(text, pos, ",")
-        right, pos = _parse(text, _skip_ws(text, pos))
+        right, pos = _parse(text, _skip_ws(text, pos), build)
         pos = _expect(text, pos, ")")
-        return product_ring(left, right), pos
+        return build["prod"](left, right), pos
     if ctor == "quot":
-        base, pos = _parse(text, pos)
+        base, pos = _parse(text, pos, build)
         gens = []
         pos = _skip_ws(text, pos)
         while pos < len(text) and text[pos] == ",":
@@ -157,13 +181,15 @@ _builtin_cache = {}
 
 
 def builtin_rings(max_order=16):
-    """The builtin corpus: (spec string, ring) pairs with order <= max_order."""
+    """The builtin corpus: (spec string, ring) pairs with order <= max_order.
+    Each spec's order is read off the spec (``spec_order``), so only the
+    rings returned are built."""
     out = []
     for spec in BUILTIN_SPECS:
+        if spec_order(spec) > max_order:
+            continue
         ring = _builtin_cache.get(spec)
         if ring is None:
-            ring = parse_ring_spec(spec)
-            _builtin_cache[spec] = ring
-        if ring.order <= max_order:
-            out.append((spec, ring))
+            ring = _builtin_cache[spec] = parse_ring_spec(spec)
+        out.append((spec, ring))
     return out

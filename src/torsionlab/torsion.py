@@ -416,7 +416,7 @@ def _closed_route(notion, parent):
     Sub(R^k), their closures and the closed ones, if Closed(R^k) is
     modular and the closure preserves meets over Sub(R^k); else None."""
     subs = all_submodules(parent)
-    bits = [s.bits for s in subs]
+    bits = tuple(s.bits for s in subs)
     closures = _submodule_closures(notion, parent, subs)
     closed = [b for b, c in zip(bits, closures) if c == b]
     if modularity_witness(lattice_from_family(closed)) is not None \
@@ -428,7 +428,16 @@ def _closed_route(notion, parent):
 def _meets_preserved(bits, closures):
     """Whether cl(T & U) == cl(T) & cl(U) for every pair of the
     intersection-closed family ``bits`` with the given ``closures``,
-    compared row by row over the upper triangle."""
+    compared row by row over the upper triangle.
+
+    When every closure is its member (``closures == bits``, both tuples:
+    the notion {R}), the closure is the identity and preserves meets, so
+    the answer is True with no comparison.
+    ``_closed_route`` has then built the lattice of the whole family,
+    which raises ``InvariantError`` unless it is closed under
+    intersection."""
+    if closures == bits:
+        return True
     closure_of = dict(zip(bits, closures)).__getitem__
     return all([*map(closure_of, map(a.__and__, bits[i:]))] == [*map(c.__and__, closures[i:])]
                for i, (a, c) in enumerate(zip(bits, closures)))

@@ -11,6 +11,7 @@ internal fault (``InvariantError``, exit 70), never a table error
 
 import functools
 import itertools
+import json
 import random
 import re
 
@@ -128,22 +129,126 @@ def reference_row_form(flat, m, zero=None):
     return rows, flat, tuple(rows[i].index(zero) for i in range(len(rows)))
 
 
+def row_form(rows, flat, neg=None):
+    """``reference_row_form``'s values read off stored rows and flat table,
+    whatever their sequence type."""
+    got = tuple(map(tuple, rows)), tuple(flat)
+    return got if neg is None else (*got, neg)
+
+
 def test_trusted_flat_tables_give_the_old_row_form():
     ring = tl.parse_ring_spec("UT2(2)")
     for module in tl.module_corpus(ring, 2):
         m = module.order
         got = tl.FiniteModule(ring, m, list(module.add_flat), list(module.act_flat),
                               module.zero, name=module.name, _trusted=True)
-        assert (got.add, got.add_flat, got.neg) == \
+        assert row_form(got.add, got.add_flat, got.neg) == \
             reference_row_form(list(module.add_flat), m, module.zero)
-        assert (got.act, got.act_flat) == reference_row_form(list(module.act_flat), m)
+        assert row_form(got.act, got.act_flat) == reference_row_form(list(module.act_flat), m)
     square = tl.product_ring(ring, ring)
     n = square.order
     checked = tl.FiniteRing(n, square.add, square.mul, square.zero, square.one)
     for built in (square, checked):
-        assert (built.add, built.add_flat, built.neg) == \
+        assert row_form(built.add, built.add_flat, built.neg) == \
             reference_row_form(list(square.add_flat), n, square.zero)
-        assert (built.mul, built.mul_flat) == reference_row_form(list(square.mul_flat), n)
+        assert row_form(built.mul, built.mul_flat) == reference_row_form(list(square.mul_flat), n)
+
+
+# -- stored flat tables: bytes up to 256 elements, tuples above ---------------
+
+def ring_document(ring):
+    return {"order": ring.order, "add": [list(row) for row in ring.add],
+            "mul": [list(row) for row in ring.mul], "zero": ring.zero, "one": ring.one}
+
+
+def table_spec(tmp_path, spec):
+    """A ``table:`` spec of a file holding the tables of ``spec``."""
+    ring = tl.parse_ring_spec(spec)
+    path = tmp_path / f"ring{ring.order}.json"  # no "," or ")" in the spec
+    path.write_text(json.dumps(ring_document(ring)))
+    return f"table:{path}"
+
+
+def module_document(module):
+    return {"order": module.order, "add": [list(row) for row in module.add],
+            "act": [list(row) for row in module.act], "zero": module.zero}
+
+
+def quotient_by(module, gens):
+    return tl.quotient_module(module, tl.submodule_closure(module, gens))
+
+
+# each builds structures on both sides of 256 elements; Z(17)^2 has 289
+STORED_BUILDS = {
+    "table:": lambda tmp: [tl.parse_ring_spec(table_spec(tmp, spec))
+                           for spec in ("Z(4)", "prod(Z(17),Z(17))")],
+    "module_from_table": lambda tmp: [
+        tl.module_from_table(module_document(tl.regular_module(ring)), ring)
+        for ring in map(tl.parse_ring_spec, ("UT2(2)", "prod(Z(17),Z(17))"))],
+    "Z": lambda tmp: [tl.parse_ring_spec("Z(16)"), tl.parse_ring_spec("Z(257)")],
+    "UT2 and M2": lambda tmp: [tl.parse_ring_spec(spec)
+                               for spec in ("UT2(2)", "UT2(5)", "M2(3)", "UT2(7)", "M2(5)")],
+    "product_ring": lambda tmp: [tl.parse_ring_spec(spec)
+                                 for spec in ("prod(Z(2),UT2(2))", "prod(Z(17),Z(17))")],
+    "quotient_ring": lambda tmp: [
+        tl.quotient_ring(ring, tl.two_sided_closure(ring, gens))[0]
+        for ring, gens in ((tl.parse_ring_spec("UT2(2)"), [E12]),
+                           (tl.parse_ring_spec("prod(Z(17),Z(17))"), [0]),
+                           (tl.parse_ring_spec("prod(Z(17),Z(17))"), [17]))],
+    "regular_module": lambda tmp: [tl.regular_module(tl.parse_ring_spec(spec))
+                                   for spec in ("Z(4)", "Z(257)")],
+    "power_module": lambda tmp: [tl.power_module(tl.parse_ring_spec(spec), k)
+                                 for spec in ("Z(4)", "Z(17)") for k in (0, 1, 2)],
+    "direct_sum": lambda tmp: [tl.direct_sum(reg, reg) for reg in (
+        tl.regular_module(tl.parse_ring_spec(spec)) for spec in ("Z(4)", "Z(17)"))],
+    "quotient_module": lambda tmp: [
+        quotient_by(tl.regular_module(tl.parse_ring_spec("UT2(2)")), [E12]),
+        quotient_by(tl.power_module(tl.parse_ring_spec("Z(17)"), 2), [1]),
+        quotient_by(tl.regular_module(tl.parse_ring_spec("Z(514)")), [257])],
+    "corpus": lambda tmp: [*tl.module_corpus(tl.parse_ring_spec("UT2(2)"), 2),
+                           *tl.module_corpus(tl.parse_ring_spec("Z(17)"), 2)],
+}
+
+
+def stored_tables(structure):
+    """The flat tables of a ring or a module, then their rows."""
+    other = "mul" if isinstance(structure, tl.FiniteRing) else "act"
+    return (structure.add_flat, getattr(structure, f"{other}_flat"),
+            *structure.add, *getattr(structure, other))
+
+
+@pytest.mark.parametrize("build", sorted(STORED_BUILDS))
+def test_flat_tables_are_bytes_up_to_256_elements_and_tuples_above(tmp_path, build):
+    built = STORED_BUILDS[build](tmp_path)
+    assert {s.order <= rings.BYTE_ORDER_LIMIT for s in built} == {True, False}
+    for structure in built:
+        want = bytes if structure.order <= rings.BYTE_ORDER_LIMIT else tuple
+        assert {type(t) for t in stored_tables(structure)} == {want}, structure
+
+
+def test_a_stored_byte_table_is_range_checked_without_a_copy():
+    ring = tl.parse_ring_spec("UT2(2)")
+    assert rings._index_bytes(ring.add_flat, 8) is ring.add_flat
+    assert rings._index_bytes(ring.add_flat, 7) is None  # the entry 7 is out of range
+    assert rings._index_bytes(list(ring.add_flat), 8) == ring.add_flat
+
+
+def reference_quotient_tables(module, sub):
+    """``_quotient_tables`` by the entry loops it gathered before."""
+    reps, proj = rings.coset_representatives(module.order, module.add, sub.elements())
+    add = [proj[module.add[a][b]] for a in reps for b in reps]
+    act = [proj[row[a]] for row in module.act for a in reps]
+    return list(proj), len(reps), add, act, proj[module.zero]
+
+
+@pytest.mark.parametrize("spec, k", [("UT2(2)", 2), ("Z(4)", 2), ("Z(17)", 2), ("Z(514)", 1)])
+def test_gathered_quotient_tables_match_the_entry_loops(spec, k):
+    # Z(17)^2 (289 elements) has quotients of 17 and 1, Z(514) of 257 and 2
+    parent = tl.power_module(tl.parse_ring_spec(spec), k)
+    for sub in tl.all_submodules(parent):
+        proj, m, add, act, zero = modules._quotient_tables(parent, sub)
+        assert [list(proj), m, list(add), list(act), zero] == \
+            list(reference_quotient_tables(parent, sub))
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,26 +345,44 @@ CORRUPTIONS = {
 }
 
 
+def corrupting_check_map(op, where, plant, target=None):
+    """``(check, planted)``: a stand-in for ``rings.check_map`` that, at
+    its first call (for ``what == target``, if given), copies the table
+    ``where`` (2: the source, 3: the target) of operation ``op`` into a
+    list whose middle entry is ``plant(entry, size)``, for the order
+    ``size`` the table indexes, and passes the copy in place of that
+    table at this and every later call; ``planted`` holds the pair
+    (table, copy).  A stored table may be ``bytes``, which can neither
+    be written nor hold -1 or 300, so the fault goes into a copy."""
+    check_map = rings.check_map
+    planted = []
+
+    def check(what, f, m, operations, *args, **kwargs):
+        table = operations[op][where]
+        if not planted and target in (None, what):
+            copy = list(table)
+            pos = len(copy) // 2
+            copy[pos] = plant(copy[pos], m if where == 3 else len(f))
+            planted.append((table, copy))
+        if planted and planted[0][0] is table:
+            operations, entry = list(operations), list(operations[op])
+            entry[where] = planted[0][1]
+            operations[op] = tuple(entry)
+        return check_map(what, f, m, operations, *args, **kwargs)
+
+    return check, planted
+
+
 @pytest.mark.parametrize("how", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("op", [0, 1])
 @pytest.mark.parametrize("kind", ["quotient_module", "quotient_module_289", "direct_sum",
                                   "direct_sum_289", "quotient_ring", "product_ring"])
 def test_corrupted_derived_entry_is_an_internal_fault(monkeypatch, kind, op, how):
     owner, build = derived_construction(kind)
-    check_map = rings.check_map
-    corrupted = []
-
-    def corrupting(what, f, m, operations, *args, **kwargs):
-        if not corrupted:
-            # the derived table is the one built as a list: the target of
-            # a quotient's projection, the source of a product's maps
-            _, _, src, dst = operations[op]
-            table, size = (dst, m) if isinstance(dst, list) else (src, len(f))
-            pos = len(table) // 2
-            table[pos] = CORRUPTIONS[how](table[pos], size)
-            corrupted.append(pos)
-        return check_map(what, f, m, operations, *args, **kwargs)
-
+    # the derived table: the target of a quotient's projection, the
+    # source of a product's maps
+    corrupting, corrupted = corrupting_check_map(
+        op, 3 if kind.startswith("quotient") else 2, CORRUPTIONS[how])
     monkeypatch.setattr(owner, "check_map", corrupting)
     with pytest.raises(InvariantError):
         build()
@@ -285,16 +408,7 @@ def test_rcm_verify_leaves_no_quotient_or_lattice_memo():
 def test_a_corrupted_kept_corpus_quotient_is_an_internal_fault(monkeypatch, target, op):
     ring = tl.parse_ring_spec("UT2(2)")
     notion = tl.enumerate_torsion_notions(ring)[0]
-    check_map = rings.check_map
-    corrupted = []
-
-    def corrupting(what, f, m, operations, *args, **kwargs):
-        if what == target:
-            table = operations[op][3]
-            pos = len(table) // 2
-            table[pos] = (table[pos] + 1) % m
-            corrupted.append(pos)
-        return check_map(what, f, m, operations, *args, **kwargs)
+    corrupting, corrupted = corrupting_check_map(op, 3, CORRUPTIONS["another index"], target)
 
     monkeypatch.setattr(modules, "check_map", corrupting)
     with pytest.raises(InvariantError, match=re.escape(target)):

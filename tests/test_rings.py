@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import rings
+from torsionlab import rings, ringspec
 from torsionlab.errors import RingSpecError, TableError
+from torsionlab.ringspec import spec_order
 
 from conftest import (A_BITS, BUILTIN8, E11, E12, E22, ONE, RE22_BITS, UT2_IDEAL_BITS,
                       reference_two_sided_closure, time_limit)
@@ -57,8 +58,10 @@ def test_matrix_ring_tables_match_matrix_arithmetic(spec):
     assert ring.order == len(mats)
     assert ring.zero == index[((0, 0), (0, 0))]
     assert ring.one == index[((1, 0), (0, 1))]
-    assert ring.add == tuple(tuple(index[mat_add(x, y, p)] for y in mats) for x in mats)
-    assert ring.mul == tuple(tuple(index[mat_mul(x, y, p)] for y in mats) for x in mats)
+    assert tuple(map(tuple, ring.add)) == \
+        tuple(tuple(index[mat_add(x, y, p)] for y in mats) for x in mats)
+    assert tuple(map(tuple, ring.mul)) == \
+        tuple(tuple(index[mat_mul(x, y, p)] for y in mats) for x in mats)
     units = [(f"e{i + 1}{j + 1}", index[tuple(tuple(int((r, c) == (i, j)) for c in range(2))
                                               for r in range(2))])
              for i, j in CELLS[kind]]
@@ -442,6 +445,31 @@ def test_parse_errors_have_positions():
     for bad in ["Z(x)", "prod(Z(2)", "frob(3)", "Z(4) junk", ""]:
         with pytest.raises(RingSpecError):
             tl.parse_ring_spec(bad)
+
+
+@pytest.mark.parametrize("spec", [*tl.BUILTIN_SPECS, "GF(7)", "UT2(3)", "M2(3)",
+                                  "prod(GF(3),prod(UT2(2),M2(2)))", " prod( Z(3) ,Z(5) ) "])
+def test_a_spec_gives_its_order_before_the_ring_is_built(spec):
+    assert spec_order(spec) == tl.parse_ring_spec(spec).order
+
+
+@pytest.mark.parametrize("spec", ["quot(UT2(2),e12)", "table:ring.json",
+                                  "prod(Z(2),quot(Z(4),2))"])
+def test_the_order_of_a_quotient_or_table_spec_is_not_read_off_it(spec):
+    with pytest.raises(RingSpecError, match="known only once it is built"):
+        spec_order(spec)
+
+
+def test_builtin_rings_builds_only_the_rings_it_returns(monkeypatch):
+    built = []
+    parse = ringspec.parse_ring_spec
+    monkeypatch.setattr(ringspec, "_builtin_cache", {})
+    monkeypatch.setattr(ringspec, "parse_ring_spec",
+                        lambda spec: built.append(spec) or parse(spec))
+    pairs = tl.builtin_rings(8)
+    assert [spec for spec, _ in pairs] == built
+    assert len(built) == 12 and all(ring.order <= 8 for _, ring in pairs)
+    assert tl.builtin_rings(8) == pairs and len(built) == 12  # served from the cache
 
 
 def test_table_file_round_trip(tmp_path, z6):
