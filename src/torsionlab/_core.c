@@ -4,9 +4,10 @@
  * one kernel that measures faster in C; ``kernels`` takes every other
  * kernel from ``_core_py`` on both backends.
  *
- * Flat tables arrive as Python sequences and are copied into int arrays;
- * every entry is checked to be an index into the table it points at, so
- * a malformed table raises ValueError instead of reading out of bounds.
+ * Flat tables arrive as Python sequences and are copied into int arrays
+ * (a ``bytes`` table is read in place, with no list of ints); every entry
+ * is checked to be an index into the table it points at, so a malformed
+ * table raises ValueError instead of reading out of bounds.
  * Bitsets are built in uint64 words and returned as Python ints, through
  * int.from_bytes (little-endian).
  *
@@ -57,24 +58,32 @@ check_index(long v, long bound, const char *what)
 }
 
 /* The flat table ``seq`` as a new int array.  It must have ``expected``
- * entries, each in 0..bound-1. */
+ * entries, each in 0..bound-1.  A ``bytes`` table, as structures of at
+ * most 256 elements store them, is read in place; any other sequence
+ * through ``PySequence_Fast``. */
 static int *
 to_ints(PyObject *seq, Py_ssize_t expected, long bound, const char *what)
 {
-    PyObject *fast = PySequence_Fast(seq, "a flat table must be a sequence");
-    if (fast == NULL)
-        return NULL;
+    const unsigned char *bytes = NULL;
+    PyObject *fast = NULL;
+    Py_ssize_t n;
+    if (PyBytes_Check(seq)) {
+        bytes = (const unsigned char *)PyBytes_AS_STRING(seq);
+        n = PyBytes_GET_SIZE(seq);
+    } else {
+        if ((fast = PySequence_Fast(seq, "a flat table must be a sequence")) == NULL)
+            return NULL;
+        n = PySequence_Fast_GET_SIZE(fast);
+    }
     int *arr = NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     if (n != expected || n > INT_MAX) {
         PyErr_Format(PyExc_ValueError, "%s has length %zd, expected %zd", what, n, expected);
         goto done;
     }
     if ((arr = alloc(n, sizeof(int))) == NULL)
         goto done;
-    PyObject **items = PySequence_Fast_ITEMS(fast);
     for (Py_ssize_t i = 0; i < n; i++) {
-        long v = PyLong_AsLong(items[i]);
+        long v = bytes ? (long)bytes[i] : PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
         if ((v == -1 && PyErr_Occurred()) || v < 0 || v >= bound) {
             if (!PyErr_Occurred())
                 PyErr_Format(PyExc_ValueError, "%s[%zd] is %ld, outside 0..%ld",
@@ -86,7 +95,7 @@ to_ints(PyObject *seq, Py_ssize_t expected, long bound, const char *what)
         arr[i] = (int)v;
     }
 done:
-    Py_DECREF(fast);
+    Py_XDECREF(fast);
     return arr;
 }
 

@@ -6,8 +6,9 @@ n x m scalar-action table, both validated at construction.
 Submodules are bitsets over the module's index space.
 """
 
+from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, eq, indexOf, itemgetter
+from operator import add, and_, attrgetter, eq, indexOf, itemgetter
 
 from . import kernels, rings
 from .errors import InvariantError, TableError
@@ -405,10 +406,92 @@ def _pairwise_table(keys, index, fault):
         try:
             table += [*table[i::k], *map(index.__getitem__, map(a.__and__, keys[i:]))]
         except KeyError:
-            j = next(j for j in range(i, k) if a & keys[j] not in index)
-            raise InvariantError(f"family is not a closure system: {fault} members {i} "
-                                 f"and {j}") from None
+            raise _not_a_closure_system(fault, keys, index.__contains__) from None
     return table
+
+
+def _not_a_closure_system(fault, keys, has):
+    """The ``InvariantError`` naming ``fault`` and the first pair of
+    ``keys``, i <= j in row order, whose intersection ``has`` rejects."""
+    i, j = next((i, j) for i, a in enumerate(keys) for j in range(i, len(keys))
+                if not has(a & keys[j]))
+    return InvariantError(f"family is not a closure system: {fault} members {i} and {j}")
+
+
+def _modular_by_covers(members):
+    """``(modular, up)`` for the lattice of ``members``, a closure system
+    of bitsets: whether it is modular, and for each member in sorted
+    order, ``up[i]``, the members containing it as a bitset of indices.
+
+    A finite lattice is modular exactly when it is both upper and lower
+    semimodular (Birkhoff, *Lattice Theory*, ch. II): when a and b cover
+    c, a v b covers a and b, and when c covers a and b, a and b cover
+    a ^ b.  Both are conditions on pairs of covers of one member, so the
+    decision reads the cover relation alone and builds no meet or join
+    table:
+
+    * ``up[i]`` is the AND, over the elements p of member i, of the
+      members holding p;
+    * index order is a linear extension, so the lowest index left in
+      member i's strict up-set is an upper cover of i, and dropping that
+      cover's up-set leaves the members above no cover found yet;
+    * the join of a and b is the lowest index in ``up[a] & up[b]``, and
+      their meet is the index of ``a & b``.
+
+    ``modularity_witness`` on ``FiniteLattice`` names a witness; this
+    gives the verdict.  A family that repeats a member, misses an
+    intersection (checked row by row with ``frozenset.issuperset``),
+    lacks a top, or has a join whose up-set is not ``up[a] & up[b]`` is
+    an internal fault and raises ``InvariantError``, naming the first
+    failing pair as ``FiniteLattice`` does.
+    """
+    members = sorted(members)
+    k = len(members)
+    index = {a: i for i, a in enumerate(members)}
+    if len(index) < k:
+        raise InvariantError("lattice members repeat")
+    keys = frozenset(members)
+    for i, a in enumerate(members):
+        if not keys.issuperset(map(a.__and__, members[i:])):
+            raise _not_a_closure_system("family not closed under intersection:", members,
+                                        keys.__contains__)
+    elems = [list(kernels.bits_of(a)) for a in members]
+    holders = [0] * (members[-1].bit_length() if k else 0)
+    for i, ps in enumerate(elems):
+        for p in ps:
+            holders[p] |= 1 << i
+    up = [reduce(and_, map(holders.__getitem__, ps), (1 << k) - 1) for ps in elems]
+    if not all(u >> (k - 1) & 1 for u in up):  # the last member is no top
+        raise _not_a_closure_system("family has no least upper bound for", up, bool)
+    ucov = []  # upper covers, as bitsets of indices
+    for i, u in enumerate(up):
+        rest, covers = u & ~(1 << i), 0
+        while rest:
+            low = rest & -rest
+            covers |= low
+            rest &= ~up[low.bit_length() - 1]
+        ucov.append(covers)
+    above = [list(kernels.bits_of(covers)) for covers in ucov]
+    below = [[] for _ in range(k)]  # lower covers, in index order
+    for i, covers in enumerate(above):
+        for x in covers:
+            below[x].append(i)
+    for c in range(k):
+        for n, a in enumerate(above[c]):
+            for b in above[c][n + 1:]:
+                u = up[a] & up[b]
+                h = (u & -u).bit_length() - 1
+                if up[h] != u:
+                    raise InvariantError(f"family is not a closure system: family has no "
+                                         f"least upper bound for members {a} and {b}")
+                if not ucov[a] >> h & ucov[b] >> h & 1:
+                    return False, up
+        for n, a in enumerate(below[c]):
+            for b in below[c][n + 1:]:
+                m = index[members[a] & members[b]]
+                if not ucov[m] >> a & ucov[m] >> b & 1:
+                    return False, up
+    return True, up
 
 
 def lattice_from_family(members):

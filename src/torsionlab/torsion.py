@@ -27,20 +27,23 @@ S is closed, cl(S) = S, and then its relative lattice is the interval
 [S, R^k] of Closed(R^k), the lattice of closed submodules of R^k,
 because cl(T/S) = cl(T)/S.  Every interval of a modular lattice is
 modular (Birkhoff), so one modularity check of Closed(R^k) settles them
-all.  The closure is an intersection of preimages, so cl(T & U) =
-cl(T) & cl(U); if T/S and U/S meet in zero, then T & U = S and their
-closures meet in cl(S)/S = 0, which is the weak extension principle.
-That identity is checked over every pair of Sub(R^k).  Should either
-check fail for some R^k, its modules take the per-module route of
-``relative_lattice``, ``modularity_witness`` and
-``weak_extension_witness``, which reports the witnesses.
+all.  That check is one semimodularity check on the cover relation of
+Closed(R^k) (``modules._modular_by_covers``), with no meet or join
+table, and the same up-sets give each module's lattice size.  The
+closure is an intersection of preimages, so cl(T & U) = cl(T) & cl(U);
+if T/S and U/S meet in zero, then T & U = S and their closures meet in
+cl(S)/S = 0, which is the weak extension principle.  That identity is
+checked over every pair of Sub(R^k).  Should either check fail for some
+R^k, its modules take the per-module route of ``relative_lattice``,
+``modularity_witness`` and ``weak_extension_witness``, which builds the
+tables of ``FiniteLattice`` and reports the witnesses.
 """
 
 from . import kernels
 from .errors import InputError, InvariantError
-from .modules import (Submodule, _corpus_sources, all_submodules, lattice_from_family,
-                      module_corpus, modularity_witness, quasi_closure,
-                      regular_module, satisfies_quasiidentity)
+from .modules import (Submodule, _corpus_sources, _modular_by_covers, _not_a_closure_system,
+                      all_submodules, lattice_from_family, module_corpus, modularity_witness,
+                      quasi_closure, regular_module, satisfies_quasiidentity)
 from .rings import (LeftIdeal, _product_bits, all_left_ideals, check_generators,
                     format_quasiidentity)
 
@@ -371,9 +374,9 @@ def rcm_verify(notion, bound=2):
     The module R^k/S is read off R^k (see the module docstring): it is
     torsion-free when cl(S) = S, its relative lattice is the interval
     [S, R^k] of Closed(R^k), so its size is the number of closed
-    submodules above S, and it is modular and satisfies WEP once
-    Closed(R^k) is modular and cl(T & U) = cl(T) & cl(U) holds over
-    Sub(R^k).  Both are checked once per k; if either fails, the modules
+    submodules above S, read off S's up-set, and it is modular and
+    satisfies WEP once Closed(R^k) is modular and cl(T & U) =
+    cl(T) & cl(U) holds over Sub(R^k).  Both are checked once per k; if either fails, the modules
     built from that R^k are checked one by one instead, witnesses
     included.
     """
@@ -395,9 +398,10 @@ def rcm_verify(notion, bound=2):
                 entries.append(_entry(mod, lat.size, modularity_witness(lat),
                                       weak_extension_witness(notion, mod)))
             continue
-        bits, closures, closed = route
-        if closures[i] == bits[i]:
-            entries.append(_entry(mod, sum(bits[i] & ~c == 0 for c in closed)))
+        bits, up = route
+        above = up.get(bits[i])
+        if above is not None:  # cl(S) = S
+            entries.append(_entry(mod, above.bit_count()))
     got = RcmReport(notion, bound, entries)
     ring._cache[cache_key] = got
     return got
@@ -412,17 +416,23 @@ def _entry(mod, lattice_size, mw=None, ww=None):
 
 
 def _closed_route(notion, parent):
-    """``(bits, closures, closed)`` for the parent R^k: the bitsets of
-    Sub(R^k), their closures and the closed ones, if Closed(R^k) is
-    modular and the closure preserves meets over Sub(R^k); else None."""
+    """``(bits, up)`` for the parent R^k, if Closed(R^k) is modular and
+    the closure preserves meets over Sub(R^k); else None.  ``bits`` are
+    the bitsets of Sub(R^k), and ``up`` maps each closed one to the
+    closed submodules above it, a bitset of indices into Closed(R^k).
+
+    Modularity is one semimodularity check on the cover relation of
+    Closed(R^k) (``modules._modular_by_covers``), which builds no meet
+    or join table; the tables of ``FiniteLattice`` are built only on the
+    per-module route, to name witnesses."""
     subs = all_submodules(parent)
     bits = tuple(s.bits for s in subs)
     closures = _submodule_closures(notion, parent, subs)
     closed = [b for b, c in zip(bits, closures) if c == b]
-    if modularity_witness(lattice_from_family(closed)) is not None \
-            or not _meets_preserved(bits, closures):
+    modular, up = _modular_by_covers(closed)
+    if not modular or not _meets_preserved(bits, closures):
         return None
-    return bits, closures, closed
+    return bits, dict(zip(closed, up))
 
 
 def _meets_preserved(bits, closures):
@@ -432,15 +442,21 @@ def _meets_preserved(bits, closures):
 
     When every closure is its member (``closures == bits``, both tuples:
     the notion {R}), the closure is the identity and preserves meets, so
-    the answer is True with no comparison.
-    ``_closed_route`` has then built the lattice of the whole family,
-    which raises ``InvariantError`` unless it is closed under
-    intersection."""
+    the answer is True with no comparison.  ``_closed_route`` has then
+    decided the whole family with ``_modular_by_covers``, which raises
+    ``InvariantError`` unless it is closed under intersection.  Otherwise
+    a pair meeting outside the family raises it here, naming the first
+    such pair."""
     if closures == bits:
         return True
-    closure_of = dict(zip(bits, closures)).__getitem__
-    return all([*map(closure_of, map(a.__and__, bits[i:]))] == [*map(c.__and__, closures[i:])]
-               for i, (a, c) in enumerate(zip(bits, closures)))
+    closure_of = dict(zip(bits, closures))
+    try:
+        return all([*map(closure_of.__getitem__, map(a.__and__, bits[i:]))]
+                   == [*map(c.__and__, closures[i:])]
+                   for i, (a, c) in enumerate(zip(bits, closures)))
+    except KeyError:
+        raise _not_a_closure_system("family not closed under intersection:", bits,
+                                    closure_of.__contains__) from None
 
 
 def enumerate_torsion_notions(ring):

@@ -782,18 +782,37 @@ def test_census_above_256_members_matches_pinned_digest(capsys, monkeypatch):
     # relative lattices of up to 600 members, above what a byte holds
     import torsionlab.torsion as torsion_mod
     sizes = []
-    decide = torsion_mod.modularity_witness
+    decide = torsion_mod._modular_by_covers
 
-    def spy(lattice):
-        sizes.append(lattice.size)
-        return decide(lattice)
+    def spy(members):
+        sizes.append(len(members))
+        return decide(members)
 
-    monkeypatch.setattr(torsion_mod, "modularity_witness", spy)
+    monkeypatch.setattr(torsion_mod, "_modular_by_covers", spy)
     code, out = run_cli(capsys, "census", "prod(Z(2),UT2(2))", "--bound", "2", "--json")
     assert code == 0
     assert max(sizes) == 600
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "8ef5a9989f66de239b4359e8be51a8e421bbe9111cbc6184918c74bc7af06aa9"
+
+
+def test_census_bound_3_matches_pinned_digest(capsys, monkeypatch):
+    # Closed(R^3) of Z(6) has 448 members, above what a byte holds, so
+    # the cover decision runs on a bound-3 family
+    import torsionlab.torsion as torsion_mod
+    sizes = []
+    decide = torsion_mod._modular_by_covers
+
+    def spy(members):
+        sizes.append(len(members))
+        return decide(members)
+
+    monkeypatch.setattr(torsion_mod, "_modular_by_covers", spy)
+    code, out = run_cli(capsys, "census", "Z(6)", "--bound", "3", "--json")
+    assert code == 0
+    assert max(sizes) == 448
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "cad3aed78465c743572a72863a0968008b43cabaab8e6e5c7ebc1f3f9a22fdb0"
 
 
 def test_rcm_above_order_256_matches_pinned_digest(capsys):

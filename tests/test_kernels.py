@@ -14,6 +14,7 @@ suite keeps the backend ``torsionlab.kernels`` selected."""
 import functools
 import importlib.util
 import itertools
+import json
 import os
 import pathlib
 import random
@@ -1208,6 +1209,169 @@ def test_modularity_witness_on_each_side_of_the_byte_limit(k):
     assert tl.modularity_witness(lat) == (1, 3, 2)
 
 
+# -- modularity on the cover relation ------------------------------------------
+# ``modules._modular_by_covers`` decides the closed route of ``rcm_verify``;
+# ``modularity_witness`` on ``FiniteLattice`` is its reference.
+
+def table_verdict(family):
+    """``(modular, sizes)`` by ``FiniteLattice``: the modularity verdict,
+    and for each member in sorted order the number of members above it."""
+    lat = tl.FiniteLattice(family)
+    k = lat.size
+    sizes = [lat.meet[i * k:(i + 1) * k].count(i) for i in range(k)]
+    return tl.modularity_witness(lat) is None, sizes
+
+
+def cover_verdict(family):
+    modular, up = tl.modules._modular_by_covers(family)
+    return modular, [u.bit_count() for u in up]
+
+
+@st.composite
+def closure_systems(draw):
+    """Closure systems on both sides of 256 members: a random closure
+    system on at most 7 points (a chain, N5, M3 or an ungraded lattice
+    among them) times, on the points above, a chain of up to 80 members
+    or a second random closure system on at most 8 points.  A product of
+    lattices is modular exactly when both factors are."""
+    def small(points):
+        top = (1 << points) - 1
+        closed = set(draw(st.lists(st.integers(0, top), max_size=7))) | {top}
+        grown = True
+        while grown:
+            new = {a & b for a in closed for b in closed} - closed
+            closed |= new
+            grown = bool(new)
+        return sorted(closed)
+
+    first = small(draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        second = [(1 << i) - 1 for i in range(draw(st.integers(1, 80)))]
+    else:
+        second = small(draw(st.integers(1, 8)))
+    family = [a | b << 7 for a in first for b in second]
+    return draw(st.permutations(family))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(closure_systems())
+def test_cover_decision_matches_the_tables_on_generated_closure_systems(family):
+    assert cover_verdict(family) == table_verdict(family)
+
+
+@pytest.mark.parametrize("family", [
+    [(1 << t) - 1 for t in range(1, 301)],  # a chain of 300
+    N5_FAMILY,
+    [0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111],  # M3
+    [0b0000, 0b0010, 0b0100, 0b1000, 0b0110, 0b1100, 0b1110],  # graded, not modular
+    [0b0000, 0b0001, 0b0011, 0b0111, 0b1000, 0b1111],  # chains of 4 and 2: not graded
+    *(pentagon_under_chain(k) for k in (256, 257, 300)),
+    [a | (1 << t) - 1 << 7 for a in (0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111)
+     for t in range(60)],  # M3 times a chain of 60: 300 members
+], ids=["chain300", "N5", "M3", "graded", "ungraded", "N5+256", "N5+257", "N5+300",
+        "M3xchain60"])
+def test_cover_decision_matches_the_tables_on_named_lattices(family):
+    assert cover_verdict(family) == table_verdict(family)
+
+
+def test_cover_decision_matches_the_tables_on_closed_submodules():
+    decided = 0
+    for _, ring in tl.builtin_rings(16):
+        for notion in tl.enumerate_torsion_notions(ring):
+            for k in (1, 2):
+                parent = tl.power_module(ring, k)
+                closed = [s.bits for s in tl.all_submodules(parent)
+                          if tl.modules.quasi_closure(parent, notion.least, s.bits) == s.bits]
+                assert cover_verdict(closed) == table_verdict(closed), (ring.name, k)
+                decided += 1
+    assert decided >= 50
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(bitset_families())
+def test_cover_decision_rejects_what_the_tables_reject(family):
+    try:
+        tl.lattice_from_family(family)
+    except InvariantError as exc:
+        with pytest.raises(InvariantError) as got:
+            tl.modules._modular_by_covers(family)
+        assert str(got.value) == str(exc)
+        return
+    tl.modules._modular_by_covers(family)
+
+
+def test_cover_decision_names_the_pair_as_the_tables_do(ut2):
+    members = left_ideal_family(_core_py, ut2)
+    for family, message in (
+            ([0b0010, 0b0100, 0b0110],
+             "family not closed under intersection: members 0 and 1"),
+            ([0b0000, 0b0010, 0b0100], "family has no least upper bound for members 1 and 2"),
+            (members[1:], "family not closed under intersection"),
+            (members[:-1], "family has no least upper bound")):
+        with pytest.raises(InvariantError, match="family is not a closure system: " + message):
+            tl.modules._modular_by_covers(family)
+
+
+# -- verdicts under relabeling -----------------------------------------------
+# A relabeling of a ring's elements changes the order of every family's
+# members, and so every index the cover decision reads.
+
+def relabeled(tmp_path, ring, perm):
+    """``ring`` as a ``table:`` ring, with element x renamed ``perm[x]``."""
+    n = ring.order
+    old = sorted(range(n), key=perm.__getitem__)  # old[perm[x]] == x
+
+    def table(rows):
+        return [[perm[rows[old[a]][old[b]]] for b in range(n)] for a in range(n)]
+
+    path = tmp_path / f"relabeled{n}.json"
+    path.write_text(json.dumps({"order": n, "add": table(ring.add), "mul": table(ring.mul),
+                                "zero": perm[ring.zero], "one": perm[ring.one]}))
+    return tl.parse_ring_spec(f"table:{path}")
+
+
+def rcm_verdicts(monkeypatch, ring, bound):
+    """For each notion, keyed by its members' bitsets: ``all_modular``,
+    ``all_wep`` and the cover decision on Closed(R^k) for k = 1..bound.
+    No field comes from the corpus, whose module names and order follow
+    the labels."""
+    verdicts = []
+    decide = tl.modules._modular_by_covers
+
+    def spy(members):
+        got = decide(members)
+        verdicts.append(got[0])
+        return got
+
+    monkeypatch.setattr(tl.torsion, "_modular_by_covers", spy)
+    out = {}
+    for notion in tl.enumerate_torsion_notions(ring):
+        verdicts.clear()
+        report = tl.rcm_verify(notion, bound)
+        # one decision per R^k with a module in the corpus: all k but
+        # where R^k adds none, as over the zero ring.  R^k is itself a
+        # torsion-free corpus module whose relative lattice is Closed(R^k),
+        # and every other one is an interval of it
+        assert len(verdicts) == (1 if ring.order == 1 else bound)
+        assert report.all_modular == all(verdicts)
+        out[notion.key()] = (report.all_modular, report.all_wep, tuple(verdicts))
+    return out
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in tl.builtin_rings(16)])
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
+def test_rcm_verdicts_survive_relabeling(monkeypatch, tmp_path, impl, spec):
+    monkeypatch.setattr(kernels, "enumerate_submodules", impl.enumerate_submodules)
+    ring = tl.parse_ring_spec(spec)
+    bound = 2 if ring.order <= 8 else 1
+    verdicts = rcm_verdicts(monkeypatch, ring, bound)
+    for seed in (1, 2):
+        perm = random.Random(f"{spec}:{seed}").sample(range(ring.order), ring.order)
+        renamed = {tuple(sorted(sum(1 << perm[x] for x in _core_py.bits_of(b)) for b in key)): v
+                   for key, v in verdicts.items()}
+        assert rcm_verdicts(monkeypatch, relabeled(tmp_path, ring, perm), bound) == renamed, perm
+
+
 def submodule_cases():
     """Module tables (m, n, add, act, zero): the bound-2 corpus modules of
     order <= 16 over ``MODULE_RINGS``, and R^2 for three rings."""
@@ -1348,6 +1512,20 @@ def test_compiled_kernels_reject_entries_outside_their_tables():
                  lambda: _core.enumerate_submodules(2, 1, add, [0, 1], 2)):
         with pytest.raises(ValueError):
             call()
+
+
+@needs_core
+def test_compiled_kernel_reads_bytes_tables_with_the_same_checks():
+    # a stored ``bytes`` table is read in place, with the checks and
+    # messages of any other sequence
+    add, act = [0, 1, 1, 0], [0, 1]
+    assert _core.enumerate_submodules(2, 1, bytes(add), bytes(act), 0) == \
+        _core.enumerate_submodules(2, 1, add, act, 0) == [1, 3]
+    for table, message in (([0, 1, 1, 2], r"add\[3\] is 2, outside 0\.\.1"),
+                           ([0, 1, 1], r"add has length 3, expected 4")):
+        for form in (bytes, tuple):
+            with pytest.raises(ValueError, match=message):
+                _core.enumerate_submodules(2, 1, form(table), act, 0)
 
 
 def test_selected_backend_is_exported():

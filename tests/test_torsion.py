@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import torsionlab as tl
+from torsionlab.cli import main
 from conftest import A_BITS, E11, E12, E22, RE22_BITS, trivial_notion
 
 
@@ -298,17 +299,18 @@ def test_rcm_verify_falls_back_per_module_for_one_parent(monkeypatch, which, fau
     notion = tl.enumerate_torsion_notions(ring)[which]
     parent = tl.power_module(ring, k)
     if fault == "modularity":
-        closed = tl.relative_lattice(notion, parent).members  # Closed(R^k)
-        decide = tl.torsion.modularity_witness
+        closed = list(tl.relative_lattice(notion, parent).members)  # Closed(R^k)
+        decide = tl.torsion._modular_by_covers
         fired = []
 
-        def faulty(lattice):
-            if not fired and lattice.members == closed:
-                fired.append(lattice)
-                return (0, 0, 0)
-            return decide(lattice)
+        def faulty(members):
+            modular, up = decide(members)
+            if not fired and members == closed:
+                fired.append(members)
+                return False, up
+            return modular, up
 
-        monkeypatch.setattr(tl.torsion, "modularity_witness", faulty)
+        monkeypatch.setattr(tl.torsion, "_modular_by_covers", faulty)
     else:
         full = (1 << parent.order) - 1
         preserved = tl.torsion._meets_preserved
@@ -330,6 +332,26 @@ def test_rcm_verify_falls_back_per_module_for_one_parent(monkeypatch, which, fau
                                     tl.modules._corpus_sources(ring, 2))
              if p is parent and tl.is_torsion_free(notion, m)]
     assert built and lattices == built and weps == built
+
+
+def test_sub_family_meeting_outside_itself_is_an_internal_fault(monkeypatch, capsys):
+    # Sub(R) of UT2(2) without its member 1, which is not closed for
+    # {(e11,e12), R} but is the meet of two other members: Closed(R) is
+    # whole and modular, and the meet check is the first to read member 1
+    full = tl.modules.all_submodules
+
+    def planted(module):
+        subs = full(module)
+        return subs[:1] + subs[2:] if module.name == "R" else subs
+
+    monkeypatch.setattr(tl.torsion, "all_submodules", planted)
+    bits = [s.bits for s in planted(tl.regular_module(tl.parse_ring_spec("UT2(2)")))]
+    i, j = next((i, j) for i in range(len(bits)) for j in range(i, len(bits))
+                if bits[i] & bits[j] not in bits)
+    assert main(["rcm", "UT2(2)", "--filter", "e11,e12;1", "--bound", "1"]) == 70
+    assert capsys.readouterr().err.strip() == (
+        "internal hard fault: family is not a closure system: family not closed "
+        f"under intersection: members {i} and {j}")
 
 
 def test_rcm_verify_enumerates_submodules_of_r_and_r2_only(monkeypatch):
