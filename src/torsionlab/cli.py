@@ -16,8 +16,8 @@ import sys
 
 from . import __version__
 from .classify import classify, commutative_collapse
-from .delta import (_delta_equiv, _FiberTable, delta_from_doc, random_reducible_delta,
-                    reduce_delta)
+from .delta import (_delta_equiv, _delta_plan, _FiberTable, delta_from_doc,
+                    random_reducible_delta, reduce_delta)
 from .errors import InputError, InvariantError, ReductionError, RingSpecError
 from .kernels import backend
 from .modules import (module_corpus, module_from_table, power_module,
@@ -31,8 +31,9 @@ from .torsion import (TorsionNotion, check_torsion_axioms,
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -68,72 +69,6 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-@functools.cache
-def _parser():
-    """The argument parser, built at the first ``main`` call and reused
-    by later calls: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="torsionlab",
-        description="Torsion filters and RCM classification over finite rings")
-    parser.add_argument("--version", action="version",
-                        version=f"torsionlab {__version__} (backend: {backend()})")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, func, help_text, ring_arg=True):
-        p = sub.add_parser(name, help=help_text)
-        if ring_arg:
-            p.add_argument("ring", help="ring spec, e.g. Z(4), UT2(2), prod(Z(2),Z(2))")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.set_defaults(func=func)
-        return p
-
-    cmd("ring-info", _cmd_ring_info, "order, units, and element names of a ring")
-    cmd("ideals", _cmd_ideals, "list every left ideal")
-
-    p = cmd("torsion-check", _cmd_torsion_check, "check the five torsion axioms")
-    p.add_argument("--filter", required=True,
-                   help="semicolon-separated generator lists, e.g. 'e11,e12;1'")
-
-    cmd("torsion-enum", _cmd_torsion_enum, "enumerate all torsion notions")
-
-    p = cmd("closure", _cmd_closure, "relative closure of a submodule")
-    p.add_argument("--filter", required=True)
-    p.add_argument("--module", default="regular",
-                   help="regular | power:k | quot:g1,g2,... | file:PATH")
-    p.add_argument("--sub", default="", help="generators of the submodule")
-
-    p = cmd("wep", _cmd_wep, "weak extension principle over one module")
-    p.add_argument("--filter", required=True)
-    p.add_argument("--module", default="regular")
-
-    p = cmd("rcm", _cmd_rcm, "modularity + weak extension over the corpus")
-    p.add_argument("--filter", required=True)
-    p.add_argument("--bound", type=_positive_int, default=2, help="corpus bound (default 2)")
-
-    p = sub.add_parser("delta-reduce", help="reduce a delta-axiom file")
-    p.add_argument("path", help="JSON delta-axiom file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_delta_reduce)
-
-    p = cmd("classify", _cmd_classify, "classify a quasiidentity-defined class")
-    p.add_argument("--quasi", action="append", default=[],
-                   help="generator list of one quasiidentity (repeatable)")
-    p.add_argument("--ident", action="append", default=[],
-                   help="coefficient list of one linear identity (repeatable)")
-    p.add_argument("--bound", type=_positive_int, default=2)
-
-    p = sub.add_parser("census", help="aggregate report over a ring corpus")
-    p.add_argument("specs", nargs="*", help="ring specs; 'builtin' or empty = builtin corpus")
-    p.add_argument("--max-order", type=_positive_int, default=16)
-    p.add_argument("--bound", type=_positive_int, default=2)
-    p.add_argument("--seed", type=int, default=None,
-                   help="also run a seeded random delta-axiom sweep per ring")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_census)
-
-    return parser
 
 
 # -- shared helpers -------------------------------------------------------
@@ -356,20 +291,25 @@ def _cmd_classify(args):
 
 # budget picks the instances that run, so it fixes delta_instances: re-pin stdout to change it
 def _delta_sweep(ring, seed, corpus, axioms=10, budget=200000):
-    """Draw and reduce ``axioms`` reducible delta axioms, then evaluate on
-    each corpus module every one within ``budget`` (m**(2+u+z) tuples),
-    all through one ``_FiberTable`` of that module."""
+    """Draw, reduce and plan ``axioms`` reducible delta axioms, then
+    evaluate on each corpus module every one within ``budget``
+    (m**(2+u+z) tuples).  Each module's instances run as one batch, with
+    one ``_FiberTable`` and one dict of quasiidentity verdicts by ideal
+    bitset, both dropped before the next module: each fiber and each
+    (module, ideal) verdict is built once per batch, and every instance
+    is compared with its ideal's verdict."""
     rng = random.Random(f"{seed}/{ring.name}")
     drawn = []
     for _ in range(axioms):
         axiom = random_reducible_delta(ring, rng)
-        drawn.append((axiom, reduce_delta(axiom), 2 + axiom.u_arity + axiom.z_arity))
+        drawn.append((axiom, reduce_delta(axiom), _delta_plan(axiom),
+                      2 + axiom.u_arity + axiom.z_arity))
     instances = 0
     for module in corpus:
-        table = _FiberTable(module)
-        for axiom, red, cost_exp in drawn:
+        table, verdicts = _FiberTable(module), {}
+        for axiom, red, plan, cost_exp in drawn:
             if module.order ** cost_exp <= budget:
-                _delta_equiv(module, axiom, red, table)
+                _delta_equiv(module, axiom, red, plan, table, verdicts)
                 instances += 1
     return instances
 
@@ -431,6 +371,77 @@ def _cmd_census(args):
     if bad:
         return 2
     return 1 if negative else 0
+
+
+# -- parser ----------------------------------------------------------------
+
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, as its arguments."""
+    return flags, kwargs
+
+
+_RING = _arg("ring", help="ring spec, e.g. Z(4), UT2(2), prod(Z(2),Z(2))")
+_JSON = _arg("--json", action="store_true", help="emit a JSON report")
+
+# each command: its function, its help line and its arguments, in order
+_COMMANDS = {
+    "ring-info": (_cmd_ring_info, "order, units, and element names of a ring", [_RING, _JSON]),
+    "ideals": (_cmd_ideals, "list every left ideal", [_RING, _JSON]),
+    "torsion-check": (_cmd_torsion_check, "check the five torsion axioms", [
+        _RING, _JSON,
+        _arg("--filter", required=True,
+             help="semicolon-separated generator lists, e.g. 'e11,e12;1'")]),
+    "torsion-enum": (_cmd_torsion_enum, "enumerate all torsion notions", [_RING, _JSON]),
+    "closure": (_cmd_closure, "relative closure of a submodule", [
+        _RING, _JSON, _arg("--filter", required=True),
+        _arg("--module", default="regular", help="regular | power:k | quot:g1,g2,... | file:PATH"),
+        _arg("--sub", default="", help="generators of the submodule")]),
+    "wep": (_cmd_wep, "weak extension principle over one module", [
+        _RING, _JSON, _arg("--filter", required=True), _arg("--module", default="regular")]),
+    "rcm": (_cmd_rcm, "modularity + weak extension over the corpus", [
+        _RING, _JSON, _arg("--filter", required=True),
+        _arg("--bound", type=_positive_int, default=2, help="corpus bound (default 2)")]),
+    "delta-reduce": (_cmd_delta_reduce, "reduce a delta-axiom file", [
+        _arg("path", help="JSON delta-axiom file"), _arg("--json", action="store_true")]),
+    "classify": (_cmd_classify, "classify a quasiidentity-defined class", [
+        _RING, _JSON,
+        _arg("--quasi", action="append", default=[],
+             help="generator list of one quasiidentity (repeatable)"),
+        _arg("--ident", action="append", default=[],
+             help="coefficient list of one linear identity (repeatable)"),
+        _arg("--bound", type=_positive_int, default=2)]),
+    "census": (_cmd_census, "aggregate report over a ring corpus", [
+        _arg("specs", nargs="*", help="ring specs; 'builtin' or empty = builtin corpus"),
+        _arg("--max-order", type=_positive_int, default=16),
+        _arg("--bound", type=_positive_int, default=2),
+        _arg("--seed", type=int, default=None,
+             help="also run a seeded random delta-axiom sweep per ring"),
+        _arg("--json", action="store_true")]),
+}
+
+
+@functools.cache
+def _parser(command=None):
+    """The argument parser with the subparser of ``command`` alone, or
+    of every command when it is None (for ``-h``, ``--version`` and
+    unknown commands).  Each is built at the first ``main`` call that
+    needs it and reused by later calls: parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="torsionlab",
+        description="Torsion filters and RCM classification over finite rings")
+    parser.add_argument("--version", action="version",
+                        version=f"torsionlab {__version__} (backend: {backend()})")
+    # a parser for one command names every command in its usage line, as
+    # the full one does, so that the errors it reports read the same
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in _COMMANDS if command is None else (command,):
+        func, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
+    return parser
 
 
 if __name__ == "__main__":

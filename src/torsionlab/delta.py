@@ -18,17 +18,21 @@ exactly where its x/y terms take the value -w_j.  Those positions are a
 fiber of the x/y terms, kept as a bitset, so both conditions are read off
 bitsets in one route at every order.
 
-The fibers depend only on the module and the scalars, so they are kept
-in a ``_FiberTable``, built as it is read.  The census sweep evaluates
-all of its axioms on one module before it moves to the next, through
-one table per module that lives only for that batch; the public entry
-points build a table per call.  The evaluation uses the module axiom
-``add_act``, (r + s) x = r x + s x, to merge each u_i's two terms into
-(c_ij + d_ij) u_i and, under x = y, a_j x + b_j x into (a_j + b_j) x.
-Every ``FiniteModule`` satisfies it: untrusted tables are validated,
-derived ones proved through ``check_map``.  A step whose scalars are all
-zero (every step of a reducible axiom) adds 0 to every row, so it
-extends each base's tuple by 0 without walking t.
+What the evaluation reads of the axiom alone (the per-variable scalars,
+which variables are all zero, and the rows' x/y scalars) is its plan,
+``_delta_plan``.  The fibers depend only on the module and the scalars,
+so they are kept in a ``_FiberTable``, built as it is read.  The census
+sweep plans each axiom once, then evaluates all of its axioms on one
+module before it moves to the next, through one table and one dict of
+quasiidentity verdicts per module that live only for that batch; the
+public entry points build a plan, a table and a dict per call.  The
+evaluation uses the module axiom ``add_act``, (r + s) x = r x + s x, to
+merge each u_i's two terms into (c_ij + d_ij) u_i and, under x = y,
+a_j x + b_j x into (a_j + b_j) x.  Every ``FiniteModule`` satisfies it:
+untrusted tables are validated, derived ones proved through
+``check_map``.  A step whose scalars are all zero (every step of a
+reducible axiom) adds 0 to every row, so it extends each base's tuple by
+0 without walking t.
 """
 
 from functools import reduce
@@ -130,10 +134,32 @@ def reduce_delta(axiom):
     return ReducedDelta(ring, reduced)
 
 
-def _delta_bases(module, axiom):
+def _delta_plan(axiom):
+    """What the evaluation reads of the axiom alone, as the tuple
+    ``(steps, ab, a, b)``: ``steps[v]`` holds variable v's scalar on each
+    row, or None when every one is zero; ``ab[j]`` is a_j + b_j; ``a`` and
+    ``b`` are the rows' x and y scalars.
+
+    u_i adds c_ij u_i + d_ij u_i = (c_ij + d_ij) u_i to row j, by add_act,
+    and z_i adds e_ij z_i.  Zero is the ring's own zero, wherever its
+    index lies.  The plan depends on no module, so a sweep builds it once
+    per axiom; the public entry points build it per call.  It is a fresh
+    value, never kept on the axiom, whose slots can be reassigned.
+    """
+    ring, rows = axiom.ring, axiom.rows
+    radd, zero = ring.add, ring.zero
+    steps = [[radd[row.c[i]][row.d[i]] for row in rows] for i in range(axiom.u_arity)]
+    steps += [[row.e[i] for row in rows] for i in range(axiom.z_arity)]
+    return (tuple(None if step.count(zero) == len(step) else tuple(step) for step in steps),
+            tuple(radd[row.a][row.b] for row in rows),
+            tuple(row.a for row in rows), tuple(row.b for row in rows))
+
+
+def _delta_bases(module, axiom, plan=None):
     """Each distinct u/z base, mapped to the first (u, z) tuple in
     odometer order that reaches it, as a dict in the order of those
-    tuples.
+    tuples.  ``plan`` is the axiom's ``_delta_plan``, built here when it
+    is not given.
 
     ``base[j]`` is row j's u/z part summed from zero: the whole of row
     j's value except its x/y terms.  The bases are built one variable at
@@ -149,15 +175,11 @@ def _delta_bases(module, axiom):
     alone.  A reducible axiom (d = -c, e = 0) has one base, all zero,
     reached at the all-zero tuple.
     """
-    add, act, rows = module.add, module.act, axiom.rows
-    radd, zero = module.ring.add, module.ring.zero
-    # scalars[v][j]: variable v = t adds scalars[v][j] t to row j; u_i
-    # adds c_ij u_i + d_ij u_i = (c_ij + d_ij) u_i, by add_act
-    scalars = [[radd[row.c[i]][row.d[i]] for row in rows] for i in range(axiom.u_arity)]
-    scalars += [[row.e[i] for row in rows] for i in range(axiom.z_arity)]
-    bases = {(module.zero,) * len(rows): ()}
-    for step in scalars:
-        if step.count(zero) == len(step):
+    steps, ab, _, _ = _delta_plan(axiom) if plan is None else plan
+    add, act = module.add, module.act
+    bases = {(module.zero,) * len(ab): ()}
+    for step in steps:
+        if step is None:
             bases = {base: (*tup, 0) for base, tup in bases.items()}
             continue
         step = [act[r] for r in step]
@@ -242,26 +264,29 @@ def delta_condition_witnesses(module, axiom):
     addition is an abelian group, so the value is zero exactly when the
     x/y part equals ``neg[w_j]``: a fiber of the x/y part, read off a
     bitset over x of (a_j + b_j) x (cond1, by add_act) or over the pairs
-    (x, y) (cond2).  Each call reads a fresh ``_FiberTable``.
+    (x, y) (cond2).  Each call plans the axiom (``_delta_plan``) and
+    reads a fresh ``_FiberTable``.
     """
     return _condition_witnesses(module, axiom, _FiberTable(module))
 
 
-def _condition_witnesses(module, axiom, table):
+def _condition_witnesses(module, axiom, table, plan=None):
     """``delta_condition_witnesses`` reading the fibers off ``table``,
-    the ``_FiberTable`` of ``module``."""
+    the ``_FiberTable`` of ``module``, and the axiom's scalars off
+    ``plan``, its ``_delta_plan``, built here when it is not given."""
     if axiom.ring is not module.ring:
         raise ValueError("delta axiom over a different ring")
-    bases = _delta_bases(module, axiom)
-    return _cond1_witness(module, axiom, bases, table), _cond2_witness(module, axiom, bases, table)
+    if plan is None:
+        plan = _delta_plan(axiom)
+    bases = _delta_bases(module, axiom, plan)
+    return _cond1_witness(module, plan, bases, table), _cond2_witness(module, plan, bases, table)
 
 
-def _cond1_witness(module, axiom, bases, table):
+def _cond1_witness(module, plan, bases, table):
     """The witness ``w1`` of ``delta_condition_witnesses``."""
-    radd, neg = module.ring.add, module.neg
-    full = (1 << module.order) - 1
+    neg, full = module.neg, (1 << module.order) - 1
     # the fibers of x -> a_j x + b_j x = (a_j + b_j) x
-    fibers = [table.of(radd[row.a][row.b]) for row in axiom.rows]
+    fibers = [table.of(r) for r in plan[1]]
     for base, tup in bases.items():
         fails = [(_low_bit(bad), j) for j, bad in enumerate(
                      full & ~fib.get(neg[w], 0) for fib, w in zip(fibers, base)) if bad]
@@ -271,10 +296,9 @@ def _cond1_witness(module, axiom, bases, table):
     return None
 
 
-def _cond2_witness(module, axiom, bases, table):
+def _cond2_witness(module, plan, bases, table):
     """The witness ``w2`` of ``delta_condition_witnesses``."""
-    a = [row.a for row in axiom.rows]
-    b = [row.b for row in axiom.rows]
+    _, _, a, b = plan
     off, minus = table.off_diagonal(), module.neg.__getitem__
     for base, tup in bases.items():
         # the x != y at which every row j vanishes: a_j x + b_j y = -w_j
@@ -298,18 +322,26 @@ def delta_equiv_quasiidentity(module, axiom):
     original rows, the right side tests the one-variable quasiidentity of
     the encoding ideal.  Disagreement is a hard fault.
     """
-    return _delta_equiv(module, axiom, reduce_delta(axiom), _FiberTable(module))
+    return _delta_equiv(module, axiom, reduce_delta(axiom), _delta_plan(axiom),
+                        _FiberTable(module), {})
 
 
-def _delta_equiv(module, axiom, red, table):
+def _delta_equiv(module, axiom, red, plan, table, verdicts):
     """``delta_equiv_quasiidentity`` with the axiom already reduced to
-    ``red`` and the fibers read off ``table``, the module's
-    ``_FiberTable``, so that a sweep reduces each axiom once and builds
-    each fiber once per module.  The quasiidentity reads no table: it is
-    the independent route."""
-    w1, w2 = _condition_witnesses(module, axiom, table)
+    ``red`` and planned as ``plan`` (its ``_delta_plan``), the fibers read
+    off ``table``, the module's ``_FiberTable``, and the quasiidentity
+    verdict read off ``verdicts``, a dict from ideal bitsets to verdicts
+    on ``module``, filled as it is read.  A sweep reduces and plans each
+    axiom once, and for each module builds each fiber and each ideal's
+    verdict once; the table and the dict are dropped with that module.
+    Every call still compares its own evaluation with its ideal's verdict.
+    The quasiidentity reads no table: it is the independent route."""
+    w1, w2 = _condition_witnesses(module, axiom, table, plan)
     via_delta = w1 is None and w2 is None
-    via_ideal = satisfies_quasiidentity(module, red.ideal)
+    key = red.ideal.bits
+    via_ideal = verdicts.get(key)
+    if via_ideal is None:
+        via_ideal = verdicts[key] = satisfies_quasiidentity(module, red.ideal)
     if via_delta != via_ideal:
         raise InvariantError(
             f"delta evaluation ({via_delta}) disagrees with the encoded "

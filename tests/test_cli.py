@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schemas, determinism, witness replay."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -701,11 +702,11 @@ def test_delta_sweep_reads_one_fiber_table_per_module(capsys, monkeypatch):
 
     equiv = cli_mod._delta_equiv
 
-    def counted_equiv(module, axiom, red, table):
+    def counted_equiv(module, axiom, red, plan, table, verdicts):
         assert table.module is module
         if not batches or batches[-1][0] is not table:
             batches.append((table, module))
-        return equiv(module, axiom, red, table)
+        return equiv(module, axiom, red, plan, table, verdicts)
 
     monkeypatch.setattr(delta._FiberTable, "__init__", counted_init)
     monkeypatch.setattr(cli_mod, "_delta_equiv", counted_equiv)
@@ -732,6 +733,185 @@ def test_a_delta_disagreement_is_an_internal_fault(capsys, monkeypatch):
     assert captured.out == ""
     assert "internal hard fault: delta evaluation (" in captured.err
     assert ") disagrees with the encoded quasiidentity (" in captured.err
+
+
+def test_a_delta_disagreement_on_one_pair_is_an_internal_fault(capsys, monkeypatch):
+    # a verdict is computed once per (module, ideal) in a batch, so a fault
+    # in one pair must still reach the first instance that reads it
+    from torsionlab import delta
+
+    argv = ["census", "Z(4)", "Z(6)", "UT2(2)", "--seed", "11"]
+    pairs, oracle = [], delta.satisfies_quasiidentity
+
+    def spy(module, ideal):
+        pairs.append((module.ring.name, module.name, ideal.bits))
+        return oracle(module, ideal)
+
+    monkeypatch.setattr(delta, "satisfies_quasiidentity", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(pairs) == len(set(pairs)) > 3
+    for target in (pairs[1], pairs[len(pairs) // 2], pairs[-1]):
+        def planted(module, ideal, target=target):
+            verdict = oracle(module, ideal)
+            if (module.ring.name, module.name, ideal.bits) == target:
+                return not verdict
+            return verdict
+
+        monkeypatch.setattr(delta, "satisfies_quasiidentity", planted)
+        assert main(argv) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal hard fault: delta evaluation (")
+        assert captured.err.endswith(f" on {target[1]}\n")
+
+
+def test_a_delta_fault_on_an_instance_whose_verdict_is_known_is_caught(capsys, monkeypatch):
+    # an instance whose ideal's verdict the batch already holds is still
+    # compared with it
+    import torsionlab.cli as cli_mod
+    from torsionlab import delta
+
+    argv = ["census", "Z(4)", "Z(6)", "UT2(2)", "--seed", "11"]
+    calls, equiv = [], cli_mod._delta_equiv
+
+    def spy(module, axiom, red, plan, table, verdicts):
+        calls.append((module.name, red.ideal.bits in verdicts))
+        return equiv(module, axiom, red, plan, table, verdicts)
+
+    monkeypatch.setattr(cli_mod, "_delta_equiv", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_mod, "_delta_equiv", equiv)
+    known = [i for i, (_, seen) in enumerate(calls) if seen]
+    assert len(known) > 3
+    witnesses = delta._condition_witnesses
+    for target in (known[0], known[-1]):
+        seen = []
+
+        def planted(module, axiom, table, plan=None, target=target):
+            # flip the evaluation's verdict at instance ``target`` alone
+            w1, w2 = witnesses(module, axiom, table, plan)
+            seen.append(None)
+            if len(seen) - 1 != target:
+                return w1, w2
+            return (None, None) if w1 is not None or w2 is not None else ((0,), None)
+
+        monkeypatch.setattr(delta, "_condition_witnesses", planted)
+        assert main(argv) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f" on {calls[target][0]}\n")
+
+
+def test_delta_sweep_decides_each_quasiidentity_once_per_batch(capsys, monkeypatch):
+    import torsionlab.cli as cli_mod
+    from torsionlab import delta
+
+    decided, instances, batches = [], [], []
+    oracle, equiv = delta.satisfies_quasiidentity, cli_mod._delta_equiv
+
+    def counted_oracle(module, ideal):
+        decided.append((module, ideal.bits))
+        return oracle(module, ideal)
+
+    def counted_equiv(module, axiom, red, plan, table, verdicts):
+        if not batches or batches[-1][0] is not verdicts:
+            assert not verdicts
+            batches.append((verdicts, set()))
+        seen = batches[-1][1]
+        before = len(decided)
+        got = equiv(module, axiom, red, plan, table, verdicts)
+        # the oracle runs for the first instance of each ideal in a batch
+        fresh = red.ideal.bits not in seen
+        assert decided[before:] == ([(module, red.ideal.bits)] if fresh else [])
+        assert verdicts[red.ideal.bits] == got
+        seen.add(red.ideal.bits)
+        instances.append((module, axiom))
+        return got
+
+    monkeypatch.setattr(delta, "satisfies_quasiidentity", counted_oracle)
+    monkeypatch.setattr(cli_mod, "_delta_equiv", counted_equiv)
+    code, doc = run_json(capsys, "census", "--max-order", "8", "--seed", "1")
+    assert code == 0
+    # one evaluation per instance, as many as the census reports
+    total = sum(entry["delta_instances"] for entry in doc["entries"])
+    assert len(instances) == len({(id(m), id(a)) for m, a in instances}) == total
+    assert len(decided) == sum(len(seen) for _, seen in batches) < total
+    for verdicts, seen in batches:
+        assert set(verdicts) == seen
+
+
+def test_delta_sweep_plans_each_drawn_axiom_once(capsys, monkeypatch):
+    import torsionlab.cli as cli_mod
+
+    plans, used = {}, []
+    plan_of, equiv = cli_mod._delta_plan, cli_mod._delta_equiv
+
+    def counted_plan(axiom):
+        assert id(axiom) not in plans
+        plans[id(axiom)] = axiom, plan_of(axiom)
+        return plans[id(axiom)][1]
+
+    def counted_equiv(module, axiom, red, plan, table, verdicts):
+        assert plans[id(axiom)][1] is plan
+        used.append(id(axiom))
+        return equiv(module, axiom, red, plan, table, verdicts)
+
+    monkeypatch.setattr(cli_mod, "_delta_plan", counted_plan)
+    monkeypatch.setattr(cli_mod, "_delta_equiv", counted_equiv)
+    code, doc = run_json(capsys, "census", "--max-order", "8", "--seed", "1")
+    assert code == 0
+    # ten axioms drawn per ring, each planned once and read by every instance
+    assert len(plans) == 10 * len(doc["entries"])
+    assert set(used) <= set(plans) and len(used) > len(plans)
+
+
+@pytest.mark.parametrize("command, valid", [
+    ("ring-info", ["Z(4)"]), ("ideals", ["Z(4)"]),
+    ("torsion-check", ["Z(4)", "--filter", "1"]), ("torsion-enum", ["Z(4)"]),
+    ("closure", ["Z(4)", "--filter", "1"]), ("wep", ["Z(4)", "--filter", "1"]),
+    ("rcm", ["Z(4)", "--filter", "1"]), ("delta-reduce", ["axiom.json"]),
+    ("classify", ["Z(4)"]), ("census", [])])
+def test_a_one_command_parser_reads_as_the_full_one(capsys, command, valid):
+    import torsionlab.cli as cli_mod
+
+    def outcome(parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    full, alone = cli_mod._parser(), cli_mod._parser(command)
+    assert alone is cli_mod._parser(command) and alone is not full
+    help_out = outcome(alone, [command, "--help"])
+    assert help_out == outcome(full, [command, "--help"]) and help_out[0] == 0
+    # a missing argument (the subcommand's error), then an unknown one
+    # after valid arguments (the top-level error, with its usage line)
+    for argv in ([command, "--no-such-flag"], [command, *valid, "--no-such-flag"]):
+        error = outcome(alone, argv)
+        assert error == outcome(full, argv) and error[0] == 2 and error[1] == ""
+    assert "unrecognized arguments: --no-such-flag" in error[2]
+
+
+def test_main_builds_only_the_named_command_parser(capsys):
+    import torsionlab.cli as cli_mod
+
+    cli_mod._parser.cache_clear()
+    assert run_cli(capsys, "ring-info", "Z(4)")[0] == 0
+    assert cli_mod._parser.cache_info().currsize == 1
+    (sub,) = [a for a in cli_mod._parser("ring-info")._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["ring-info"]
+    # -h, --version and an unknown command read the full parser
+    assert main(["-h"]) == 0
+    listing = capsys.readouterr().out
+    assert cli_mod._parser.cache_info().currsize == 2
+    for command in cli_mod._COMMANDS:
+        assert f"\n    {command} " in listing
+    assert len(cli_mod._COMMANDS) == 10
+    assert main(["no-such-command"]) == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
 
 
 def test_a_failed_parse_leaves_the_parser_as_it_was(capsys):

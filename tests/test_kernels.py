@@ -1012,7 +1012,9 @@ def test_delta_bases_are_built_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(delta, "_delta_bases", spy)
     got = delta.delta_condition_witnesses(reg, axiom)
-    assert builds == [(reg, axiom)]
+    # the bases read the axiom's plan, built by the public entry point
+    assert [args[:2] for args in builds] == [(reg, axiom)]
+    assert [args[2:] for args in builds] == [(delta._delta_plan(axiom),)]
     assert got == reference_witnesses(reg, axiom)
 
 
@@ -1370,6 +1372,65 @@ def test_rcm_verdicts_survive_relabeling(monkeypatch, tmp_path, impl, spec):
         renamed = {tuple(sorted(sum(1 << perm[x] for x in _core_py.bits_of(b)) for b in key)): v
                    for key, v in verdicts.items()}
         assert rcm_verdicts(monkeypatch, relabeled(tmp_path, ring, perm), bound) == renamed, perm
+
+
+def relabeled_delta(axiom, ring, perm):
+    """``axiom`` over ``ring``, its ring relabeled, with every coefficient
+    x renamed ``perm[x]``."""
+    rows = [tl.DeltaRow(perm[row.a], perm[row.b], [perm[x] for x in row.c],
+                        [perm[x] for x in row.d], [perm[x] for x in row.e])
+            for row in axiom.rows]
+    return tl.DeltaAxiom(ring, rows, axiom.u_arity, axiom.z_arity)
+
+
+def index_zero_axioms(ring, s, rng):
+    """Axioms whose every u/z step scalar is ``s``, the element a
+    relabeling moves to index 0, with a_j + b_j zero or ``s``: a plan
+    that took index 0 for zero would skip every step of their image."""
+    radd, neg, n = ring.add, ring.neg, ring.order
+    axioms = []
+    for u_arity, z_arity in ((1, 0), (0, 1), (1, 1), (2, 0)):
+        for ab in (ring.zero, s):
+            rows = []
+            for a in (ring.one, rng.randrange(n)):
+                c = [rng.randrange(n) for _ in range(u_arity)]
+                rows.append(tl.DeltaRow(a, radd[ab][neg[a]], c, [radd[s][neg[x]] for x in c],
+                                        [s] * z_arity))
+            axioms.append(tl.DeltaAxiom(ring, rows, u_arity, z_arity))
+    return axioms
+
+
+@pytest.mark.parametrize("spec", [spec for spec, ring in tl.builtin_rings(8) if ring.order > 1])
+def test_delta_verdicts_survive_relabeling(tmp_path, spec):
+    ring = tl.parse_ring_spec(spec)
+    n, rng = ring.order, random.Random(f"delta:{spec}")
+    perm = rng.sample(range(n), n)
+    if perm[ring.zero] == 0:  # move zero off index 0
+        other = (ring.zero + 1) % n
+        perm[ring.zero], perm[other] = perm[other], perm[ring.zero]
+    moved = relabeled(tmp_path, ring, perm)
+    assert moved.zero == perm[ring.zero] != 0
+    reducible = [tl.random_reducible_delta(ring, rng) for _ in range(8)]
+    arbitrary = [random_delta(ring, rng) for _ in range(8)]
+    arbitrary += index_zero_axioms(ring, perm.index(0), rng)
+    checked = 0
+    for k in (1, 2):
+        mod, image = tl.power_module(ring, k), tl.power_module(moved, k)
+        # the sweep's batch: one fiber table and one verdict dict per module
+        batches = [(mod, delta._FiberTable(mod), {}), (image, delta._FiberTable(image), {})]
+        for axiom in reducible + arbitrary:
+            if mod.order ** (2 + axiom.u_arity + axiom.z_arity) > 200000:
+                continue
+            checked += 1
+            moved_axiom = relabeled_delta(axiom, moved, perm)
+            expect = tl.delta_satisfied(mod, axiom)
+            assert tl.delta_satisfied(image, moved_axiom) == expect, (k, axiom.rows)
+            if axiom in reducible:
+                for (module, table, verdicts), ax in zip(batches, (axiom, moved_axiom)):
+                    got = delta._delta_equiv(module, ax, tl.reduce_delta(ax),
+                                             delta._delta_plan(ax), table, verdicts)
+                    assert got == expect, (k, axiom.rows)
+    assert checked >= 20
 
 
 def submodule_cases():
