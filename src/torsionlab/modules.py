@@ -39,8 +39,9 @@ class FiniteModule:
     row-major, as those two build them.  Tables from input (``file:``)
     are always checked.  Either way the flat tables are stored as a
     ring's are (``rings.flat_table``): ``bytes`` up to 256 elements, one
-    byte per entry, which ``check_map`` reads by ``translate`` without a
-    copy, and tuples above; each row is a slice of its flat table.
+    byte per entry, which ``check_map`` and ``rings.preimage`` read by
+    ``translate`` without a copy, and tuples above; each row is a slice
+    of its flat table.
 
     Two modules are not built here but share checked tables whole
     (``_sharing``): ``regular_module`` shares the ring's, which
@@ -227,17 +228,18 @@ def _quotient_tables(module, sub):
     Each row of a quotient table is one column gather over the coset
     representatives (``itemgetter(*reps)``) mapped through the projection
     by ``_composition``'s ``as_map``: ``translate`` up to 256 elements, a
-    list comprehension above, in one code path.  A subset without zero
-    leaves some element in no coset, None in ``proj``; its tables are
-    left empty, as ``check_map`` rejects such a projection before it
-    reads a table."""
+    list comprehension above, in one code path.  The m rows of ``add`` and
+    the n rows of ``act`` are gathered by ``map`` and each table is one
+    ``join``.  A subset without zero leaves some element in no coset, None
+    in ``proj``; its tables are left empty, as ``check_map`` rejects such
+    a projection before it reads a table."""
     if sub.module is not module:
         raise ValueError("quotient_module: submodule of a different module")
     if sub.bits == 1 << module.zero:
         return range(module.order), module.order, module.add_flat, module.act_flat, module.zero
     reps, proj = coset_representatives(module.order, module.add, sub.elements())
     m = len(reps)
-    as_row, as_map, index_row = rings._composition(module.order)
+    as_row, as_map, index_row, join = rings._composition(module.order)
     f = index_row(proj, m)
     if f is None:
         return proj, m, (), (), None
@@ -245,11 +247,8 @@ def _quotient_tables(module, sub):
     # itemgetter of one index returns an entry, not a sequence: for m = 1,
     # reps is [0], read as the slice [:1]
     gather = itemgetter(*reps) if m > 1 else itemgetter(slice(1))
-    add, act = as_row(), as_row()
-    for a in reps:
-        add += to_coset(as_row(gather(module.add[a])))
-    for row in module.act:
-        act += to_coset(as_row(gather(row)))
+    add, act = (join(map(to_coset, map(as_row, map(gather, rows))))
+                for rows in (map(module.add.__getitem__, reps), module.act))
     return proj, m, flat_table(add, m), flat_table(act, m), proj[module.zero]
 
 

@@ -11,6 +11,7 @@ emits.
 """
 
 import operator
+from functools import reduce
 from itertools import chain, product, repeat
 
 from . import kernels
@@ -58,12 +59,22 @@ def _as_table(raw, rows, cols, what):
     """The ring or module table ``raw``, ``rows`` rows of ``cols`` indices
     0..cols-1, as a tuple of tuples, else ``TableError`` ``{what}-shape``
     or ``{what}-range``.  The row count is checked before the index set is
-    built.  A row that passes ``all_index_entries`` is accepted whole; any
-    other row goes through the entry loop, which names the first bad
-    (i, j) or accepts the row (an ``int`` subclass in range)."""
+    built.  Then the whole table is decided at once: every row length,
+    and ``all_index_entries`` over the entries of every row, read in place
+    by ``chain`` with no flattened copy.  Only a table that fails goes
+    through the row loop, which names the first bad row length or (i, j),
+    or accepts a row whose entries are an ``int`` subclass in range."""
     if len(raw) != rows:
         raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {rows} rows")
     indices = frozenset(range(cols))
+    try:
+        whole = ({*map(len, raw)} <= {cols}
+                 and indices.issuperset(chain.from_iterable(raw))
+                 and type(sum(chain.from_iterable(raw))) is int)
+    except TypeError:  # a row without a length, or entries that do not hash or add
+        whole = False
+    if whole:
+        return tuple(map(tuple, raw))
     out = []
     for i, row in enumerate(raw):
         if len(row) != cols:
@@ -80,15 +91,37 @@ def _as_table(raw, rows, cols, what):
 def check_abelian_group(order, add, zero, what="add"):
     """Abelian-group check of the rows ``add``; raises TableError on failure.
 
-    Identity, commutativity and inverses are checked entry by entry.
-    Associativity is then decided on the generators of ``_generators``:
-    the set S of a with (x+a)+z = x+(a+z) for all x and z holds zero, a
-    two-sided identity, and with a and g it holds a+g (regroup
-    (x+(a+g))+z through (x+a)+g, (x+a)+(g+z) and x+(a+(g+z))), so S is
-    the whole table once it holds every generator.  Only when that
-    fails does ``_assoc_witness`` scan the triples, to name the first
-    witness.
+    Identity, commutativity and inverses are decided on whole rows (see
+    ``_composition``): zero's row against the identity row, each row
+    against its column, a slice of the joined table, and each row holding
+    zero.  Only when that fails do the entry loops run, in their order,
+    to name the first witness.  Associativity is then decided on the
+    generators of ``_generators``: the set S of a with (x+a)+z = x+(a+z)
+    for all x and z holds zero, a two-sided identity, and with a and g it
+    holds a+g (regroup (x+(a+g))+z through (x+a)+g, (x+a)+(g+z) and
+    x+(a+(g+z))), so S is the whole table once it holds every generator.
+    Only when that fails does ``_assoc_witness`` scan the triples, to name
+    the first witness.
     """
+    as_row, as_map, _, join = _composition(order)
+    rows = list(map(as_row, add))
+    flat = join(rows)
+    if not (rows[zero] == as_row(range(order))
+            and all(map(operator.eq, rows, (flat[i::order] for i in range(order))))
+            and all(map(operator.contains, rows, repeat(zero)))):
+        _group_witness(order, add, zero, what)
+    # (x+g)+z = x+(g+z) over z, for each x and generator g
+    gens = _generators(rows, zero)
+    if all(rows[row[g]] == plus(rows[g])
+           for row, plus in zip(rows, map(as_map, rows)) for g in gens):
+        return
+    w = _assoc_witness(rows, as_map)
+    raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
+
+
+def _group_witness(order, add, zero, what):
+    """Raise the ``TableError`` of the first identity, commutativity or
+    inverse fault of the rows ``add``, found by the entry loops."""
     for i in range(order):
         if add[zero][i] != i:
             raise TableError(f"{what}-identity", (i,), f"zero + {i} != {i}")
@@ -99,32 +132,26 @@ def check_abelian_group(order, add, zero, what="add"):
                 raise TableError(f"{what}-commutative", (i, j), f"{i} + {j} != {j} + {i}")
         if zero not in row:
             raise TableError(f"{what}-inverse", (i,), f"element {i} has no additive inverse")
-    as_row, as_map, _ = _composition(order)
-    rows = list(map(as_row, add))
-    # (x+g)+z = x+(g+z) over z, for each x and generator g
-    gens = _generators(rows, zero)
-    if all(rows[row[g]] == plus(rows[g])
-           for row, plus in zip(rows, map(as_map, rows)) for g in gens):
-        return
-    w = _assoc_witness(rows, as_map)
-    raise TableError(f"{what}-associative", w, f"({w[0]}+{w[1]})+{w[2]} != {w[0]}+({w[1]}+{w[2]})")
 
 
 def _composition(order):
-    """``(as_row, as_map, index_row)`` for maps between sets of at most
-    ``order`` elements.  ``as_row(values)`` stores a map as the row of its
-    values; ``as_map(f)`` turns the row f into the function that sends a
-    row xs to the row of f[x] over the entries x of xs (f after xs), so
-    equal composites give equal rows; ``index_row(table, size)``, for a
-    size of at most ``order``, is ``as_row(table)`` when every entry of
-    ``table`` is an index 0..size-1, else None.  Rows of one kind join
-    with ``+=``.  Up to ``BYTE_ORDER_LIMIT`` rows are bytearrays (made
-    from ints faster than bytes), f acts by ``translate`` and
-    ``index_row`` deletes the valid bytes to find a bad one, reading a
-    stored ``bytes`` table (``flat_table``) without a copy; above it
-    rows are lists, f acts by a list comprehension, which indexes a list
-    faster than ``map`` over ``__getitem__`` does, and ``index_row``
-    reads ``all_index_entries``."""
+    """``(as_row, as_map, index_row, join)`` for maps between sets of at
+    most ``order`` elements.  ``as_row(values)`` stores a map as the row
+    of its values; ``as_map(f)`` turns the row f into the function that
+    sends a row xs to the row of f[x] over the entries x of xs (f after
+    xs), so equal composites give equal rows; ``index_row(table, size)``,
+    for a size of at most ``order``, is ``as_row(table)`` when every entry
+    of ``table`` is an index 0..size-1, else None; ``join(rows)`` is the
+    row of the rows, an iterable of rows of this kind, one after another,
+    made in one call.  Up to ``BYTE_ORDER_LIMIT`` rows are bytearrays
+    (made from ints faster than bytes), f acts by ``translate``, rows join
+    by ``bytearray.join`` and ``index_row`` deletes the valid bytes to
+    find a bad one, reading a stored ``bytes`` table (``flat_table``)
+    without a copy; above it rows are lists, f acts by a list
+    comprehension, which indexes a list faster than ``map`` over
+    ``__getitem__`` does, rows join by ``reduce`` over in-place list
+    extension (twice as fast as ``chain``, which moves one entry at a
+    time) and ``index_row`` reads ``all_index_entries``."""
     return _BYTE_ROWS if order <= BYTE_ORDER_LIMIT else _LIST_ROWS
 
 
@@ -143,8 +170,9 @@ def _index_list(table, size):
 
 _ALL_BYTES = bytes(range(256))
 _BYTE_ROWS = (bytearray, lambda f: operator.methodcaller("translate", f.ljust(256, b"\0")),
-              _index_bytes)
-_LIST_ROWS = (list, lambda f: lambda xs: [f[x] for x in xs], _index_list)
+              _index_bytes, bytearray().join)
+_LIST_ROWS = (list, lambda f: lambda xs: [f[x] for x in xs], _index_list,
+              lambda rows: reduce(operator.iadd, rows, []))
 
 
 def _generators(rows, zero):
@@ -196,7 +224,7 @@ def action_axiom_witness(n, m, radd, rmul, madd, act, one):
     in the first row r that failed its decision, and ``add_act`` with
     ``mul_act`` one r at a time, by the columns s.x over s.
     """
-    as_row, as_map, _ = _composition(max(n, m))
+    as_row, as_map, _, _ = _composition(max(n, m))
     act = as_row(act)
     msum = rows_of(as_row(madd), m)  # x + y at [x][y]
     scale = rows_of(act, m)  # r.x at [r][x]
@@ -298,9 +326,12 @@ class FiniteRing:
     Trusted tables are flat and row-major, as those two build them.
 
     Either way the flat tables are stored by ``flat_table``: ``bytes``
-    up to 256 elements, one byte per entry, which ``check_map`` reads
-    by ``translate`` without a copy, and tuples above.  Each row is a
-    slice of its flat table, so of the same type.
+    up to 256 elements, one byte per entry, which ``check_map`` and
+    ``preimage`` read by ``translate`` without a copy, and tuples above.
+    Each row is a slice of its flat table, so of the same type.  A
+    quotient by the zero ideal is not built here: ``quotient_ring`` gives
+    it the ring's checked tables, rows and negation whole, with its own
+    names (``_name_elements``).
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "name", "neg",
@@ -322,17 +353,21 @@ class FiniteRing:
         self.add, self.mul = rows_of(self.add_flat, order), rows_of(self.mul_flat, order)
         self.zero = zero
         self.one = one
+        self._name_elements(name, element_names)
+        if not _trusted:
+            self._validate()
+        self.neg = tuple(map(operator.indexOf, self.add, repeat(zero)))
+
+    def _name_elements(self, name, element_names):
+        """Set the name, the element names and an empty cache."""
         self.name = name
         self._names = dict(element_names or {})
         # "0" and "1" always denote the ring's zero and one; bare integer
         # tokens otherwise address elements by index.
-        self._names.setdefault("0", zero)
-        self._names.setdefault("1", one)
+        self._names.setdefault("0", self.zero)
+        self._names.setdefault("1", self.one)
         self._resolve = {v: k for k, v in self._names.items() if not k.isdigit()}
         self._cache = {}
-        if not _trusted:
-            self._validate()
-        self.neg = tuple(map(operator.indexOf, self.add, repeat(zero)))
 
     def _validate(self):
         n, zero, one = self.order, self.zero, self.one
@@ -479,10 +514,15 @@ def check_generators(gens, order, name, what="generator"):
 
 def preimage(row, bits, order):
     """The bitset of the positions x with ``row[x]`` in ``bits``, a subset
-    of 0..order-1, for a nonempty ``row``: membership is read through a
-    "0"/"1" string by one ``itemgetter`` over the whole row, at C level
-    and at every order (over a one-entry row it gives a one-character
-    string, which ``join`` reads the same)."""
+    of 0..order-1, for a nonempty ``row``.  Membership is read at C level
+    through a "0"/"1" string, bit x of ``bits`` at position x, over the
+    whole row at once: a ``bytes`` row (a stored table up to 256 elements,
+    ``flat_table``) by one ``translate`` through that string as a 256-byte
+    table, any other row by one ``itemgetter`` (over a one-entry row it
+    gives a one-character string, which ``join`` reads the same)."""
+    if type(row) is bytes and order <= BYTE_ORDER_LIMIT:
+        member = format(bits, f"0{order}b")[::-1].encode().ljust(256, b"0")
+        return int(row.translate(member)[::-1], 2)
     member = format(bits, f"0{order}b")[::-1]
     return int("".join(operator.itemgetter(*row)(member))[::-1], 2)
 
@@ -667,22 +707,20 @@ def _operation_witness(f, m, g, src, dst):
     One route at every order, by whole rows (see ``_composition``):
     ``src`` with f after it gives every left side at once, and f with row
     h of ``dst`` after it gives the right sides of each row i with
-    g[i] = h, joined in the order of g: one composition per row of
-    ``dst`` and one comparison of the whole tables.
+    g[i] = h, joined in the order of g by one ``join``: one composition
+    per row of ``dst`` and one comparison of the whole tables.
     """
     n_src = len(f)
     if len(src) != len(g) * n_src or len(dst) != (max(g) + 1) * m:
         return "range"
-    as_row, as_map, index_row = _composition(max(n_src, m))
+    as_row, as_map, index_row, join = _composition(max(n_src, m))
     src, dst = index_row(src, n_src), index_row(dst, m)
     if src is None or dst is None:
         return "range"
     f = as_row(f)
     lhs = as_map(f)(src)
     rights = [as_map(row)(f) for row in rows_of(dst, m)]  # dst[h][f(x)] over x
-    rhs = as_row()
-    for h in g:
-        rhs += rights[h]
+    rhs = join(map(rights.__getitem__, g))
     return None if lhs == rhs else divmod(_first_diff(lhs, rhs), n_src)
 
 
@@ -696,9 +734,21 @@ def product_maps(n1, n2):
 
 def pair_table(t1, t2):
     """The flat table of the operation on pairs i = i1 * n2 + i2 that acts
-    by the square table ``t1`` on i1 and by ``t2`` (n2 x n2) on i2."""
-    n2 = len(t2)
-    return [x * n2 + y for a in t1 for b in t2 for x in a for y in b]
+    by the square table ``t1`` (n1 x n1) on i1 and by ``t2`` (n2 x n2) on
+    i2, as ``_composition`` joins rows: ``bytearray`` up to 256 pairs, a
+    list above.  Row (i1, i2) is, for each entry x of row i1 of ``t1`` in
+    turn, row i2 of ``t2`` shifted into the block of x (x * n2 + y over
+    its entries y).  Those n1 * n2 shifted rows are made first, each by
+    one composition, and the whole table is one ``join`` of them."""
+    n1, n2 = len(t1), len(t2)
+    as_row, as_map, _, join = _composition(n1 * n2)
+    shifts = [as_map(as_row(range(x * n2, x * n2 + n2))) for x in range(n1)]
+    blocks = [[shift(row) for shift in shifts] for row in map(as_row, t2)]  # [i2][x]
+    return join(chain.from_iterable(map(block.__getitem__, a) for a in t1 for block in blocks))
+
+
+# the checked tables that a ring shares with its quotient by zero
+_SHARED_SLOTS = ("order", "add", "mul", "zero", "one", "neg", "add_flat", "mul_flat")
 
 
 def quotient_ring(ring, ideal):
@@ -708,7 +758,10 @@ def quotient_ring(ring, ideal):
     index of the coset of ``x``.  Cosets are represented by their least
     element index.  The projection is checked to be a surjective ring
     homomorphism with the given kernel, which proves the quotient's
-    tables valid (see ``check_map``).
+    tables valid (see ``check_map``).  By the zero ideal nothing is
+    derived or checked: R/0 shares R's checked tables, rows and negation
+    under its own name, element names and cache, and its projection is
+    the identity, as M/0 does for ``modules.quotient_module``.
     """
     if not isinstance(ideal, TwoSidedIdeal):
         promoted = as_two_sided(ideal) if isinstance(ideal, LeftIdeal) else None
@@ -721,23 +774,37 @@ def quotient_ring(ring, ideal):
     if cached is not None:
         return cached
 
-    reps, proj = coset_representatives(ring.order, ring.add, ideal.elements())
-    m = len(reps)
-    add = [proj[ring.add[a][b]] for a in reps for b in reps]
-    mul = [proj[ring.mul[a][b]] for a in reps for b in reps]
     name = f"{ring.name}/{ideal.describe()}"
-    zero, one = proj[ring.zero], proj[ring.one]
-    check_map(f"quotient ring {name}", proj, m,
-              [("+", proj, ring.add_flat, add), ("*", proj, ring.mul_flat, mul)],
-              [("zero", ring.zero, zero), ("one", ring.one, one)],
-              kernel=(ring.zero, ideal.bits))
+    if ideal.is_zero():
+        proj = range(ring.order)
+        quot = object.__new__(FiniteRing)
+        for slot in _SHARED_SLOTS:
+            setattr(quot, slot, getattr(ring, slot))
+        quot._name_elements(name, _coset_names(ring, proj))
+    else:
+        reps, proj = coset_representatives(ring.order, ring.add, ideal.elements())
+        m = len(reps)
+        add = [proj[ring.add[a][b]] for a in reps for b in reps]
+        mul = [proj[ring.mul[a][b]] for a in reps for b in reps]
+        zero, one = proj[ring.zero], proj[ring.one]
+        check_map(f"quotient ring {name}", proj, m,
+                  [("+", proj, ring.add_flat, add), ("*", proj, ring.mul_flat, mul)],
+                  [("zero", ring.zero, zero), ("one", ring.one, one)],
+                  kernel=(ring.zero, ideal.bits))
+        quot = FiniteRing(m, add, mul, zero, one, name=name,
+                          element_names=_coset_names(ring, reps), _trusted=True)
+    ring._cache[("quot", ideal.bits)] = (quot, proj)
+    return quot, proj
+
+
+def _coset_names(ring, reps):
+    """The element names of a quotient: "[r]" for the coset of each
+    representative r, by index in ``reps``; the first coset keeps a name
+    that two share."""
     names = {}
     for k, r in enumerate(reps):
         names.setdefault(f"[{ring.element_name(r)}]", k)
-    quot = FiniteRing(m, add, mul, zero, one, name=name, element_names=names,
-                      _trusted=True)
-    ring._cache[("quot", ideal.bits)] = (quot, proj)
-    return quot, proj
+    return names
 
 
 def idempotent_generator(ring, ideal):

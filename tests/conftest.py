@@ -368,3 +368,12 @@ def reference_preimage(row, bits, order):
     ``__getitem__``."""
     member = format(bits, f"0{order}b")[::-1]
     return int("".join(map(member.__getitem__, row))[::-1], 2)
+
+
+# -- the reference pair table ------------------------------------------------
+
+def reference_pair_table(t1, t2):
+    """``rings.pair_table`` by the comprehension it ran before: the flat
+    table of the operation on pairs i = i1 * n2 + i2, entry by entry."""
+    n2 = len(t2)
+    return [x * n2 + y for a in t1 for b in t2 for x in a for y in b]

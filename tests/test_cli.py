@@ -934,6 +934,17 @@ def test_census_delta_sweep_above_256_matches_pinned_digest(capsys):
         "03ddfdd5df6d3a6c053fa60d719c74941eee44610dc8106c2826e1c8691f8e44"
 
 
+def test_ring_info_of_a_quotient_by_zero_matches_pinned_digest(capsys):
+    # R/0 shares R's tables under its own name and element names; stdout
+    # is as when its tables were derived and map-checked
+    code, out = run_cli(capsys, "ring-info", "quot(Z(4),0)", "--json")
+    assert code == 0
+    assert json.loads(out)["element_names"] == {"[0]": 0, "[1]": 1, "[2]": 2, "[3]": 3,
+                                                "0": 0, "1": 1}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "530e97e8c1f8f93b6f1d6187ff6356679efea7e7eeef761e15cc18756d08f6f6"
+
+
 def test_census_rcm_matches_pinned_digest(capsys):
     # stdout of the census of the builtin rings of order <= 12 at bound 2,
     # which builds the most lattices, as pinned for the census-rcm

@@ -25,7 +25,7 @@ from torsionlab.errors import InvariantError, TableError
 
 from conftest import (A_BITS, BUILTIN8, E12, reference_as_table, reference_check_abelian_group,
                       reference_module_axiom_witness, reference_operation_witness,
-                      reference_ring_error)
+                      reference_pair_table, reference_ring_error)
 
 
 # -- the reference validators ------------------------------------------------
@@ -101,6 +101,20 @@ def test_quotient_rings_pass_the_reference_validators(spec, data):
     quot, proj = tl.quotient_ring(ring, ideal)
     reference_validate_ring(quot)
     assert {x for x in range(ring.order) if proj[x] == quot.zero} == set(ideal)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("Z(1)", "Z(3)"), ("Z(2)", "UT2(2)"), ("UT2(2)", "Z(2)"), ("UT2(2)", "UT2(2)"),
+    ("Z(16)", "Z(16)"),                     # 256 pairs: byte rows
+    ("Z(17)", "Z(17)"), ("Z(2)", "Z(129)"),  # 289 and 258: list rows
+])
+def test_pair_table_matches_the_entry_comprehension(left, right):
+    r1, r2 = tl.parse_ring_spec(left), tl.parse_ring_spec(right)
+    for t1, t2 in ((r1.add, r2.add), (r1.mul, r2.mul), (r2.mul, r1.add)):
+        want = reference_pair_table(t1, t2)
+        assert list(rings.pair_table(t1, t2)) == want
+        # rows given as lists or tuples, as rows above 256 are stored
+        assert list(rings.pair_table([list(a) for a in t1], tuple(map(tuple, t2)))) == want
 
 
 def test_quotients_of_z17_squared_pass_the_reference_validators():
@@ -373,17 +387,49 @@ def corrupting_check_map(op, where, plant, target=None):
     return check, planted
 
 
+def corrupting_quotient_tables(op, plant, target=None):
+    """``(tables, planted)``: a stand-in for ``modules._quotient_tables``
+    that, at its first call (for the quotient named ``target``, as
+    ``module_corpus`` names it, if given), returns the derived table
+    ``op`` (0: addition, 1: action) as a tuple copy whose middle entry is
+    ``plant(entry, m)``, for the quotient's order m, before any check or
+    decision reads it; ``planted`` holds the pair (table, copy).  A tuple,
+    as tables above 256 elements are stored, can hold -1 or 300, which
+    ``bytes`` cannot, and the corpus can still hash it."""
+    quotient_tables = modules._quotient_tables
+    planted = []
+
+    def tables(module, sub):
+        got = quotient_tables(module, sub)
+        name = f"quotient module {module.name}/s{tl.all_submodules(module).index(sub)}"
+        if not planted and target in (None, name):
+            copy = list(got[2 + op])
+            pos = len(copy) // 2
+            copy[pos] = plant(copy[pos], got[1])
+            planted.append((got[2 + op], tuple(copy)))
+            got = (*got[:2 + op], planted[0][1], *got[3 + op:])
+        return got
+
+    return tables, planted
+
+
 @pytest.mark.parametrize("how", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("op", [0, 1])
 @pytest.mark.parametrize("kind", ["quotient_module", "quotient_module_289", "direct_sum",
                                   "direct_sum_289", "quotient_ring", "product_ring"])
 def test_corrupted_derived_entry_is_an_internal_fault(monkeypatch, kind, op, how):
     owner, build = derived_construction(kind)
-    # the derived table: the target of a quotient's projection, the
-    # source of a product's maps
-    corrupting, corrupted = corrupting_check_map(
-        op, 3 if kind.startswith("quotient") else 2, CORRUPTIONS[how])
-    monkeypatch.setattr(owner, "check_map", corrupting)
+    if kind.startswith("quotient_module"):
+        # planted where the quotient's tables are derived, so whatever
+        # decides them reads the fault
+        corrupting, corrupted = corrupting_quotient_tables(op, CORRUPTIONS[how])
+        monkeypatch.setattr(modules, "_quotient_tables", corrupting)
+    else:
+        # the derived table: the target of a quotient ring's projection,
+        # the source of a product's maps
+        corrupting, corrupted = corrupting_check_map(
+            op, 3 if kind == "quotient_ring" else 2, CORRUPTIONS[how])
+        monkeypatch.setattr(owner, "check_map", corrupting)
     with pytest.raises(InvariantError):
         build()
     assert corrupted
@@ -408,9 +454,9 @@ def test_rcm_verify_leaves_no_quotient_or_lattice_memo():
 def test_a_corrupted_kept_corpus_quotient_is_an_internal_fault(monkeypatch, target, op):
     ring = tl.parse_ring_spec("UT2(2)")
     notion = tl.enumerate_torsion_notions(ring)[0]
-    corrupting, corrupted = corrupting_check_map(op, 3, CORRUPTIONS["another index"], target)
+    corrupting, corrupted = corrupting_quotient_tables(op, CORRUPTIONS["another index"], target)
 
-    monkeypatch.setattr(modules, "check_map", corrupting)
+    monkeypatch.setattr(modules, "_quotient_tables", corrupting)
     with pytest.raises(InvariantError, match=re.escape(target)):
         tl.rcm_verify(notion, 2)
     assert corrupted
@@ -538,7 +584,7 @@ def count_row_compositions(monkeypatch):
     composition = rings._composition
 
     def counted(order):
-        as_row, as_map, index_row = composition(order)
+        as_row, as_map, *rest = composition(order)
 
         def counted_map(f):
             compose = as_map(f)
@@ -547,7 +593,7 @@ def count_row_compositions(monkeypatch):
                 calls[0] += 1
                 return compose(xs)
             return call
-        return as_row, counted_map, index_row
+        return as_row, counted_map, *rest
 
     monkeypatch.setattr(rings, "_composition", counted)
     return calls
@@ -652,6 +698,39 @@ def test_as_table_matches_the_entry_loop(row):
 def test_as_table_matches_the_entry_loop_off_the_square(row, rows, declared):
     raw = [[0, 1, 2], row, [2, 0, 1], [1, 1, 0]][:rows]
     assert_as_table_matches_the_entry_loop(raw, declared, 3, "act")
+
+
+# each plants one fault in the rows of Z(n)'s addition: a short row, an
+# entry out of range or of another type, or a fault of the group axioms
+TABLE_FAULTS = {
+    "short row": lambda rows, n: rows[n // 2].pop(),
+    "-1": lambda rows, n: rows[n // 2].__setitem__(n // 3, -1),
+    "the order": lambda rows, n: rows[n // 2].__setitem__(n // 3, n),
+    "True": lambda rows, n: rows[n // 2].__setitem__(n // 3, True),
+    "1.0": lambda rows, n: rows[n // 2].__setitem__(n // 3, 1.0),
+    "identity": lambda rows, n: rows[0].__setitem__(n // 2, (n // 2 + 1) % n),
+    "commutative": lambda rows, n: rows[n // 2].__setitem__(
+        n // 3 + 1, (rows[n // 2][n // 3 + 1] + 1) % n),
+    # x + (n - x) and (n - x) + x both moved off zero, for x = 1
+    "inverse": lambda rows, n: [rows[x].__setitem__(n - x, 1 % (n - 1)) for x in (1, n - 1)],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+@pytest.mark.parametrize("n", [3, 256, 257])
+def test_planted_table_faults_name_the_entry_loop_witness(n, fault):
+    rows = [[(x + y) % n for y in range(n)] for x in range(n)]
+    TABLE_FAULTS[fault](rows, n)
+    outcomes = []
+    for as_table, group in ((rings._as_table, rings.check_abelian_group),
+                            (reference_as_table, reference_check_abelian_group)):
+        try:
+            group(n, as_table(rows, n, n, "add"), 0)
+            outcomes.append(None)
+        except TableError as err:
+            outcomes.append((err.axiom, err.witness, str(err)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] is not None
 
 
 def assert_as_table_matches_the_entry_loop(*args):

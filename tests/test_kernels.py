@@ -341,7 +341,7 @@ def test_finite_lattice_sorts_its_members():
 
 def assoc_scan(m, table):
     """``rings._assoc_witness`` on the flat m x m ``table``."""
-    as_row, as_map, _ = rings._composition(m)
+    as_row, as_map, *_ = rings._composition(m)
     return rings._assoc_witness(rings.rows_of(as_row(table), m), as_map)
 
 

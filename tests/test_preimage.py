@@ -11,6 +11,7 @@ is now the oracle ``conftest.scan_closure_witness``: the constructor's
 walk must reject exactly the subsets it names a witness for.
 """
 
+import functools
 import random
 import re
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import kernels, modules, rings
+from torsionlab import _core_py, kernels, modules, rings
 from torsionlab.classify import _annihilates, _preimage_ideal
 from torsionlab.errors import InvariantError
 from torsionlab.rings import (_product_bits, all_left_ideals, greedy_generators,
@@ -252,6 +253,48 @@ def test_preimage_matches_the_map_route(data):
     assert rings.preimage(row, bits, order) == reference_preimage(row, bits, order)
 
 
+@functools.lru_cache(maxsize=None)
+def stored_byte_tables():
+    """The stored ``bytes`` flat tables of rings on both sides of the
+    orders where one byte holds every index, up to 256, as
+    ``(order, table)``."""
+    built = [tl.parse_ring_spec(spec) for spec in
+             ("Z(1)", "Z(2)", "UT2(2)", "prod(UT2(2),UT2(2))", "UT2(5)")]
+    built += [tl.cyclic_ring(255), tl.cyclic_ring(256)]
+    return tuple((ring.order, table) for ring in built for table in (ring.add_flat, ring.mul_flat))
+
+
+@st.composite
+def membership_rows(draw):
+    """``(row, order)``: a nonempty slice of a stored byte table, or a row
+    of indices drawn for an order of 1 to 257, 255 to 257 often."""
+    if draw(st.booleans()):
+        order, table = draw(st.sampled_from(stored_byte_tables()))
+        start = draw(st.integers(0, len(table) - 1))
+        stop = draw(st.sampled_from([start + 1, min(len(table), start + order),
+                                     len(table)]))
+        return table[start:stop], order
+    order = draw(st.sampled_from([1, 2, 255, 256, 257]) | st.integers(1, 257))
+    size = draw(st.sampled_from([1, 2, order, 300]))
+    return draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size)), order
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(membership_rows(), st.data())
+def test_preimage_routes_agree(drawn, data):
+    # the byte route reads a bytes row up to 256 elements by translate,
+    # the itemgetter route every other row; the references read entries
+    row, order = drawn
+    full = (1 << order) - 1
+    bits = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
+    want = reference_preimage_loop(row, bits)
+    assert reference_preimage(row, bits, order) == want
+    assert rings.preimage(tuple(row), bits, order) == want
+    if order <= rings.BYTE_ORDER_LIMIT:
+        assert rings.preimage(bytes(row), bits, order) == want
+    assert rings.preimage(row, bits, order) == want
+
+
 # -- modules -----------------------------------------------------------------
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -443,3 +486,98 @@ def test_torsion_axioms_match_reference_on_generated_families(spec, data):
         family = [b for b in ideals if any(a.bits & ~b.bits == 0 for a in family)]
     assert verdict(tl.check_torsion_axioms(ring, family)) == \
         verdict(reference_check_torsion_axioms(ring, family))
+
+
+# -- relabeling ----------------------------------------------------------------
+# Each closure question is one preimage, read by the byte route on stored
+# tables up to 256 elements.  Renaming the elements, zero moved off index
+# 0, must rename every answer the same way.
+
+def relabeled(ring, perm):
+    """``ring`` with each element x renamed ``perm[x]``, built from input
+    tables and so checked in full."""
+    n = ring.order
+    back = sorted(range(n), key=perm.__getitem__)  # back[perm[x]] = x
+    add, mul = ([[perm[table[back[a]][back[b]]] for b in range(n)] for a in range(n)]
+                for table in (ring.add, ring.mul))
+    return tl.FiniteRing(n, add, mul, perm[ring.zero], perm[ring.one],
+                         name=f"relabeled {ring.name}")
+
+
+def renamed(bits, perm):
+    return sum(1 << perm[x] for x in kernels.bits_of(bits))
+
+
+def closure_answers(ring, module):
+    """Every closure answer on ``module``, by bitsets: quasi_closure for
+    each left ideal and submodule, then per torsion notion (by its least
+    member) torsion-freeness, and on a torsion-free module each
+    relative closure and the weak extension witness."""
+    subs = tl.all_submodules(module)
+    ideals = tl.all_left_ideals(ring)
+    answers = {("quasi", a.bits, s.bits): modules.quasi_closure(module, a, s.bits)
+               for a in ideals for s in subs}
+    for notion in tl.enumerate_torsion_notions(ring):
+        least = notion.least.bits
+        free = answers["free", least] = tl.is_torsion_free(notion, module)
+        if free:
+            for s in subs:
+                answers["relative", least, s.bits] = tl.relative_closure(notion, module, s).bits
+            w = tl.weak_extension_witness(notion, module)
+            answers["wep", least] = w and (w[0].bits, w[1].bits)
+    return answers
+
+
+def is_wep_witness(module, ring, least, pair):
+    """Whether ``pair`` of bitsets are submodules meeting in zero whose
+    closures, for the notion with least member ``least``, meet beyond it."""
+    zero = 1 << module.zero
+    a = tl.LeftIdeal(ring, bits=least)
+    s, t = pair
+    return (s & t == zero and modules.quasi_closure(module, a, s)
+            & modules.quasi_closure(module, a, t) != zero)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, ring in tl.builtin_rings(16) if ring.order > 1])
+def test_closures_are_renamed_with_the_elements(monkeypatch, spec):
+    monkeypatch.setattr(kernels, "enumerate_submodules", _core_py.enumerate_submodules)
+    ring = tl.parse_ring_spec(spec)
+    n = ring.order
+    rng = random.Random(n)
+    perm = list(range(n))
+    while perm[ring.zero] == ring.zero:
+        rng.shuffle(perm)
+    other = relabeled(ring, perm)
+    pairs = [(tl.regular_module(ring), tl.regular_module(other), perm)]
+    if n <= 8:
+        pairs.append((tl.power_module(ring, 2), tl.power_module(other, 2),
+                      [perm[x // n] * n + perm[x % n] for x in range(n * n)]))
+    assert all(sigma[module.zero] != module.zero for module, _, sigma in pairs)
+    # and the quotients of R, some with torsion: coset k of S, of least
+    # element r, is renamed the coset of perm[r]
+    reg, reg_image = pairs[0][:2]
+    for sub in tl.all_submodules(reg)[1:-1]:
+        sub_image = tl.Submodule(reg_image, renamed(sub.bits, perm))
+        reps, _ = rings.coset_representatives(n, reg.add, sub.elements())
+        _, proj = rings.coset_representatives(n, reg_image.add, sub_image.elements())
+        pairs.append((tl.quotient_module(reg, sub), tl.quotient_module(reg_image, sub_image),
+                      [proj[perm[r]] for r in reps]))
+    for module, image, sigma in pairs:
+        assert type(module.act_flat) is bytes
+        want = {}
+        for key, got in closure_answers(ring, module).items():
+            kind, least, *sub = key
+            key = (kind, renamed(least, perm), *(renamed(s, sigma) for s in sub))
+            if kind == "wep":
+                got = got and tuple(renamed(s, sigma) for s in got)
+            elif kind != "free":
+                got = renamed(got, sigma)
+            want[key] = got
+        have = closure_answers(other, image)
+        assert have.keys() == want.keys()
+        for key, got in have.items():
+            if key[0] == "wep" and got:  # the first pair in bitset order differs
+                assert want[key] and is_wep_witness(image, other, key[1], want[key])
+                assert is_wep_witness(image, other, key[1], got)
+            else:
+                assert got == want[key], key

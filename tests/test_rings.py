@@ -378,6 +378,30 @@ def test_quotient_by_full_ideal_is_degenerate(z4):
     assert quot.zero == quot.one
 
 
+@pytest.mark.parametrize("spec", ["Z(4)", "UT2(2)", "prod(UT2(2),UT2(2))", "prod(Z(17),Z(17))"])
+def test_the_quotient_by_zero_shares_the_ring_tables(monkeypatch, spec):
+    ring = tl.parse_ring_spec(spec)
+    zero = tl.two_sided_closure(ring, [ring.zero])
+    checks = []
+    monkeypatch.setattr(rings, "check_map", lambda *args, **kwargs: checks.append(args))
+    quot, proj = tl.quotient_ring(ring, zero)
+    assert checks == []
+    assert quot is not ring and quot.name == f"{ring.name}/{zero.describe()}"
+    for slot in ("add_flat", "mul_flat", "add", "mul", "neg"):
+        assert getattr(quot, slot) is getattr(ring, slot), slot
+    assert (quot.order, quot.zero, quot.one) == (ring.order, ring.zero, ring.one)
+    assert list(proj) == list(range(ring.order))
+    # its own element names, one "[x]" per element, and its own cache
+    names = {f"[{ring.element_name(x)}]": x for x in range(ring.order)}
+    assert quot._names == {**names, "0": ring.zero, "1": ring.one}
+    assert quot._cache == {} and ring._cache[("quot", zero.bits)] == (quot, proj)
+    one = f"[{ring.element_name(ring.one)}]"
+    assert quot.resolve(one) == ring.one and quot.element_name(ring.one) == one
+    assert tl.quotient_ring(ring, zero)[0] is quot
+    assert [a.bits for a in tl.all_left_ideals(quot)] == \
+        [a.bits for a in tl.all_left_ideals(ring)]
+
+
 def test_quotient_rejects_one_sided(ut2):
     e11_only = tl.left_ideal_closure(ut2, [E11])
     with pytest.raises(ValueError):
