@@ -7,14 +7,14 @@ Submodules are bitsets over the module's index space.
 """
 
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, and_, attrgetter, eq, indexOf, itemgetter
 
 from . import kernels, rings
 from .errors import InvariantError, TableError
 from .rings import (Subset, TwoSidedIdeal, all_left_ideals, check_abelian_group,
                     check_generators, check_map, coset_representatives, flat_table,
-                    pair_table, preimage, product_maps, rows_of)
+                    pair_table, preimage, product_maps, rows_of, table_entries)
 from .ringspec import document_ring
 
 
@@ -59,8 +59,8 @@ class FiniteModule:
         self.order = order
         self.name = name
         if not _trusted:
-            add = chain.from_iterable(rings._as_table(add, order, order, "module-add"))
-            act = chain.from_iterable(rings._as_table(act, ring.order, order, "act"))
+            add = table_entries(rings._as_table(add, order, order, "module-add"))
+            act = table_entries(rings._as_table(act, ring.order, order, "act"))
             if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("module-zero-range", (zero,), "zero index out of range")
         self.add_flat, self.act_flat = flat_table(add, order), flat_table(act, order)

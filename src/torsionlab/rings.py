@@ -57,35 +57,52 @@ def flat_table(values, order):
 
 def _as_table(raw, rows, cols, what):
     """The ring or module table ``raw``, ``rows`` rows of ``cols`` indices
-    0..cols-1, as a tuple of tuples, else ``TableError`` ``{what}-shape``
-    or ``{what}-range``.  The row count is checked before the index set is
-    built.  Then the whole table is decided at once: every row length,
-    and ``all_index_entries`` over the entries of every row, read in place
-    by ``chain`` with no flattened copy.  Only a table that fails goes
+    0..cols-1, else ``TableError`` ``{what}-shape`` or ``{what}-range``.
+    The row count is checked first.  Then the whole table is decided at
+    once.  Rows that are all ``bytes`` or ``bytearray``, with at most
+    ``BYTE_ORDER_LIMIT`` columns, are read as ``_composition``'s
+    ``index_row`` reads a table: every row length, then one ``join`` and
+    one ``translate`` that deletes the valid bytes; the table is returned
+    flat, as the ``bytes`` that ``flat_table`` stores.  Other rows are
+    read by every row length and ``all_index_entries`` over the entries
+    of every row, in place by ``chain`` with no flattened copy, and the
+    table is returned as a tuple of tuples.  Only a table that fails goes
     through the row loop, which names the first bad row length or (i, j),
     or accepts a row whose entries are an ``int`` subclass in range."""
     if len(raw) != rows:
         raise TableError(f"{what}-shape", (len(raw),), f"{what} table must have {rows} rows")
-    indices = frozenset(range(cols))
-    try:
-        whole = ({*map(len, raw)} <= {cols}
-                 and indices.issuperset(chain.from_iterable(raw))
-                 and type(sum(chain.from_iterable(raw))) is int)
-    except TypeError:  # a row without a length, or entries that do not hash or add
-        whole = False
-    if whole:
-        return tuple(map(tuple, raw))
+    if cols <= BYTE_ORDER_LIMIT and {*map(type, raw)} <= {bytes, bytearray}:
+        if {*map(len, raw)} <= {cols}:
+            flat = b"".join(raw)
+            if not flat.translate(None, _ALL_BYTES[:cols]):
+                return flat
+        indices = None
+    else:
+        indices = frozenset(range(cols))
+        try:
+            if ({*map(len, raw)} <= {cols}
+                    and indices.issuperset(chain.from_iterable(raw))
+                    and type(sum(chain.from_iterable(raw))) is int):
+                return tuple(map(tuple, raw))
+        except TypeError:  # a row without a length, or entries that do not hash or add
+            pass
     out = []
     for i, row in enumerate(raw):
         if len(row) != cols:
             raise TableError(f"{what}-shape", (i,), f"{what} row {i} must have {cols} entries")
-        if not all_index_entries(row, indices):
+        if indices is None or not all_index_entries(row, indices):
             for j, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < cols:
                     raise TableError(f"{what}-range", (i, j),
                                      f"{what}[{i}][{j}] = {v!r} out of range")
         out.append(tuple(row))
     return tuple(out)
+
+
+def table_entries(table):
+    """The entries of a table that ``_as_table`` returned, row after row:
+    the flat ``bytes`` as they are, the rows of a tuple chained."""
+    return table if type(table) is bytes else chain.from_iterable(table)
 
 
 def check_abelian_group(order, add, zero, what="add"):
@@ -322,8 +339,13 @@ class FiniteRing:
     valid through the maps that define them: the ring axioms are
     identities, so they hold in every homomorphic image of a ring and,
     coordinate by coordinate, in every product of rings.  Tables from
-    input (``table:``) and the builtin formula rings are always checked.
-    Trusted tables are flat and row-major, as those two build them.
+    input (``table:``) and the builtin formula rings are always checked,
+    once.  The formula rings (``cyclic_ring``, ``_matrix_ring``) hand
+    their tables over as rows of ``_composition``'s kind: ``bytearray``
+    rows up to 256 elements, which ``_as_table`` decides whole and joins
+    into the flat table it returns, and lists above.  Trusted tables are
+    flat and row-major, as ``quotient_ring`` and ``product_ring`` build
+    them.
 
     Either way the flat tables are stored by ``flat_table``: ``bytes``
     up to 256 elements, one byte per entry, which ``check_map`` and
@@ -343,8 +365,8 @@ class FiniteRing:
             raise TableError("order", (order,), "ring order must be positive")
         self.order = order
         if not _trusted:
-            add = chain.from_iterable(_as_table(add, order, order, "add"))
-            mul = chain.from_iterable(_as_table(mul, order, order, "mul"))
+            add = table_entries(_as_table(add, order, order, "add"))
+            mul = table_entries(_as_table(mul, order, order, "mul"))
             if not isinstance(zero, int) or not 0 <= zero < order:
                 raise TableError("zero-range", (zero,), "zero index out of range")
             if not isinstance(one, int) or not 0 <= one < order:
@@ -841,12 +863,21 @@ def format_quasiidentity(ideal):
 # -- builtin constructors ------------------------------------------------
 
 def cyclic_ring(n):
-    """Integers mod n."""
+    """Integers mod n.  Its tables are handed to ``FiniteRing`` as rows of
+    ``_composition(n)``'s kind: each row of + is a rotation of the
+    identity row, and row i of * is i*j mod n over j."""
     if n < 1:
         raise RingSpecError("Z(n) requires n >= 1")
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
-    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    as_row = _composition(n)[0]
+    add = _rotations(as_row(range(n)))
+    mul = [as_row(map(n.__rmod__, map(i.__mul__, range(n)))) for i in range(n)]
     return FiniteRing(n, add, mul, 0, 1 % n, name=f"Z({n})")
+
+
+def _rotations(row):
+    """The addition rows of Z/n for the identity row ``row`` of n entries:
+    row i is ``row`` rotated left by i, so it reads (i + j) mod n at j."""
+    return [row[i:] + row[:i] for i in range(len(row))]
 
 
 def _require_prime(p, what):
@@ -880,38 +911,43 @@ def _matrix_ring(p, ctor, cells):
     """The ring ``ctor(p)`` of the 2x2 matrices over GF(p) that are zero
     off ``cells``, product-closed positions that hold the diagonal.  An
     element's index reads its entries at ``cells`` as base-p digits, most
-    significant first.  Row i of x + y and of x*y depends on x only through
-    row i of x, so each table row adds two row parts made once by C-level
-    maps over the entry columns of all y."""
+    significant first.
+
+    Both tables are built as rows of ``_composition(n)``'s kind by C-level
+    joins.  Addition is digitwise mod p, so + is the ``pair_table`` of
+    Z/p's addition rows taken once per cell.  Multiplication is bilinear:
+    x*y is the sum over the cells c = (k, j) of y_c times x*E_c, where
+    column j of x*E_c is column k of x.  The p multiples of x*E_c are read
+    off the + table.  Row x starts as the multiples for the last cell;
+    each earlier cell then wraps it, joining, over its multiples d, the
+    row so far moved through the + row of d."""
     _require_prime(p, f"{ctor}(p)")
     n = p ** len(cells)
     weight = {cell: n // p ** (c + 1) for c, cell in enumerate(cells)}
-    # col[i, j][y]: y's entry at (i, j)
-    col = {cell: [0] * n for cell in product((0, 1), repeat=2)}
-    col.update((cell, [y // w % p for y in range(n)]) for cell, w in weight.items())
-
-    def part(i, entries):
-        # the index part of row i of the matrices whose entry (i, j) is entries[j] mod p
-        terms = [map(weight[i, j].__mul__, map(p.__rmod__, entries[j]))
-                 for j in (0, 1) if (i, j) in weight]
-        return list(map(sum, zip(*terms)))
-
-    # sums[i][a, b], prods[i][a, b]: the parts of row i of x + y and of x*y
-    # over all y, for the x whose row i is (a, b)
-    sums, prods = ({}, {}), ({}, {})
-    for i in (0, 1):
-        for a, b in product(*(range(p) if (i, j) in weight else (0,) for j in (0, 1))):
-            sums[i][a, b] = part(i, [map(a.__add__, col[i, 0]), map(b.__add__, col[i, 1])])
-            prods[i][a, b] = part(i, [map(operator.add, map(a.__mul__, col[0, j]),
-                                          map(b.__mul__, col[1, j])) for j in (0, 1)])
-    xs = list(zip(col[0, 0], col[0, 1], col[1, 0], col[1, 1]))
-    add = [list(map(operator.add, sums[0][a, b], sums[1][c, d])) for a, b, c, d in xs]
-    mul = [list(map(operator.add, prods[0][a, b], prods[1][c, d])) for a, b, c, d in xs]
+    as_row, as_map, _, join = _composition(n)
+    add = cyclic = _rotations(_composition(p)[0](range(p)))
+    for _ in cells[1:]:
+        add = rows_of(pair_table(cyclic, add), len(add) * p)
+    plus = list(map(as_map, add))  # plus[a](ys): a + y over the entries y of ys
+    # x*E_kj moves column k of x to column j: the weights of the entries
+    # (i, k) it reads and (i, j) it writes, for each cell, the last first
+    moves = [[(weight[i, k], weight[i, j]) for i in (0, 1) if (i, k) in weight]
+             for k, j in reversed(cells)]
+    mul = []
+    for x in range(n):
+        row = None
+        for move in moves:
+            unit = sum(x // src % p * dst for src, dst in move)  # x*E_kj
+            ds = [0]  # its p multiples
+            for _ in range(p - 1):
+                ds.append(add[ds[-1]][unit])
+            row = as_row(ds) if row is None else join([plus[d](row) for d in ds])
+        mul.append(row)
     units = [f"e{i + 1}{j + 1}" for i, j in cells]
     ring = FiniteRing(n, add, mul, 0, weight[0, 0] + weight[1, 1], name=f"{ctor}({p})",
                       element_names=dict(zip(units, weight.values())))
     ring._resolve = {x: _matrix_name(entries, units)
-                     for x, entries in enumerate(zip(*(col[cell] for cell in cells)))}
+                     for x, entries in enumerate(product(range(p), repeat=len(cells)))}
     return ring
 
 

@@ -700,6 +700,45 @@ def test_as_table_matches_the_entry_loop_off_the_square(row, rows, declared):
     assert_as_table_matches_the_entry_loop(raw, declared, 3, "act")
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.sampled_from([3, 256]), fault=st.sampled_from([None, "rows", "length", "range"]),
+       data=st.data())
+def test_byte_row_tables_name_the_entry_loop_witness(n, fault, data):
+    # a byte holds no index of 256 columns: the range fault at order 256
+    # is planted in 256 rows of 255 columns, as an action on a module of
+    # 255 elements
+    cols = n - 1 if fault == "range" and n == 256 else n
+    rows = [[(x + y) % cols for y in range(cols)] for x in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    if fault == "rows":
+        if data.draw(st.booleans()):
+            del rows[i]
+        else:
+            rows.insert(i, rows[i][:])
+    elif fault == "length":
+        if data.draw(st.booleans()):
+            del rows[i][data.draw(st.integers(0, cols - 1)):]
+        else:
+            rows[i] += [0] * data.draw(st.integers(1, 3))
+    elif fault == "range":
+        rows[i][data.draw(st.integers(0, cols - 1))] = cols
+    kinds = data.draw(st.sampled_from([(bytes,), (bytearray,), (bytes, bytearray)]))
+    raw = [kinds[x % len(kinds)](row) for x, row in enumerate(rows)]
+    outcomes = []
+    for check, table in ((rings._as_table, raw), (reference_as_table, rows)):
+        try:
+            outcomes.append(check(table, n, cols, "act"))
+        except TableError as err:
+            outcomes.append((err.axiom, err.witness, str(err)))
+    if fault is None:
+        # a valid table comes back flat, as ``flat_table`` stores it
+        assert outcomes[0] == bytes(itertools.chain.from_iterable(outcomes[1]))
+        assert type(outcomes[0]) is bytes
+    else:
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == ("act-range" if fault == "range" else "act-shape")
+
+
 # each plants one fault in the rows of Z(n)'s addition: a short row, an
 # entry out of range or of another type, or a fault of the group axioms
 TABLE_FAULTS = {
