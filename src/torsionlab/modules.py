@@ -7,8 +7,8 @@ Submodules are bitsets over the module's index space.
 """
 
 from functools import reduce
-from itertools import compress, repeat
-from operator import add, and_, attrgetter, eq, indexOf, itemgetter
+from itertools import combinations, repeat
+from operator import and_, attrgetter, eq, indexOf, itemgetter
 
 from . import kernels, rings
 from .errors import InvariantError, TableError
@@ -352,61 +352,66 @@ def annihilator(module):
 # -- lattices -------------------------------------------------------------
 
 class FiniteLattice:
-    """A family of bitsets closed under intersection, with a top, and its
-    meet and join tables, built from the family row by row.
+    """A family of bitsets closed under intersection, with a top, kept as
+    its up-sets and upper covers, each a bitset of member indices.
 
-    The members are kept sorted by bitset value, so a member's subsets
-    come before it and index order is a linear extension of the order.
-    They are distinct, ``meet[i][j]`` is the member ``members[i]
-    & members[j]``, and ``up[join[i][j]] == up[i] & up[j]``, with
-    ``up[i]`` the members containing member i.  So each meet is the
-    greatest member below both arguments and each join h the least above
-    both (h is in ``up[h]``), which makes the lattice axioms hold.  A
-    family that repeats a member, misses an intersection or lacks a join
-    is an internal fault and raises ``InvariantError``.
-    """
+    The members are sorted by bitset value, so index order is a linear
+    extension of the order.  ``up[i]``, the members containing member i,
+    is the AND over the elements p of member i of the members holding p.
+    The lowest index left in i's strict up-set is an upper cover of i,
+    and dropping that cover's up-set leaves the members above no cover
+    found yet: so ``covers[i]`` is peeled off ``up[i]``.  The meet of i
+    and j is the index of ``members[i] & members[j]``, their join the
+    lowest index in ``up[i] & up[j]``.  A family that repeats a member,
+    misses an intersection (checked row by row with ``issuperset``) or
+    lacks a top is an internal fault and raises ``InvariantError``,
+    naming the first failing pair."""
 
-    __slots__ = ("members", "size", "meet", "join")
+    __slots__ = ("members", "size", "index", "up", "covers")
 
     def __init__(self, members):
         members = self.members = tuple(sorted(members))
         k = self.size = len(members)
-        index = {a: i for i, a in enumerate(members)}
+        index = self.index = {a: i for i, a in enumerate(members)}
         if len(index) < k:
             raise InvariantError("lattice members repeat")
-        meet = _pairwise_table(members, index, "family not closed under intersection:")
-        ones = [1 << h for h in range(k)]
-        # up[i]: the members containing member i, as a bitset of indices;
-        # none is empty, so a pair that no member contains has no join
-        up = [sum(compress(ones, map(i.__eq__, meet[i * k:(i + 1) * k]))) for i in range(k)]
-        join = _pairwise_table(up, {u: h for h, u in enumerate(up)},
-                               "family has no least upper bound for")
-        self.meet = tuple(meet)
-        self.join = tuple(join)
+        keys = frozenset(members)
+        for i, a in enumerate(members):
+            if not keys.issuperset(map(a.__and__, members[i:])):
+                raise _not_a_closure_system("family not closed under intersection:", members,
+                                            keys.__contains__)
+        elems = [list(kernels.bits_of(a)) for a in members]
+        holders = [0] * (members[-1].bit_length() if k else 0)
+        for i, ps in enumerate(elems):
+            for p in ps:
+                holders[p] |= 1 << i
+        up = self.up = [reduce(and_, map(holders.__getitem__, ps), (1 << k) - 1) for ps in elems]
+        if not all(u >> (k - 1) & 1 for u in up):  # the last member is no top
+            raise _not_a_closure_system("family has no least upper bound for", up, bool)
+        self.covers = covers = []
+        for i, u in enumerate(up):
+            rest, above = u & ~(1 << i), 0
+            while rest:
+                low = rest & -rest
+                above |= low
+                rest &= ~up[low.bit_length() - 1]
+            covers.append(above)
+
+    def meet(self, i, j):
+        return self.index[self.members[i] & self.members[j]]
+
+    def join(self, i, j):
+        u = self.up[i] & self.up[j]
+        return (u & -u).bit_length() - 1
 
     def leq(self, i, j):
-        return self.meet[i * self.size + j] == i
+        return self.up[i] >> j & 1 == 1
 
     def __len__(self):
         return self.size
 
     def __repr__(self):
         return f"FiniteLattice({self.size} members)"
-
-
-def _pairwise_table(keys, index, fault):
-    """The flat table of ``index[keys[i] & keys[j]]``, built row by row
-    from a symmetric operation: left of the diagonal each row is the
-    column of the rows above.  A pair with no entry raises
-    ``InvariantError`` naming ``fault`` and the first such pair."""
-    k = len(keys)
-    table = []  # a list: tuples grown from map() raise peak RSS
-    for i, a in enumerate(keys):
-        try:
-            table += [*table[i::k], *map(index.__getitem__, map(a.__and__, keys[i:]))]
-        except KeyError:
-            raise _not_a_closure_system(fault, keys, index.__contains__) from None
-    return table
 
 
 def _not_a_closure_system(fault, keys, has):
@@ -419,78 +424,10 @@ def _not_a_closure_system(fault, keys, has):
 
 def _modular_by_covers(members):
     """``(modular, up)`` for the lattice of ``members``, a closure system
-    of bitsets: whether it is modular, and for each member in sorted
-    order, ``up[i]``, the members containing it as a bitset of indices.
-
-    A finite lattice is modular exactly when it is both upper and lower
-    semimodular (Birkhoff, *Lattice Theory*, ch. II): when a and b cover
-    c, a v b covers a and b, and when c covers a and b, a and b cover
-    a ^ b.  Both are conditions on pairs of covers of one member, so the
-    decision reads the cover relation alone and builds no meet or join
-    table:
-
-    * ``up[i]`` is the AND, over the elements p of member i, of the
-      members holding p;
-    * index order is a linear extension, so the lowest index left in
-      member i's strict up-set is an upper cover of i, and dropping that
-      cover's up-set leaves the members above no cover found yet;
-    * the join of a and b is the lowest index in ``up[a] & up[b]``, and
-      their meet is the index of ``a & b``.
-
-    ``modularity_witness`` on ``FiniteLattice`` names a witness; this
-    gives the verdict.  A family that repeats a member, misses an
-    intersection (checked row by row with ``frozenset.issuperset``),
-    lacks a top, or has a join whose up-set is not ``up[a] & up[b]`` is
-    an internal fault and raises ``InvariantError``, naming the first
-    failing pair as ``FiniteLattice`` does.
-    """
-    members = sorted(members)
-    k = len(members)
-    index = {a: i for i, a in enumerate(members)}
-    if len(index) < k:
-        raise InvariantError("lattice members repeat")
-    keys = frozenset(members)
-    for i, a in enumerate(members):
-        if not keys.issuperset(map(a.__and__, members[i:])):
-            raise _not_a_closure_system("family not closed under intersection:", members,
-                                        keys.__contains__)
-    elems = [list(kernels.bits_of(a)) for a in members]
-    holders = [0] * (members[-1].bit_length() if k else 0)
-    for i, ps in enumerate(elems):
-        for p in ps:
-            holders[p] |= 1 << i
-    up = [reduce(and_, map(holders.__getitem__, ps), (1 << k) - 1) for ps in elems]
-    if not all(u >> (k - 1) & 1 for u in up):  # the last member is no top
-        raise _not_a_closure_system("family has no least upper bound for", up, bool)
-    ucov = []  # upper covers, as bitsets of indices
-    for i, u in enumerate(up):
-        rest, covers = u & ~(1 << i), 0
-        while rest:
-            low = rest & -rest
-            covers |= low
-            rest &= ~up[low.bit_length() - 1]
-        ucov.append(covers)
-    above = [list(kernels.bits_of(covers)) for covers in ucov]
-    below = [[] for _ in range(k)]  # lower covers, in index order
-    for i, covers in enumerate(above):
-        for x in covers:
-            below[x].append(i)
-    for c in range(k):
-        for n, a in enumerate(above[c]):
-            for b in above[c][n + 1:]:
-                u = up[a] & up[b]
-                h = (u & -u).bit_length() - 1
-                if up[h] != u:
-                    raise InvariantError(f"family is not a closure system: family has no "
-                                         f"least upper bound for members {a} and {b}")
-                if not ucov[a] >> h & ucov[b] >> h & 1:
-                    return False, up
-        for n, a in enumerate(below[c]):
-            for b in below[c][n + 1:]:
-                m = index[members[a] & members[b]]
-                if not ucov[m] >> a & ucov[m] >> b & 1:
-                    return False, up
-    return True, up
+    of bitsets: ``is_modular`` on its ``FiniteLattice``, and that
+    lattice's up-sets, for each member in sorted order."""
+    lattice = FiniteLattice(members)
+    return is_modular(lattice), lattice.up
 
 
 def lattice_from_family(members):
@@ -498,57 +435,60 @@ def lattice_from_family(members):
     return FiniteLattice(members)
 
 
+def is_modular(lattice):
+    """Whether the lattice satisfies the modular law, read off its covers.
+
+    A finite lattice is modular exactly when it is both upper and lower
+    semimodular (Birkhoff, *Lattice Theory*, ch. II): when a and b cover
+    c, a v b covers a and b, and when c covers a and b, a and b cover
+    a ^ b.  Both are conditions on pairs of covers of one member, so
+    the decision reads the cover relation alone.  A join whose up-set is
+    not ``up[a] & up[b]`` is an internal fault and raises
+    ``InvariantError``.
+    """
+    members, index, up, ucov = lattice.members, lattice.index, lattice.up, lattice.covers
+    above = [list(kernels.bits_of(covers)) for covers in ucov]
+    below = [[] for _ in above]  # lower covers, in index order
+    for i, covers in enumerate(above):
+        for x in covers:
+            below[x].append(i)
+    for higher, lower in zip(above, below):
+        for a, b in combinations(higher, 2):
+            u = up[a] & up[b]
+            h = (u & -u).bit_length() - 1
+            if up[h] != u:
+                raise InvariantError(f"family is not a closure system: family has no "
+                                     f"least upper bound for members {a} and {b}")
+            if not ucov[a] >> h & ucov[b] >> h & 1:
+                return False
+        for a, b in combinations(lower, 2):
+            m = index[members[a] & members[b]]
+            if not ucov[m] >> a & ucov[m] >> b & 1:
+                return False
+    return True
+
+
 def modularity_witness(lattice):
     """First (x, y, z) with x <= z and x v (y ^ z) != (x v y) ^ z, or None.
 
-    The lattice is modular exactly when its height function h, the
-    length of the longest chain up from the bottom, has
-    h(x) + h(y) = h(x ^ y) + h(x v y) for every pair (Birkhoff, *Lattice
-    Theory*, ch. II).  Index order is a linear extension, so h(i) is one
-    more than the largest h below member i, in one pass; the identity is
-    then compared row by row over the upper triangle.
-
-    The test is exact, so no chain-condition pass is needed:
-
-    * h is strictly monotone.  For x <= z, a = x v (y ^ z) lies below
-      b = (x v y) ^ z, and the identity, applied to (x, y ^ z), (y, z),
-      (x, y) and (x v y, z), gives h(a) = h(b); so a < b is impossible
-      and a = b.
-    * In a modular lattice h is the rank, which satisfies the identity.
-
-    Only when the identity fails are the triples searched, one at a
-    time, for the first witness in (x, y, z) order.
+    ``is_modular`` decides; only a lattice it rejects is searched, with
+    z over the members above x in index order, one (x, y) row at a time.
+    A rejected lattice with no such triple is an internal fault and
+    raises ``InvariantError``.
     """
-    k = lattice.size
-    meet, join = lattice.meet, lattice.join
-    h = []
-    for i in range(k):
-        # member j < i lies below member i exactly when meet[i][j] == j
-        h.append(max(compress(h, map(eq, meet[i * k:i * k + i], range(i))), default=-1) + 1)
-    height = h.__getitem__
-    for x in range(k):
-        upper = slice(x * k + x + 1, (x + 1) * k)
-        if [*map(add, map(height, meet[upper]), map(height, join[upper]))] != \
-                [*map(h[x].__add__, h[x + 1:])]:
-            return _modularity_witness_loops(k, meet, join)
-    return None
-
-
-def _modularity_witness_loops(k, meet, join):
-    """``modularity_witness`` by the triple search."""
-    for x in range(k):
-        row_x = x * k
-        for y in range(k):
-            m_y = y * k
-            jy = join[row_x + y] * k
-            for z in range(k):
-                if meet[row_x + z] != x:
-                    continue  # need x <= z
-                if join[row_x + meet[m_y + z]] != meet[jy + z]:
-                    return (x, y, z)
-    return None
-
-
-def is_modular(lattice):
-    """Whether the lattice satisfies the modular law."""
-    return modularity_witness(lattice) is None
+    if is_modular(lattice):
+        return None
+    members, meet, up = lattice.members, lattice.index.__getitem__, lattice.up
+    for x, above in enumerate(up):
+        zs = list(kernels.bits_of(above))
+        tops = [members[z] for z in zs]
+        join_x = [(u & -u).bit_length() - 1 for u in map(above.__and__, up)]
+        for y, b in enumerate(members):
+            if above >> y & 1 or up[y] >> x & 1:
+                continue  # the law holds when y is comparable with x
+            lhs = [*map(join_x.__getitem__, map(meet, map(b.__and__, tops)))]
+            rhs = [*map(meet, map(members[join_x[y]].__and__, tops))]
+            if lhs != rhs:
+                return (x, y, zs[indexOf(map(eq, lhs, rhs), False)])
+    raise InvariantError(f"{lattice!r} is not modular by its covers, yet no triple "
+                         f"breaks the modular law")

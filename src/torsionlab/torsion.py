@@ -28,15 +28,16 @@ S is closed, cl(S) = S, and then its relative lattice is the interval
 because cl(T/S) = cl(T)/S.  Every interval of a modular lattice is
 modular (Birkhoff), so one modularity check of Closed(R^k) settles them
 all.  That check is one semimodularity check on the cover relation of
-Closed(R^k) (``modules._modular_by_covers``), with no meet or join
-table, and the same up-sets give each module's lattice size.  The
-closure is an intersection of preimages, so cl(T & U) = cl(T) & cl(U);
-if T/S and U/S meet in zero, then T & U = S and their closures meet in
-cl(S)/S = 0, which is the weak extension principle.  That identity is
-checked over every pair of Sub(R^k).  Should either check fail for some
-R^k, its modules take the per-module route of ``relative_lattice``,
-``modularity_witness`` and ``weak_extension_witness``, which builds the
-tables of ``FiniteLattice`` and reports the witnesses.
+Closed(R^k) (``modules._modular_by_covers``), and the same up-sets give
+each module's lattice size.  The closure is an intersection of
+preimages, so cl(T & U) = cl(T) & cl(U); if T/S and U/S meet in zero,
+then T & U = S and their closures meet in cl(S)/S = 0, which is the
+weak extension principle.  That identity is checked over every pair of
+Sub(R^k).  Should either check fail for some R^k, its modules take the
+per-module route of ``relative_lattice``, ``modularity_witness`` and
+``weak_extension_witness``, which reports the witnesses.  By the
+paper's theorem a validated notion gives a relatively congruence
+modular class, so that route runs only on a fault of this code.
 """
 
 from . import kernels
@@ -422,9 +423,8 @@ def _closed_route(notion, parent):
     closed submodules above it, a bitset of indices into Closed(R^k).
 
     Modularity is one semimodularity check on the cover relation of
-    Closed(R^k) (``modules._modular_by_covers``), which builds no meet
-    or join table; the tables of ``FiniteLattice`` are built only on the
-    per-module route, to name witnesses."""
+    Closed(R^k) (``modules._modular_by_covers``); the per-module route
+    decides the same way and then searches for the witness."""
     subs = all_submodules(parent)
     bits = tuple(s.bits for s in subs)
     closures = _submodule_closures(notion, parent, subs)

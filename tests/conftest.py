@@ -1,5 +1,7 @@
 import contextlib
 import signal
+from itertools import compress
+from operator import add, eq
 
 import pytest
 
@@ -70,12 +72,21 @@ def trivial_notion(ring):
     return notion
 
 
+def lattice_tables(lattice):
+    """``(meet, join)``: the flat k x k index tables of ``lattice``, read
+    entry by entry off its ``meet`` and ``join`` methods."""
+    pairs = [(i, j) for i in range(lattice.size) for j in range(lattice.size)]
+    return ([lattice.meet(i, j) for i, j in pairs], [lattice.join(i, j) for i, j in pairs])
+
+
 def reference_lattice_axioms(lattice):
-    """Every lattice axiom, one entry at a time, in scan order: the loops
-    that once reported the witness of a faulty table, kept as the
-    reference for the tables ``FiniteLattice`` builds."""
+    """Every lattice axiom, one entry at a time, in scan order, on the
+    tables ``lattice_tables`` reads off ``lattice``'s ``meet`` and
+    ``join``: the loops that once reported the witness of a faulty
+    table, kept as the reference for those methods."""
     k = lattice.size
-    for name, table in (("meet", lattice.meet), ("join", lattice.join)):
+    meet, join = lattice_tables(lattice)
+    for name, table in (("meet", meet), ("join", join)):
         for i in range(k):
             if table[i * k + i] != i:
                 _lattice_fault(f"{name}-idempotent", (i,), f"{name}(x,x) != x")
@@ -87,14 +98,140 @@ def reference_lattice_axioms(lattice):
             _lattice_fault(f"{name}-associative", w, f"{name} not associative")
     for i in range(k):
         for j in range(k):
-            if lattice.meet[i * k + lattice.join[i * k + j]] != i:
+            if meet[i * k + join[i * k + j]] != i:
                 _lattice_fault("absorption", (i, j), "x ^ (x v y) != x")
-            if lattice.join[i * k + lattice.meet[i * k + j]] != i:
+            if join[i * k + meet[i * k + j]] != i:
                 _lattice_fault("absorption", (i, j), "x v (x ^ y) != x")
 
 
 def _lattice_fault(axiom, witness, message):
     raise InvariantError(f"lattice axiom {axiom!r} fails at {witness}: {message}")
+
+
+# -- the reference lattice tables ---------------------------------------------
+# The route ``FiniteLattice`` took before it kept only up-sets and covers,
+# kept verbatim as the independent oracle for the cover decision: flat k x k
+# meet and join tables built row by row, the height test on them, and the
+# triple search, run only where the height test fails.
+
+def reference_lattice_tables(members):
+    """``(meet, join)``, the flat k x k index tables of the sorted
+    ``members``: ``meet[i][j]`` is the member ``members[i] & members[j]``
+    and ``up[join[i][j]] == up[i] & up[j]``, with ``up[i]`` the members
+    containing member i.  A family that repeats a member, misses an
+    intersection or lacks a join raises ``InvariantError``."""
+    members = tuple(sorted(members))
+    k = len(members)
+    index = {a: i for i, a in enumerate(members)}
+    if len(index) < k:
+        raise InvariantError("lattice members repeat")
+    meet = _reference_pairwise_table(members, index, "family not closed under intersection:")
+    ones = [1 << h for h in range(k)]
+    # up[i]: the members containing member i, as a bitset of indices;
+    # none is empty, so a pair that no member contains has no join
+    up = [sum(compress(ones, map(i.__eq__, meet[i * k:(i + 1) * k]))) for i in range(k)]
+    join = _reference_pairwise_table(up, {u: h for h, u in enumerate(up)},
+                                     "family has no least upper bound for")
+    return meet, join
+
+
+def _reference_pairwise_table(keys, index, fault):
+    """The flat table of ``index[keys[i] & keys[j]]``, built row by row
+    from a symmetric operation: left of the diagonal each row is the
+    column of the rows above.  A pair with no entry raises
+    ``InvariantError`` naming ``fault`` and the first such pair."""
+    k = len(keys)
+    table = []
+    for i, a in enumerate(keys):
+        try:
+            table += [*table[i::k], *map(index.__getitem__, map(a.__and__, keys[i:]))]
+        except KeyError:
+            i, j = next((i, j) for i, a in enumerate(keys) for j in range(i, k)
+                        if a & keys[j] not in index)
+            raise InvariantError(f"family is not a closure system: {fault} members {i} "
+                                 f"and {j}") from None
+    return table
+
+
+def reference_table_verdict(members):
+    """``(modular, sizes, witness)`` for the lattice of ``members`` by its
+    reference tables: the first modularity witness, whether there is
+    none, and for each member in sorted order the number of members
+    above it.
+
+    The lattice is modular exactly when its height function h, the
+    length of the longest chain up from the bottom, has h(x) + h(y) =
+    h(x ^ y) + h(x v y) for every pair (Birkhoff, *Lattice Theory*,
+    ch. II).  Index order is a linear extension, so h(i) is one more
+    than the largest h below member i, in one pass; the identity is then
+    compared row by row over the upper triangle.  Only when it fails are
+    the triples searched, by ``reference_modularity_witness``."""
+    meet, join = reference_lattice_tables(members)
+    k = len(members)
+    sizes = [meet[i * k:(i + 1) * k].count(i) for i in range(k)]
+    h = []
+    for i in range(k):
+        # member j < i lies below member i exactly when meet[i][j] == j
+        h.append(max(compress(h, map(eq, meet[i * k:i * k + i], range(i))), default=-1) + 1)
+    height = h.__getitem__
+    for x in range(k):
+        upper = slice(x * k + x + 1, (x + 1) * k)
+        if [*map(add, map(height, meet[upper]), map(height, join[upper]))] != \
+                [*map(h[x].__add__, h[x + 1:])]:
+            w = reference_modularity_witness(k, meet, join)
+            return w is None, sizes, w
+    return True, sizes, None
+
+
+def reference_modularity_witness(k, meet, join):
+    """First triple (x, y, z) with x <= z violating the modular law,
+    scanned in (x, y, z) order, one triple at a time."""
+    for x in range(k):
+        mrow_x = x * k
+        jrow_x = x * k
+        for y in range(k):
+            m_y = y * k
+            j_xy = join[jrow_x + y]
+            jy = j_xy * k
+            for z in range(k):
+                if meet[mrow_x + z] != x:
+                    continue  # need x <= z
+                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
+                    return (x, y, z)
+    return None
+
+
+# -- relabelings --------------------------------------------------------------
+# Every verdict must survive a renaming of the element indices.
+
+def relabeled_ring_tables(ring, perm):
+    """The tables of ``ring`` with each element x renamed ``perm[x]``: the
+    ``order``, ``add`` and ``mul`` (lists of rows), ``zero`` and ``one``,
+    both the document of a ``table:`` ring and ``FiniteRing``'s
+    arguments."""
+    n = ring.order
+    back = sorted(range(n), key=perm.__getitem__)  # back[perm[x]] == x
+    add, mul = ([[perm[table[back[a]][back[b]]] for b in range(n)] for a in range(n)]
+                for table in (ring.add, ring.mul))
+    return {"order": n, "add": add, "mul": mul, "zero": perm[ring.zero], "one": perm[ring.one]}
+
+
+def relabeled_module_tables(args, rng):
+    """The module tables ``args`` with its element indices permuted at
+    random, zero moved off index 0, and the permutation (old -> new)."""
+    m, n, add, act, zero = args
+    perm = list(range(m))
+    while perm[zero] == 0:
+        rng.shuffle(perm)
+    new_add = [0] * (m * m)
+    for x in range(m):
+        for y in range(m):
+            new_add[perm[x] * m + perm[y]] = perm[add[x * m + y]]
+    new_act = [0] * (n * m)
+    for r in range(n):
+        for x in range(m):
+            new_act[r * m + perm[x]] = perm[act[r * m + x]]
+    return (m, n, new_add, new_act, perm[zero]), perm
 
 
 # -- the reference loops of the table axioms and maps ------------------------

@@ -33,9 +33,12 @@ from torsionlab import _core_py, delta, rings
 from torsionlab import kernels
 from torsionlab.errors import InvariantError, TableError
 
-from conftest import (E11, E12, E22, reference_assoc_witness, reference_greedy_generators,
-                      reference_lattice_axioms, reference_module_axiom_witness,
-                      reference_ring_error, scan_closure_witness, time_limit)
+from conftest import (E11, E12, E22, lattice_tables, reference_assoc_witness,
+                      reference_greedy_generators, reference_lattice_axioms,
+                      reference_lattice_tables, reference_modularity_witness,
+                      reference_module_axiom_witness, reference_ring_error,
+                      reference_table_verdict, relabeled_module_tables, relabeled_ring_tables,
+                      scan_closure_witness, time_limit, trivial_notion)
 
 C_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "torsionlab" / "_core.c"
 
@@ -229,8 +232,8 @@ def left_ideal_family(impl, ring):
                                      list(reg.act_flat), reg.zero)
 
 
-# The closure tables are built by ``FiniteLattice`` from the family that
-# each backend enumerates.
+# ``FiniteLattice``'s meets and joins, on the family that each backend
+# enumerates.
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
 def test_closure_tables_match_naive_meet_join(impl, ut2):
     members = left_ideal_family(impl, ut2)
@@ -239,13 +242,13 @@ def test_closure_tables_match_naive_meet_join(impl, ut2):
     assert lat.members == tuple(members)
     k = len(members)
     for i, j in itertools.product(range(k), repeat=2):
-        assert members[lat.meet[i * k + j]] == members[i] & members[j]
+        assert members[lat.meet(i, j)] == members[i] & members[j]
         union = members[i] | members[j]
         sups = [w for w in members if w & union == union]
         acc = sups[0]
         for w in sups[1:]:
             acc &= w
-        assert members[lat.join[i * k + j]] == acc
+        assert members[lat.join(i, j)] == acc
     assert tl.modularity_witness(lat) is None
 
 
@@ -285,7 +288,7 @@ def square_submodule_family(impl, spec):
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda i: i.BACKEND_NAME)
 def test_modularity_pentagon_has_witness(impl):
     lat = tl.lattice_from_family(N5_FAMILY)
-    meet, join = lat.meet, lat.join
+    meet, join = lattice_tables(lat)
     w = tl.modularity_witness(lat)
     assert w == reference_modularity_witness(5, meet, join)
     assert w is not None
@@ -298,7 +301,7 @@ def test_modularity_pentagon_has_witness(impl):
     chain = left_ideal_family(impl, tl.parse_ring_spec("Z(8)"))
     assert chain == [0b1, 0b10001, 0b1010101, 0b11111111]
     lat = tl.lattice_from_family(chain + [0b11])
-    assert reference_modularity_witness(5, lat.meet, lat.join) == (2, 1, 3)
+    assert reference_modularity_witness(5, *lattice_tables(lat)) == (2, 1, 3)
     assert tl.modularity_witness(lat) == (2, 1, 3)
 
 
@@ -310,7 +313,7 @@ def test_modularity_chain_and_diamond_pass(impl):
     diamond = tl.lattice_from_family([0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111])
     assert tl.modularity_witness(diamond) is None
     empty = tl.lattice_from_family([])
-    assert (empty.meet, empty.join) == ((), ())
+    assert lattice_tables(empty) == ([], [])
     assert tl.modularity_witness(empty) is None
     # the same shapes as enumerated: the ideals of Z(8) form a chain and
     # the subspaces of GF(2)^2 a diamond
@@ -319,7 +322,7 @@ def test_modularity_chain_and_diamond_pass(impl):
     assert tl.modularity_witness(chain) is None
     diamond = tl.lattice_from_family(square_submodule_family(impl, "GF(2)"))
     assert diamond.size == 5
-    assert sorted(diamond.join[1 * 5 + j] for j in (2, 3)) == [4, 4]
+    assert sorted(diamond.join(1, j) for j in (2, 3)) == [4, 4]
     assert tl.modularity_witness(diamond) is None
 
 
@@ -328,7 +331,7 @@ def test_modularity_graded_lattice_fails_only_the_height_identity():
     # chain has length 3, but {1} and {3} have heights 1 + 1 while their
     # meet and join have 0 + 3
     lat = tl.lattice_from_family([0b0000, 0b0010, 0b0100, 0b1000, 0b0110, 0b1100, 0b1110])
-    assert reference_modularity_witness(lat.size, lat.meet, lat.join) == (1, 4, 3)
+    assert reference_modularity_witness(lat.size, *lattice_tables(lat)) == (1, 4, 3)
     assert tl.modularity_witness(lat) == (1, 4, 3)
 
 
@@ -336,7 +339,7 @@ def test_finite_lattice_sorts_its_members():
     family = [0b1110, 0b0000, 0b1100, 0b0010, 0b0110, 0b1000, 0b0100]
     lat, built = tl.FiniteLattice(family), tl.lattice_from_family(family)
     assert lat.members == built.members == tuple(sorted(family))
-    assert (lat.meet, lat.join) == (built.meet, built.join)
+    assert lattice_tables(lat) == lattice_tables(built)
 
 
 def assoc_scan(m, table):
@@ -1062,10 +1065,9 @@ def test_delta_bases_with_zero_steps_match_brute_force(spec, rows):
 
 
 # The lattice kernels as they were before enumeration took one generator
-# per coset, joins were read off up-sets and modularity was read off the
-# height function; kept verbatim as the reference.
-# ``reference_closure_tables`` is now the reference for the tables
-# ``FiniteLattice`` builds, and ``reference_modularity_witness`` for
+# per coset and joins were read off up-sets; kept verbatim as the reference.
+# ``reference_closure_tables`` is now the reference for the meets and joins
+# of ``FiniteLattice``, and ``conftest.reference_modularity_witness`` for
 # ``modules.modularity_witness``.
 def reference_sum_with_orbit(sub, elems, orb, m, add):
     """Closure of ``sub + Rx`` for a closed ``sub``, given its members
@@ -1139,24 +1141,6 @@ def reference_closure_tables(members):
     return meet, join
 
 
-def reference_modularity_witness(k, meet, join):
-    """First triple (x, y, z) with x <= z violating the modular law,
-    scanned in (x, y, z) order, one triple at a time."""
-    for x in range(k):
-        mrow_x = x * k
-        jrow_x = x * k
-        for y in range(k):
-            m_y = y * k
-            j_xy = join[jrow_x + y]
-            jy = j_xy * k
-            for z in range(k):
-                if meet[mrow_x + z] != x:
-                    continue  # need x <= z
-                if join[jrow_x + meet[m_y + z]] != meet[jy + z]:
-                    return (x, y, z)
-    return None
-
-
 @st.composite
 def bitset_families(draw):
     """Families of subsets of at most 8 points, in any order: raw lists
@@ -1189,7 +1173,7 @@ def test_lattice_kernels_match_reference_on_generated_families(family):
             tl.lattice_from_family(family)
         return
     lat = tl.lattice_from_family(family)
-    assert (list(lat.meet), list(lat.join)) == expected
+    assert lattice_tables(lat) == expected
     reference_lattice_axioms(lat)
     assert tl.modularity_witness(lat) == reference_modularity_witness(lat.size, *expected)
 
@@ -1207,26 +1191,21 @@ def pentagon_under_chain(k):
 def test_modularity_witness_on_each_side_of_the_byte_limit(k):
     lat = tl.lattice_from_family(pentagon_under_chain(k))
     assert lat.size == k
-    assert reference_modularity_witness(k, lat.meet, lat.join) == (1, 3, 2)
+    assert reference_modularity_witness(k, *lattice_tables(lat)) == (1, 3, 2)
     assert tl.modularity_witness(lat) == (1, 3, 2)
 
 
 # -- modularity on the cover relation ------------------------------------------
-# ``modules._modular_by_covers`` decides the closed route of ``rcm_verify``;
-# ``modularity_witness`` on ``FiniteLattice`` is its reference.
-
-def table_verdict(family):
-    """``(modular, sizes)`` by ``FiniteLattice``: the modularity verdict,
-    and for each member in sorted order the number of members above it."""
-    lat = tl.FiniteLattice(family)
-    k = lat.size
-    sizes = [lat.meet[i * k:(i + 1) * k].count(i) for i in range(k)]
-    return tl.modularity_witness(lat) is None, sizes
-
+# ``modules._modular_by_covers`` decides the closed route of ``rcm_verify``,
+# and ``modularity_witness`` searches only a lattice it rejects; the height
+# test on the reference tables, ``conftest.reference_table_verdict``, is
+# their oracle.
 
 def cover_verdict(family):
+    """``(modular, sizes, witness)`` as ``reference_table_verdict`` gives
+    them, by the cover decision and ``modularity_witness``."""
     modular, up = tl.modules._modular_by_covers(family)
-    return modular, [u.bit_count() for u in up]
+    return modular, [u.bit_count() for u in up], tl.modularity_witness(tl.FiniteLattice(family))
 
 
 @st.composite
@@ -1258,7 +1237,7 @@ def closure_systems(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(closure_systems())
 def test_cover_decision_matches_the_tables_on_generated_closure_systems(family):
-    assert cover_verdict(family) == table_verdict(family)
+    assert cover_verdict(family) == reference_table_verdict(family)
 
 
 @pytest.mark.parametrize("family", [
@@ -1273,7 +1252,7 @@ def test_cover_decision_matches_the_tables_on_generated_closure_systems(family):
 ], ids=["chain300", "N5", "M3", "graded", "ungraded", "N5+256", "N5+257", "N5+300",
         "M3xchain60"])
 def test_cover_decision_matches_the_tables_on_named_lattices(family):
-    assert cover_verdict(family) == table_verdict(family)
+    assert cover_verdict(family) == reference_table_verdict(family)
 
 
 def test_cover_decision_matches_the_tables_on_closed_submodules():
@@ -1284,7 +1263,7 @@ def test_cover_decision_matches_the_tables_on_closed_submodules():
                 parent = tl.power_module(ring, k)
                 closed = [s.bits for s in tl.all_submodules(parent)
                           if tl.modules.quasi_closure(parent, notion.least, s.bits) == s.bits]
-                assert cover_verdict(closed) == table_verdict(closed), (ring.name, k)
+                assert cover_verdict(closed) == reference_table_verdict(closed), (ring.name, k)
                 decided += 1
     assert decided >= 50
 
@@ -1293,7 +1272,7 @@ def test_cover_decision_matches_the_tables_on_closed_submodules():
 @given(bitset_families())
 def test_cover_decision_rejects_what_the_tables_reject(family):
     try:
-        tl.lattice_from_family(family)
+        reference_lattice_tables(family)
     except InvariantError as exc:
         with pytest.raises(InvariantError) as got:
             tl.modules._modular_by_covers(family)
@@ -1314,21 +1293,34 @@ def test_cover_decision_names_the_pair_as_the_tables_do(ut2):
             tl.modules._modular_by_covers(family)
 
 
+def test_a_rejected_lattice_always_names_its_witness(monkeypatch):
+    # a planted fault: the cover decision rejects M3, as bitsets and as
+    # Sub(GF(2)^2), and the chain of 300, all modular, so no triple breaks
+    # the law.  The search must raise, not report "modular" with no witness
+    ring = tl.parse_ring_spec("GF(2)")  # a new ring: rcm_verify caches its report on it
+    m3 = [0b0000001, 0b0000111, 0b0011001, 0b1100001, 0b1111111]
+    chain = [(1 << t) - 1 for t in range(1, 301)]
+    square = [s.bits for s in tl.all_submodules(tl.power_module(ring, 2))]
+    rejected = {tuple(sorted(family)) for family in (m3, chain, square)}
+    decide = tl.modules.is_modular
+    monkeypatch.setattr(tl.modules, "is_modular",
+                        lambda lattice: lattice.members not in rejected and decide(lattice))
+    for family in (m3, chain):
+        with pytest.raises(InvariantError, match="not modular by its covers, yet no triple"):
+            tl.modularity_witness(tl.FiniteLattice(family))
+    # Closed(GF(2)^2) is rejected, so its modules take the per-module route
+    with pytest.raises(InvariantError, match=r"FiniteLattice\(5 members\) is not modular"):
+        tl.rcm_verify(trivial_notion(ring), 2)
+
+
 # -- verdicts under relabeling -----------------------------------------------
 # A relabeling of a ring's elements changes the order of every family's
 # members, and so every index the cover decision reads.
 
-def relabeled(tmp_path, ring, perm):
-    """``ring`` as a ``table:`` ring, with element x renamed ``perm[x]``."""
-    n = ring.order
-    old = sorted(range(n), key=perm.__getitem__)  # old[perm[x]] == x
-
-    def table(rows):
-        return [[perm[rows[old[a]][old[b]]] for b in range(n)] for a in range(n)]
-
-    path = tmp_path / f"relabeled{n}.json"
-    path.write_text(json.dumps({"order": n, "add": table(ring.add), "mul": table(ring.mul),
-                                "zero": perm[ring.zero], "one": perm[ring.one]}))
+def table_ring(tmp_path, tables):
+    """The ``table:`` ring of ``tables``, written to a file under ``tmp_path``."""
+    path = tmp_path / f"ring{tables['order']}.json"
+    path.write_text(json.dumps(tables))
     return tl.parse_ring_spec(f"table:{path}")
 
 
@@ -1371,7 +1363,8 @@ def test_rcm_verdicts_survive_relabeling(monkeypatch, tmp_path, impl, spec):
         perm = random.Random(f"{spec}:{seed}").sample(range(ring.order), ring.order)
         renamed = {tuple(sorted(sum(1 << perm[x] for x in _core_py.bits_of(b)) for b in key)): v
                    for key, v in verdicts.items()}
-        assert rcm_verdicts(monkeypatch, relabeled(tmp_path, ring, perm), bound) == renamed, perm
+        moved = table_ring(tmp_path, relabeled_ring_tables(ring, perm))
+        assert rcm_verdicts(monkeypatch, moved, bound) == renamed, perm
 
 
 def relabeled_delta(axiom, ring, perm):
@@ -1408,7 +1401,7 @@ def test_delta_verdicts_survive_relabeling(tmp_path, spec):
     if perm[ring.zero] == 0:  # move zero off index 0
         other = (ring.zero + 1) % n
         perm[ring.zero], perm[other] = perm[other], perm[ring.zero]
-    moved = relabeled(tmp_path, ring, perm)
+    moved = table_ring(tmp_path, relabeled_ring_tables(ring, perm))
     assert moved.zero == perm[ring.zero] != 0
     reducible = [tl.random_reducible_delta(ring, rng) for _ in range(8)]
     arbitrary = [random_delta(ring, rng) for _ in range(8)]
@@ -1455,7 +1448,7 @@ def test_submodule_lattices_match_reference(impl):
         assert impl.enumerate_submodules(*args) == members, args
         meet, join = reference_closure_tables(members)
         lat = tl.lattice_from_family(members)
-        assert (list(lat.meet), list(lat.join)) == (meet, join)
+        assert lattice_tables(lat) == (meet, join)
         assert tl.modularity_witness(lat) == \
             reference_modularity_witness(len(members), meet, join)
         if impl is not _core_py:
@@ -1502,24 +1495,6 @@ def test_backends_agree_on_submodule_enumeration(mod):
         assert impl.enumerate_submodules(*args) == members, impl.BACKEND_NAME
 
 
-def relabelled(args, rng):
-    """The module tables ``args`` with its element indices permuted at
-    random, zero moved off index 0, and the permutation (old -> new)."""
-    m, n, add, act, zero = args
-    perm = list(range(m))
-    while perm[zero] == 0:
-        rng.shuffle(perm)
-    new_add = [0] * (m * m)
-    for x in range(m):
-        for y in range(m):
-            new_add[perm[x] * m + perm[y]] = perm[add[x * m + y]]
-    new_act = [0] * (n * m)
-    for r in range(n):
-        for x in range(m):
-            new_act[r * m + perm[x]] = perm[act[r * m + x]]
-    return (m, n, new_add, new_act, perm[zero]), perm
-
-
 @functools.cache
 def relabel_cases():
     """Tables of R and R^2 for a few rings, each with at most 64 elements."""
@@ -1538,7 +1513,7 @@ def test_enumeration_does_not_depend_on_the_labels(index):
     members = reference_enumerate_submodules(*args)
     rng = random.Random(index)
     for _ in range(20):
-        moved, perm = relabelled(args, rng)
+        moved, perm = relabeled_module_tables(args, rng)
         expected = reference_enumerate_submodules(*moved)
         assert expected == sorted(sum(1 << perm[x] for x in _core_py.bits_of(bits))
                                   for bits in members)
@@ -1551,7 +1526,8 @@ def test_each_submodule_extends_its_greedy_parent(impl):
     # T is the span of its greedy generators g, and the span of g[:-1]
     # is a submodule too, whose least missing member of T is g[-1]
     rng = random.Random(0)
-    cases = [*submodule_cases(), *(relabelled(args, rng)[0] for args in relabel_cases())]
+    cases = [*submodule_cases(),
+             *(relabeled_module_tables(args, rng)[0] for args in relabel_cases())]
     for args in cases:
         members = impl.enumerate_submodules(*args)
         family = set(members)

@@ -273,8 +273,7 @@ def test_pentagon_yields_witness():
     assert not tl.is_modular(lat)
     x, y, z = w
     assert lat.leq(x, z)
-    k = lat.size
-    assert lat.join[x * k + lat.meet[y * k + z]] != lat.meet[lat.join[x * k + y] * k + z]
+    assert lat.join(x, lat.meet(y, z)) != lat.meet(lat.join(x, y), z)
 
 
 def test_chains_are_modular():

@@ -27,7 +27,7 @@ from torsionlab.rings import (_product_bits, all_left_ideals, greedy_generators,
                               left_ideal_closure)
 from torsionlab.torsion import AxiomViolation, TorsionNotion
 
-from conftest import BUILTIN8, reference_preimage, scan_closure_witness
+from conftest import BUILTIN8, reference_preimage, relabeled_ring_tables, scan_closure_witness
 
 NONCOMMUTATIVE = ["M2(2)", "prod(UT2(2),Z(2))"]
 
@@ -493,17 +493,6 @@ def test_torsion_axioms_match_reference_on_generated_families(spec, data):
 # tables up to 256 elements.  Renaming the elements, zero moved off index
 # 0, must rename every answer the same way.
 
-def relabeled(ring, perm):
-    """``ring`` with each element x renamed ``perm[x]``, built from input
-    tables and so checked in full."""
-    n = ring.order
-    back = sorted(range(n), key=perm.__getitem__)  # back[perm[x]] = x
-    add, mul = ([[perm[table[back[a]][back[b]]] for b in range(n)] for a in range(n)]
-                for table in (ring.add, ring.mul))
-    return tl.FiniteRing(n, add, mul, perm[ring.zero], perm[ring.one],
-                         name=f"relabeled {ring.name}")
-
-
 def renamed(bits, perm):
     return sum(1 << perm[x] for x in kernels.bits_of(bits))
 
@@ -547,7 +536,8 @@ def test_closures_are_renamed_with_the_elements(monkeypatch, spec):
     perm = list(range(n))
     while perm[ring.zero] == ring.zero:
         rng.shuffle(perm)
-    other = relabeled(ring, perm)
+    # built from input tables, and so checked in full
+    other = tl.FiniteRing(**relabeled_ring_tables(ring, perm), name=f"relabeled {ring.name}")
     pairs = [(tl.regular_module(ring), tl.regular_module(other), perm)]
     if n <= 8:
         pairs.append((tl.power_module(ring, 2), tl.power_module(other, 2),

@@ -207,13 +207,12 @@ def test_relative_lattice_members_are_closure_fixed_points(ut2, ut2_nontrivial):
         closed = tl.relative_closure(ut2_nontrivial, reg, s)
         assert (closed.bits == s.bits) == (s.bits in lat.members)
     # join = closure of the sum
-    k = lat.size
-    for i, j in itertools.combinations(range(k), 2):
+    for i, j in itertools.combinations(range(lat.size), 2):
         s = tl.Submodule(reg, lat.members[i])
         t = tl.Submodule(reg, lat.members[j])
         summed = tl.submodule_sum(s, t)
         joined = tl.relative_closure(ut2_nontrivial, reg, summed)
-        assert joined.bits == lat.members[lat.join[i * k + j]]
+        assert joined.bits == lat.members[lat.join(i, j)]
 
 
 def test_weak_extension_examples(ut2, ut2_nontrivial, builtin8):
